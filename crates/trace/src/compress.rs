@@ -49,6 +49,11 @@ use crate::io::{read_varint, write_varint};
 /// Longest Huffman code, in bits; lengths are stored as nibbles.
 const MAX_CODE_BITS: u32 = 15;
 
+/// Codes up to this many bits decode with one table probe; longer codes
+/// (a symbol needs a frequency below about 2^-11 to earn one) take the
+/// bit-serial slow path.
+const LUT_BITS: u32 = 11;
+
 /// Longest LZ match a single token can encode.
 const MAX_MATCH: usize = 227;
 
@@ -230,12 +235,16 @@ fn lz_decode(mut tokens: &[u8], declared_len: usize) -> io::Result<Vec<u8>> {
             if out.len() + len > declared_len {
                 return Err(invalid("output exceeds declared length"));
             }
-            // Matches may overlap their own output (offset < len), so
-            // copy byte-wise from the back of `out`.
             let start = out.len() - offset;
-            for k in 0..len {
-                let byte = out[start + k];
-                out.push(byte);
+            if offset >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // The match overlaps its own output, so later bytes copy
+                // bytes this same match produces: go byte by byte.
+                for k in 0..len {
+                    let byte = out[start + k];
+                    out.push(byte);
+                }
             }
         }
     }
@@ -407,8 +416,12 @@ struct HuffmanTable {
     first_code: [u32; 16],
     /// Index into `symbols` of the first code of each length.
     first_index: [u32; 16],
-    /// Symbols sorted by (length, value).
-    symbols: Vec<u8>,
+    /// Symbols sorted by (length, value); the first `count.sum()` are used.
+    symbols: [u8; 256],
+    /// Indexed by the next [`LUT_BITS`] bits of the stream: the code they
+    /// start with, as `length << 8 | symbol`, or 0 when no code of at
+    /// most [`LUT_BITS`] bits is a prefix of them.
+    lut: [u16; 1 << LUT_BITS],
 }
 
 impl HuffmanTable {
@@ -419,15 +432,17 @@ impl HuffmanTable {
                 count[usize::from(l)] += 1;
             }
         }
-        let mut symbols = Vec::with_capacity(count.iter().sum::<u32>() as usize);
+        let mut symbols = [0u8; 256];
+        let mut used = 0usize;
         for len in 1..=MAX_CODE_BITS as usize {
             for (s, &l) in lengths.iter().enumerate() {
                 if usize::from(l) == len {
-                    symbols.push(s as u8);
+                    symbols[used] = s as u8;
+                    used += 1;
                 }
             }
         }
-        if symbols.is_empty() {
+        if used == 0 {
             return Err(invalid("huffman table has no symbols"));
         }
         // Reject oversubscribed tables (more codes than the tree has
@@ -449,15 +464,51 @@ impl HuffmanTable {
             }
             code <<= 1;
         }
+        // Canonical codes are prefix-free, so each short code owns the
+        // disjoint run of table slots its bits prefix.
+        let mut lut = [0u16; 1 << LUT_BITS];
+        for len in 1..=LUT_BITS {
+            let spread = LUT_BITS - len;
+            for k in 0..count[len as usize] {
+                let code = first_code[len as usize] + k;
+                let symbol = symbols[(first_index[len as usize] + k) as usize];
+                let slots = (code << spread) as usize..((code + 1) << spread) as usize;
+                lut[slots].fill((len as u16) << 8 | u16::from(symbol));
+            }
+        }
         Ok(HuffmanTable {
             count,
             first_code,
             first_index,
             symbols,
+            lut,
         })
+    }
+
+    /// Decodes one code bit by bit, trying lengths 1..=15 in turn: the
+    /// path for codes longer than the table covers and for the stream's
+    /// last bits. `br` must hold at least [`MAX_CODE_BITS`] bits or every
+    /// bit the stream has left.
+    #[cold]
+    fn decode_slow(&self, br: &mut BitReader<'_>) -> io::Result<u8> {
+        for len in 1..=MAX_CODE_BITS {
+            if len > br.bits {
+                return Err(invalid("huffman bitstream exhausted"));
+            }
+            let code = (br.acc >> (64 - len)) as u32;
+            let offset = code.wrapping_sub(self.first_code[len as usize]);
+            if offset < self.count[len as usize] {
+                br.consume(len);
+                return Ok(self.symbols[(self.first_index[len as usize] + offset) as usize]);
+            }
+        }
+        Err(invalid("invalid huffman code"))
     }
 }
 
+/// MSB-first bit reader: the next unread bit is the top bit of `acc`,
+/// `bits` bits are valid, and the bits below them are zero or already
+/// the stream's next bits.
 struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -466,22 +517,41 @@ struct BitReader<'a> {
 }
 
 impl BitReader<'_> {
+    /// Tops `acc` up to at least 56 valid bits, or to every bit the
+    /// stream has left.
     #[inline]
-    fn next_bit(&mut self) -> io::Result<u32> {
-        if self.bits == 0 {
-            if self.pos >= self.data.len() {
-                return Err(invalid("huffman bitstream exhausted"));
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            // Whole bytes become valid bits; the part of the next byte
+            // that also lands in `acc` is the same bits the next refill
+            // ors in again.
+            let word = u64::from_be_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word >> self.bits;
+            let whole = (63 - self.bits) >> 3;
+            self.pos += whole as usize;
+            self.bits += whole << 3;
+        } else {
+            while self.bits <= 56 && self.pos < self.data.len() {
+                self.acc |= u64::from(self.data[self.pos]) << (56 - self.bits);
+                self.pos += 1;
+                self.bits += 8;
             }
-            self.acc = u64::from(self.data[self.pos]);
-            self.pos += 1;
-            self.bits = 8;
         }
-        self.bits -= 1;
-        Ok(((self.acc >> self.bits) & 1) as u32)
+    }
+
+    #[inline]
+    fn consume(&mut self, len: u32) {
+        self.acc <<= len;
+        self.bits -= len;
     }
 }
 
 /// Decodes exactly `lz_len` symbols from the Huffman bitstream.
+///
+/// Each symbol is one table probe on the next [`LUT_BITS`] bits. Past the
+/// end of the data those bits read as zero, so a probe only counts when
+/// its code fits the bits actually left; otherwise the slow path decides,
+/// which fails at the first symbol that runs past the end.
 fn huffman_decode(table: &HuffmanTable, data: &[u8], lz_len: usize) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(lz_len);
     let mut br = BitReader {
@@ -491,20 +561,18 @@ fn huffman_decode(table: &HuffmanTable, data: &[u8], lz_len: usize) -> io::Resul
         bits: 0,
     };
     for _ in 0..lz_len {
-        let mut code = 0u32;
-        let mut decoded = false;
-        for len in 1..=MAX_CODE_BITS as usize {
-            code = (code << 1) | br.next_bit()?;
-            let offset = code.wrapping_sub(table.first_code[len]);
-            if offset < table.count[len] {
-                out.push(table.symbols[(table.first_index[len] + offset) as usize]);
-                decoded = true;
-                break;
-            }
+        if br.bits < MAX_CODE_BITS {
+            br.refill();
         }
-        if !decoded {
-            return Err(invalid("invalid huffman code"));
-        }
+        let entry = table.lut[(br.acc >> (64 - LUT_BITS)) as usize];
+        let len = u32::from(entry >> 8);
+        let symbol = if len != 0 && len <= br.bits {
+            br.consume(len);
+            entry as u8
+        } else {
+            table.decode_slow(&mut br)?
+        };
+        out.push(symbol);
     }
     Ok(out)
 }

@@ -478,6 +478,22 @@ pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
     }
 }
 
+/// Reads a varint from the front of `buf` and advances past it: the
+/// slice form of [`read_varint`] that the chunk decoders use. A
+/// single-byte encoding (most pc deltas and pc-stream symbols) returns
+/// at once; longer ones go through [`read_varint`] itself, so they get
+/// its canonical and overflow checks and its errors.
+#[inline]
+pub(crate) fn take_varint(buf: &mut &[u8]) -> io::Result<u64> {
+    match buf.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(byte))
+        }
+        _ => read_varint(buf),
+    }
+}
+
 pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -591,8 +607,8 @@ fn decode_chunk_payload(payload: &[u8], records: u64) -> Result<Vec<TraceRecord>
     let mut out = Vec::with_capacity(records as usize);
     let mut prev_pc = 0i64;
     for i in 0..records {
-        let delta = read_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
-        let value = read_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
+        let delta = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
+        let value = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
         let pc = prev_pc.wrapping_add(unzigzag(delta));
         out.push(TraceRecord::new(pc as u64, value));
         prev_pc = pc;
@@ -1490,6 +1506,38 @@ mod tests {
         trace.write_to(&mut buffer).unwrap();
         assert_eq!(*buffer.last().unwrap(), 0x01);
         assert_eq!(Trace::read_from(buffer.as_slice()).unwrap(), trace);
+    }
+
+    #[test]
+    fn take_varint_agrees_with_read_varint() {
+        // Every first byte, a few multi-byte encodings and an over-long
+        // one, each followed by a byte the read must leave alone, and
+        // each cut short at every length.
+        let mut inputs: Vec<Vec<u8>> = (0..=255u8).map(|b| vec![b, 0x55]).collect();
+        for v in [128, 16_384, u64::MAX] {
+            let mut bytes = Vec::new();
+            write_varint(&mut bytes, v).unwrap();
+            bytes.push(0x55);
+            inputs.push(bytes);
+        }
+        inputs.push(vec![0x80; 11]);
+        for bytes in &inputs {
+            for cut in 0..=bytes.len() {
+                let input = &bytes[..cut];
+                let (mut a, mut b) = (input, input);
+                match (read_varint(&mut a), take_varint(&mut b)) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!(x, y, "{input:02x?}");
+                        assert_eq!(a, b, "consumed differently: {input:02x?}");
+                    }
+                    (Err(x), Err(y)) => {
+                        assert_eq!(x.kind(), y.kind(), "{input:02x?}");
+                        assert_eq!(x.to_string(), y.to_string(), "{input:02x?}");
+                    }
+                    (x, y) => panic!("{input:02x?}: read_varint {x:?}, take_varint {y:?}"),
+                }
+            }
+        }
     }
 
     #[test]

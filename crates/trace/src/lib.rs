@@ -43,6 +43,8 @@ mod pattern;
 mod phases;
 mod program;
 mod record;
+#[cfg(test)]
+mod reference;
 mod rng;
 pub mod stats;
 pub mod suite;

@@ -83,8 +83,8 @@ use std::path::Path;
 use crate::compress::{compress, decompress, max_token_len};
 use crate::crc::crc32;
 use crate::io::{
-    corruption_at, is_corruption, read_v2_header, read_varint, truncated, unzigzag, write_varint,
-    zigzag, DroppedChunk, SalvageReport, TraceFormatError, TraceInfo, V2Header,
+    corruption_at, is_corruption, read_v2_header, read_varint, take_varint, truncated, unzigzag,
+    write_varint, zigzag, DroppedChunk, SalvageReport, TraceFormatError, TraceInfo, V2Header,
 };
 use crate::io::{ChunkInfo, MAX_PREALLOC};
 use crate::record::{Trace, TraceRecord};
@@ -232,19 +232,39 @@ fn pack_records(records: &[TraceRecord]) -> Vec<u8> {
     out
 }
 
+/// The bucket id [`unpack_records`] gives a record whose pc is missing
+/// from the dictionary, until strays get ids of their own.
+const STRAY: u32 = u32::MAX;
+
+/// Marks a value-bucket slot in [`unpack_records`] as opened: the slot
+/// has become the bucket's read cursor into the flat value array.
+const BUCKET_OPEN: u32 = 1 << 31;
+
 /// Decodes a packed chunk back into exactly `records` records.
+///
+/// Each record carries a bucket id until its value is known: the index
+/// of its pc in the deduplicated sorted dictionary, reached through the
+/// inverse rank permutation for a jump symbol and, for a symbol 0, by
+/// checking the entry after the previous pc's before a binary search.
+/// Duplicate dictionary entries therefore share one bucket. Pcs missing
+/// from the dictionary (only a corrupt chunk has them) get ids past the
+/// dictionary's, one per distinct pc. Values decode into one flat array,
+/// a bucket at a time when the bucket's first record comes up.
 fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, String> {
-    let mut rest = packed;
-    let mut mode = [0u8; 1];
-    rest.read_exact(&mut mode)
-        .map_err(|_| String::from("missing value-stream mode byte"))?;
-    let mode = mode[0];
+    // Bucket ids (up to two per record) must stay below STRAY, and
+    // cursors below the BUCKET_OPEN flag; a file chunk is far smaller.
+    if records >= u64::from(BUCKET_OPEN) / 2 {
+        return Err(format!("{records} records exceed what one chunk can hold"));
+    }
+    let (&mode, mut rest) = packed
+        .split_first()
+        .ok_or_else(|| String::from("missing value-stream mode byte"))?;
     if mode > MODE_RAW {
         return Err(format!("unknown value-stream mode {mode}"));
     }
 
     // Pc dictionary: gap-coded, at most one entry per record.
-    let dict_len = read_varint(&mut rest).map_err(|e| format!("dictionary length: {e}"))?;
+    let dict_len = take_varint(&mut rest).map_err(|e| format!("dictionary length: {e}"))?;
     if dict_len > records {
         return Err(format!(
             "dictionary declares {dict_len} pcs for {records} records"
@@ -253,7 +273,7 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
     let mut dict: Vec<u64> = Vec::with_capacity(dict_len as usize);
     let mut prev = 0u64;
     for i in 0..dict_len {
-        let gap = read_varint(&mut rest).map_err(|e| format!("dictionary entry {i}: {e}"))?;
+        let gap = take_varint(&mut rest).map_err(|e| format!("dictionary entry {i}: {e}"))?;
         let pc = if i == 0 {
             gap
         } else {
@@ -263,22 +283,29 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         dict.push(pc);
         prev = pc;
     }
-    // The frequency permutation: pc_by_rank[rank of sorted entry i] =
-    // dict[i]. Every rank must be in range and hit exactly once.
-    let mut pc_by_rank: Vec<Option<u64>> = vec![None; dict_len as usize];
+    // The frequency permutation, inverted: id_by_rank[rank of sorted
+    // entry i] = bucket id of entry i. Every rank must be in range and
+    // hit exactly once.
+    let mut id_by_rank: Vec<u32> = vec![u32::MAX; dict.len()];
+    let mut id = 0u32;
     for (i, &pc) in dict.iter().enumerate() {
-        let r = read_varint(&mut rest).map_err(|e| format!("dictionary rank {i}: {e}"))?;
-        let slot = pc_by_rank
+        let r = take_varint(&mut rest).map_err(|e| format!("dictionary rank {i}: {e}"))?;
+        let slot = id_by_rank
             .get_mut(r as usize)
             .ok_or_else(|| format!("dictionary rank {r} outside {dict_len} entries"))?;
-        if slot.replace(pc).is_some() {
+        if *slot != u32::MAX {
             return Err(format!("dictionary rank {r} assigned twice"));
         }
+        if i > 0 && pc != dict[i - 1] {
+            id += 1;
+        }
+        *slot = id;
     }
-    let dict: Vec<u64> = pc_by_rank.into_iter().flatten().collect();
+    dict.dedup();
 
-    // Pc stream: one symbol per record.
-    let pc_len = read_varint(&mut rest).map_err(|e| format!("pc stream length: {e}"))?;
+    // Pc stream: one symbol per record. Records hold their bucket id in
+    // `value` until the values are dealt out below.
+    let pc_len = take_varint(&mut rest).map_err(|e| format!("pc stream length: {e}"))?;
     if pc_len > rest.len() as u64 {
         return Err(format!(
             "pc stream length {pc_len} exceeds the {} payload bytes",
@@ -286,19 +313,33 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
         ));
     }
     let (mut pcs, mut values) = rest.split_at(pc_len as usize);
-    let mut pc_seq: Vec<u64> = Vec::with_capacity(records as usize);
+    let mut out: Vec<TraceRecord> = Vec::with_capacity(records as usize);
+    let mut strays = 0usize;
     let mut prev_pc = 0u64;
+    let mut prev_id = STRAY;
     for _ in 0..records {
-        let symbol = read_varint(&mut pcs).map_err(|e| format!("pc stream: {e}"))?;
-        let pc = if symbol == 0 {
-            prev_pc.wrapping_add(PC_STEP)
+        let symbol = take_varint(&mut pcs).map_err(|e| format!("pc stream: {e}"))?;
+        let (pc, id) = if symbol == 0 {
+            let pc = prev_pc.wrapping_add(PC_STEP);
+            let next = prev_id.wrapping_add(1);
+            let id = if dict.get(next as usize) == Some(&pc) {
+                next
+            } else if let Ok(i) = dict.binary_search(&pc) {
+                i as u32
+            } else {
+                strays += 1;
+                STRAY
+            };
+            (pc, id)
         } else {
-            *dict
+            let id = *id_by_rank
                 .get(symbol as usize - 1)
-                .ok_or_else(|| format!("pc symbol {symbol} outside {dict_len}-entry dictionary"))?
+                .ok_or_else(|| format!("pc symbol {symbol} outside {dict_len}-entry dictionary"))?;
+            (dict[id as usize], id)
         };
-        pc_seq.push(pc);
+        out.push(TraceRecord::new(pc, u64::from(id)));
         prev_pc = pc;
+        prev_id = id;
     }
     if !pcs.is_empty() {
         return Err(format!(
@@ -306,48 +347,61 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
             pcs.len()
         ));
     }
-
-    // Bucket sizes in first-appearance order, mirroring the encoder.
-    let mut bucket_of: HashMap<u64, usize> = HashMap::new();
-    let mut counts: Vec<usize> = Vec::new();
-    for &pc in &pc_seq {
-        let b = *bucket_of.entry(pc).or_insert_with(|| {
-            counts.push(0);
-            counts.len() - 1
-        });
-        counts[b] += 1;
+    let mut ids = dict.len();
+    drop(id_by_rank);
+    drop(dict);
+    if strays > 0 {
+        let mut stray_pcs: Vec<u64> = Vec::with_capacity(strays);
+        stray_pcs.extend(
+            out.iter()
+                .filter(|r| r.value == u64::from(STRAY))
+                .map(|r| r.pc),
+        );
+        stray_pcs.sort_unstable();
+        stray_pcs.dedup();
+        for r in out.iter_mut().filter(|r| r.value == u64::from(STRAY)) {
+            let i = stray_pcs.binary_search(&r.pc).expect("collected above");
+            r.value = (ids + i) as u64;
+        }
+        ids += stray_pcs.len();
     }
 
-    // Value stream: decode each bucket, then deal values back out in
-    // pc-sequence order.
-    let mut buckets: Vec<Vec<u64>> = Vec::with_capacity(counts.len());
-    for (b, &count) in counts.iter().enumerate() {
-        let mut bucket = Vec::with_capacity(count);
-        let mut prev = 0i64;
-        for _ in 0..count {
-            let field = read_varint(&mut values).map_err(|e| format!("value bucket {b}: {e}"))?;
-            let value = match mode {
-                MODE_BUCKET_DELTA => prev.wrapping_add(unzigzag(field)),
-                _ => field as i64,
-            };
-            bucket.push(value as u64);
-            prev = value;
+    // Bucket sizes. The value stream holds the buckets in order of each
+    // pc's first appearance, so the first record of a bucket decodes the
+    // whole bucket onto the end of `flat`, and its slot turns from the
+    // bucket's size into its cursor there.
+    let mut slots = vec![0u32; ids];
+    for r in &out {
+        slots[r.value as usize] += 1;
+    }
+    let mut flat: Vec<u64> = Vec::with_capacity(records as usize);
+    let mut bucket = 0usize;
+    for r in &mut out {
+        let slot = &mut slots[r.value as usize];
+        if *slot & BUCKET_OPEN == 0 {
+            let size = *slot;
+            *slot = flat.len() as u32 | BUCKET_OPEN;
+            let mut prev = 0i64;
+            for _ in 0..size {
+                let field =
+                    take_varint(&mut values).map_err(|e| format!("value bucket {bucket}: {e}"))?;
+                let value = match mode {
+                    MODE_BUCKET_DELTA => prev.wrapping_add(unzigzag(field)),
+                    _ => field as i64,
+                };
+                flat.push(value as u64);
+                prev = value;
+            }
+            bucket += 1;
         }
-        buckets.push(bucket);
+        r.value = flat[(*slot & !BUCKET_OPEN) as usize];
+        *slot += 1;
     }
     if !values.is_empty() {
         return Err(format!(
             "{} unused value-stream bytes after the last record",
             values.len()
         ));
-    }
-    let mut cursor = vec![0usize; buckets.len()];
-    let mut out = Vec::with_capacity(records as usize);
-    for &pc in &pc_seq {
-        let b = bucket_of[&pc];
-        let value = buckets[b][cursor[b]];
-        cursor[b] += 1;
-        out.push(TraceRecord::new(pc, value));
     }
     Ok(out)
 }
@@ -411,12 +465,20 @@ impl V3RawChunk {
             .map_err(|detail| truncated(self.index, format!("undecodable chunk: {detail}")))
     }
 
-    /// Peak bytes decoding this chunk may allocate: the packed buffer,
-    /// the decoder's token scratch, and the decoded records.
+    /// An upper bound on the peak bytes [`decode`](Self::decode)
+    /// allocates, for any payload these framing fields admit: the packed
+    /// buffer, plus the larger of the decompressor's token scratch and
+    /// the unpacker's working set. The token scratch is freed before
+    /// unpacking starts. Unpacking holds the decoded records, a flat
+    /// array of their values, and a `u32` bucket slot per dictionary
+    /// entry and per pc missing from the dictionary: up to two slots per
+    /// record in a corrupt chunk.
     pub fn decode_footprint(&self) -> u64 {
-        self.packed_bytes
-            + max_token_len(self.packed_bytes as usize) as u64
-            + self.records * std::mem::size_of::<TraceRecord>() as u64
+        use std::mem::size_of;
+        let per_record = size_of::<TraceRecord>() + size_of::<u64>() + 2 * size_of::<u32>();
+        let unpack = self.records * per_record as u64;
+        let tokens = max_token_len(self.packed_bytes as usize) as u64;
+        self.packed_bytes + unpack.max(tokens)
     }
 }
 
@@ -914,7 +976,10 @@ pub(crate) fn write_v3<W: Write>(trace: &Trace, w: W, seed: u64) -> io::Result<(
 mod tests {
     use super::*;
     use crate::io::TraceFormat;
+    use crate::reference;
     use crate::rng::SplitMix64;
+    use crate::TraceSource;
+    use proptest::prelude::*;
 
     fn mixed_trace(records: usize, salt: u64) -> Trace {
         let mut rng = SplitMix64::new(salt);
@@ -1029,6 +1094,156 @@ mod tests {
         // Legit chunks pass.
         assert!(bomb_guard(0, 65536, 1 << 20, 2048).is_none());
         assert!(bomb_guard(0, 100, 1600, 200).is_none());
+    }
+
+    /// `records` records from suite benchmark `bench`, or from
+    /// [`mixed_trace`] for indexes past the suite.
+    fn chunk_records(bench: usize, records: usize, seed: u64) -> Vec<TraceRecord> {
+        match crate::suite::standard_suite().get(bench) {
+            Some(spec) => spec.program(seed).take_trace(records).records().to_vec(),
+            None => mixed_trace(records, seed).records().to_vec(),
+        }
+    }
+
+    /// Applies `(position, op, byte)` edits: op picks an xor with a
+    /// nonzero mask, a zeroed byte, or an overwrite, and bit 2 of op
+    /// aims the edit at the first eighth of the buffer, where the
+    /// headers, the dictionary and the pc stream sit.
+    fn edit(bytes: &mut [u8], edits: &[(u32, u8, u8)]) {
+        for &(pos, op, byte) in edits {
+            let span = if op & 4 != 0 {
+                bytes.len() / 8
+            } else {
+                bytes.len()
+            };
+            let Some(at) = (pos as usize).checked_rem(span) else {
+                continue;
+            };
+            match op % 3 {
+                0 => bytes[at] ^= byte.max(1),
+                1 => bytes[at] = 0,
+                _ => bytes[at] = byte,
+            }
+        }
+    }
+
+    /// Both decoders accept with equal output, or both reject with the
+    /// same diagnosis.
+    fn agree<T: PartialEq + std::fmt::Debug, E: std::fmt::Display>(
+        fast: Result<T, E>,
+        naive: Result<T, E>,
+    ) -> Result<(), String> {
+        match (fast, naive) {
+            (Ok(a), Ok(b)) if a == b => Ok(()),
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+            (a, b) => Err(format!(
+                "decoder {:?} vs reference {:?}",
+                a.map_err(|e| e.to_string()),
+                b.map_err(|e| e.to_string())
+            )),
+        }
+    }
+
+    proptest! {
+        /// The unpacker against the naive reference on packed chunks
+        /// with edited bytes and misdeclared record counts.
+        #[test]
+        fn unpack_agrees_with_reference(
+            bench in 0usize..10,
+            records in 1usize..2500,
+            seed in any::<u64>(),
+            mutants in prop::collection::vec(
+                (prop::collection::vec((any::<u32>(), any::<u8>(), any::<u8>()), 1..5), 0u64..8),
+                8..9,
+            ),
+        ) {
+            let chunk = chunk_records(bench, records, seed);
+            let packed = pack_records(&chunk);
+            prop_assert_eq!(unpack_records(&packed, records as u64), Ok(chunk));
+            for (edits, skew) in &mutants {
+                let mut bad = packed.clone();
+                edit(&mut bad, edits);
+                // Mostly the true count; sometimes a few off either way.
+                let declared = match skew {
+                    0 => records as u64 - 1,
+                    1 => records as u64 + 1 + (seed % 3),
+                    _ => records as u64,
+                };
+                let verdict = agree(
+                    unpack_records(&bad, declared),
+                    reference::unpack_records(&bad, declared),
+                );
+                prop_assert!(verdict.is_ok(), "{} on {} records", verdict.unwrap_err(), declared);
+            }
+        }
+
+        /// The decompressor against the naive reference on compressed
+        /// chunks with edited bytes, cut short, or held to a wrong
+        /// declared length.
+        #[test]
+        fn decompress_agrees_with_reference(
+            bench in 0usize..10,
+            records in 1usize..2500,
+            seed in any::<u64>(),
+            mutants in prop::collection::vec(
+                (prop::collection::vec((any::<u32>(), any::<u8>(), any::<u8>()), 0..5), 0u32..1000, 0u64..8),
+                8..9,
+            ),
+        ) {
+            let packed = pack_records(&chunk_records(bench, records, seed));
+            let payload = compress(&packed);
+            prop_assert_eq!(decompress(&payload, packed.len()).ok(), Some(packed.clone()));
+            for (edits, cut, skew) in &mutants {
+                let mut bad = payload.clone();
+                edit(&mut bad, edits);
+                // Three mutants in ten are also cut short.
+                if *cut < 300 {
+                    bad.truncate(bad.len() * *cut as usize / 300);
+                }
+                let declared = match skew {
+                    0 => packed.len().saturating_sub(1 + (seed % 5) as usize),
+                    1 => packed.len() + 1,
+                    _ => packed.len(),
+                };
+                let verdict = agree(
+                    decompress(&bad, declared),
+                    reference::decompress(&bad, declared),
+                );
+                prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_buckets_duplicate_entries_and_pcs_missing_from_the_dictionary() {
+        // Hand-packed raw-mode chunk: the dictionary lists 4, 8 and 8
+        // again (a zero gap), so symbols 2 and 3 both mean pc 8; the
+        // symbol-0 successors 12 and 16 are in no dictionary entry.
+        let mut packed = vec![MODE_RAW];
+        for v in [3, 4, 4, 0, 0, 1, 2] {
+            write_varint(&mut packed, v).unwrap(); // length, gaps, ranks
+        }
+        let symbols = [0u8, 0, 0, 3, 0, 0, 1];
+        write_varint(&mut packed, symbols.len() as u64).unwrap();
+        packed.extend_from_slice(&symbols);
+        // Buckets in first-appearance order: pc 4, 8, 12, 16.
+        for v in [1, 2, 10, 11, 20, 21, 30] {
+            write_varint(&mut packed, v).unwrap();
+        }
+        let expected: Vec<TraceRecord> = [
+            (4, 1),
+            (8, 10),
+            (12, 20),
+            (8, 11),
+            (12, 21),
+            (16, 30),
+            (4, 2),
+        ]
+        .iter()
+        .map(|&(pc, v)| TraceRecord::new(pc, v))
+        .collect();
+        assert_eq!(reference::unpack_records(&packed, 7), Ok(expected.clone()));
+        assert_eq!(unpack_records(&packed, 7), Ok(expected));
     }
 
     #[test]

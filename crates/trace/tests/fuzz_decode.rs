@@ -5,9 +5,18 @@
 //! reads either return the original records or a typed error; salvage
 //! and inspect are total.
 //!
+//! A flipped v3 payload byte almost always fails the chunk CRC first,
+//! so the `past_crc` tests re-stamp the CRC after mutating a chunk's
+//! compressed payload, or its packed records before recompression, to
+//! drive the Huffman, LZ and unpack checks through the file API.
+//!
 //! CI runs this harness with `PROPTEST_CASES=1000` (the fuzz-smoke
 //! step); locally it runs at the shim's default case count.
 
+use std::ops::Range;
+
+use dfcm_trace::compress::{compress, decompress};
+use dfcm_trace::crc::crc32;
 use dfcm_trace::{
     inspect_trace, salvage_trace, Trace, TraceFormatError, TraceRecord, V2_CHUNK_RECORDS,
     V3_CHUNK_RECORDS,
@@ -85,6 +94,73 @@ fn varint(mut v: u64) -> Vec<u8> {
 fn v3_first_chunk_offset(bytes: &[u8]) -> usize {
     let (hlen, used) = read_varint_at(bytes, 8);
     8 + used + hlen as usize
+}
+
+/// One chunk frame of a v3 file.
+struct V3Frame {
+    /// Offset of the frame's first byte (its record-count varint).
+    start: usize,
+    records: u64,
+    packed: u64,
+    /// Where the compressed payload sits in the file.
+    payload: Range<usize>,
+}
+
+/// The chunk frames of a well-formed v3 file, in order.
+fn v3_frames(bytes: &[u8]) -> Vec<V3Frame> {
+    let mut frames = Vec::new();
+    let mut at = v3_first_chunk_offset(bytes);
+    while at < bytes.len() {
+        let start = at;
+        let (records, used) = read_varint_at(bytes, at);
+        at += used;
+        let (packed, used) = read_varint_at(bytes, at);
+        at += used;
+        let (len, used) = read_varint_at(bytes, at);
+        at += used + 4; // past the CRC
+        frames.push(V3Frame {
+            start,
+            records,
+            packed,
+            payload: at..at + len as usize,
+        });
+        at += len as usize;
+    }
+    frames
+}
+
+/// `bytes` with `frame`'s payload replaced by `payload`, which unpacks
+/// to `packed` bytes, and the frame's sizes and CRC re-stamped to match.
+fn restamp(bytes: &[u8], frame: &V3Frame, packed: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..frame.start].to_vec();
+    out.extend(varint(frame.records));
+    out.extend(varint(packed));
+    out.extend(varint(payload.len() as u64));
+    out.extend(crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&bytes[frame.payload.end..]);
+    out
+}
+
+/// The file API on a v3 file whose framing and CRCs are intact but
+/// whose payloads may not decode: strict read, salvage and inspect are
+/// total, fail typed, agree on whether every chunk decodes, and an `Ok`
+/// read holds exactly the `declared` records.
+fn check_past_crc(file: &[u8], declared: usize) {
+    let read = Trace::read_from(file);
+    match &read {
+        Ok(trace) => assert_eq!(trace.len(), declared, "Ok read with the wrong record count"),
+        Err(e) => assert!(
+            TraceFormatError::classify(e).is_some(),
+            "untyped decode error: {e}"
+        ),
+    }
+    let report = salvage_trace(file).expect("framing intact, salvage succeeds");
+    let info = inspect_trace(file).expect("framing intact, inspect succeeds");
+    assert_eq!(report.declared_records, declared as u64);
+    assert_eq!(read.is_ok(), report.dropped.is_empty());
+    assert_eq!(read.is_ok(), info.decoded_records == declared as u64);
+    assert_eq!(report.recovered.len() as u64, info.decoded_records);
 }
 
 /// Applies `flips` single-byte XOR mutations at pseudo-positions derived
@@ -284,6 +360,44 @@ proptest! {
                 || info.declared_records != trace.len() as u64);
         }
         prop_assert_eq!(salvage.is_err(), inspect.is_err());
+    }
+
+    /// Mutations of one chunk's compressed payload, with the CRC
+    /// re-stamped so they reach the Huffman and LZ decoders.
+    #[test]
+    fn v3_payload_mutations_past_crc_fail_typed(
+        records in 1usize..9000,
+        salt in any::<u64>(),
+        chunk in any::<u32>(),
+        flips in prop::collection::vec((any::<u32>(), any::<u8>()), 1..8),
+    ) {
+        let trace = base_trace(records, salt);
+        let bytes = v3_bytes(&trace, salt);
+        let frames = v3_frames(&bytes);
+        let frame = &frames[chunk as usize % frames.len()];
+        let mut payload = bytes[frame.payload.clone()].to_vec();
+        mutate(&mut payload, &flips, 0);
+        check_past_crc(&restamp(&bytes, frame, frame.packed, &payload), records);
+    }
+
+    /// Mutations of one chunk's packed records, recompressed and
+    /// re-stamped so they reach the record unpacker.
+    #[test]
+    fn v3_packed_mutations_past_crc_fail_typed(
+        records in 1usize..9000,
+        salt in any::<u64>(),
+        chunk in any::<u32>(),
+        flips in prop::collection::vec((any::<u32>(), any::<u8>()), 1..8),
+    ) {
+        let trace = base_trace(records, salt);
+        let bytes = v3_bytes(&trace, salt);
+        let frames = v3_frames(&bytes);
+        let frame = &frames[chunk as usize % frames.len()];
+        let mut packed = decompress(&bytes[frame.payload.clone()], frame.packed as usize)
+            .expect("own encoding decompresses");
+        mutate(&mut packed, &flips, 0);
+        let payload = compress(&packed);
+        check_past_crc(&restamp(&bytes, frame, packed.len() as u64, &payload), records);
     }
 
     /// Garbage wearing the v3 magic never panics any decoder entry
