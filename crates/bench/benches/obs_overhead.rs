@@ -6,31 +6,17 @@
 //! prices the spans, per-task histogram updates and table trackers,
 //! which is worth knowing before shipping `--obs` into a large sweep.
 //!
-//! The `obs_stream_overhead` group prices the windowed phase-series +
-//! top-K fold on the streaming core: `stream_off` is the plain
-//! single-pass path (the observed entry point short-circuits to it when
-//! obs is disabled, so it must match `stream_v2_file` within noise),
-//! `stream_series` adds the per-record window/top-K fold, and
-//! `stream_series_classified` additionally runs the aliasing taxonomy.
-//!
-//! Fold placement decides what `stream_series` costs. On hosts with
-//! more than one hardware thread the fold runs on a dedicated thread
-//! and the streaming consumer only pays for writing outcome tuples into
-//! a recycled buffer — a few percent of the core, which is how the
-//! fold stays off the critical path. On a single-core host the fold
-//! runs inline (a fold thread would only time-slice against the
-//! consumer) and its full price lands on the core: roughly 2.3x on
-//! this deliberately miss-heavy two-lane suite, dominated by the
-//! per-miss top-K and histogram updates. `stream_series_classified`
-//! additionally pays the alias analyzer itself inside each lane access
-//! — predictor-side work that exists independently of the series fold.
-//! Either placement folds the identical outcome sequence, so the
-//! exported series is bit-identical (pinned by the dfcm-sim tests).
+//! The `obs_stream_overhead` group prices observing the streaming core:
+//! `stream_off` is `stream_trace_file` with obs disabled, which runs the
+//! no-op observer (the same loop as `stream_v2_file`), and
+//! `stream_series_classified` is `eval --streaming --obs`'s pass — every
+//! lane's alias analyzer on, and the windowed phase series, top-K PC
+//! tracker and occupancy samples folded inline per record.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dfcm::DfcmPredictor;
 use dfcm_obs::Obs;
-use dfcm_sim::{stream_v2_file_observed, sweep, sweep_engine, EngineConfig, StreamPredictor};
+use dfcm_sim::{stream_trace_file, sweep, sweep_engine, EngineConfig, StreamPredictor};
 use dfcm_trace::suite::standard_traces;
 use dfcm_trace::{Trace, TraceFormat};
 use std::hint::black_box;
@@ -92,36 +78,18 @@ fn bench_stream_series_overhead(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("obs_stream_overhead");
     group.throughput(Throughput::Elements(records * 2));
-    // Disabled handle: short-circuits to the plain streaming pass.
+    // Disabled handle: the no-op observer.
     group.bench_function(BenchmarkId::new("stream_off", 1), |b| {
         b.iter(|| {
             let mut lanes = lanes();
-            black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::disabled(), false)
-                    .expect("stream"),
-            )
+            black_box(stream_trace_file(&path, &mut lanes, 1, &Obs::disabled()).expect("stream"))
         })
     });
-    // Windowed series + top-K fold, no alias classification (the cheap
-    // default for observed streaming).
-    group.bench_function(BenchmarkId::new("stream_series", 1), |b| {
-        b.iter(|| {
-            let mut lanes = lanes();
-            black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::enabled(), false)
-                    .expect("stream"),
-            )
-        })
-    });
-    // Series fold plus the full aliasing taxonomy (what `eval
-    // --streaming --obs` runs).
+    // A fresh enabled handle per pass: what `eval --streaming --obs` runs.
     group.bench_function(BenchmarkId::new("stream_series_classified", 1), |b| {
         b.iter(|| {
             let mut lanes = lanes();
-            black_box(
-                stream_v2_file_observed(&path, &mut lanes, 1, &Obs::enabled(), true)
-                    .expect("stream"),
-            )
+            black_box(stream_trace_file(&path, &mut lanes, 1, &Obs::enabled()).expect("stream"))
         })
     });
     group.finish();

@@ -745,40 +745,6 @@ where
     run_tasks_resumable(labels, task, config, Vec::new(), |_, _, _, _| {})
 }
 
-/// Runs `labels.len()` infallible tasks over a shared work queue and
-/// returns their outputs in task order plus the run metrics.
-///
-/// This is the engine's original all-or-nothing primitive, kept for
-/// batches whose tasks cannot meaningfully fail. It now runs on the
-/// fault-tolerant core, so a worker's panic no longer poisons the queue
-/// mid-sweep — but to honor the infallible contract it still panics at
-/// merge time (with the failing task's label and outcome) if any task
-/// failed, e.g. under an injected [`FaultPlan`]. Callers that need to
-/// survive failures should use [`run_tasks_ft`].
-///
-/// # Panics
-///
-/// Panics if any task panicked or failed.
-pub fn run_tasks<T, F>(
-    labels: Vec<String>,
-    task: F,
-    config: &EngineConfig,
-) -> (Vec<T>, EngineReport)
-where
-    T: Send,
-    F: Fn(usize) -> TaskOutput<T> + Sync,
-{
-    let (values, report) = run_tasks_ft(labels, |i| Ok(task(i)), config);
-    let values = values
-        .into_iter()
-        .zip(&report.tasks)
-        .map(|(value, metric)| {
-            value.unwrap_or_else(|| panic!("engine task `{}` {}", metric.label, metric.outcome))
-        })
-        .collect();
-    (values, report)
-}
-
 /// Builds the engine's task labels for a (configuration × benchmark)
 /// sweep: `cfg<index>/<benchmark>`, configuration-major.
 fn sweep_labels(configs: usize, traces: &[BenchmarkTrace]) -> Vec<String> {
@@ -1131,15 +1097,17 @@ mod tests {
     #[test]
     fn run_tasks_preserves_order_under_contention() {
         let labels = (0..200).map(|i| format!("t{i}")).collect();
-        let (values, report) = run_tasks(
+        let (values, report) = run_tasks_ft(
             labels,
-            |i| TaskOutput {
-                value: i * 7,
-                records: 1,
+            |i| {
+                Ok(TaskOutput {
+                    value: i * 7,
+                    records: 1,
+                })
             },
             &EngineConfig::threads(8),
         );
-        assert_eq!(values, (0..200).map(|i| i * 7).collect::<Vec<_>>());
+        assert_eq!(values, (0..200).map(|i| Some(i * 7)).collect::<Vec<_>>());
         assert_eq!(report.tasks[13].label, "t13");
         assert_eq!(report.total_records(), 200);
     }
@@ -1155,23 +1123,6 @@ mod tests {
         assert_eq!(policy.backoff(2), Duration::from_millis(20));
         assert_eq!(policy.backoff(3), Duration::from_millis(35), "capped");
         assert_eq!(policy.backoff(60), Duration::from_millis(35), "no overflow");
-    }
-
-    #[test]
-    #[should_panic(expected = "engine task `t1` panicked")]
-    fn infallible_run_tasks_propagates_failures_as_panics() {
-        let labels = (0..3).map(|i| format!("t{i}")).collect();
-        run_tasks::<usize, _>(
-            labels,
-            |i| {
-                assert!(i != 1, "task 1 exploded");
-                TaskOutput {
-                    value: i,
-                    records: 1,
-                }
-            },
-            &EngineConfig::threads(1),
-        );
     }
 
     #[test]

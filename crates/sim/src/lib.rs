@@ -5,11 +5,14 @@
 //! trace; suite results are reported as the arithmetic mean over all
 //! benchmarks weighted by the number of predicted instructions.
 //!
-//! * [`simulate`] / [`simulate_trace`] — run one predictor over one trace.
+//! * [`simulate_trace`] / [`simulate_n`] — run one predictor over one
+//!   trace; [`simulate_trace_observed`] adds the `--obs` telemetry.
 //! * [`stream`] — the single-pass streaming core: one trace decode feeds
 //!   many predictor lanes ([`stream_trace`], [`stream_v2_file`],
-//!   [`stream_v3_file`], [`stream_trace_file`], [`stream_suite_engine`]),
-//!   bit-identical to the reference loop and flat-memory on chunked files.
+//!   [`stream_v3_file`], and [`stream_trace_file`], which sniffs any
+//!   format and takes the obs handle), bit-identical to the reference
+//!   loop and flat-memory on chunked files. Every pass, observed or not,
+//!   runs one chunk loop with its observer as a type parameter.
 //! * [`run_suite`] — fresh predictor per benchmark, weighted-mean accuracy.
 //! * [`sweep`] — evaluate a family of configurations over a suite.
 //! * [`engine`] — the parallel execution engine: a shared work queue of
@@ -67,20 +70,18 @@ mod vm_tasks;
 
 pub use crate::confidence::{simulate_confidence, ConfidenceStats};
 pub use crate::engine::{
-    run_suite_engine, run_suite_engine_ft, run_tasks, run_tasks_ft, run_tasks_resumable,
-    sweep_engine, sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy, TaskError, TaskMetric,
-    TaskOutcome, TaskOutput, WorkerMetric,
+    run_suite_engine, run_suite_engine_ft, run_tasks_ft, run_tasks_resumable, sweep_engine,
+    sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy, TaskError, TaskMetric, TaskOutcome,
+    TaskOutput, WorkerMetric,
 };
 pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
-pub use crate::run::{simulate, simulate_n, simulate_trace, simulate_trace_observed, RunStats};
+pub use crate::run::{simulate_n, simulate_trace, simulate_trace_observed, RunStats};
 pub use crate::stream::{
-    stream_records_with, stream_suite_engine, stream_trace, stream_trace_chunked,
-    stream_trace_file, stream_trace_file_observed, stream_v2_file, stream_v2_file_observed,
-    stream_v3_file, stream_v3_file_observed, SpecError, StreamFileReport, StreamPredictor,
-    StreamSuiteResult, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
+    stream_records_with, stream_trace, stream_trace_file, stream_v2_file, stream_v3_file,
+    SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
 };
 pub use crate::suite::{run_suite, BenchmarkResult, SuiteResult};
-pub use crate::sweep::{sweep, sweep_parallel, SweepPoint};
+pub use crate::sweep::{sweep, SweepPoint};
 pub use crate::timeline::simulate_timeline;
 pub use crate::vm_tasks::{kernel_traces_observed, record_tier_stats};

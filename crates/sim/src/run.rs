@@ -1,6 +1,8 @@
-use dfcm::{AliasClass, ValuePredictor};
+use dfcm::ValuePredictor;
 use dfcm_obs::Obs;
 use dfcm_trace::{Trace, TraceSource};
+
+use crate::stream::{LaneObserver, Pass};
 
 /// Aggregate outcome of running a predictor over a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,20 +34,6 @@ impl RunStats {
     }
 }
 
-/// Runs `predictor` over every record `source` yields.
-pub fn simulate<P, S>(predictor: &mut P, source: &mut S) -> RunStats
-where
-    P: ValuePredictor + ?Sized,
-    S: TraceSource + ?Sized,
-{
-    let mut stats = RunStats::default();
-    while let Some(record) = source.next_record() {
-        stats.predictions += 1;
-        stats.correct += u64::from(predictor.access(record.pc, record.value).correct);
-    }
-    stats
-}
-
 /// Runs `predictor` over at most `n` records of `source`.
 pub fn simulate_n<P, S>(predictor: &mut P, source: &mut S, n: usize) -> RunStats
 where
@@ -68,7 +56,7 @@ pub fn simulate_trace<P>(predictor: &mut P, trace: &Trace) -> RunStats
 where
     P: ValuePredictor + ?Sized,
 {
-    // Count incrementally (like `simulate`) rather than pre-populating
+    // Count incrementally (like `simulate_n`) rather than pre-populating
     // `predictions` with `trace.len()`: a chunked or early-exiting caller
     // must never see more predictions reported than were actually made.
     let mut stats = RunStats::default();
@@ -79,16 +67,16 @@ where
     stats
 }
 
-/// [`simulate_trace`] with table-usage observability: when `obs` is
-/// enabled, turns on the predictor's table-stats instrumentation, wraps
-/// the run in an `eval.predictor` span, samples per-table occupancy
-/// (the `table_occupancy_percent` series, 64 points over the trace),
-/// folds the phase-resolved windowed series + top-K per-PC tracker
-/// (attached via [`Obs::record_series`], exported as `series.jsonl`) and
-/// records the final table-usage counters, the paper-taxonomy aliasing
-/// breakdown (where the predictor provides one) and the `eval_accuracy`
-/// gauge — all labeled with `spec`. With `obs` disabled this is exactly
-/// [`simulate_trace`].
+/// [`simulate_trace`] with table-usage observability. With `obs` enabled
+/// it runs the streaming core's `--obs` observer — the one
+/// [`stream_trace_file`](crate::stream_trace_file) uses — over the trace
+/// in 64 chunks, inside an `eval.predictor` span: the predictor's table
+/// stats are turned on, occupancy is sampled at each chunk end (the
+/// `table_occupancy_percent` series, 64 points), the windowed phase
+/// series and top-K PC tracker are folded (attached via
+/// [`Obs::record_series`], exported as `series.jsonl`), and the table,
+/// alias and `eval_accuracy` metrics are recorded, all labeled with
+/// `spec`. With `obs` disabled this is exactly [`simulate_trace`].
 pub fn simulate_trace_observed<P>(
     predictor: &mut P,
     trace: &Trace,
@@ -96,68 +84,22 @@ pub fn simulate_trace_observed<P>(
     spec: &str,
 ) -> RunStats
 where
-    P: ValuePredictor + ?Sized,
+    P: ValuePredictor,
 {
     if !obs.is_enabled() {
         return simulate_trace(predictor, trace);
     }
-    predictor.enable_table_stats();
     let mut span = obs.span("eval.predictor");
     span.arg("spec", spec);
-    let stride = (trace.len() / 64).max(1);
-    let mut stats = RunStats::default();
-    let mut series =
-        dfcm_obs::timeseries::LaneSeries::with_defaults(spec, crate::stream::SERIES_CLASS_LABELS);
-    for (i, record) in trace.into_iter().enumerate() {
-        let outcome = predictor.access(record.pc, record.value);
-        stats.predictions += 1;
-        stats.correct += u64::from(outcome.correct);
-        series.record(
-            i as u64,
-            record.pc,
-            crate::stream::class_slot(predictor.last_alias_class()),
-            outcome.predicted,
-            record.value,
-        );
-        // Sample on every stride boundary, and always at the final record:
-        // when `trace.len() % stride != 0` the trailing partial window
-        // would otherwise never be sampled and the exported occupancy
-        // series would end before the tables reach their final state.
-        if (i + 1) % stride == 0 || i + 1 == trace.len() {
-            if let Some(ts) = predictor.table_stats() {
-                for t in &ts.tables {
-                    obs.sample(
-                        "table_occupancy_percent",
-                        &[("spec", spec), ("table", t.name)],
-                        t.occupancy_percent(),
-                    );
-                }
-            }
-        }
-    }
-    if let Some(ts) = predictor.table_stats() {
-        for t in &ts.tables {
-            let labels = [("spec", spec), ("table", t.name)];
-            obs.gauge("predictor_table_entries", &labels, t.entries as f64);
-            obs.gauge("predictor_table_occupied", &labels, t.occupied as f64);
-            obs.add("predictor_table_writes_total", &labels, t.writes);
-            obs.add("predictor_table_overwrites_total", &labels, t.overwrites);
-        }
-        if let Some(alias) = &ts.alias {
-            for class in AliasClass::ALL {
-                let labels = [("spec", spec), ("class", class.label())];
-                obs.add("predictor_alias_total", &labels, alias.class_total(class));
-                obs.add(
-                    "predictor_alias_correct_total",
-                    &labels,
-                    alias.class_correct(class),
-                );
-            }
-        }
-    }
-    obs.gauge("eval_accuracy", &[("spec", spec)], stats.accuracy());
-    obs.record_series(series);
-    stats
+    let lanes = std::slice::from_mut(predictor);
+    let observer = LaneObserver::new(obs, lanes, |_| spec.to_owned());
+    let mut pass = Pass::new(lanes, observer);
+    // A trailing partial chunk gets its own closing sample, so the
+    // occupancy series always ends at the tables' final state.
+    trace
+        .chunks((trace.len() / 64).max(1))
+        .for_each(|chunk| pass.feed(chunk));
+    pass.finish().stats[0]
 }
 
 #[cfg(test)]
@@ -176,7 +118,7 @@ mod tests {
         let mut a = LastValuePredictor::new(4);
         let mut b = LastValuePredictor::new(4);
         let sa = simulate_trace(&mut a, &trace);
-        let sb = simulate(&mut b, &mut trace.source());
+        let sb = simulate_n(&mut b, &mut trace.source(), usize::MAX);
         assert_eq!(sa, sb);
         assert_eq!(sa.predictions, 100);
         assert_eq!(sa.correct, 99); // one cold miss

@@ -10,20 +10,24 @@
 //!   [`access`](dfcm::ValuePredictor::access) overrides (a single table
 //!   index computation per record per two-level predictor) behind enum —
 //!   not `dyn` — dispatch.
-//! * **Chunked runs with deterministic merge.** [`stream_trace_chunked`]
-//!   produces the same result as one per-chunk [`RunStats`] merge in chunk
-//!   order; [`stream_v2_file`] and [`stream_v3_file`] extend this to
-//!   on-disk `DFCMTRC2`/`DFCMTRC3` traces ([`stream_trace_file`]
-//!   auto-detects), decoding chunks on worker threads while the
-//!   (stateful) lanes consume them strictly in file order — bit-identical
-//!   to a serial run, any thread count.
-//! * **Flat memory at any trace size.** The file paths never materialize
-//!   the trace: a bounded pipeline holds O(`decode_threads`) compressed
-//!   and decoded chunks at once, so a 100M-record v3 trace streams in a
-//!   working set of a few chunks.
-//! * **Suite fan-out.** [`stream_suite_engine`] runs one engine task per
-//!   benchmark (cold cloned lanes each), merging per-lane results in
-//!   benchmark order.
+//! * **One chunk loop, observed by construction.** Every pass — an
+//!   in-memory slice, a v1/v2/v3 file, and the 64 in-memory chunks of
+//!   [`simulate_trace_observed`](crate::simulate_trace_observed) — runs
+//!   the same predict-then-update loop over record chunks, with its
+//!   observer as a type parameter. Unobserved passes use the no-op
+//!   observer, so they carry no per-record obs branch; `--obs` passes use
+//!   one inline observer that folds the phase series, samples table
+//!   occupancy at chunk ends and records the lane metrics.
+//! * **Deterministic file streaming.** [`stream_v2_file`] and
+//!   [`stream_v3_file`] stream on-disk `DFCMTRC2`/`DFCMTRC3` traces
+//!   ([`stream_trace_file`] sniffs any format and takes the obs handle),
+//!   decoding chunks on worker threads while the (stateful) lanes consume
+//!   them strictly in file order — bit-identical to a serial run, any
+//!   thread count.
+//! * **Flat memory at any trace size.** The chunked file paths never
+//!   materialize the trace: a bounded pipeline holds O(`decode_threads`)
+//!   compressed and decoded chunks at once, so a 100M-record v3 trace
+//!   streams in a working set of a few chunks.
 //!
 //! Every path is differentially tested to be bit-identical to the
 //! predict-then-update reference loop (`tests/stream_equiv.rs`).
@@ -41,10 +45,11 @@ use dfcm::{
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_obs::Obs;
 use dfcm_trace::io::RawChunk;
-use dfcm_trace::suite::BenchmarkTrace;
-use dfcm_trace::{Trace, TraceFormatError, TraceRecord, V3RawChunk, V2_CHUNK_RECORDS};
+use dfcm_trace::{
+    Trace, TraceFormatError, TraceRecord, V2ChunkReader, V3ChunkReader, V3RawChunk,
+    V2_CHUNK_RECORDS,
+};
 
-use crate::engine::{run_tasks, EngineConfig, EngineReport, TaskOutput};
 use crate::run::RunStats;
 
 /// One lane of the streaming pass: a concrete predictor behind enum
@@ -285,21 +290,14 @@ impl From<DfcmPredictor> for StreamPredictor {
 pub fn stream_records_with<F>(
     lanes: &mut [StreamPredictor],
     records: &[TraceRecord],
-    mut observe: F,
+    observe: F,
 ) -> Vec<RunStats>
 where
     F: FnMut(usize, usize, AccessOutcome),
 {
-    let mut stats = vec![RunStats::default(); lanes.len()];
-    for (ri, record) in records.iter().enumerate() {
-        for (li, lane) in lanes.iter_mut().enumerate() {
-            let outcome = lane.access(record.pc, record.value);
-            stats[li].predictions += 1;
-            stats[li].correct += u64::from(outcome.correct);
-            observe(li, ri, outcome);
-        }
-    }
-    stats
+    let mut pass = Pass::new(lanes, OnOutcome(observe));
+    pass.feed(records);
+    pass.finish().stats
 }
 
 /// Runs every lane over `trace` in a single pass: one walk of the records
@@ -312,34 +310,8 @@ pub fn stream_trace(lanes: &mut [StreamPredictor], trace: &Trace) -> Vec<RunStat
     stream_records_with(lanes, trace.records(), |_, _, _| {})
 }
 
-/// [`stream_trace`], processing the trace in chunks of `chunk_records`
-/// and merging the per-chunk [`RunStats`] in chunk order.
-///
-/// Because the lanes are stateful and consume chunks strictly in order,
-/// the result is bit-identical to [`stream_trace`]; the chunk granularity
-/// only decides how often stats are folded (exercising the saturating
-/// [`RunStats::merge`]). Use [`dfcm_trace::V2_CHUNK_RECORDS`] to mirror
-/// the on-disk chunking.
-///
-/// # Panics
-///
-/// Panics if `chunk_records` is 0.
-pub fn stream_trace_chunked(
-    lanes: &mut [StreamPredictor],
-    trace: &Trace,
-    chunk_records: usize,
-) -> Vec<RunStats> {
-    let mut totals = vec![RunStats::default(); lanes.len()];
-    for chunk in trace.chunks(chunk_records) {
-        let chunk_stats = stream_records_with(lanes, chunk, |_, _, _| {});
-        for (total, part) in totals.iter_mut().zip(chunk_stats) {
-            total.merge(part);
-        }
-    }
-    totals
-}
-
-/// Outcome of a [`stream_v2_file`]/[`stream_v3_file`] run.
+/// Outcome of a streaming pass ([`stream_v2_file`], [`stream_v3_file`],
+/// [`stream_trace_file`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamFileReport {
     /// Per-lane statistics, in lane order.
@@ -375,9 +347,9 @@ impl StreamChunk for V3RawChunk {
 /// The v2 format restarts its pc delta chain in every chunk, so chunks
 /// decode independently and in any order — but predictor lanes are
 /// stateful, so decoded chunks are *consumed* strictly in file order (a
-/// reorder buffer bridges the two). Per-chunk stats are merged in chunk
-/// order. The result is therefore bit-identical to a fully serial run
-/// regardless of `decode_threads`; `0` or `1` decodes inline.
+/// reorder buffer bridges the two). The result is therefore
+/// bit-identical to a fully serial run regardless of `decode_threads`;
+/// `0` or `1` decodes inline.
 ///
 /// Memory stays flat at any trace size: the file is read one chunk at a
 /// time and at most O(`decode_threads`) chunks are in flight.
@@ -394,11 +366,7 @@ pub fn stream_v2_file<P: AsRef<Path>>(
     lanes: &mut [StreamPredictor],
     decode_threads: usize,
 ) -> io::Result<StreamFileReport> {
-    stream_file_chunks(
-        dfcm_trace::V2ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-    )
+    TraceFile::V2(V2ChunkReader::open(path)?).stream(Pass::new(lanes, ()), decode_threads)
 }
 
 /// Streams an on-disk compressed `DFCMTRC3` trace through the lanes,
@@ -422,418 +390,314 @@ pub fn stream_v3_file<P: AsRef<Path>>(
     lanes: &mut [StreamPredictor],
     decode_threads: usize,
 ) -> io::Result<StreamFileReport> {
-    stream_file_chunks(
-        dfcm_trace::V3ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-    )
+    TraceFile::V3(V3ChunkReader::open(path)?).stream(Pass::new(lanes, ()), decode_threads)
 }
 
 /// Streams any trace file through the lanes, auto-detecting the format
-/// from the magic: chunked formats (v2, v3) stream flat-memory via
+/// from the magic: chunked formats (v2, v3) stream flat-memory as in
 /// [`stream_v2_file`]/[`stream_v3_file`]; the unchunked legacy v1 format
 /// is fully loaded and then streamed in [`STREAM_CHUNK_RECORDS`] chunks
 /// (v1 has no independently decodable chunks to bound memory with).
 ///
+/// With `obs` enabled the pass runs the `--obs` observer: every lane's
+/// table instrumentation is turned on (occupancy and, on fcm/dfcm, the
+/// §4.2 alias analyzer), and each lane's phase series (`series.jsonl`),
+/// chunk-end occupancy samples and table/alias/accuracy metrics are
+/// recorded under its canonical spec, as
+/// [`simulate_trace_observed`](crate::simulate_trace_observed) records
+/// them. The series is bit-identical at any `decode_threads`. With `obs`
+/// disabled no lane is instrumented and the pass is the plain lane walk.
+///
 /// # Errors
 ///
 /// As [`stream_v2_file`], plus `InvalidData` with
-/// [`dfcm_trace::TraceFormatError::BadMagic`] for unrecognized files.
+/// [`dfcm_trace::TraceFormatError::BadMagic`] for unrecognized files and
+/// [`dfcm_trace::TraceFormatError::BadHeader`] for files shorter than
+/// the magic.
 pub fn stream_trace_file<P: AsRef<Path>>(
     path: P,
     lanes: &mut [StreamPredictor],
     decode_threads: usize,
+    obs: &Obs,
 ) -> io::Result<StreamFileReport> {
-    let mut file = File::open(path)?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    file.seek(SeekFrom::Start(0))?;
-    let reader = BufReader::new(file);
-    match &magic {
-        b"DFCMTRC2" => stream_file_chunks(dfcm_trace::v2_chunks(reader)?, lanes, decode_threads),
-        b"DFCMTRC3" => stream_file_chunks(dfcm_trace::v3_chunks(reader)?, lanes, decode_threads),
-        b"DFCMTRC1" => {
-            let trace = Trace::read_from(reader)?;
-            let stats = stream_trace_chunked(lanes, &trace, STREAM_CHUNK_RECORDS);
-            Ok(StreamFileReport {
-                stats,
-                records: trace.len() as u64,
-                chunks: trace.len().div_ceil(STREAM_CHUNK_RECORDS),
-            })
-        }
-        _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
+    let file = TraceFile::open(path.as_ref())?;
+    if obs.is_enabled() {
+        let observer = LaneObserver::new(obs, lanes, StreamPredictor::spec);
+        file.stream(Pass::new(lanes, observer), decode_threads)
+    } else {
+        file.stream(Pass::new(lanes, ()), decode_threads)
     }
 }
 
-/// Drives a chunk iterator through the pipeline into the lanes, merging
-/// per-chunk stats in chunk order.
-fn stream_file_chunks<C, I>(
-    chunks: I,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-) -> io::Result<StreamFileReport>
-where
-    C: StreamChunk,
-    I: Iterator<Item = io::Result<C>> + Send,
-{
-    let mut totals = vec![RunStats::default(); lanes.len()];
-    let mut records = 0u64;
-    let chunk_count = stream_chunk_pipeline(chunks, decode_threads, |decoded| {
-        records += decoded.len() as u64;
-        let chunk_stats = stream_records_with(lanes, decoded, |_, _, _| {});
-        for (total, part) in totals.iter_mut().zip(chunk_stats) {
-            total.merge(part);
+/// A trace file opened for streaming.
+enum TraceFile {
+    /// v1 has no independently decodable chunks, so it is loaded whole
+    /// and streamed as borrowed [`STREAM_CHUNK_RECORDS`]-record slices.
+    V1(Trace),
+    V2(V2ChunkReader<BufReader<File>>),
+    V3(V3ChunkReader<BufReader<File>>),
+}
+
+impl TraceFile {
+    /// Opens `path` as whichever format its magic names.
+    ///
+    /// A file shorter than the 8-byte magic is corrupt, not a read
+    /// hiccup, so it fails as [`TraceFormatError::BadHeader`]
+    /// (`InvalidData`) rather than `UnexpectedEof`.
+    fn open(path: &Path) -> io::Result<TraceFile> {
+        let mut file = File::open(path)?;
+        let mut magic = [0u8; 8];
+        file.read_exact(&mut magic).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => io::Error::from(TraceFormatError::BadHeader {
+                detail: "file is shorter than the 8-byte magic".to_owned(),
+            }),
+            _ => e,
+        })?;
+        file.seek(SeekFrom::Start(0))?;
+        let reader = BufReader::new(file);
+        Ok(match &magic {
+            b"DFCMTRC1" => TraceFile::V1(Trace::read_from(reader)?),
+            b"DFCMTRC2" => TraceFile::V2(dfcm_trace::v2_chunks(reader)?),
+            b"DFCMTRC3" => TraceFile::V3(dfcm_trace::v3_chunks(reader)?),
+            _ => return Err(TraceFormatError::BadMagic { found: magic }.into()),
+        })
+    }
+
+    /// Runs `pass` over every record of the file, decoding v2/v3 chunks
+    /// on `decode_threads` workers.
+    fn stream<L: ValuePredictor, O: Observer<L>>(
+        self,
+        mut pass: Pass<'_, L, O>,
+        decode_threads: usize,
+    ) -> io::Result<StreamFileReport> {
+        let feed = |chunk: &[TraceRecord]| pass.feed(chunk);
+        match self {
+            TraceFile::V1(trace) => trace.chunks(STREAM_CHUNK_RECORDS).for_each(feed),
+            TraceFile::V2(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
+            TraceFile::V3(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
         }
-    })?;
-    Ok(StreamFileReport {
-        stats: totals,
-        records,
-        chunks: chunk_count,
-    })
+        Ok(pass.finish())
+    }
 }
 
 /// Class-slot labels of the phase-resolved time series: the paper's five
 /// aliasing classes in [`AliasClass::ALL`] order, plus an `unclassified`
-/// slot for lanes that do not run an alias analyzer (lvp, stride,
-/// 2delta, or fcm/dfcm without table stats).
+/// slot for lanes without an alias analyzer (lvp and the stride
+/// predictors).
 pub const SERIES_CLASS_LABELS: &[&str] =
     &["l1", "hash", "l2_priv", "l2_pc", "none", "unclassified"];
 
 /// Maps a predictor's per-access alias class onto its series slot.
-pub(crate) fn class_slot(class: Option<AliasClass>) -> usize {
+fn class_slot(class: Option<AliasClass>) -> usize {
     class
         .and_then(|c| AliasClass::ALL.iter().position(|x| *x == c))
         .unwrap_or(SERIES_CLASS_LABELS.len() - 1)
 }
 
-/// One per-(record, lane) prediction outcome shipped from the streaming
-/// consumer to the series-fold thread, lane-major within each record.
-#[derive(Clone, Copy)]
-struct SeriesOutcome {
-    pc: u64,
-    predicted: u64,
-    actual: u64,
-    class: u32,
+/// What a [`Pass`] does besides predicting. It is a type parameter, so
+/// every kind of pass compiles to its own loop: `()` observes nothing,
+/// and an unobserved pass is the bare lane walk with no per-record obs
+/// branch.
+pub(crate) trait Observer<L>: Sized {
+    /// Sees lane `li`'s outcome on `record`, the pass's `index`-th record.
+    #[inline(always)]
+    fn outcome(
+        &mut self,
+        _li: usize,
+        _lane: &L,
+        _index: u64,
+        _record: &TraceRecord,
+        _outcome: AccessOutcome,
+    ) {
+    }
+
+    /// Runs after every chunk, with the lanes as that chunk left them.
+    fn chunk_end(&mut self, _lanes: &[L]) {}
+
+    /// Runs once after the last chunk, with the per-lane totals.
+    fn finish(self, _lanes: &[L], _stats: &[RunStats]) {}
 }
 
-/// Outcome-buffer chunks the fold thread may hold before the consumer
-/// blocks — bounds the observed path's extra working set to
-/// O(`FOLD_CHANNEL_DEPTH` + 1) chunks of outcomes.
-const FOLD_CHANNEL_DEPTH: usize = 2;
+impl<L> Observer<L> for () {}
 
-/// Records a lane's end-of-run table/alias/accuracy metrics, mirroring
-/// [`simulate_trace_observed`](crate::simulate_trace_observed) so
-/// streaming and in-memory evaluations export the same aggregate names.
-fn record_lane_metrics(obs: &Obs, lane: &StreamPredictor, spec: &str, stats: RunStats) {
-    if let Some(ts) = lane.table_stats() {
-        for t in &ts.tables {
-            let labels = [("spec", spec), ("table", t.name)];
-            obs.gauge("predictor_table_entries", &labels, t.entries as f64);
-            obs.gauge("predictor_table_occupied", &labels, t.occupied as f64);
-            obs.add("predictor_table_writes_total", &labels, t.writes);
-            obs.add("predictor_table_overwrites_total", &labels, t.overwrites);
-        }
-        if let Some(alias) = &ts.alias {
-            for class in AliasClass::ALL {
-                let labels = [("spec", spec), ("class", class.label())];
-                obs.add("predictor_alias_total", &labels, alias.class_total(class));
-                obs.add(
-                    "predictor_alias_correct_total",
-                    &labels,
-                    alias.class_correct(class),
-                );
-            }
-        }
+/// [`stream_records_with`]'s per-outcome closure as an [`Observer`].
+struct OnOutcome<F>(F);
+
+impl<L, F: FnMut(usize, usize, AccessOutcome)> Observer<L> for OnOutcome<F> {
+    #[inline(always)]
+    fn outcome(&mut self, li: usize, _: &L, index: u64, _: &TraceRecord, outcome: AccessOutcome) {
+        (self.0)(li, index as usize, outcome);
     }
-    obs.gauge("eval_accuracy", &[("spec", spec)], stats.accuracy());
 }
 
-/// [`stream_file_chunks`] with phase-resolved observability: each lane
-/// folds a windowed series + top-K tracker over the global prediction
-/// index, occupancy is sampled at every chunk boundary, and the final
-/// per-lane aggregates are recorded under the lane's canonical spec.
-///
-/// On hosts with more than one hardware thread the series fold runs on
-/// a dedicated thread, off the streaming consumer's critical path: the
-/// consumer records each outcome into a flat buffer (recycled between
-/// chunks, so the steady state never allocates) and ships whole chunks
-/// over a bounded channel, paying only for the buffer writes. On a
-/// single-core host a fold thread would just time-slice against the
-/// consumer and the fold runs inline instead. Either way the fold
-/// consumes the outcome sequence strictly in file order — the same
-/// order the consumer produced it — so the exported series is
-/// bit-identical at any `decode_threads`, offloaded or not.
-fn stream_file_chunks_observed<C, I>(
-    chunks: I,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport>
-where
-    C: StreamChunk,
-    I: Iterator<Item = io::Result<C>> + Send,
-{
-    let offload = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    stream_file_chunks_observed_with(chunks, lanes, decode_threads, obs, table_stats, offload)
+/// The `--obs` observer, run inline on the streaming core. Per lane it
+/// folds a windowed accuracy/alias-class series with a top-K per-PC
+/// misprediction tracker (attached via [`Obs::record_series`], exported
+/// as `series.jsonl`), samples every table's occupancy at each chunk end,
+/// and after the last chunk records the table, alias and `eval_accuracy`
+/// metrics, all labelled with the lane's spec.
+pub(crate) struct LaneObserver<'o> {
+    obs: &'o Obs,
+    series: Vec<LaneSeries>,
 }
 
-/// [`stream_file_chunks_observed`] with the fold placement made explicit
-/// (`offload`), so tests can pin both paths on any host.
-fn stream_file_chunks_observed_with<C, I>(
-    chunks: I,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-    offload: bool,
-) -> io::Result<StreamFileReport>
-where
-    C: StreamChunk,
-    I: Iterator<Item = io::Result<C>> + Send,
-{
-    if !obs.is_enabled() || lanes.is_empty() {
-        return stream_file_chunks(chunks, lanes, decode_threads);
+impl<'o> LaneObserver<'o> {
+    /// Turns on every lane's table instrumentation (occupancy tracking
+    /// and, on fcm/dfcm, the §4.2 alias analyzer behind the series'
+    /// per-class breakdown) and labels each lane with `spec(lane)`.
+    pub(crate) fn new<L: ValuePredictor>(
+        obs: &'o Obs,
+        lanes: &mut [L],
+        spec: impl Fn(&L) -> String,
+    ) -> Self {
+        let series = lanes
+            .iter_mut()
+            .map(|lane| {
+                lane.enable_table_stats();
+                LaneSeries::with_defaults(&spec(lane), SERIES_CLASS_LABELS)
+            })
+            .collect();
+        LaneObserver { obs, series }
     }
-    if table_stats {
-        for lane in lanes.iter_mut() {
-            lane.enable_table_stats();
-        }
+}
+
+impl<L: ValuePredictor> Observer<L> for LaneObserver<'_> {
+    #[inline]
+    fn outcome(
+        &mut self,
+        li: usize,
+        lane: &L,
+        index: u64,
+        record: &TraceRecord,
+        outcome: AccessOutcome,
+    ) {
+        self.series[li].record(
+            index,
+            record.pc,
+            class_slot(lane.last_alias_class()),
+            outcome.predicted,
+            record.value,
+        );
     }
-    let specs: Vec<String> = lanes.iter().map(StreamPredictor::spec).collect();
-    let mut series: Vec<LaneSeries> = specs
-        .iter()
-        .map(|s| LaneSeries::with_defaults(s, SERIES_CLASS_LABELS))
-        .collect();
-    let mut totals = vec![RunStats::default(); lanes.len()];
-    let mut records = 0u64;
-    let sample_occupancy = |lanes: &[StreamPredictor]| {
-        for (lane, spec) in lanes.iter().zip(&specs) {
+
+    fn chunk_end(&mut self, lanes: &[L]) {
+        for (lane, series) in lanes.iter().zip(&self.series) {
             if let Some(ts) = lane.table_stats() {
                 for t in &ts.tables {
-                    obs.sample(
+                    self.obs.sample(
                         "table_occupancy_percent",
-                        &[("spec", spec), ("table", t.name)],
+                        &[("spec", series.spec()), ("table", t.name)],
                         t.occupancy_percent(),
                     );
                 }
             }
         }
-    };
-    let chunk_count = if offload {
-        let lane_count = lanes.len();
-        let empty_series = std::mem::take(&mut series);
-        let (chunk_result, folded) = std::thread::scope(|scope| {
-            let (fold_tx, fold_rx) = mpsc::sync_channel::<Vec<SeriesOutcome>>(FOLD_CHANNEL_DEPTH);
-            let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<SeriesOutcome>>();
-            let fold = scope.spawn(move || {
-                let mut series = empty_series;
-                let mut index = 0u64;
-                for buf in fold_rx {
-                    for group in buf.chunks_exact(lane_count) {
-                        for (lane_series, o) in series.iter_mut().zip(group) {
-                            lane_series.record(
-                                index,
-                                o.pc,
-                                o.class as usize,
-                                o.predicted,
-                                o.actual,
-                            );
-                        }
-                        index += 1;
-                    }
-                    // Hand the buffer back for reuse; the consumer may
-                    // already have exited, which is fine.
-                    let _ = recycle_tx.send(buf);
+    }
+
+    fn finish(self, lanes: &[L], stats: &[RunStats]) {
+        let obs = self.obs;
+        for ((lane, series), stats) in lanes.iter().zip(self.series).zip(stats) {
+            let spec = series.spec();
+            if let Some(ts) = lane.table_stats() {
+                for t in &ts.tables {
+                    let labels = [("spec", spec), ("table", t.name)];
+                    obs.gauge("predictor_table_entries", &labels, t.entries as f64);
+                    obs.gauge("predictor_table_occupied", &labels, t.occupied as f64);
+                    obs.add("predictor_table_writes_total", &labels, t.writes);
+                    obs.add("predictor_table_overwrites_total", &labels, t.overwrites);
                 }
-                series
-            });
-            let result = stream_chunk_pipeline(chunks, decode_threads, |decoded| {
-                let mut buf = recycle_rx.try_recv().unwrap_or_default();
-                buf.clear();
-                buf.reserve(decoded.len() * lane_count);
-                for record in decoded {
-                    for (li, lane) in lanes.iter_mut().enumerate() {
-                        let outcome = lane.access(record.pc, record.value);
-                        totals[li].predictions += 1;
-                        totals[li].correct += u64::from(outcome.correct);
-                        buf.push(SeriesOutcome {
-                            pc: record.pc,
-                            predicted: outcome.predicted,
-                            actual: record.value,
-                            class: class_slot(lane.last_alias_class()) as u32,
-                        });
+                if let Some(alias) = &ts.alias {
+                    for class in AliasClass::ALL {
+                        let labels = [("spec", spec), ("class", class.label())];
+                        obs.add("predictor_alias_total", &labels, alias.class_total(class));
+                        obs.add(
+                            "predictor_alias_correct_total",
+                            &labels,
+                            alias.class_correct(class),
+                        );
                     }
-                }
-                records += decoded.len() as u64;
-                // A send error means the fold thread died; its panic
-                // surfaces at the join below.
-                let _ = fold_tx.send(buf);
-                sample_occupancy(lanes);
-            });
-            drop(fold_tx);
-            (result, fold.join().expect("series fold thread panicked"))
-        });
-        series = folded;
-        chunk_result?
-    } else {
-        stream_chunk_pipeline(chunks, decode_threads, |decoded| {
-            for (ri, record) in decoded.iter().enumerate() {
-                for (li, lane) in lanes.iter_mut().enumerate() {
-                    let outcome = lane.access(record.pc, record.value);
-                    totals[li].predictions += 1;
-                    totals[li].correct += u64::from(outcome.correct);
-                    series[li].record(
-                        records + ri as u64,
-                        record.pc,
-                        class_slot(lane.last_alias_class()),
-                        outcome.predicted,
-                        record.value,
-                    );
                 }
             }
-            records += decoded.len() as u64;
-            sample_occupancy(lanes);
-        })?
-    };
-    for ((lane, spec), stats) in lanes.iter().zip(&specs).zip(&totals) {
-        record_lane_metrics(obs, lane, spec, *stats);
-    }
-    for lane_series in series {
-        obs.record_series(lane_series);
-    }
-    Ok(StreamFileReport {
-        stats: totals,
-        records,
-        chunks: chunk_count,
-    })
-}
-
-/// [`stream_v2_file`] with phase-resolved observability (see
-/// [`stream_trace_file_observed`]). With `obs` disabled this is exactly
-/// [`stream_v2_file`].
-///
-/// # Errors
-///
-/// As [`stream_v2_file`].
-pub fn stream_v2_file_observed<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks_observed(
-        dfcm_trace::V2ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-        obs,
-        table_stats,
-    )
-}
-
-/// [`stream_v3_file`] with phase-resolved observability (see
-/// [`stream_trace_file_observed`]). With `obs` disabled this is exactly
-/// [`stream_v3_file`].
-///
-/// # Errors
-///
-/// As [`stream_v3_file`].
-pub fn stream_v3_file_observed<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport> {
-    stream_file_chunks_observed(
-        dfcm_trace::V3ChunkReader::open(path)?,
-        lanes,
-        decode_threads,
-        obs,
-        table_stats,
-    )
-}
-
-/// [`stream_trace_file`] with phase-resolved observability: when `obs`
-/// is enabled, every lane folds a fixed-window accuracy/alias-class
-/// series and a top-K per-PC misprediction tracker over the stream
-/// (attached via [`Obs::record_series`], exported as `series.jsonl`),
-/// per-table occupancy is sampled at chunk boundaries, and the final
-/// table/alias/accuracy aggregates are recorded under each lane's
-/// canonical spec — the same metric names
-/// [`simulate_trace_observed`](crate::simulate_trace_observed) emits.
-///
-/// `table_stats` additionally enables each lane's table instrumentation
-/// (occupancy tracking and, on fcm/dfcm, the §4.2 alias analyzer that
-/// gives the series its per-class breakdown). Without it the fold is
-/// cheaper and every access lands in the `unclassified` slot.
-///
-/// Decoded chunks are consumed strictly in file order regardless of
-/// `decode_threads`, so the exported series is bit-identical at any
-/// thread count. With `obs` disabled this is exactly
-/// [`stream_trace_file`].
-///
-/// # Errors
-///
-/// As [`stream_trace_file`].
-pub fn stream_trace_file_observed<P: AsRef<Path>>(
-    path: P,
-    lanes: &mut [StreamPredictor],
-    decode_threads: usize,
-    obs: &Obs,
-    table_stats: bool,
-) -> io::Result<StreamFileReport> {
-    if !obs.is_enabled() {
-        return stream_trace_file(path, lanes, decode_threads);
-    }
-    let mut file = File::open(path)?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    file.seek(SeekFrom::Start(0))?;
-    let reader = BufReader::new(file);
-    match &magic {
-        b"DFCMTRC2" => stream_file_chunks_observed(
-            dfcm_trace::v2_chunks(reader)?,
-            lanes,
-            decode_threads,
-            obs,
-            table_stats,
-        ),
-        b"DFCMTRC3" => stream_file_chunks_observed(
-            dfcm_trace::v3_chunks(reader)?,
-            lanes,
-            decode_threads,
-            obs,
-            table_stats,
-        ),
-        b"DFCMTRC1" => {
-            // v1 has no independently decodable chunks: load fully, then
-            // fold through the same observed chunk consumer.
-            let trace = Trace::read_from(reader)?;
-            let chunks = trace
-                .chunks(STREAM_CHUNK_RECORDS)
-                .map(|c| Ok(OwnedChunk(c.to_vec())));
-            stream_file_chunks_observed(chunks, lanes, 0, obs, table_stats)
+            obs.gauge("eval_accuracy", &[("spec", spec)], stats.accuracy());
+            obs.record_series(series);
         }
-        _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
     }
 }
 
-/// An already-decoded record block, so the v1 path can reuse the
-/// observed chunk consumer.
-struct OwnedChunk(Vec<TraceRecord>);
+/// One predict-then-update pass of a lane set over a sequence of record
+/// chunks: the loop every streaming and observed evaluation runs. Lanes
+/// are stateful, so chunks must be fed in trace order; where the chunks
+/// split the trace only decides when the observer's `chunk_end` runs.
+pub(crate) struct Pass<'l, L, O> {
+    lanes: &'l mut [L],
+    observer: O,
+    stats: Vec<RunStats>,
+    records: u64,
+    chunks: usize,
+}
 
-impl StreamChunk for OwnedChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
-        Ok(self.0.clone())
+impl<'l, L: ValuePredictor, O: Observer<L>> Pass<'l, L, O> {
+    pub(crate) fn new(lanes: &'l mut [L], observer: O) -> Self {
+        Pass {
+            stats: vec![RunStats::default(); lanes.len()],
+            lanes,
+            observer,
+            records: 0,
+            chunks: 0,
+        }
+    }
+
+    /// Runs every lane over `chunk`, record-major.
+    pub(crate) fn feed(&mut self, chunk: &[TraceRecord]) {
+        walk(
+            self.lanes,
+            &mut self.stats,
+            &mut self.observer,
+            self.records,
+            chunk,
+        );
+        self.records += chunk.len() as u64;
+        self.chunks += 1;
+        self.observer.chunk_end(self.lanes);
+    }
+
+    /// Ends the pass: the observer records what it gathered, and the
+    /// per-lane totals come back.
+    pub(crate) fn finish(self) -> StreamFileReport {
+        self.observer.finish(self.lanes, &self.stats);
+        StreamFileReport {
+            stats: self.stats,
+            records: self.records,
+            chunks: self.chunks,
+        }
+    }
+}
+
+/// The per-record lane loop: every lane predicts, then updates, on each
+/// record of `chunk` in turn, and `observer` sees every outcome; `first`
+/// is the pass index of `chunk[0]`. Kept apart from [`Pass::feed`] so the
+/// lanes, the totals and the observer arrive as separate `&mut`
+/// arguments, which the compiler knows cannot alias.
+fn walk<L: ValuePredictor, O: Observer<L>>(
+    lanes: &mut [L],
+    stats: &mut [RunStats],
+    observer: &mut O,
+    first: u64,
+    chunk: &[TraceRecord],
+) {
+    for (ri, record) in chunk.iter().enumerate() {
+        for (li, (lane, stats)) in lanes.iter_mut().zip(&mut *stats).enumerate() {
+            let outcome = lane.access(record.pc, record.value);
+            stats.predictions += 1;
+            stats.correct += u64::from(outcome.correct);
+            observer.outcome(li, lane, first + ri as u64, record, outcome);
+        }
     }
 }
 
 /// Pulls chunks off `chunks` (a single reader thread owns the
 /// underlying file), decodes them on `threads` workers, and hands the
-/// decoded records to `consume` strictly in index order. Returns the
-/// number of chunks consumed.
+/// decoded records to `consume` strictly in index order.
 ///
 /// Memory is bounded by construction: the raw and decoded channels are
 /// `sync_channel`s sized by the thread count, and the reorder buffer can
@@ -844,7 +708,7 @@ impl StreamChunk for OwnedChunk {
 /// The first error — a framing error from the iterator or the
 /// lowest-indexed decode failure — is returned; `consume` never sees
 /// chunks at or beyond a failed index.
-fn stream_chunk_pipeline<C, I, F>(chunks: I, threads: usize, mut consume: F) -> io::Result<usize>
+fn stream_chunk_pipeline<C, I, F>(chunks: I, threads: usize, mut consume: F) -> io::Result<()>
 where
     C: StreamChunk,
     I: Iterator<Item = io::Result<C>> + Send,
@@ -852,12 +716,10 @@ where
 {
     if threads <= 1 {
         // True single-chunk working set: read, decode, consume, drop.
-        let mut count = 0usize;
         for chunk in chunks {
             consume(&chunk?.decode_records()?);
-            count += 1;
         }
-        return Ok(count);
+        return Ok(());
     }
 
     // Reader -> workers: one bounded channel per worker, filled
@@ -936,72 +798,14 @@ where
             want += 1;
         }
         debug_assert!(pending.is_empty());
-        Ok(want)
+        Ok(())
         // Dropping `dec_rx` here unblocks any worker parked on a full
         // channel; workers dropping their raw receivers unblock the
         // reader; the scope then joins all of them.
     })
 }
 
-/// Per-lane results of a [`stream_suite_engine`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSuiteResult {
-    /// Lane names, in lane order.
-    pub lanes: Vec<String>,
-    /// Per-benchmark, per-lane statistics: `per_benchmark[b][l]` is lane
-    /// `l` on benchmark `b`, in input order.
-    pub per_benchmark: Vec<Vec<RunStats>>,
-    /// Per-lane totals over all benchmarks (merged in benchmark order) —
-    /// the record-weighted suite aggregate.
-    pub total: Vec<RunStats>,
-}
-
-/// Evaluates the lane set over a benchmark suite on the parallel engine:
-/// one task per benchmark, each streaming a *cold clone* of every lane
-/// over that benchmark's trace in a single pass.
-///
-/// Parallelism is across benchmarks (task grain), while each task keeps
-/// the single-decode multi-lane inner loop. Results merge per lane in
-/// benchmark order, so the outcome is deterministic for any thread count.
-///
-/// # Panics
-///
-/// Panics if a worker dies with the panic-isolation machinery disabled
-/// (see [`run_tasks`]).
-pub fn stream_suite_engine(
-    lanes: &[StreamPredictor],
-    traces: &[BenchmarkTrace],
-    config: &EngineConfig,
-) -> (StreamSuiteResult, EngineReport) {
-    let labels: Vec<String> = traces.iter().map(|t| t.name.to_owned()).collect();
-    let (per_benchmark, report) = run_tasks(
-        labels,
-        |i| {
-            let mut cold: Vec<StreamPredictor> = lanes.to_vec();
-            let stats = stream_trace(&mut cold, &traces[i].trace);
-            TaskOutput {
-                records: traces[i].trace.len() as u64 * lanes.len() as u64,
-                value: stats,
-            }
-        },
-        config,
-    );
-    let mut total = vec![RunStats::default(); lanes.len()];
-    for bench in &per_benchmark {
-        for (t, s) in total.iter_mut().zip(bench) {
-            t.merge(*s);
-        }
-    }
-    let result = StreamSuiteResult {
-        lanes: lanes.iter().map(|l| l.name()).collect(),
-        per_benchmark,
-        total,
-    };
-    (result, report)
-}
-
-/// The default chunk granularity for in-memory chunked streaming: the
-/// on-disk v2 chunk size.
+/// The chunk size v1 files stream in: the on-disk v2 chunk size.
 pub const STREAM_CHUNK_RECORDS: usize = V2_CHUNK_RECORDS;
 
 #[cfg(test)]
@@ -1059,11 +863,11 @@ mod tests {
         let expected = stream_trace(&mut serial, &trace);
         for chunk in [1, 7, 64, 1000, 3000, 5000] {
             let mut chunked = lanes();
-            assert_eq!(
-                stream_trace_chunked(&mut chunked, &trace, chunk),
-                expected,
-                "chunk size {chunk}"
-            );
+            let mut pass = Pass::new(&mut chunked, ());
+            trace.chunks(chunk).for_each(|c| pass.feed(c));
+            let report = pass.finish();
+            assert_eq!(report.stats, expected, "chunk size {chunk}");
+            assert_eq!(report.chunks, trace.len().div_ceil(chunk));
         }
     }
 
@@ -1152,7 +956,8 @@ mod tests {
             assert_eq!(report.chunks, 3);
             // The auto-detecting entry point takes the same path.
             let mut auto = lanes();
-            let auto_report = stream_trace_file(&v3_path, &mut auto, threads).unwrap();
+            let auto_report =
+                stream_trace_file(&v3_path, &mut auto, threads, &Obs::disabled()).unwrap();
             assert_eq!(auto_report, report, "{threads} threads via sniffer");
         }
         let _ = std::fs::remove_file(&v2_path);
@@ -1195,17 +1000,25 @@ mod tests {
             let path = dir.join(name);
             trace.save_with(&path, format).unwrap();
             let mut l = lanes();
-            let report = stream_trace_file(&path, &mut l, 2).unwrap();
+            let report = stream_trace_file(&path, &mut l, 2, &Obs::disabled()).unwrap();
             assert_eq!(report.stats, expected, "{name}");
             assert_eq!(report.records, trace.len() as u64, "{name}");
             let _ = std::fs::remove_file(&path);
         }
 
-        let garbage = dir.join("dfcm_sniff_test.bad.trc");
-        atomic_write(&garbage, b"NOTATRACEFILE???").unwrap();
-        let err = stream_trace_file(&garbage, &mut lanes(), 2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(&garbage);
+        // Unknown magic, and a file too short to hold one: both are
+        // corruption (`InvalidData`), never a retryable read error.
+        for (name, bytes) in [
+            ("dfcm_sniff_test.bad.trc", &b"NOTATRACEFILE???"[..]),
+            ("dfcm_sniff_test.short.trc", &b"DFC"[..]),
+        ] {
+            let path = dir.join(name);
+            atomic_write(&path, bytes).unwrap();
+            let err = stream_trace_file(&path, &mut lanes(), 2, &Obs::disabled()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(TraceFormatError::classify(&err).is_some(), "{name}: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]
@@ -1262,7 +1075,7 @@ mod tests {
     fn observed_series_jsonl(path: &Path, threads: usize) -> (Vec<String>, Vec<RunStats>) {
         let obs = Obs::enabled();
         let mut l = lanes();
-        let report = stream_trace_file_observed(path, &mut l, threads, &obs, true).unwrap();
+        let report = stream_trace_file(path, &mut l, threads, &obs).unwrap();
         let lines = dfcm_obs::timeseries::render_series(&obs.series_snapshot());
         (lines, report.stats)
     }
@@ -1272,6 +1085,7 @@ mod tests {
         let trace = mixed_trace(2 * V2_CHUNK_RECORDS as u64 + 999);
         let dir = std::env::temp_dir();
         for (name, format) in [
+            ("dfcm_series_det.v1.trc", dfcm_trace::TraceFormat::V1),
             (
                 "dfcm_series_det.v2.trc",
                 dfcm_trace::TraceFormat::V2 { seed: 3 },
@@ -1293,47 +1107,48 @@ mod tests {
             // The observed run's stats stay bit-identical to the
             // unobserved path.
             let mut plain = lanes();
-            let plain_report = stream_trace_file(&path, &mut plain, 2).unwrap();
+            let plain_report = stream_trace_file(&path, &mut plain, 2, &Obs::disabled()).unwrap();
             assert_eq!(plain_report.stats, reference_stats, "{name}");
             let _ = std::fs::remove_file(&path);
         }
     }
 
     #[test]
-    fn observed_series_identical_inline_and_offloaded() {
-        // The fold placement (inline on single-core hosts, a dedicated
-        // fold thread otherwise) is a pure performance decision: both
-        // consume the outcome sequence in file order, so the exported
-        // series must be bit-identical. Pin both paths explicitly so
-        // the host running the tests doesn't decide which one runs.
-        let trace = mixed_trace(V2_CHUNK_RECORDS as u64 + 777);
-        let path = std::env::temp_dir().join("dfcm_series_fold_placement.v2.trc");
-        trace
-            .save_with(&path, dfcm_trace::TraceFormat::V2 { seed: 9 })
-            .unwrap();
-        let run = |offload: bool| {
-            let obs = Obs::enabled();
-            let mut l = lanes();
-            let report = stream_file_chunks_observed_with(
-                dfcm_trace::V2ChunkReader::open(&path).unwrap(),
-                &mut l,
-                2,
-                &obs,
-                true,
-                offload,
-            )
-            .unwrap();
+    fn in_memory_and_file_passes_share_one_observer() {
+        // `simulate_trace_observed` runs one lane per call over 64
+        // in-memory chunks; a file pass runs every lane at once over the
+        // file's chunks. Neither the series nor the lane metrics may
+        // depend on which driver fed the observer.
+        let trace = mixed_trace(V2_CHUNK_RECORDS as u64 + 4321);
+        let memory = Obs::enabled();
+        for mut lane in lanes() {
+            let spec = lane.spec();
+            crate::simulate_trace_observed(&mut lane, &trace, &memory, &spec);
+        }
+        let memory_series = dfcm_obs::timeseries::render_series(&memory.series_snapshot());
+        let memory_metrics = memory.snapshot().1;
+        assert!(!memory_metrics.is_empty());
+        let dir = std::env::temp_dir();
+        for (name, format) in [
+            ("dfcm_one_observer.v1.trc", dfcm_trace::TraceFormat::V1),
             (
-                dfcm_obs::timeseries::render_series(&obs.series_snapshot()),
-                report,
-            )
-        };
-        let (inline_lines, inline_report) = run(false);
-        let (offload_lines, offload_report) = run(true);
-        assert!(!inline_lines.is_empty());
-        assert_eq!(inline_lines, offload_lines);
-        assert_eq!(inline_report, offload_report);
-        let _ = std::fs::remove_file(&path);
+                "dfcm_one_observer.v2.trc",
+                dfcm_trace::TraceFormat::V2 { seed: 4 },
+            ),
+            (
+                "dfcm_one_observer.v3.trc",
+                dfcm_trace::TraceFormat::V3 { seed: 4 },
+            ),
+        ] {
+            let path = dir.join(name);
+            trace.save_with(&path, format).unwrap();
+            let file = Obs::enabled();
+            stream_trace_file(&path, &mut lanes(), 2, &file).unwrap();
+            let file_series = dfcm_obs::timeseries::render_series(&file.series_snapshot());
+            assert_eq!(file_series, memory_series, "{name}");
+            assert_eq!(file.snapshot().1, memory_metrics, "{name}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]
@@ -1346,7 +1161,7 @@ mod tests {
 
         let obs = Obs::enabled();
         let mut l = lanes();
-        let report = stream_v2_file_observed(&path, &mut l, 2, &obs, true).unwrap();
+        let report = stream_trace_file(&path, &mut l, 2, &obs).unwrap();
         let series = obs.series_snapshot();
         assert_eq!(series.len(), l.len());
         for (lane_series, (lane, stats)) in series.iter().zip(l.iter().zip(&report.stats)) {
@@ -1394,32 +1209,9 @@ mod tests {
         // bit-identical.
         let disabled = Obs::disabled();
         let mut plain = lanes();
-        let plain_report = stream_v2_file_observed(&path, &mut plain, 2, &disabled, true).unwrap();
+        let plain_report = stream_trace_file(&path, &mut plain, 2, &disabled).unwrap();
         assert_eq!(plain_report, report);
         assert!(disabled.series_snapshot().is_empty());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn suite_engine_matches_serial_suite() {
-        let traces = dfcm_trace::suite::standard_traces(7, 0.01);
-        let base = lanes();
-        let serial: Vec<Vec<RunStats>> = traces
-            .iter()
-            .map(|t| {
-                let mut cold = base.clone();
-                stream_trace(&mut cold, &t.trace)
-            })
-            .collect();
-        let config = EngineConfig {
-            threads: 3,
-            ..EngineConfig::default()
-        };
-        let (result, report) = stream_suite_engine(&base, &traces, &config);
-        assert_eq!(result.per_benchmark, serial);
-        assert_eq!(result.lanes.len(), base.len());
-        let records: u64 = traces.iter().map(|t| t.trace.len() as u64).sum();
-        assert!(result.total.iter().all(|s| s.predictions == records));
-        assert_eq!(report.tasks.len(), traces.len());
     }
 }

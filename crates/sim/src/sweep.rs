@@ -111,72 +111,3 @@ mod tests {
         assert!(points[1].accuracy() >= points[0].accuracy() - 0.02);
     }
 }
-
-/// Like [`sweep`], but runs on the [`engine`](crate::engine) with
-/// `threads` workers. Results are identical to the serial version and
-/// returned in configuration order; only wall-clock time differs. Work is
-/// scheduled at (configuration, benchmark) granularity — each pair still
-/// gets a fresh predictor — so even a sweep of one big configuration
-/// spreads across all workers. Use [`sweep_engine`](crate::sweep_engine)
-/// directly to also collect the run metrics.
-pub fn sweep_parallel<C, P, F>(
-    configs: &[C],
-    factory: F,
-    traces: &[BenchmarkTrace],
-    threads: usize,
-) -> Vec<SweepPoint<C>>
-where
-    C: Clone + Send + Sync,
-    P: ValuePredictor,
-    F: Fn(&C) -> P + Send + Sync,
-{
-    crate::engine::sweep_engine(
-        configs,
-        factory,
-        traces,
-        &crate::engine::EngineConfig::threads(threads.max(1)),
-    )
-    .0
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use dfcm::DfcmPredictor;
-    use dfcm_trace::suite::standard_traces;
-
-    #[test]
-    fn parallel_matches_serial() {
-        let traces = standard_traces(5, 0.002);
-        let configs: Vec<(u32, u32)> = vec![(8, 8), (8, 10), (10, 8), (10, 10), (12, 10)];
-        let factory = |&(l1, l2): &(u32, u32)| {
-            DfcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .unwrap()
-        };
-        let serial = sweep(&configs, factory, &traces);
-        let parallel = sweep_parallel(&configs, factory, &traces, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.config, p.config);
-            assert_eq!(s.result, p.result);
-        }
-    }
-
-    #[test]
-    fn single_thread_and_oversubscription_work() {
-        let traces = standard_traces(5, 0.001);
-        let configs = vec![(8u32, 8u32), (9, 9)];
-        let factory = |&(l1, l2): &(u32, u32)| {
-            DfcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .unwrap()
-        };
-        assert_eq!(sweep_parallel(&configs, factory, &traces, 1).len(), 2);
-        assert_eq!(sweep_parallel(&configs, factory, &traces, 64).len(), 2);
-    }
-}

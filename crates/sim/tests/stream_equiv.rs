@@ -7,10 +7,7 @@ use dfcm::{
     DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor,
     ValuePredictor,
 };
-use dfcm_sim::{
-    simulate_trace, stream_records_with, stream_trace, stream_trace_chunked, RunStats,
-    StreamPredictor,
-};
+use dfcm_sim::{simulate_trace, stream_records_with, stream_trace, RunStats, StreamPredictor};
 use dfcm_trace::suite::standard_traces;
 use dfcm_trace::{Trace, TraceRecord};
 use proptest::prelude::*;
@@ -89,6 +86,7 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
     // benchmark, streaming the compressed v3 file — at one thread and at
     // several — produces the same records and the same RunStats as the
     // v2 path and the in-memory pass.
+    use dfcm_obs::Obs;
     use dfcm_sim::{stream_trace_file, stream_v2_file, stream_v3_file};
     use dfcm_trace::TraceFormat;
 
@@ -125,7 +123,8 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
             );
             assert_eq!(v3_report.records, v2_report.records, "{}", bench.name);
             let mut sniffed = lanes();
-            let auto = stream_trace_file(&v3_path, &mut sniffed, threads).unwrap();
+            let auto =
+                stream_trace_file(&v3_path, &mut sniffed, threads, &Obs::disabled()).unwrap();
             assert_eq!(auto, v3_report, "{}: sniffer diverged", bench.name);
         }
         let _ = std::fs::remove_file(&v2_path);
@@ -167,9 +166,10 @@ fn lane_for(kind: usize) -> StreamPredictor {
 }
 
 proptest! {
-    /// The chunked streaming pass agrees with the serial pass for every
-    /// predictor kind, any chunk size (including chunks larger than the
-    /// trace and traces shorter than one chunk), and random traces.
+    /// Streaming a trace chunk by chunk through the same lanes agrees
+    /// with one serial pass for every predictor kind, any chunk size
+    /// (including chunks larger than the trace and traces shorter than
+    /// one chunk), and random traces: lane state carries across chunks.
     #[test]
     fn chunked_and_serial_streaming_agree(
         trace in arb_trace(),
@@ -180,7 +180,13 @@ proptest! {
         let mut serial = base.clone();
         let mut chunked = base.clone();
         let expected = stream_trace(&mut serial, &trace);
-        let got = stream_trace_chunked(&mut chunked, &trace, chunk);
+        let mut got = vec![RunStats::default(); base.len()];
+        for records in trace.chunks(chunk) {
+            let part = stream_records_with(&mut chunked, records, |_, _, _| {});
+            for (total, stats) in got.iter_mut().zip(part) {
+                total.merge(stats);
+            }
+        }
         prop_assert_eq!(got, expected);
     }
 

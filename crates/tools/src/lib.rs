@@ -49,8 +49,7 @@ use std::time::Duration;
 use dfcm::ValuePredictor;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
 use dfcm_sim::{
-    simulate_trace_observed, stream_trace_file_observed, EngineConfig, EngineReport,
-    StreamPredictor,
+    simulate_trace_observed, stream_trace_file, EngineConfig, EngineReport, StreamPredictor,
 };
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
@@ -304,18 +303,14 @@ pub fn eval_streaming(
         vec![label.clone()],
         |_| {
             let mut lanes = lanes.clone();
-            // The observed entry point records the full telemetry set
-            // (eval_accuracy, table/alias counters, phase series) and
-            // falls back to the plain streaming pass when obs is off.
-            let file_report =
-                stream_trace_file_observed(path, &mut lanes, decode_threads, &engine.obs, true)
-                    // Corruption won't heal on retry; read hiccups might.
-                    .map_err(|e| match e.kind() {
-                        std::io::ErrorKind::InvalidData => {
-                            TaskError::Permanent(format!("{}: {e}", path.display()))
-                        }
-                        _ => TaskError::Transient(format!("{}: {e}", path.display())),
-                    })?;
+            let file_report = stream_trace_file(path, &mut lanes, decode_threads, &engine.obs)
+                // Corruption won't heal on retry; read hiccups might.
+                .map_err(|e| match e.kind() {
+                    std::io::ErrorKind::InvalidData => {
+                        TaskError::Permanent(format!("{}: {e}", path.display()))
+                    }
+                    _ => TaskError::Transient(format!("{}: {e}", path.display())),
+                })?;
             let lines: Vec<String> = lanes
                 .iter()
                 .zip(&file_report.stats)
@@ -2116,6 +2111,22 @@ mod tests {
         generate("li", 100, &path, 1).unwrap();
         let e = eval_streaming(&path, &["nope:1".to_owned()], &EngineConfig::default());
         assert!(e.is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eval_streaming_fails_a_too_short_trace_without_retrying() {
+        // Three bytes cannot hold the magic: the file is corrupt, which no
+        // retry heals, so the task fails on its first attempt.
+        let dir = std::env::temp_dir().join("dfcm_tools_stream_short_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiny.trc");
+        std::fs::write(&path, b"DFC").unwrap();
+        let (out, report) =
+            eval_streaming(&path, &["lvp:10".to_owned()], &EngineConfig::default()).unwrap();
+        assert!(out.contains("FAILED"), "{out}");
+        assert_eq!(report.tasks[0].attempts, 1, "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
