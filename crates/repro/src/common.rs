@@ -3,6 +3,7 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use dfcm_sim::{EngineConfig, EngineReport};
 use dfcm_trace::suite::{standard_suite, standard_traces};
@@ -44,6 +45,58 @@ pub struct Options {
     /// The tiers are bit-identical, so this never changes results —
     /// `interp` exists as the always-correct baseline and escape hatch.
     pub vm_tier: dfcm_vm::Tier,
+    /// The suite [`Options::traces`] last produced. Not a setting: it is
+    /// public only so that `..Options::default()` literals compile.
+    pub suite: SuiteMemo,
+}
+
+/// The memo behind [`Options::traces`]: the suite it last generated or
+/// loaded, and the options that produced it.
+///
+/// A clone starts out holding the same suite.
+#[derive(Default)]
+pub struct SuiteMemo(Mutex<Option<(SuiteKey, Arc<[BenchmarkTrace]>)>>);
+
+/// The options a suite depends on.
+#[derive(Clone, PartialEq)]
+struct SuiteKey {
+    seed: u64,
+    scale: f64,
+    trace_dir: Option<PathBuf>,
+    strict: bool,
+}
+
+impl SuiteMemo {
+    /// The memoized suite if it was made under `key`, else the result of
+    /// `load`, which then replaces the memo.
+    fn get_or_load(
+        &self,
+        key: SuiteKey,
+        load: impl FnOnce() -> Result<Vec<BenchmarkTrace>, String>,
+    ) -> Result<Arc<[BenchmarkTrace]>, String> {
+        let mut slot = self.0.lock().expect("a suite load panicked");
+        if let Some((made_under, suite)) = &*slot {
+            if *made_under == key {
+                return Ok(Arc::clone(suite));
+            }
+        }
+        let suite: Arc<[BenchmarkTrace]> = load()?.into();
+        *slot = Some((key, Arc::clone(&suite)));
+        Ok(suite)
+    }
+}
+
+impl Clone for SuiteMemo {
+    fn clone(&self) -> Self {
+        let slot = self.0.lock().expect("a suite load panicked");
+        SuiteMemo(Mutex::new(slot.clone()))
+    }
+}
+
+impl std::fmt::Debug for SuiteMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuiteMemo").finish_non_exhaustive()
+    }
 }
 
 impl Default for Options {
@@ -62,6 +115,7 @@ impl Default for Options {
             obs: dfcm_obs::Obs::disabled(),
             obs_dir: None,
             vm_tier: dfcm_vm::Tier::Fast,
+            suite: SuiteMemo::default(),
         }
     }
 }
@@ -70,17 +124,31 @@ impl Options {
     /// The standard suite traces at these options: generated from
     /// `--seed`/`--scale`, or loaded from `--traces DIR`.
     ///
+    /// The first call generates or loads the suite; later calls return
+    /// the same shared allocation until `seed`, `scale`, `trace_dir` or
+    /// `strict` changes. So a run generates or loads its suite once, and
+    /// reads each `--traces` file, with any salvage warning, once.
+    ///
     /// # Panics
     ///
     /// Panics when `--traces` names files that are missing, unreadable,
     /// or (under `--strict`, or when nothing is recoverable) corrupt —
     /// the repro binaries treat unusable input as fatal rather than
     /// silently publishing tables from truncated traces.
-    pub fn traces(&self) -> Vec<BenchmarkTrace> {
-        self.load_traces().unwrap_or_else(|e| panic!("{e}"))
+    pub fn traces(&self) -> Arc<[BenchmarkTrace]> {
+        let key = SuiteKey {
+            seed: self.seed,
+            scale: self.scale,
+            trace_dir: self.trace_dir.clone(),
+            strict: self.strict,
+        };
+        self.suite
+            .get_or_load(key, || self.load_traces())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`Options::traces`].
+    /// Fallible, uncached form of [`Options::traces`]: every call
+    /// generates or loads the suite anew.
     ///
     /// Without `--traces` this regenerates the suite and cannot fail.
     /// With `--traces DIR` each benchmark loads from `<dir>/<name>.trc`:

@@ -10,9 +10,8 @@
 
 use dfcm::{DfcmPredictor, FcmPredictor, L2Indexed, StrideOccupancyProfiler, ValuePredictor};
 use dfcm_sim::report::TextTable;
-use dfcm_trace::suite::standard_suite;
-use dfcm_trace::{Trace, TraceSource};
-use dfcm_vm::{assemble, programs, Vm};
+use dfcm_trace::Trace;
+use dfcm_vm::suite::kernel_trace_with;
 
 use crate::common::{banner, Options};
 
@@ -26,12 +25,6 @@ fn profile<P: ValuePredictor + L2Indexed>(predictor: P, trace: &Trace) -> Vec<u6
         profiler.access(r.pc, r.value);
     }
     profiler.stats().sorted_desc().to_vec()
-}
-
-fn vm_trace(name: &str, max_records: usize) -> Trace {
-    let src = programs::by_name(name).expect("kernel exists");
-    let mut vm = Vm::new(assemble(src).expect("assembles"));
-    vm.take_trace(max_records)
 }
 
 fn run_workload(label: &str, trace: &Trace, opts: &Options) {
@@ -101,14 +94,13 @@ pub fn run(opts: &Options) {
 
     // VM trace lengths follow --scale (default 0.1 -> 1.5 M records).
     let vm_records = ((opts.scale * 15_000_000.0) as usize).clamp(50_000, 5_000_000);
-    run_workload("norm", &vm_trace("norm", vm_records), opts);
-    run_workload("queens", &vm_trace("queens", vm_records), opts);
+    for name in ["norm", "queens"] {
+        let kernel = kernel_trace_with(name, vm_records, opts.vm_tier).expect("bundled kernel");
+        run_workload(name, &kernel.trace, opts);
+    }
 
-    let li = standard_suite()
-        .into_iter()
-        .find(|b| b.name() == "li")
-        .expect("li in suite")
-        .trace(opts.seed, opts.scale);
+    let traces = opts.traces();
+    let li = traces.iter().find(|b| b.name == "li").expect("li in suite");
     run_workload("li", &li.trace, opts);
 
     println!(

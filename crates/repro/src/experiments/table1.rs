@@ -61,8 +61,9 @@ where
 
 /// Runs the Table 1 reproduction.
 ///
-/// Trace generation and statistics are independent per benchmark, so both
-/// halves run as engine task batches; the metrics land in
+/// The suite half measures the run's memoized suite and the VM half runs
+/// each kernel on `--vm-tier`; statistics are independent per trace, so
+/// both halves run as engine task batches whose metrics land in
 /// `metrics/table1.jsonl`.
 pub fn run(opts: &Options) {
     banner(
@@ -72,18 +73,14 @@ pub fn run(opts: &Options) {
     );
 
     let specs = standard_suite();
-    // With `--traces DIR` the whole suite loads (and integrity-checks)
-    // up front, so a damaged file fails the experiment before any row
-    // is computed; otherwise each task generates its own trace.
-    let loaded = opts.trace_dir.as_ref().map(|_| opts.traces());
+    // The whole suite comes from the run's memo up front, so with
+    // `--traces DIR` a damaged file fails the experiment before any row
+    // is computed.
+    let traces = opts.traces();
     let labels = specs.iter().map(|s| s.name().to_owned()).collect();
     let (rows, mut metrics) = row_batch(opts, "table1-suite", labels, |i| {
         let spec = &specs[i];
-        let trace = match &loaded {
-            Some(suite) => suite[i].clone(),
-            None => spec.trace(opts.seed, opts.scale),
-        };
-        let stats = TraceStats::measure(&trace.trace);
+        let stats = TraceStats::measure(&traces[i].trace);
         let paper_m = spec.predictions(1.0) as f64 / 10_000.0;
         Ok(TaskOutput {
             value: vec![
@@ -125,7 +122,8 @@ pub fn run(opts: &Options) {
             max_instructions: Some(1_000_000_000),
             ..VmLimits::default()
         };
-        let mut vm = Vm::with_limits(assemble(src).expect("bundled kernel assembles"), limits)?;
+        let program = assemble(src).expect("bundled kernel assembles");
+        let mut vm = Vm::with_tier(program, limits, opts.vm_tier)?;
         let trace = vm
             .try_take_trace(2_000_000)
             .map_err(|e| TaskError::Permanent(format!("{name} faulted: {e}")))?;

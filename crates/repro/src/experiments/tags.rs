@@ -33,7 +33,7 @@ pub fn run(opts: &Options) {
     for tag_bits in [0u32, 2, 4, 8] {
         for threshold in [0u8, 1, 2, 3] {
             let mut total = ConfidenceStats::default();
-            for bench in &traces {
+            for bench in traces.iter() {
                 let mut p = TaggedDfcmPredictor::builder()
                     .l1_bits(12)
                     .l2_bits(12)

@@ -1,12 +1,15 @@
 //! `--traces DIR` loading in the repro harness: intact directories load
 //! exactly, damaged files are refused under `--strict` and salvaged
 //! (with the intact chunks only) without it, and missing files are
-//! fatal either way.
+//! fatal either way. A run generates or loads its suite once and shares
+//! it with every experiment.
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use dfcm_repro::common::Options;
+use dfcm_repro::experiments;
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{salvage_trace, Trace, TraceFormat, TraceRecord, V2_CHUNK_RECORDS};
 
@@ -147,6 +150,78 @@ fn without_trace_dir_loading_generates_the_suite() {
         ..Options::default()
     };
     let generated = opts.load_traces().unwrap();
-    assert_eq!(generated, opts.traces());
+    assert_eq!(generated[..], opts.traces()[..]);
     assert!(!generated.is_empty());
+}
+
+#[test]
+fn traces_are_generated_once_and_shared() {
+    let mut opts = Options {
+        scale: 0.004,
+        ..Options::default()
+    };
+    let first = opts.traces();
+    assert!(
+        Arc::ptr_eq(&first, &opts.traces()),
+        "second call regenerated"
+    );
+
+    opts.seed += 1;
+    let reseeded = opts.traces();
+    assert!(!Arc::ptr_eq(&first, &reseeded));
+    assert_eq!(reseeded[..], opts.load_traces().unwrap()[..]);
+    assert_ne!(first[..], reseeded[..]);
+}
+
+#[test]
+fn trace_dir_is_read_once_per_run() {
+    let dir = write_suite_dir("read_once");
+    let opts = options_for(&dir, true);
+    let first = opts.traces();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(opts.load_traces().is_err(), "directory still readable");
+    assert!(Arc::ptr_eq(&first, &opts.traces()));
+}
+
+#[test]
+fn fig06_09_takes_li_from_the_trace_dir() {
+    let dir = write_suite_dir("fig06_09");
+    let opts = Options {
+        scale: 0.004,
+        out_dir: dir.join("out"),
+        ..options_for(&dir, true)
+    };
+    experiments::fig06_09::run(&opts);
+    let csv = std::fs::read_to_string(opts.csv_path("fig06_09_li")).unwrap();
+    let mut lines = csv.lines();
+    let fcm_column = lines
+        .next()
+        .unwrap()
+        .split(',')
+        .position(|h| h == "fcm_accesses")
+        .unwrap();
+    let stride_accesses: u64 = lines
+        .map(|line| {
+            line.split(',')
+                .nth(fcm_column)
+                .unwrap()
+                .parse::<u64>()
+                .unwrap()
+        })
+        .sum();
+    // write_suite_dir's li.trc holds 504 records; a generated li at this
+    // scale has 4920.
+    let li_records = opts
+        .traces()
+        .iter()
+        .find(|b| b.name == "li")
+        .unwrap()
+        .trace
+        .len();
+    assert_eq!(li_records, 504);
+    assert!(
+        stride_accesses <= li_records as u64,
+        "{stride_accesses} stride accesses from a {li_records}-record li"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -102,12 +102,15 @@ impl Pattern {
                 // (16-aligned) over a region ~8x their footprint, like heap
                 // allocations interleaved with other objects — a perfect
                 // arithmetic progression would make the walk's *differences*
-                // artificially uniform.
-                let mut offsets = std::collections::HashSet::with_capacity(n);
+                // artificially uniform. One bit per candidate offset marks
+                // the ones taken.
+                let mut taken = vec![0u64; n.div_ceil(8)];
                 let mut order: Vec<u64> = Vec::with_capacity(n);
                 while order.len() < n {
                     let offset = rng.next_below(8 * n as u64);
-                    if offsets.insert(offset) {
+                    let (word, bit) = ((offset / 64) as usize, 1u64 << (offset % 64));
+                    if taken[word] & bit == 0 {
+                        taken[word] |= bit;
                         order.push(base + 16 * offset);
                     }
                 }

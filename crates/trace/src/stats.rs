@@ -1,6 +1,8 @@
 //! Descriptive statistics over value traces — the Table 1 analogue.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::record::Trace;
 
@@ -31,6 +33,111 @@ pub struct TraceStats {
 impl TraceStats {
     /// Computes statistics over `trace`.
     pub fn measure(trace: &Trace) -> TraceStats {
+        struct PcState {
+            last: u64,
+            stride: u64,
+            /// Values this PC has produced so far.
+            count: usize,
+            /// This PC's last `REUSE_WINDOW` values as a ring: each value
+            /// overwrites the oldest one. The reuse test asks only whether
+            /// a value is among them, so their order does not matter.
+            recent: [u64; REUSE_WINDOW],
+        }
+        let mut per_pc: HashMap<u64, PcState, PcHashBuilder> =
+            HashMap::with_hasher(PcHashBuilder::new());
+        let mut lv_hits = 0usize;
+        let mut stride_hits = 0usize;
+        let mut reuse_hits = 0usize;
+        for r in trace {
+            let state = per_pc.entry(r.pc).or_insert_with(|| PcState {
+                last: 0,
+                stride: 0,
+                count: 0,
+                recent: [0; REUSE_WINDOW],
+            });
+            if state.count >= 1 && r.value == state.last {
+                lv_hits += 1;
+            }
+            if state.count >= 2 && r.value == state.last.wrapping_add(state.stride) {
+                stride_hits += 1;
+            }
+            if state.recent[..state.count.min(REUSE_WINDOW)].contains(&r.value) {
+                reuse_hits += 1;
+            }
+            state.stride = r.value.wrapping_sub(state.last);
+            state.last = r.value;
+            state.recent[state.count % REUSE_WINDOW] = r.value;
+            state.count += 1;
+        }
+        let n = trace.len().max(1);
+        TraceStats {
+            records: trace.len(),
+            static_instructions: per_pc.len(),
+            last_value_fraction: lv_hits as f64 / n as f64,
+            stride_fraction: stride_hits as f64 / n as f64,
+            reuse_fraction: reuse_hits as f64 / n as f64,
+        }
+    }
+}
+
+/// How many of a PC's most recent values the reuse test looks back over.
+const REUSE_WINDOW: usize = 64;
+
+/// Builds [`PcHasher`]s that share one key, drawn from the standard
+/// library's per-process random hash keys so that a crafted trace file
+/// cannot aim its PCs at one bucket.
+struct PcHashBuilder(u64);
+
+impl PcHashBuilder {
+    fn new() -> PcHashBuilder {
+        PcHashBuilder(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for PcHashBuilder {
+    type Hasher = PcHasher;
+
+    fn build_hasher(&self) -> PcHasher {
+        PcHasher {
+            key: self.0,
+            hash: 0,
+        }
+    }
+}
+
+/// Hashes one `u64` PC with a single folded multiply (the high and low
+/// halves of a 64×64→128-bit product, XORed), in place of SipHash's
+/// rounds.
+struct PcHasher {
+    key: u64,
+    hash: u64,
+}
+
+impl Hasher for PcHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PcHasher hashes u64 PCs only")
+    }
+
+    fn write_u64(&mut self, pc: u64) {
+        let product = u128::from(pc ^ self.key) * 0x9E37_79B9_7F4A_7C15;
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::record::TraceRecord;
+    use proptest::prelude::*;
+
+    /// The straightforward form [`TraceStats::measure`] must match: a
+    /// SipHash map and, per PC, a `Vec` window that drops its oldest
+    /// value from the front.
+    fn measure_naive(trace: &Trace) -> TraceStats {
         struct PcState {
             last: u64,
             stride: u64,
@@ -74,12 +181,33 @@ impl TraceStats {
             reuse_fraction: reuse_hits as f64 / n as f64,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::record::TraceRecord;
+    proptest! {
+        /// The ring window and PC hasher against the naive form, on
+        /// traces where many PCs each produce well over 64 values drawn
+        /// from a small alphabet, so values leave the window and return.
+        #[test]
+        fn measure_agrees_with_naive_reference(
+            pcs in 1u64..300,
+            records in 0usize..40_000,
+            alphabet in 1u64..160,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let trace: Trace = (0..records)
+                .map(|i| {
+                    let pc = 0x40_0000 + 4 * rng.next_below(pcs);
+                    let value = match i % 3 {
+                        0 => rng.next_below(alphabet),
+                        1 => i as u64 / 7,
+                        _ => rng.next_below(alphabet) * 8,
+                    };
+                    TraceRecord::new(pc, value)
+                })
+                .collect();
+            prop_assert_eq!(TraceStats::measure(&trace), measure_naive(&trace));
+        }
+    }
 
     #[test]
     fn constant_trace_is_fully_last_value_predictable() {

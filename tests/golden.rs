@@ -9,7 +9,7 @@
 
 use dfcm_suite::predictors::{DfcmPredictor, FcmPredictor, StridePredictor, ValuePredictor};
 use dfcm_suite::sim::simulate_trace;
-use dfcm_suite::trace::suite::standard_suite;
+use dfcm_suite::trace::suite::{standard_suite, standard_traces};
 use dfcm_suite::trace::TraceSource;
 use dfcm_suite::vm::{assemble, programs, Vm};
 
@@ -71,4 +71,21 @@ fn golden_vm_kernel_trace() {
         acc.wrapping_mul(1099511628211).wrapping_add(r.pc ^ r.value)
     });
     assert_eq!(checksum, 4356654817494445748, "VM trace checksum drifted");
+}
+
+#[test]
+fn golden_suite_trace() {
+    // Every record of the synthetic suite, in suite order, through the
+    // VM checksum's fold: pins the generator, pointer-chase node
+    // placement included, record for record.
+    let checksum: u64 = standard_traces(SEED, 0.01)
+        .iter()
+        .flat_map(|bench| bench.trace.iter())
+        .fold(0u64, |acc, r| {
+            acc.wrapping_mul(1099511628211).wrapping_add(r.pc ^ r.value)
+        });
+    assert_eq!(
+        checksum, 12018577575201589225,
+        "suite trace checksum drifted"
+    );
 }
