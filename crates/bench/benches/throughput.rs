@@ -10,7 +10,7 @@
 //!   driven through the predict-then-update protocol, one full suite walk
 //!   per configuration (the pre-streaming hot path).
 //! * **stream** — one [`StreamPredictor`] lane through the single-pass
-//!   streaming core (fused access, enum dispatch).
+//!   streaming core (fused access, lanes walked in typed groups).
 //!
 //! Per-predictor entries time the walk alone (traces already in memory),
 //! giving the raw predictions/sec trajectory for each of the four paper

@@ -64,6 +64,7 @@ impl SaturatingCounter {
     }
 
     /// True if the counter is saturated at its maximum.
+    #[inline]
     pub fn is_max(&self) -> bool {
         self.value == self.max
     }
@@ -75,11 +76,13 @@ impl SaturatingCounter {
     }
 
     /// Steps the counter up, saturating at the maximum.
+    #[inline]
     pub fn increment(&mut self) {
         self.value = self.value.saturating_add(self.inc).min(self.max);
     }
 
     /// Steps the counter down, saturating at zero.
+    #[inline]
     pub fn decrement(&mut self) {
         self.value = self.value.saturating_sub(self.dec);
     }

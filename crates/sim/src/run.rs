@@ -91,9 +91,8 @@ where
     }
     let mut span = obs.span("eval.predictor");
     span.arg("spec", spec);
-    let lanes = std::slice::from_mut(predictor);
-    let observer = LaneObserver::new(obs, lanes, |_| spec.to_owned());
-    let mut pass = Pass::new(lanes, observer);
+    let observer = LaneObserver::new(obs, std::slice::from_mut(predictor), |_| spec.to_owned());
+    let mut pass = Pass::one(predictor, observer);
     // A trailing partial chunk gets its own closing sample, so the
     // occupancy series always ends at the tables' final state.
     trace

@@ -6,10 +6,13 @@
 //! dispatch. This module restructures that hot path:
 //!
 //! * **One decode, many lanes.** [`stream_trace`] walks the trace once and
-//!   feeds every [`StreamPredictor`] *lane* per record, using the fused
+//!   feeds it to every [`StreamPredictor`] *lane*, using the fused
 //!   [`access`](dfcm::ValuePredictor::access) overrides (a single table
-//!   index computation per record per two-level predictor) behind enum —
-//!   not `dyn` — dispatch.
+//!   index computation per record per two-level predictor). A pass splits
+//!   its lanes once into one group per predictor type and walks each
+//!   chunk group by group, so every type's `access` is a direct call in a
+//!   loop of its own, which the compiler can inline, with no enum or `dyn`
+//!   dispatch per (record, lane).
 //! * **One chunk loop, observed by construction.** Every pass — an
 //!   in-memory slice, a v1/v2/v3 file, and the 64 in-memory chunks of
 //!   [`simulate_trace_observed`](crate::simulate_trace_observed) — runs
@@ -52,15 +55,17 @@ use dfcm_trace::{
 
 use crate::run::RunStats;
 
-/// One lane of the streaming pass: a concrete predictor behind enum
-/// dispatch.
+/// One lane of the streaming pass: a concrete predictor, one variant per
+/// type.
 ///
-/// The streaming core deliberately avoids `Box<dyn ValuePredictor>`: an
-/// enum keeps the per-record dispatch a jump table the compiler can see
-/// through (and lanes stay `Clone`, so a cold configuration can be
-/// instantiated once and copied per benchmark). The enum covers the four
-/// paper predictors plus two-delta stride; anything more exotic still
-/// runs through the `dyn` path of [`simulate_trace`](crate::simulate_trace).
+/// The streaming core deliberately avoids `Box<dyn ValuePredictor>`: a
+/// pass matches each lane's variant once, when it starts, and then runs
+/// each type's lanes in a loop where `access` is a direct call the
+/// compiler can inline (and lanes stay `Clone`, so a cold configuration
+/// can be instantiated once and copied per benchmark). The enum covers
+/// the four paper predictors plus two-delta stride; anything more exotic
+/// still runs through the `dyn` path of
+/// [`simulate_trace`](crate::simulate_trace).
 #[derive(Debug, Clone)]
 pub enum StreamPredictor {
     /// Last value predictor (§2.1).
@@ -287,6 +292,10 @@ impl From<DfcmPredictor> for StreamPredictor {
 /// (record, lane) pair — the hook the differential tests use to compare
 /// per-record behaviour against the reference loop. [`stream_trace`]
 /// passes a no-op closure that the optimizer erases.
+///
+/// Each lane sees the records in order, so its outcomes arrive in record
+/// order. The order across lanes is unspecified, even within one record:
+/// the pass walks its lanes one predictor type at a time.
 pub fn stream_records_with<F>(
     lanes: &mut [StreamPredictor],
     records: &[TraceRecord],
@@ -465,9 +474,9 @@ impl TraceFile {
 
     /// Runs `pass` over every record of the file, decoding v2/v3 chunks
     /// on `decode_threads` workers.
-    fn stream<L: ValuePredictor, O: Observer<L>>(
+    fn stream<G: LaneSet, O: Observer>(
         self,
-        mut pass: Pass<'_, L, O>,
+        mut pass: Pass<G, O>,
         decode_threads: usize,
     ) -> io::Result<StreamFileReport> {
         let feed = |chunk: &[TraceRecord]| pass.feed(chunk);
@@ -498,13 +507,18 @@ fn class_slot(class: Option<AliasClass>) -> usize {
 /// every kind of pass compiles to its own loop: `()` observes nothing,
 /// and an unobserved pass is the bare lane walk with no per-record obs
 /// branch.
-pub(crate) trait Observer<L>: Sized {
+///
+/// Each lane's outcomes arrive in record order, but lanes are walked one
+/// typed group at a time, so the order across lanes is unspecified, even
+/// within one record. `chunk_end` and `finish` see the lanes in lane
+/// order.
+pub(crate) trait Observer: Sized {
     /// Sees lane `li`'s outcome on `record`, the pass's `index`-th record.
     #[inline(always)]
-    fn outcome(
+    fn outcome<P: ValuePredictor>(
         &mut self,
         _li: usize,
-        _lane: &L,
+        _lane: &P,
         _index: u64,
         _record: &TraceRecord,
         _outcome: AccessOutcome,
@@ -512,20 +526,27 @@ pub(crate) trait Observer<L>: Sized {
     }
 
     /// Runs after every chunk, with the lanes as that chunk left them.
-    fn chunk_end(&mut self, _lanes: &[L]) {}
+    fn chunk_end(&mut self, _lanes: &impl LaneSet) {}
 
     /// Runs once after the last chunk, with the per-lane totals.
-    fn finish(self, _lanes: &[L], _stats: &[RunStats]) {}
+    fn finish(self, _lanes: &impl LaneSet, _stats: &[RunStats]) {}
 }
 
-impl<L> Observer<L> for () {}
+impl Observer for () {}
 
 /// [`stream_records_with`]'s per-outcome closure as an [`Observer`].
 struct OnOutcome<F>(F);
 
-impl<L, F: FnMut(usize, usize, AccessOutcome)> Observer<L> for OnOutcome<F> {
+impl<F: FnMut(usize, usize, AccessOutcome)> Observer for OnOutcome<F> {
     #[inline(always)]
-    fn outcome(&mut self, li: usize, _: &L, index: u64, _: &TraceRecord, outcome: AccessOutcome) {
+    fn outcome<P: ValuePredictor>(
+        &mut self,
+        li: usize,
+        _: &P,
+        index: u64,
+        _: &TraceRecord,
+        outcome: AccessOutcome,
+    ) {
         (self.0)(li, index as usize, outcome);
     }
 }
@@ -561,12 +582,12 @@ impl<'o> LaneObserver<'o> {
     }
 }
 
-impl<L: ValuePredictor> Observer<L> for LaneObserver<'_> {
+impl Observer for LaneObserver<'_> {
     #[inline]
-    fn outcome(
+    fn outcome<P: ValuePredictor>(
         &mut self,
         li: usize,
-        lane: &L,
+        lane: &P,
         index: u64,
         record: &TraceRecord,
         outcome: AccessOutcome,
@@ -580,9 +601,9 @@ impl<L: ValuePredictor> Observer<L> for LaneObserver<'_> {
         );
     }
 
-    fn chunk_end(&mut self, lanes: &[L]) {
-        for (lane, series) in lanes.iter().zip(&self.series) {
-            if let Some(ts) = lane.table_stats() {
+    fn chunk_end(&mut self, lanes: &impl LaneSet) {
+        for (li, series) in self.series.iter().enumerate() {
+            if let Some(ts) = lanes.lane(li).0.table_stats() {
                 for t in &ts.tables {
                     self.obs.sample(
                         "table_occupancy_percent",
@@ -594,11 +615,11 @@ impl<L: ValuePredictor> Observer<L> for LaneObserver<'_> {
         }
     }
 
-    fn finish(self, lanes: &[L], stats: &[RunStats]) {
+    fn finish(self, lanes: &impl LaneSet, stats: &[RunStats]) {
         let obs = self.obs;
-        for ((lane, series), stats) in lanes.iter().zip(self.series).zip(stats) {
+        for (li, (series, stats)) in self.series.into_iter().zip(stats).enumerate() {
             let spec = series.spec();
-            if let Some(ts) = lane.table_stats() {
+            if let Some(ts) = lanes.lane(li).0.table_stats() {
                 for t in &ts.tables {
                     let labels = [("spec", spec), ("table", t.name)];
                     obs.gauge("predictor_table_entries", &labels, t.entries as f64);
@@ -624,22 +645,164 @@ impl<L: ValuePredictor> Observer<L> for LaneObserver<'_> {
     }
 }
 
+/// The lanes of a [`Pass`], split into groups of one concrete predictor
+/// type so that each group's `access` is a direct call in a loop of its
+/// own.
+pub(crate) trait LaneSet {
+    /// Runs every lane over `chunk`, one group at a time; `first` is the
+    /// pass index of `chunk[0]`.
+    fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]);
+
+    /// The number of lanes.
+    fn len(&self) -> usize;
+
+    /// Lane `li`, counted in the order the pass was given its lanes, and
+    /// its correct predictions so far.
+    fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64);
+}
+
+/// Lanes of one predictor type `P`, with their lane indices and a
+/// contiguous counter of correct predictions.
+pub(crate) struct Group<'l, P> {
+    lanes: Vec<&'l mut P>,
+    index: Vec<usize>,
+    correct: Vec<u64>,
+}
+
+impl<'l, P: ValuePredictor> Group<'l, P> {
+    fn new() -> Self {
+        Group {
+            lanes: Vec::new(),
+            index: Vec::new(),
+            correct: Vec::new(),
+        }
+    }
+
+    /// Adds lane `li`; returns its position in the group.
+    fn push(&mut self, li: usize, lane: &'l mut P) -> usize {
+        self.lanes.push(lane);
+        self.index.push(li);
+        self.correct.push(0);
+        self.lanes.len() - 1
+    }
+}
+
+impl<P: ValuePredictor> LaneSet for Group<'_, P> {
+    #[inline]
+    fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]) {
+        if !self.lanes.is_empty() {
+            walk(
+                &mut self.lanes,
+                &self.index,
+                &mut self.correct,
+                observer,
+                first,
+                chunk,
+            );
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64) {
+        (&*self.lanes[li], self.correct[li])
+    }
+}
+
+/// A [`StreamPredictor`] slice split by variant, built once per pass.
+pub(crate) struct KindGroups<'l> {
+    lvp: Group<'l, LastValuePredictor>,
+    stride: Group<'l, StridePredictor>,
+    two_delta: Group<'l, TwoDeltaStridePredictor>,
+    fcm: Group<'l, FcmPredictor>,
+    dfcm: Group<'l, DfcmPredictor>,
+    /// Each lane's variant (as an index into the group list above) and
+    /// position in that group, in lane order.
+    at: Vec<(u8, usize)>,
+}
+
+impl<'l> KindGroups<'l> {
+    fn new(lanes: &'l mut [StreamPredictor]) -> Self {
+        let mut groups = KindGroups {
+            lvp: Group::new(),
+            stride: Group::new(),
+            two_delta: Group::new(),
+            fcm: Group::new(),
+            dfcm: Group::new(),
+            at: Vec::with_capacity(lanes.len()),
+        };
+        for (li, lane) in lanes.iter_mut().enumerate() {
+            let at = match lane {
+                StreamPredictor::Lvp(p) => (0, groups.lvp.push(li, p)),
+                StreamPredictor::Stride(p) => (1, groups.stride.push(li, p)),
+                StreamPredictor::TwoDelta(p) => (2, groups.two_delta.push(li, p)),
+                StreamPredictor::Fcm(p) => (3, groups.fcm.push(li, p)),
+                StreamPredictor::Dfcm(p) => (4, groups.dfcm.push(li, p)),
+            };
+            groups.at.push(at);
+        }
+        groups
+    }
+}
+
+impl LaneSet for KindGroups<'_> {
+    #[inline]
+    fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]) {
+        self.lvp.walk(observer, first, chunk);
+        self.stride.walk(observer, first, chunk);
+        self.two_delta.walk(observer, first, chunk);
+        self.fcm.walk(observer, first, chunk);
+        self.dfcm.walk(observer, first, chunk);
+    }
+
+    fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64) {
+        let (kind, pos) = self.at[li];
+        match kind {
+            0 => self.lvp.lane(pos),
+            1 => self.stride.lane(pos),
+            2 => self.two_delta.lane(pos),
+            3 => self.fcm.lane(pos),
+            _ => self.dfcm.lane(pos),
+        }
+    }
+}
+
 /// One predict-then-update pass of a lane set over a sequence of record
 /// chunks: the loop every streaming and observed evaluation runs. Lanes
 /// are stateful, so chunks must be fed in trace order; where the chunks
 /// split the trace only decides when the observer's `chunk_end` runs.
-pub(crate) struct Pass<'l, L, O> {
-    lanes: &'l mut [L],
+pub(crate) struct Pass<G, O> {
+    lanes: G,
     observer: O,
-    stats: Vec<RunStats>,
     records: u64,
     chunks: usize,
 }
 
-impl<'l, L: ValuePredictor, O: Observer<L>> Pass<'l, L, O> {
-    pub(crate) fn new(lanes: &'l mut [L], observer: O) -> Self {
+impl<'l, O: Observer> Pass<KindGroups<'l>, O> {
+    /// A pass over `lanes`, split once into one group per variant.
+    pub(crate) fn new(lanes: &'l mut [StreamPredictor], observer: O) -> Self {
+        Pass::over(KindGroups::new(lanes), observer)
+    }
+}
+
+impl<'l, P: ValuePredictor, O: Observer> Pass<Group<'l, P>, O> {
+    /// A pass over one lane: the one-group case of the same loop.
+    pub(crate) fn one(lane: &'l mut P, observer: O) -> Self {
+        let mut group = Group::new();
+        group.push(0, lane);
+        Pass::over(group, observer)
+    }
+}
+
+impl<G: LaneSet, O: Observer> Pass<G, O> {
+    fn over(lanes: G, observer: O) -> Self {
         Pass {
-            stats: vec![RunStats::default(); lanes.len()],
             lanes,
             observer,
             records: 0,
@@ -647,50 +810,52 @@ impl<'l, L: ValuePredictor, O: Observer<L>> Pass<'l, L, O> {
         }
     }
 
-    /// Runs every lane over `chunk`, record-major.
+    /// Runs every lane over `chunk`.
     pub(crate) fn feed(&mut self, chunk: &[TraceRecord]) {
-        walk(
-            self.lanes,
-            &mut self.stats,
-            &mut self.observer,
-            self.records,
-            chunk,
-        );
+        self.lanes.walk(&mut self.observer, self.records, chunk);
         self.records += chunk.len() as u64;
         self.chunks += 1;
-        self.observer.chunk_end(self.lanes);
+        self.observer.chunk_end(&self.lanes);
     }
 
     /// Ends the pass: the observer records what it gathered, and the
-    /// per-lane totals come back.
+    /// per-lane totals come back, in lane order.
     pub(crate) fn finish(self) -> StreamFileReport {
-        self.observer.finish(self.lanes, &self.stats);
+        let stats: Vec<RunStats> = (0..self.lanes.len())
+            .map(|li| RunStats {
+                predictions: self.records,
+                correct: self.lanes.lane(li).1,
+            })
+            .collect();
+        self.observer.finish(&self.lanes, &stats);
         StreamFileReport {
-            stats: self.stats,
+            stats,
             records: self.records,
             chunks: self.chunks,
         }
     }
 }
 
-/// The per-record lane loop: every lane predicts, then updates, on each
+/// One group's record loop: each lane predicts, then updates, on every
 /// record of `chunk` in turn, and `observer` sees every outcome; `first`
-/// is the pass index of `chunk[0]`. Kept apart from [`Pass::feed`] so the
-/// lanes, the totals and the observer arrive as separate `&mut`
-/// arguments, which the compiler knows cannot alias.
-fn walk<L: ValuePredictor, O: Observer<L>>(
-    lanes: &mut [L],
-    stats: &mut [RunStats],
+/// is the pass index of `chunk[0]`. `P::access` is a direct call here,
+/// which the compiler can inline: no enum or `dyn` dispatch per
+/// (record, lane). Kept apart from [`Group::walk`] so the lanes, the
+/// counters and the observer arrive as separate `&mut` arguments, which
+/// the compiler knows cannot alias.
+fn walk<P: ValuePredictor, O: Observer>(
+    lanes: &mut [&mut P],
+    index: &[usize],
+    correct: &mut [u64],
     observer: &mut O,
     first: u64,
     chunk: &[TraceRecord],
 ) {
     for (ri, record) in chunk.iter().enumerate() {
-        for (li, (lane, stats)) in lanes.iter_mut().zip(&mut *stats).enumerate() {
+        for ((lane, &li), correct) in lanes.iter_mut().zip(index).zip(&mut *correct) {
             let outcome = lane.access(record.pc, record.value);
-            stats.predictions += 1;
-            stats.correct += u64::from(outcome.correct);
-            observer.outcome(li, lane, first + ri as u64, record, outcome);
+            *correct += u64::from(outcome.correct);
+            observer.outcome(li, &**lane, first + ri as u64, record, outcome);
         }
     }
 }

@@ -80,6 +80,109 @@ fn streaming_pass_is_bit_identical_to_simulate_trace_over_full_suite() {
     }
 }
 
+/// Lanes of every kind, interleaved and each with its own configuration:
+/// the pass walks them one kind at a time, so a lane index swapped inside
+/// a kind's group, or a group walked in lane order by mistake, shows up
+/// as a lane with another lane's results.
+const INTERLEAVED: [&str; 8] = [
+    "dfcm:10:12",
+    "lvp:8",
+    "fcm:10:10",
+    "2delta:8",
+    "dfcm:8:8",
+    "stride:8",
+    "lvp:12",
+    "fcm:8:12",
+];
+
+fn interleaved_lanes() -> Vec<StreamPredictor> {
+    INTERLEAVED
+        .iter()
+        .map(|s| StreamPredictor::parse_spec(s).unwrap())
+        .collect()
+}
+
+#[test]
+fn interleaved_kinds_keep_their_lane_indices_over_full_suite() {
+    for bench in standard_traces(0xD1FF, 0.02) {
+        let mut streamed = interleaved_lanes();
+        let mut seen: Vec<Vec<(usize, u64, bool)>> = vec![Vec::new(); streamed.len()];
+        let stats = stream_records_with(&mut streamed, bench.trace.records(), |li, ri, out| {
+            seen[li].push((ri, out.predicted, out.correct));
+        });
+        for (li, lane) in interleaved_lanes().iter().enumerate() {
+            let spec = INTERLEAVED[li];
+            let (ref_stats, ref_outcomes) = reference_outcomes(lane, &bench.trace);
+            assert_eq!(stats[li], ref_stats, "{spec} on {}: RunStats", bench.name);
+            let indices: Vec<usize> = seen[li].iter().map(|&(ri, _, _)| ri).collect();
+            assert!(
+                indices.iter().copied().eq(0..bench.trace.len()),
+                "{spec} on {}: records seen out of order",
+                bench.name
+            );
+            let outcomes: Vec<(u64, bool)> = seen[li].iter().map(|&(_, p, c)| (p, c)).collect();
+            assert_eq!(
+                outcomes, ref_outcomes,
+                "{spec} on {}: per-record outcomes",
+                bench.name
+            );
+        }
+    }
+}
+
+#[test]
+fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
+    use dfcm_obs::metrics::{MetricValue, MetricsSnapshot};
+    use dfcm_obs::Obs;
+    use dfcm_sim::{simulate_trace_observed, stream_trace_file};
+    use dfcm_trace::TraceFormat;
+
+    // Three v3 chunks, so the observer's chunk-end hook runs between
+    // group walks more than once.
+    let trace: Trace = standard_traces(0xD1FF, 0.02)
+        .iter()
+        .flat_map(|b| b.trace.records().iter().copied())
+        .take(2 * dfcm_trace::V3_CHUNK_RECORDS + 777)
+        .collect();
+    let path = std::env::temp_dir().join("dfcm_stream_equiv_interleaved.v3.trc");
+    trace
+        .save_with(&path, TraceFormat::V3 { seed: 0xD1FF })
+        .unwrap();
+    let grouped = Obs::enabled();
+    let mut lanes = interleaved_lanes();
+    let report = stream_trace_file(&path, &mut lanes, 2, &grouped).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report.chunks, 3);
+
+    // The observer records the lanes' series in lane order.
+    let series = grouped.series_snapshot();
+    assert_eq!(series.len(), INTERLEAVED.len());
+    let metrics = grouped.snapshot().1;
+    let mut alone_metrics = MetricsSnapshot::default();
+    for (li, mut lane) in interleaved_lanes().into_iter().enumerate() {
+        let spec = INTERLEAVED[li];
+        let alone = Obs::enabled();
+        let stats = simulate_trace_observed(&mut lane, &trace, &alone, spec);
+        assert_eq!(report.stats[li], stats, "{spec}: RunStats");
+        assert_eq!(series[li].spec(), spec, "lane {li}: series spec");
+        assert_eq!(
+            series[li].to_jsonl(),
+            alone.series_snapshot()[0].to_jsonl(),
+            "{spec}: series.jsonl lines"
+        );
+        assert_eq!(
+            metrics.get("eval_accuracy", &[("spec", spec)]),
+            Some(&MetricValue::Gauge(stats.accuracy())),
+            "{spec}: eval_accuracy"
+        );
+        // Specs are distinct, so merging the lanes' snapshots is a union.
+        alone_metrics.merge(&alone.snapshot().1);
+    }
+    // Every table, alias and accuracy metric carries its own lane's spec
+    // and value.
+    assert_eq!(metrics, alone_metrics);
+}
+
 #[test]
 fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
     // The differential guarantee from the v3 tier: for every suite
@@ -143,26 +246,32 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-/// One lane of a given kind, at deliberately tiny table sizes so aliasing
-/// and history collisions happen inside short random traces.
-fn lane_for(kind: usize) -> StreamPredictor {
+/// One lane of a given kind, at deliberately tiny table sizes (`bits`)
+/// so aliasing and history collisions happen inside short random traces.
+fn lane_for(kind: usize, bits: u32) -> StreamPredictor {
     match kind {
-        0 => LastValuePredictor::new(3).into(),
-        1 => StridePredictor::new(3).into(),
-        2 => TwoDeltaStridePredictor::new(3).into(),
+        0 => LastValuePredictor::new(bits).into(),
+        1 => StridePredictor::new(bits).into(),
+        2 => TwoDeltaStridePredictor::new(bits).into(),
         3 => FcmPredictor::builder()
-            .l1_bits(3)
-            .l2_bits(6)
+            .l1_bits(bits)
+            .l2_bits(bits + 3)
             .build()
             .unwrap()
             .into(),
         _ => DfcmPredictor::builder()
-            .l1_bits(3)
-            .l2_bits(6)
+            .l1_bits(bits)
+            .l2_bits(bits + 3)
             .build()
             .unwrap()
             .into(),
     }
+}
+
+/// Up to five lanes of random kinds, interleaved, each with its own
+/// table size: two lanes of one kind usually differ.
+fn arb_lanes() -> impl Strategy<Value = Vec<(usize, u32)>> {
+    prop::collection::vec((0usize..5, 2u32..5), 1..6)
 }
 
 proptest! {
@@ -174,9 +283,9 @@ proptest! {
     fn chunked_and_serial_streaming_agree(
         trace in arb_trace(),
         chunk in 1usize..700,
-        kinds in prop::collection::vec(0usize..5, 1..5),
+        kinds in arb_lanes(),
     ) {
-        let base: Vec<StreamPredictor> = kinds.iter().map(|&k| lane_for(k)).collect();
+        let base: Vec<StreamPredictor> = kinds.iter().map(|&(k, b)| lane_for(k, b)).collect();
         let mut serial = base.clone();
         let mut chunked = base.clone();
         let expected = stream_trace(&mut serial, &trace);
@@ -195,13 +304,13 @@ proptest! {
     #[test]
     fn streaming_and_reference_agree(
         trace in arb_trace(),
-        kinds in prop::collection::vec(0usize..5, 1..5),
+        kinds in arb_lanes(),
     ) {
         let mut streamed: Vec<StreamPredictor> =
-            kinds.iter().map(|&k| lane_for(k)).collect();
+            kinds.iter().map(|&(k, b)| lane_for(k, b)).collect();
         let stats = stream_trace(&mut streamed, &trace);
-        for (li, &k) in kinds.iter().enumerate() {
-            let mut reference = lane_for(k);
+        for (li, &(k, b)) in kinds.iter().enumerate() {
+            let mut reference = lane_for(k, b);
             prop_assert_eq!(stats[li], simulate_trace(&mut reference, &trace));
         }
     }

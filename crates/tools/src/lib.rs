@@ -250,9 +250,9 @@ pub fn predictor_for(spec: &str) -> Result<Box<dyn ValuePredictor>, ToolError> {
 }
 
 /// Builds a streaming lane from the same spec grammar as
-/// [`predictor_for`]. The streaming core dispatches through an enum, so
-/// only the five concrete predictor kinds are available — which is
-/// exactly what the spec grammar covers.
+/// [`predictor_for`]. A streaming lane is one of the five concrete
+/// predictor kinds of [`StreamPredictor`] — which is exactly what the
+/// spec grammar covers.
 ///
 /// # Errors
 ///
@@ -1585,7 +1585,7 @@ fn trend_metrics(doc: &dfcm_obs::json::Json) -> Result<Vec<TrendMetric>, String>
 
 /// `bench trend --baseline <dir> [--current <dir>] [--threshold PCT]
 /// [--report-only]` — the bench-trajectory regression gate: compares
-/// the current benchmark artifacts ([`TREND_FILES`] in `current`)
+/// the current benchmark artifacts (the `BENCH_*.json` files in `current`)
 /// against a committed baseline directory, metric by metric, and fails
 /// on any headline metric that regressed beyond `threshold_percent`
 /// (slower throughput, higher latency, denser-than-before traces).
