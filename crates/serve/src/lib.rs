@@ -37,7 +37,7 @@ pub mod signal;
 pub mod snapshot;
 
 pub use crate::client::ServeClient;
-pub use crate::loadgen::{bench_json, histogram_jsonl, run_loadgen, LoadGenConfig, LoadGenReport};
+pub use crate::loadgen::{histogram_jsonl, run_loadgen, LoadGenConfig, LoadGenReport};
 pub use crate::protocol::{Reply, Request, MAX_FRAME_BYTES};
 pub use crate::server::{
     ServeConfig, ServeError, ServeLimits, Server, ServerHandle, ShutdownReport,

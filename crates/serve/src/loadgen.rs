@@ -109,28 +109,47 @@ pub struct LoadGenReport {
 /// deterministic in (client, request index), so two runs with the same
 /// config and trace inject exactly the same chaos.
 ///
+/// Every request ends acked or failed, so `acked + failed == requests`
+/// holds in any report this returns.
+///
 /// # Errors
 ///
-/// Returns the shadow spec parse error, if any; per-request failures are
-/// counted in the report, not returned.
+/// Returns the shadow spec parse error, an error before any client
+/// starts when the run would send no requests (zero clients or an empty
+/// trace), and an error naming the client when a client thread
+/// panicked; per-request failures are counted in the report, not
+/// returned.
 pub fn run_loadgen(config: &LoadGenConfig, trace: &Trace) -> Result<LoadGenReport, String> {
-    // Fail fast on a bad spec before spawning anything.
+    // Fail fast on a bad spec or an empty run before spawning anything.
     StreamPredictor::parse_spec(&config.spec).map_err(|e| e.to_string())?;
+    if config.clients == 0 {
+        return Err("loadgen needs at least one client".into());
+    }
+    if trace.is_empty() {
+        return Err("loadgen needs a trace with at least one record".into());
+    }
     let started = Instant::now();
-    let results: Vec<ClientStats> = std::thread::scope(|scope| {
+    let results: Vec<std::thread::Result<ClientStats>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.clients)
             .map(|i| scope.spawn(move || drive_client(config, trace, i)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let elapsed = started.elapsed();
+    merge(config.clients, trace.len(), started.elapsed(), results)
+}
 
+/// Folds the per-client results, in client order, into one report. A
+/// panicked client took its requests' outcomes with it, so it fails the
+/// run instead of dropping out of both `acked` and `failed`.
+fn merge(
+    clients: usize,
+    records: usize,
+    elapsed: Duration,
+    results: Vec<std::thread::Result<ClientStats>>,
+) -> Result<LoadGenReport, String> {
     let mut report = LoadGenReport {
-        clients: config.clients,
-        requests: (config.clients * trace.len()) as u64,
+        clients,
+        requests: (clients * records) as u64,
         acked: 0,
         failed: 0,
         corrupted: 0,
@@ -143,7 +162,10 @@ pub fn run_loadgen(config: &LoadGenConfig, trace: &Trace) -> Result<LoadGenRepor
         histogram: Histogram::new(REQUEST_US_BOUNDS),
     };
     let mut latencies: Vec<u64> = Vec::new();
-    for stats in results {
+    for (client, result) in results.into_iter().enumerate() {
+        let stats = result.map_err(|_| {
+            format!("loadgen client {client} panicked; its requests are unaccounted for")
+        })?;
         report.acked += stats.acked;
         report.failed += stats.failed;
         report.corrupted += stats.corrupted;
@@ -232,25 +254,6 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Renders the report as one `dfcm-bench-serve/v1` JSON object (the
-/// `BENCH_serve.json` schema validated by `dfcm-tools bench check`).
-pub fn bench_json(report: &LoadGenReport) -> String {
-    JsonObj::new()
-        .str("schema", "dfcm-bench-serve/v1")
-        .u64("clients", report.clients as u64)
-        .u64("requests", report.requests)
-        .u64("acked", report.acked)
-        .u64("failed", report.failed)
-        .u64("corrupted", report.corrupted)
-        .u64("verified", report.verified)
-        .f64("elapsed_s", report.elapsed.as_secs_f64(), 6)
-        .f64("throughput_rps", report.throughput_rps, 1)
-        .u64("p50_us", report.p50_us)
-        .u64("p99_us", report.p99_us)
-        .u64("max_us", report.max_us)
-        .finish()
-}
-
 /// Renders the latency histogram as JSONL lines (one bucket per line),
 /// for the CI artifact upload.
 pub fn histogram_jsonl(report: &LoadGenReport) -> Vec<String> {
@@ -285,31 +288,39 @@ mod tests {
         assert_eq!(percentile(&v, 0.99), 99);
     }
 
-    #[test]
-    fn bench_json_is_parseable_and_schema_tagged() {
-        let report = LoadGenReport {
-            clients: 2,
-            requests: 10,
-            acked: 10,
-            failed: 0,
+    fn client(acked: u64, failed: u64, latencies_us: &[u64]) -> ClientStats {
+        ClientStats {
+            acked,
+            failed,
             corrupted: 0,
-            verified: 10,
-            elapsed: Duration::from_millis(5),
-            throughput_rps: 2000.0,
-            p50_us: 40,
-            p99_us: 90,
-            max_us: 95,
-            histogram: Histogram::new(REQUEST_US_BOUNDS),
-        };
-        let json = bench_json(&report);
-        let parsed = dfcm_obs::json::parse(&json).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(|v| v.as_str()),
-            Some("dfcm-bench-serve/v1")
-        );
-        assert_eq!(parsed.get("acked").and_then(|v| v.as_u64()), Some(10));
-        for line in histogram_jsonl(&report) {
-            dfcm_obs::json::parse(&line).unwrap();
+            verified: acked,
+            latencies_us: latencies_us.to_vec(),
         }
+    }
+
+    #[test]
+    fn histogram_jsonl_is_parseable() {
+        let results = vec![
+            Ok(client(5, 0, &[40, 90, 95, 12, 7])),
+            Ok(client(4, 1, &[33, 61, 8, 20])),
+        ];
+        let report = merge(2, 5, Duration::from_millis(5), results).unwrap();
+        assert_eq!(report.acked + report.failed, report.requests);
+        assert!(report.p50_us <= report.p99_us && report.p99_us <= report.max_us);
+        let lines = histogram_jsonl(&report);
+        for line in &lines {
+            dfcm_obs::json::parse(line).unwrap();
+        }
+        assert!(lines.last().unwrap().contains(r#""count":9"#), "{lines:?}");
+    }
+
+    #[test]
+    fn a_panicked_client_fails_the_merge() {
+        let results = vec![
+            Ok(client(5, 0, &[10; 5])),
+            Err(Box::new("client thread panicked") as Box<dyn std::any::Any + Send>),
+        ];
+        let err = merge(2, 5, Duration::from_millis(5), results).unwrap_err();
+        assert!(err.contains("client 1 panicked"), "{err}");
     }
 }

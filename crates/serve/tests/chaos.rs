@@ -11,7 +11,8 @@ use std::time::Duration;
 use dfcm::ValuePredictor;
 use dfcm_serve::protocol::{encode_frame, read_frame, Reply, Request};
 use dfcm_serve::{
-    run_loadgen, LoadGenConfig, ServeClient, ServeConfig, ServeLimits, Server, ServerHandle,
+    run_loadgen, LoadGenConfig, LoadGenReport, ServeClient, ServeConfig, ServeLimits, Server,
+    ServerHandle,
 };
 use dfcm_sim::engine::{RetryPolicy, TaskError};
 use dfcm_sim::{FaultPlan, StreamPredictor};
@@ -51,6 +52,20 @@ fn quick_retry() -> RetryPolicy {
     }
 }
 
+/// The accounting every loadgen report must satisfy.
+fn assert_accounted(report: &LoadGenReport) {
+    assert_eq!(
+        report.acked + report.failed,
+        report.requests,
+        "every request is acked or failed: {report:?}"
+    );
+    assert!(report.verified <= report.acked, "{report:?}");
+    assert!(
+        report.p50_us <= report.p99_us && report.p99_us <= report.max_us,
+        "latency percentiles out of order: {report:?}"
+    );
+}
+
 #[test]
 fn clean_load_is_fully_acked_and_verified() {
     let (addr, handle, join) = start_server(ServeConfig::new("dfcm:6:8"));
@@ -58,6 +73,7 @@ fn clean_load_is_fully_acked_and_verified() {
     let mut config = LoadGenConfig::new(addr, 3, "dfcm:6:8");
     config.retry = quick_retry();
     let report = run_loadgen(&config, &trace).expect("loadgen");
+    assert_accounted(&report);
     assert_eq!(report.failed, 0, "clean run must ack everything");
     assert_eq!(report.corrupted, 0);
     assert_eq!(report.acked, report.requests);
@@ -82,6 +98,7 @@ fn chaos_load_with_all_fault_kinds_loses_nothing() {
             .with_delays(20, Duration::from_millis(10)),
     );
     let report = run_loadgen(&config, &trace).expect("loadgen");
+    assert_accounted(&report);
     assert_eq!(
         report.failed, 0,
         "transient chaos must be absorbed by retries"
@@ -90,6 +107,19 @@ fn chaos_load_with_all_fault_kinds_loses_nothing() {
     assert_eq!(report.acked, report.requests);
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn a_load_with_no_requests_is_rejected() {
+    // Both runs are refused before any client starts, so no daemon is
+    // listening: a client that did start would find nothing to talk to.
+    let addr = "127.0.0.1:9".parse().unwrap();
+    let no_clients = LoadGenConfig::new(addr, 0, "lvp:4");
+    let err = run_loadgen(&no_clients, &mixed_trace(10)).unwrap_err();
+    assert!(err.contains("at least one client"), "{err}");
+    let two_clients = LoadGenConfig::new(addr, 2, "lvp:4");
+    let err = run_loadgen(&two_clients, &Trace::new()).unwrap_err();
+    assert!(err.contains("at least one record"), "{err}");
 }
 
 #[test]

@@ -21,10 +21,6 @@
 //!   report for an export directory, `report` the windowed phase report
 //!   (accuracy/miss sparklines, alias-class mix, top-K hard-to-predict
 //!   PCs) from its `series.jsonl`; `--check` validates the exports.
-//! * `bench` — `check` validates benchmark artifacts
-//!   (`BENCH_throughput.json`, `BENCH_serve.json`, …) for CI gating;
-//!   `trend` compares them against a committed baseline and fails on
-//!   regressions beyond a noise threshold.
 //! * `serve` — run the crash-tolerant prediction daemon (the
 //!   `dfcm-serve` crate) until a shutdown signal.
 //! * `loadgen` — chaos-driven load generation against a running daemon,
@@ -930,783 +926,6 @@ fn check_series_vs_aggregates(
     }
 }
 
-/// `bench check <file>` — validates a benchmark artifact against its
-/// declared schema, so CI can gate on the exit status without external
-/// JSON tooling. Dispatches on the `schema` field:
-///
-/// * `dfcm-bench-throughput/v1` (`BENCH_throughput.json`, emitted by
-///   `cargo bench --bench throughput`): `mode`, `records` and `machine`
-///   fields; a non-empty `results` array whose entries carry positive,
-///   finite timings; `stream`-path coverage of all four paper predictors
-///   (lvp, stride, fcm, dfcm); and an `aggregate` with a positive sweep
-///   `configs` count whose `speedup` is consistent with its own
-///   numerator and denominator.
-/// * `dfcm-bench-serve/v1` (`BENCH_serve.json`, emitted by
-///   `dfcm-tools loadgen --bench-out`): counter fields present, every
-///   request accounted for (`acked + failed == requests`), zero
-///   `corrupted` acknowledgements, `verified ≤ acked`, ordered latency
-///   percentiles, and finite timing/throughput numbers.
-/// * `dfcm-bench-trace/v1` (`BENCH_trace.json`, emitted by
-///   `cargo bench --bench trace`): `mode`, `records` and `machine`
-///   fields; a non-empty `suite` array whose entries carry positive
-///   byte counts, density and encode/decode rates, with every suite
-///   trace at or under 16 bits/record in v3; and an `aggregate` whose
-///   v3 density is at or under 12 bits/record, whose `ratio_vs_v2` is
-///   at least 2 and consistent with its own density fields, and whose
-///   streaming predictions/sec are finite and positive for both
-///   formats.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] listing every schema violation found.
-pub fn bench_check(path: &Path) -> Result<String, ToolError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| err(format!("{}: {e}", path.display())))?;
-    let doc = dfcm_obs::json::parse(&text)
-        .map_err(|e| err(format!("{}: malformed JSON: {e}", path.display())))?;
-    let mut problems: Vec<String> = Vec::new();
-    let summary = match doc.get("schema").and_then(|v| v.as_str()) {
-        Some("dfcm-bench-throughput/v1") => check_bench_throughput(&doc, &mut problems),
-        Some("dfcm-bench-serve/v1") => check_bench_serve(&doc, &mut problems),
-        Some("dfcm-bench-vm/v1") => check_bench_vm(&doc, &mut problems),
-        Some("dfcm-bench-trace/v1") => check_bench_trace(&doc, &mut problems),
-        Some(other) => {
-            problems.push(format!("unknown schema `{other}`"));
-            String::new()
-        }
-        None => {
-            problems.push("missing string field `schema`".into());
-            String::new()
-        }
-    };
-    if problems.is_empty() {
-        Ok(format!("{}: OK ({summary})", path.display()))
-    } else {
-        Err(err(format!(
-            "{}: {} schema problem(s):\n  {}",
-            path.display(),
-            problems.len(),
-            problems.join("\n  ")
-        )))
-    }
-}
-
-/// The `dfcm-bench-throughput/v1` validator (see [`bench_check`]).
-fn check_bench_throughput(doc: &dfcm_obs::json::Json, problems: &mut Vec<String>) -> String {
-    let mut problem = |p: String| problems.push(p);
-    match doc.get("mode").and_then(|v| v.as_str()) {
-        Some("quick") | Some("full") => {}
-        Some(other) => problem(format!("`mode` must be quick|full, got `{other}`")),
-        None => problem("missing string field `mode`".into()),
-    }
-    if doc
-        .get("records")
-        .and_then(|v| v.as_u64())
-        .is_none_or(|n| n == 0)
-    {
-        problem("`records` must be a positive integer".into());
-    }
-    match doc.get("machine") {
-        Some(machine) => {
-            for key in ["os", "arch"] {
-                if machine.get(key).and_then(|v| v.as_str()).is_none() {
-                    problem(format!("`machine.{key}` must be a string"));
-                }
-            }
-            if machine
-                .get("threads")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n == 0)
-            {
-                problem("`machine.threads` must be a positive integer".into());
-            }
-        }
-        None => problem("missing object field `machine`".into()),
-    }
-
-    let mut stream_kinds: Vec<String> = Vec::new();
-    match doc.get("results").and_then(|v| v.as_arr()) {
-        Some([]) => problem("`results` must be non-empty".into()),
-        Some(results) => {
-            for (i, entry) in results.iter().enumerate() {
-                for key in ["predictor", "kind"] {
-                    if entry.get(key).and_then(|v| v.as_str()).is_none() {
-                        problem(format!("results[{i}].{key} must be a string"));
-                    }
-                }
-                let path_kind = entry.get("path").and_then(|v| v.as_str());
-                if !matches!(path_kind, Some("dyn") | Some("stream")) {
-                    problem(format!("results[{i}].path must be dyn|stream"));
-                }
-                if entry
-                    .get("records")
-                    .and_then(|v| v.as_u64())
-                    .is_none_or(|n| n == 0)
-                {
-                    problem(format!("results[{i}].records must be a positive integer"));
-                }
-                for key in ["seconds", "predictions_per_sec"] {
-                    if !entry
-                        .get(key)
-                        .and_then(|v| v.as_f64())
-                        .is_some_and(|x| x.is_finite() && x > 0.0)
-                    {
-                        problem(format!("results[{i}].{key} must be finite and positive"));
-                    }
-                }
-                if path_kind == Some("stream") {
-                    if let Some(kind) = entry.get("kind").and_then(|v| v.as_str()) {
-                        stream_kinds.push(kind.to_owned());
-                    }
-                }
-            }
-        }
-        None => problem("missing array field `results`".into()),
-    }
-    for kind in ["lvp", "stride", "fcm", "dfcm"] {
-        if !stream_kinds.iter().any(|k| k == kind) {
-            problem(format!("no stream-path result for predictor kind `{kind}`"));
-        }
-    }
-
-    match doc.get("aggregate") {
-        Some(agg) => {
-            if agg
-                .get("configs")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n == 0)
-            {
-                problem("`aggregate.configs` must be a positive integer".into());
-            }
-            let field = |key: &str| agg.get(key).and_then(|v| v.as_f64());
-            match (
-                field("baseline_dyn_seconds"),
-                field("stream_seconds"),
-                field("speedup"),
-            ) {
-                (Some(base), Some(stream), Some(speedup))
-                    if base > 0.0 && stream > 0.0 && speedup > 0.0 =>
-                {
-                    // The file rounds each field independently; allow a
-                    // small tolerance around base/stream.
-                    let expected = base / stream;
-                    if (speedup - expected).abs() > 0.05 * expected {
-                        problem(format!(
-                            "aggregate.speedup {speedup} inconsistent with \
-                             {base}/{stream} = {expected:.3}"
-                        ));
-                    }
-                }
-                _ => problem(
-                    "aggregate needs positive baseline_dyn_seconds, \
-                     stream_seconds and speedup"
-                        .into(),
-                ),
-            }
-        }
-        None => problem("missing object field `aggregate`".into()),
-    }
-
-    format!(
-        "dfcm-bench-throughput/v1, {} result(s)",
-        doc.get("results")
-            .and_then(|v| v.as_arr())
-            .map_or(0, <[_]>::len)
-    )
-}
-
-/// The `dfcm-bench-serve/v1` validator (see [`bench_check`]): the
-/// loadgen artifact written by `dfcm-tools loadgen --bench-out`.
-fn check_bench_serve(doc: &dfcm_obs::json::Json, problems: &mut Vec<String>) -> String {
-    let field = |key: &str| doc.get(key).and_then(|v| v.as_u64());
-    let mut problem = |p: String| problems.push(p);
-    for key in ["clients", "requests"] {
-        if field(key).is_none_or(|n| n == 0) {
-            problem(format!("`{key}` must be a positive integer"));
-        }
-    }
-    for key in [
-        "acked",
-        "failed",
-        "corrupted",
-        "verified",
-        "p50_us",
-        "p99_us",
-        "max_us",
-    ] {
-        if field(key).is_none() {
-            problem(format!("`{key}` must be a non-negative integer"));
-        }
-    }
-    if let (Some(requests), Some(acked), Some(failed)) =
-        (field("requests"), field("acked"), field("failed"))
-    {
-        if acked.checked_add(failed) != Some(requests) {
-            problem(format!(
-                "acked {acked} + failed {failed} != requests {requests}: \
-                 requests unaccounted for"
-            ));
-        }
-    }
-    if field("corrupted").is_some_and(|n| n > 0) {
-        problem(
-            "`corrupted` must be 0: an acknowledged reply contradicted \
-             the shadow predictor"
-                .into(),
-        );
-    }
-    if let (Some(verified), Some(acked)) = (field("verified"), field("acked")) {
-        if verified > acked {
-            problem(format!("verified {verified} exceeds acked {acked}"));
-        }
-    }
-    if let (Some(p50), Some(p99), Some(max)) = (field("p50_us"), field("p99_us"), field("max_us")) {
-        if p50 > p99 || p99 > max {
-            problem(format!(
-                "latency percentiles out of order: p50 {p50}, p99 {p99}, max {max}"
-            ));
-        }
-    }
-    for key in ["elapsed_s", "throughput_rps"] {
-        if !doc
-            .get(key)
-            .and_then(|v| v.as_f64())
-            .is_some_and(|x| x.is_finite() && x >= 0.0)
-        {
-            problem(format!("`{key}` must be finite and non-negative"));
-        }
-    }
-    format!(
-        "dfcm-bench-serve/v1, {}/{} acked",
-        field("acked").unwrap_or(0),
-        field("requests").unwrap_or(0)
-    )
-}
-
-/// The `dfcm-bench-vm/v1` validator (see [`bench_check`]): the VM-tier
-/// benchmark artifact written by `cargo bench --bench vm`. Unknown
-/// fields are ignored, like the other validators; missing kernels and
-/// non-positive rates are rejected.
-fn check_bench_vm(doc: &dfcm_obs::json::Json, problems: &mut Vec<String>) -> String {
-    let mut problem = |p: String| problems.push(p);
-    match doc.get("mode").and_then(|v| v.as_str()) {
-        Some("quick") | Some("full") => {}
-        Some(other) => problem(format!("`mode` must be quick|full, got `{other}`")),
-        None => problem("missing string field `mode`".into()),
-    }
-    if doc
-        .get("records")
-        .and_then(|v| v.as_u64())
-        .is_none_or(|n| n == 0)
-    {
-        problem("`records` must be a positive integer".into());
-    }
-    match doc.get("machine") {
-        Some(machine) => {
-            for key in ["os", "arch"] {
-                if machine.get(key).and_then(|v| v.as_str()).is_none() {
-                    problem(format!("`machine.{key}` must be a string"));
-                }
-            }
-            if machine
-                .get("threads")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n == 0)
-            {
-                problem("`machine.threads` must be a positive integer".into());
-            }
-        }
-        None => problem("missing object field `machine`".into()),
-    }
-    // The whole point of the fast tier is that it is bit-identical; an
-    // artifact that measured divergent tiers is invalid, not just slow.
-    match doc.get("equivalent") {
-        Some(dfcm_obs::json::Json::Bool(true)) => {}
-        Some(dfcm_obs::json::Json::Bool(false)) => {
-            problem("`equivalent` is false: the tiers emitted different traces".into());
-        }
-        _ => problem("missing boolean field `equivalent`".into()),
-    }
-
-    let mut seen: Vec<String> = Vec::new();
-    match doc.get("kernels").and_then(|v| v.as_arr()) {
-        Some([]) => problem("`kernels` must be non-empty".into()),
-        Some(entries) => {
-            for (i, entry) in entries.iter().enumerate() {
-                match entry.get("kernel").and_then(|v| v.as_str()) {
-                    Some(name) => seen.push(name.to_owned()),
-                    None => problem(format!("kernels[{i}].kernel must be a string")),
-                }
-                if entry
-                    .get("instructions")
-                    .and_then(|v| v.as_u64())
-                    .is_none_or(|n| n == 0)
-                {
-                    problem(format!(
-                        "kernels[{i}].instructions must be a positive integer"
-                    ));
-                }
-                let rate = |key: &str| entry.get(key).and_then(|v| v.as_f64());
-                for key in [
-                    "interp_seconds",
-                    "interp_ips",
-                    "fast_seconds",
-                    "fast_ips",
-                    "speedup",
-                ] {
-                    if !rate(key).is_some_and(|x| x.is_finite() && x > 0.0) {
-                        problem(format!("kernels[{i}].{key} must be finite and positive"));
-                    }
-                }
-                if let (Some(interp), Some(fast), Some(speedup)) = (
-                    rate("interp_seconds"),
-                    rate("fast_seconds"),
-                    rate("speedup"),
-                ) {
-                    if interp > 0.0 && fast > 0.0 && speedup > 0.0 {
-                        let expected = interp / fast;
-                        if (speedup - expected).abs() > 0.05 * expected {
-                            problem(format!(
-                                "kernels[{i}].speedup {speedup} inconsistent with \
-                                 {interp}/{fast} = {expected:.3}"
-                            ));
-                        }
-                    }
-                }
-                for key in ["fused_fraction", "replay_fraction"] {
-                    if !rate(key).is_some_and(|x| (0.0..=1.0).contains(&x)) {
-                        problem(format!("kernels[{i}].{key} must be within [0, 1]"));
-                    }
-                }
-            }
-        }
-        None => problem("missing array field `kernels`".into()),
-    }
-    for (name, _) in programs::all() {
-        if !seen.iter().any(|k| k == name) {
-            problem(format!("bundled kernel `{name}` missing from `kernels`"));
-        }
-    }
-
-    match doc.get("aggregate") {
-        Some(agg) => {
-            if agg
-                .get("kernels")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n as usize != seen.len())
-            {
-                problem(format!(
-                    "`aggregate.kernels` must equal the kernel entry count ({})",
-                    seen.len()
-                ));
-            }
-            let field = |key: &str| agg.get(key).and_then(|v| v.as_f64());
-            match (
-                field("min_speedup"),
-                field("geomean_speedup"),
-                field("max_speedup"),
-            ) {
-                (Some(min), Some(geo), Some(max))
-                    if min > 0.0 && geo > 0.0 && max > 0.0 && min <= geo && geo <= max => {}
-                _ => problem(
-                    "aggregate needs positive, ordered min_speedup <= \
-                     geomean_speedup <= max_speedup"
-                        .into(),
-                ),
-            }
-        }
-        None => problem("missing object field `aggregate`".into()),
-    }
-
-    format!("dfcm-bench-vm/v1, {} kernel(s)", seen.len())
-}
-
-/// Per-suite v3 density ceiling (bits/record) for `bench check`. The
-/// suite's worst case is `go` (wide random value blocks) at ~15 in
-/// quick mode; anything past this means packing or compression
-/// regressed.
-const TRACE_SUITE_MAX_BITS: f64 = 16.0;
-/// Aggregate v3 density ceiling (bits/record); measured ~10.8.
-const TRACE_AGG_MAX_BITS: f64 = 12.0;
-/// Minimum aggregate size ratio over v2; measured ~3.3x.
-const TRACE_MIN_RATIO_VS_V2: f64 = 2.0;
-
-/// The `dfcm-bench-trace/v1` validator (see [`bench_check`]): the
-/// trace-format benchmark artifact written by `cargo bench --bench
-/// trace`. Density ceilings are acceptance gates — a suite entry over
-/// [`TRACE_SUITE_MAX_BITS`] bits/record in v3, an aggregate over
-/// [`TRACE_AGG_MAX_BITS`], or an aggregate ratio under
-/// [`TRACE_MIN_RATIO_VS_V2`]x is rejected, not just reported.
-fn check_bench_trace(doc: &dfcm_obs::json::Json, problems: &mut Vec<String>) -> String {
-    let mut problem = |p: String| problems.push(p);
-    match doc.get("mode").and_then(|v| v.as_str()) {
-        Some("quick") | Some("full") => {}
-        Some(other) => problem(format!("`mode` must be quick|full, got `{other}`")),
-        None => problem("missing string field `mode`".into()),
-    }
-    if doc
-        .get("records")
-        .and_then(|v| v.as_u64())
-        .is_none_or(|n| n == 0)
-    {
-        problem("`records` must be a positive integer".into());
-    }
-    match doc.get("machine") {
-        Some(machine) => {
-            for key in ["os", "arch"] {
-                if machine.get(key).and_then(|v| v.as_str()).is_none() {
-                    problem(format!("`machine.{key}` must be a string"));
-                }
-            }
-            if machine
-                .get("threads")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n == 0)
-            {
-                problem("`machine.threads` must be a positive integer".into());
-            }
-        }
-        None => problem("missing object field `machine`".into()),
-    }
-
-    let mut entries_seen = 0usize;
-    match doc.get("suite").and_then(|v| v.as_arr()) {
-        Some([]) => problem("`suite` must be non-empty".into()),
-        Some(entries) => {
-            entries_seen = entries.len();
-            for (i, entry) in entries.iter().enumerate() {
-                if entry.get("name").and_then(|v| v.as_str()).is_none() {
-                    problem(format!("suite[{i}].name must be a string"));
-                }
-                for key in ["records", "v2_bytes", "v3_bytes"] {
-                    if entry
-                        .get(key)
-                        .and_then(|v| v.as_u64())
-                        .is_none_or(|n| n == 0)
-                    {
-                        problem(format!("suite[{i}].{key} must be a positive integer"));
-                    }
-                }
-                let rate = |key: &str| entry.get(key).and_then(|v| v.as_f64());
-                for key in [
-                    "v2_bits_record",
-                    "v3_bits_record",
-                    "encode_mb_s",
-                    "decode_mb_s",
-                ] {
-                    if !rate(key).is_some_and(|x| x.is_finite() && x > 0.0) {
-                        problem(format!("suite[{i}].{key} must be finite and positive"));
-                    }
-                }
-                if let Some(bits) = rate("v3_bits_record") {
-                    if bits > TRACE_SUITE_MAX_BITS {
-                        problem(format!(
-                            "suite[{i}].v3_bits_record {bits} exceeds the \
-                             {TRACE_SUITE_MAX_BITS} bits/record density gate"
-                        ));
-                    }
-                }
-            }
-        }
-        None => problem("missing array field `suite`".into()),
-    }
-
-    match doc.get("aggregate") {
-        Some(agg) => {
-            let field = |key: &str| agg.get(key).and_then(|v| v.as_f64());
-            for key in [
-                "v2_bits_record",
-                "v3_bits_record",
-                "ratio_vs_v2",
-                "encode_mb_s",
-                "decode_mb_s",
-                "v2_stream_pred_s",
-                "v3_stream_pred_s",
-                "stream_ratio",
-            ] {
-                if !field(key).is_some_and(|x| x.is_finite() && x > 0.0) {
-                    problem(format!("aggregate.{key} must be finite and positive"));
-                }
-            }
-            if agg
-                .get("stream_threads")
-                .and_then(|v| v.as_u64())
-                .is_none_or(|n| n == 0)
-            {
-                problem("`aggregate.stream_threads` must be a positive integer".into());
-            }
-            if let Some(bits) = field("v3_bits_record") {
-                if bits > TRACE_AGG_MAX_BITS {
-                    problem(format!(
-                        "aggregate.v3_bits_record {bits} exceeds the \
-                         {TRACE_AGG_MAX_BITS} bits/record density gate"
-                    ));
-                }
-            }
-            if let (Some(v2), Some(v3), Some(ratio)) = (
-                field("v2_bits_record"),
-                field("v3_bits_record"),
-                field("ratio_vs_v2"),
-            ) {
-                if v2 > 0.0 && v3 > 0.0 && ratio > 0.0 {
-                    if ratio < TRACE_MIN_RATIO_VS_V2 {
-                        problem(format!(
-                            "aggregate.ratio_vs_v2 {ratio} under the \
-                             {TRACE_MIN_RATIO_VS_V2}x compression gate"
-                        ));
-                    }
-                    let expected = v2 / v3;
-                    if (ratio - expected).abs() > 0.05 * expected {
-                        problem(format!(
-                            "aggregate.ratio_vs_v2 {ratio} inconsistent with \
-                             {v2}/{v3} = {expected:.3}"
-                        ));
-                    }
-                }
-            }
-            if let (Some(v2_ps), Some(v3_ps), Some(ratio)) = (
-                field("v2_stream_pred_s"),
-                field("v3_stream_pred_s"),
-                field("stream_ratio"),
-            ) {
-                if v2_ps > 0.0 && v3_ps > 0.0 && ratio > 0.0 {
-                    let expected = v3_ps / v2_ps;
-                    if (ratio - expected).abs() > 0.05 * expected {
-                        problem(format!(
-                            "aggregate.stream_ratio {ratio} inconsistent with \
-                             {v3_ps}/{v2_ps} = {expected:.3}"
-                        ));
-                    }
-                }
-            }
-        }
-        None => problem("missing object field `aggregate`".into()),
-    }
-
-    format!("dfcm-bench-trace/v1, {entries_seen} suite trace(s)")
-}
-
-/// The benchmark artifacts `bench trend` looks for in each directory.
-const TREND_FILES: &[&str] = &[
-    "BENCH_throughput.json",
-    "BENCH_vm.json",
-    "BENCH_trace.json",
-    "BENCH_serve.json",
-];
-
-/// One comparable headline metric extracted from a benchmark artifact:
-/// name, value, and whether larger values are better (throughput-like)
-/// or worse (latency/density-like).
-type TrendMetric = (String, f64, bool);
-
-/// Extracts the headline metrics of a benchmark artifact for trend
-/// comparison, dispatching on the `schema` field like [`bench_check`].
-/// Returns an error for unknown schemas (the artifact may still be
-/// valid for `bench check`; it just cannot be trended).
-fn trend_metrics(doc: &dfcm_obs::json::Json) -> Result<Vec<TrendMetric>, String> {
-    let mut metrics: Vec<TrendMetric> = Vec::new();
-    match doc.get("schema").and_then(|v| v.as_str()) {
-        Some("dfcm-bench-throughput/v1") => {
-            for entry in doc.get("results").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let (Some(kind), Some(path)) = (
-                    entry.get("kind").and_then(|v| v.as_str()),
-                    entry.get("path").and_then(|v| v.as_str()),
-                ) else {
-                    continue;
-                };
-                if let Some(v) = entry.get("predictions_per_sec").and_then(|v| v.as_f64()) {
-                    metrics.push((format!("{kind}[{path}] predictions_per_sec"), v, true));
-                }
-            }
-            if let Some(v) = doc
-                .get("aggregate")
-                .and_then(|a| a.get("speedup"))
-                .and_then(|v| v.as_f64())
-            {
-                metrics.push(("aggregate.speedup".into(), v, true));
-            }
-        }
-        Some("dfcm-bench-vm/v1") => {
-            for entry in doc.get("kernels").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let Some(kernel) = entry.get("kernel").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                for key in ["fast_ips", "speedup"] {
-                    if let Some(v) = entry.get(key).and_then(|v| v.as_f64()) {
-                        metrics.push((format!("{kernel}.{key}"), v, true));
-                    }
-                }
-            }
-            if let Some(v) = doc
-                .get("aggregate")
-                .and_then(|a| a.get("geomean_speedup"))
-                .and_then(|v| v.as_f64())
-            {
-                metrics.push(("aggregate.geomean_speedup".into(), v, true));
-            }
-        }
-        Some("dfcm-bench-trace/v1") => {
-            for entry in doc.get("suite").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let Some(name) = entry.get("name").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                if let Some(v) = entry.get("v3_bits_record").and_then(|v| v.as_f64()) {
-                    // Density: fewer bits per record is better.
-                    metrics.push((format!("{name}.v3_bits_record"), v, false));
-                }
-            }
-            if let Some(agg) = doc.get("aggregate") {
-                if let Some(v) = agg.get("v3_bits_record").and_then(|v| v.as_f64()) {
-                    metrics.push(("aggregate.v3_bits_record".into(), v, false));
-                }
-                for key in ["v2_stream_pred_s", "v3_stream_pred_s"] {
-                    if let Some(v) = agg.get(key).and_then(|v| v.as_f64()) {
-                        metrics.push((format!("aggregate.{key}"), v, true));
-                    }
-                }
-            }
-        }
-        Some("dfcm-bench-serve/v1") => {
-            if let Some(v) = doc.get("throughput_rps").and_then(|v| v.as_f64()) {
-                metrics.push(("throughput_rps".into(), v, true));
-            }
-            for key in ["p50_us", "p99_us"] {
-                if let Some(v) = doc.get(key).and_then(|v| v.as_f64()) {
-                    // Latency: lower is better.
-                    metrics.push((key.into(), v, false));
-                }
-            }
-        }
-        Some(other) => return Err(format!("unknown schema `{other}`")),
-        None => return Err("missing string field `schema`".into()),
-    }
-    Ok(metrics)
-}
-
-/// `bench trend --baseline <dir> [--current <dir>] [--threshold PCT]
-/// [--report-only]` — the bench-trajectory regression gate: compares
-/// the current benchmark artifacts (the `BENCH_*.json` files in `current`)
-/// against a committed baseline directory, metric by metric, and fails
-/// on any headline metric that regressed beyond `threshold_percent`
-/// (slower throughput, higher latency, denser-than-before traces).
-///
-/// Artifacts absent from the baseline are reported and skipped (no
-/// baseline, nothing to gate — `BENCH_serve.json` is CI-only, for
-/// example); an artifact present in the baseline but missing from the
-/// current run is itself a regression. With `report_only`, regressions
-/// are reported but the call still succeeds, for advisory CI steps on
-/// noisy runners.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] when no artifact could be compared, when an
-/// artifact is unreadable or schema-less, or (without `report_only`)
-/// when any metric regressed beyond the threshold.
-pub fn bench_trend(
-    current: &Path,
-    baseline: &Path,
-    threshold_percent: f64,
-    report_only: bool,
-) -> Result<String, ToolError> {
-    let mut out = format!(
-        "bench trend: {} vs baseline {} (threshold {threshold_percent}%)\n",
-        current.display(),
-        baseline.display()
-    );
-    let mut compared_files = 0usize;
-    let mut compared_metrics = 0usize;
-    let mut regressions: Vec<String> = Vec::new();
-    for name in TREND_FILES {
-        let base_path = baseline.join(name);
-        let cur_path = current.join(name);
-        match (base_path.is_file(), cur_path.is_file()) {
-            (false, false) => continue,
-            (false, true) => {
-                let _ = writeln!(out, "{name}: no baseline — skipped (baseline candidate)");
-                continue;
-            }
-            (true, false) => {
-                regressions.push(format!(
-                    "{name}: present in the baseline but missing from the current run"
-                ));
-                let _ = writeln!(out, "{name}: MISSING from current run");
-                continue;
-            }
-            (true, true) => {}
-        }
-        let parse = |path: &Path| -> Result<Vec<TrendMetric>, ToolError> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("{}: {e}", path.display())))?;
-            let doc = dfcm_obs::json::parse(&text)
-                .map_err(|e| err(format!("{}: malformed JSON: {e}", path.display())))?;
-            trend_metrics(&doc).map_err(|e| err(format!("{}: {e}", path.display())))
-        };
-        let base_metrics = parse(&base_path)?;
-        let cur_metrics = parse(&cur_path)?;
-        compared_files += 1;
-        let _ = writeln!(out, "{name}:");
-        for (metric, base_value, higher_is_better) in &base_metrics {
-            let Some((_, cur_value, _)) = cur_metrics.iter().find(|(m, _, _)| m == metric) else {
-                regressions.push(format!(
-                    "{name}: metric `{metric}` missing from current run"
-                ));
-                let _ = writeln!(out, "  {metric:<44} MISSING from current run");
-                continue;
-            };
-            if !(base_value.is_finite() && base_value.abs() > f64::EPSILON) {
-                continue;
-            }
-            compared_metrics += 1;
-            let delta_pct = (cur_value - base_value) / base_value * 100.0;
-            let regressed = if *higher_is_better {
-                delta_pct < -threshold_percent
-            } else {
-                delta_pct > threshold_percent
-            };
-            let status = if regressed {
-                regressions.push(format!(
-                    "{name}: `{metric}` {base_value:.3} -> {cur_value:.3} \
-                     ({delta_pct:+.1}%, {} is worse)",
-                    if *higher_is_better { "lower" } else { "higher" }
-                ));
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "  {metric:<44} {base_value:>14.3} -> {cur_value:>14.3}  {delta_pct:+7.1}%  {status}"
-            );
-        }
-    }
-    if compared_files == 0 && regressions.is_empty() {
-        return Err(err(format!(
-            "no benchmark artifacts to compare (looked for {} under {} and {})",
-            TREND_FILES.join(", "),
-            current.display(),
-            baseline.display()
-        )));
-    }
-    let _ = writeln!(
-        out,
-        "{compared_metrics} metric(s) across {compared_files} artifact(s), \
-         {} regression(s) beyond {threshold_percent}%",
-        regressions.len()
-    );
-    if regressions.is_empty() {
-        return Ok(out);
-    }
-    if report_only {
-        let _ = writeln!(out, "report-only: regressions reported, not enforced");
-        return Ok(out);
-    }
-    Err(err(format!(
-        "{out}error: {} benchmark metric(s) regressed beyond {threshold_percent}%:\n  {}",
-        regressions.len(),
-        regressions.join("\n  ")
-    )))
-}
-
 /// Options for the `serve` subcommand.
 #[derive(Debug, Clone)]
 pub struct ServeOpts {
@@ -1800,8 +1019,6 @@ pub struct LoadGenOpts {
     /// With `true`, unacknowledged requests fail the command (corrupted
     /// acknowledgements always do).
     pub strict: bool,
-    /// Write the `dfcm-bench-serve/v1` artifact here.
-    pub bench_out: Option<PathBuf>,
     /// Write the latency histogram as JSONL here.
     pub hist_out: Option<PathBuf>,
 }
@@ -1816,7 +1033,6 @@ impl LoadGenOpts {
             session_base: 1,
             faults: None,
             strict: false,
-            bench_out: None,
             hist_out: None,
         }
     }
@@ -1824,16 +1040,18 @@ impl LoadGenOpts {
 
 /// `loadgen <trace.trc> <addr> <predictor> [--clients N]
 /// [--session-base N] [--inject-faults SEED[:P[:T[:D]]]] [--strict]
-/// [--bench-out FILE] [--hist-out FILE]` — replays a saved trace against
-/// a running daemon with shadow-predictor verification and optional
-/// deterministic chaos, and reports throughput and latency percentiles.
+/// [--hist-out FILE]` — replays a saved trace against a running daemon
+/// with shadow-predictor verification and optional deterministic chaos,
+/// and reports throughput and latency percentiles.
 ///
 /// # Errors
 ///
 /// Returns [`ToolError`] when the trace, address, spec or fault plan is
-/// invalid, when an output file cannot be written, when any
-/// acknowledged reply contradicted the shadow predictor, or (with
-/// `strict`) when any request went unacknowledged.
+/// invalid, when the run would send no requests (zero clients or an
+/// empty trace), when a client thread panicked, when an output file
+/// cannot be written, when any acknowledged reply contradicted the
+/// shadow predictor, or (with `strict`) when any request went
+/// unacknowledged.
 pub fn loadgen(trace_path: &Path, opts: &LoadGenOpts) -> Result<String, ToolError> {
     let trace =
         Trace::load(trace_path).map_err(|e| err(format!("{}: {e}", trace_path.display())))?;
@@ -1850,11 +1068,6 @@ pub fn loadgen(trace_path: &Path, opts: &LoadGenOpts) -> Result<String, ToolErro
     }
     let report = dfcm_serve::run_loadgen(&config, &trace).map_err(err)?;
 
-    if let Some(path) = &opts.bench_out {
-        let mut json = dfcm_serve::bench_json(&report);
-        json.push('\n');
-        std::fs::write(path, json).map_err(|e| err(format!("{}: {e}", path.display())))?;
-    }
     if let Some(path) = &opts.hist_out {
         let mut lines = dfcm_serve::histogram_jsonl(&report).join("\n");
         lines.push('\n');
@@ -2130,330 +1343,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn bench_doc(speedup: f64) -> String {
-        let result = |kind: &str, path: &str| {
-            format!(
-                r#"{{"predictor":"{kind}(2^16)","kind":"{kind}","path":"{path}","records":100000,"seconds":0.5,"predictions_per_sec":200000.0}}"#
-            )
-        };
-        let results: Vec<String> = ["lvp", "stride", "fcm", "dfcm"]
-            .iter()
-            .flat_map(|k| [result(k, "dyn"), result(k, "stream")])
-            .collect();
-        format!(
-            r#"{{"schema":"dfcm-bench-throughput/v1","mode":"quick","records":100000,
-               "machine":{{"os":"linux","arch":"x86_64","threads":8}},
-               "results":[{}],
-               "aggregate":{{"configs":16,"baseline_dyn_seconds":2.0,"stream_seconds":0.5,"speedup":{speedup}}}}}"#,
-            results.join(",")
-        )
-    }
-
-    #[test]
-    fn bench_check_accepts_valid_artifact() {
-        let path = std::env::temp_dir().join("dfcm_tools_bench_ok.json");
-        std::fs::write(&path, bench_doc(4.0)).unwrap();
-        let out = bench_check(&path).unwrap();
-        assert!(out.contains("OK"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_check_rejects_schema_violations() {
-        let dir = std::env::temp_dir().join("dfcm_tools_bench_bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Inconsistent speedup.
-        let p1 = dir.join("speedup.json");
-        std::fs::write(&p1, bench_doc(9.0)).unwrap();
-        assert!(bench_check(&p1)
-            .unwrap_err()
-            .to_string()
-            .contains("speedup"));
-        // Missing stream coverage for dfcm.
-        let p2 = dir.join("coverage.json");
-        std::fs::write(
-            &p2,
-            bench_doc(4.0).replace(
-                r#""kind":"dfcm","path":"stream""#,
-                r#""kind":"dfcm","path":"dyn""#,
-            ),
-        )
-        .unwrap();
-        assert!(bench_check(&p2).unwrap_err().to_string().contains("dfcm"));
-        // Not JSON at all.
-        let p3 = dir.join("garbage.json");
-        std::fs::write(&p3, "not json").unwrap();
-        assert!(bench_check(&p3).is_err());
-        // Wrong schema tag.
-        let p4 = dir.join("tag.json");
-        std::fs::write(
-            &p4,
-            bench_doc(4.0).replace("throughput/v1", "throughput/v9"),
-        )
-        .unwrap();
-        assert!(bench_check(&p4).unwrap_err().to_string().contains("schema"));
-        // Missing sweep config count.
-        let p5 = dir.join("configs.json");
-        std::fs::write(&p5, bench_doc(4.0).replace(r#""configs":16,"#, "")).unwrap();
-        assert!(bench_check(&p5)
-            .unwrap_err()
-            .to_string()
-            .contains("configs"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn serve_bench_doc() -> String {
-        r#"{"schema":"dfcm-bench-serve/v1","clients":2,"requests":400,
-            "acked":400,"failed":0,"corrupted":0,"verified":400,
-            "elapsed_s":0.5,"throughput_rps":800.0,
-            "p50_us":40,"p99_us":900,"max_us":1500}"#
-            .to_owned()
-    }
-
-    #[test]
-    fn bench_check_accepts_valid_serve_artifact() {
-        let path = std::env::temp_dir().join("dfcm_tools_bench_serve_ok.json");
-        std::fs::write(&path, serve_bench_doc()).unwrap();
-        let out = bench_check(&path).unwrap();
-        assert!(out.contains("OK"), "{out}");
-        assert!(out.contains("dfcm-bench-serve/v1"), "{out}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_check_rejects_serve_schema_violations() {
-        let dir = std::env::temp_dir().join("dfcm_tools_bench_serve_bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let reject = |name: &str, doc: String, needle: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, doc).unwrap();
-            let msg = bench_check(&path).unwrap_err().to_string();
-            assert!(msg.contains(needle), "{name}: {msg}");
-        };
-        // A corrupted acknowledgement is a hard failure.
-        reject(
-            "corrupted.json",
-            serve_bench_doc().replace(r#""corrupted":0"#, r#""corrupted":1"#),
-            "corrupted",
-        );
-        // Requests must be fully accounted for by acked + failed.
-        reject(
-            "unaccounted.json",
-            serve_bench_doc().replace(r#""acked":400"#, r#""acked":399"#),
-            "unaccounted",
-        );
-        // Percentiles must be ordered.
-        reject(
-            "percentiles.json",
-            serve_bench_doc().replace(r#""p50_us":40"#, r#""p50_us":4000"#),
-            "out of order",
-        );
-        // Verification cannot exceed acknowledgements.
-        reject(
-            "verified.json",
-            serve_bench_doc().replace(r#""verified":400"#, r#""verified":401"#),
-            "exceeds",
-        );
-        // Missing counter field.
-        reject(
-            "missing.json",
-            serve_bench_doc().replace(r#""failed":0,"#, ""),
-            "failed",
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn vm_bench_doc() -> String {
-        let kernels: Vec<String> = dfcm_vm::programs::all()
-            .into_iter()
-            .map(|(name, _)| {
-                format!(
-                    r#"{{"kernel":"{name}","instructions":500000,
-                        "interp_seconds":0.8,"interp_ips":625000.0,
-                        "fast_seconds":0.05,"fast_ips":10000000.0,"speedup":16.0,
-                        "fused_fraction":0.4,"replay_fraction":0.9}}"#
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"schema":"dfcm-bench-vm/v1","mode":"quick","records":500000,
-               "machine":{{"os":"linux","arch":"x86_64","threads":8}},
-               "equivalent":true,
-               "kernels":[{}],
-               "aggregate":{{"kernels":{},"min_speedup":16.0,"geomean_speedup":16.0,"max_speedup":16.0}}}}"#,
-            kernels.join(","),
-            dfcm_vm::programs::all().len()
-        )
-    }
-
-    #[test]
-    fn bench_check_accepts_valid_vm_artifact() {
-        let path = std::env::temp_dir().join("dfcm_tools_bench_vm_ok.json");
-        // Unknown fields must be ignored, like the other validators.
-        let doc = vm_bench_doc().replace(
-            r#""mode":"quick""#,
-            r#""mode":"quick","future_field":{"nested":1}"#,
-        );
-        std::fs::write(&path, doc).unwrap();
-        let out = bench_check(&path).unwrap();
-        assert!(out.contains("OK"), "{out}");
-        assert!(out.contains("dfcm-bench-vm/v1"), "{out}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_check_rejects_vm_schema_violations() {
-        let dir = std::env::temp_dir().join("dfcm_tools_bench_vm_bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let reject = |name: &str, doc: String, needle: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, doc).unwrap();
-            let msg = bench_check(&path).unwrap_err().to_string();
-            assert!(msg.contains(needle), "{name}: {msg}");
-        };
-        // A bundled kernel dropped from the artifact.
-        reject(
-            "missing_kernel.json",
-            vm_bench_doc().replace(r#""kernel":"sieve""#, r#""kernel":"sievex""#),
-            "`sieve` missing",
-        );
-        // Non-equivalent tiers invalidate the whole measurement.
-        reject(
-            "divergent.json",
-            vm_bench_doc().replace(r#""equivalent":true"#, r#""equivalent":false"#),
-            "different traces",
-        );
-        // Rates must be positive.
-        reject(
-            "rate.json",
-            vm_bench_doc().replace(r#""fast_ips":10000000.0"#, r#""fast_ips":0.0"#),
-            "fast_ips",
-        );
-        // Speedup must match the measured seconds.
-        reject(
-            "speedup.json",
-            vm_bench_doc().replace(r#""speedup":16.0"#, r#""speedup":2.0"#),
-            "inconsistent",
-        );
-        // Fractions live in [0, 1].
-        reject(
-            "fraction.json",
-            vm_bench_doc().replace(r#""replay_fraction":0.9"#, r#""replay_fraction":1.5"#),
-            "replay_fraction",
-        );
-        // Aggregate speedups must be ordered.
-        reject(
-            "aggregate.json",
-            vm_bench_doc().replace(r#""min_speedup":16.0"#, r#""min_speedup":99.0"#),
-            "ordered",
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn trace_bench_doc() -> String {
-        r#"{"schema":"dfcm-bench-trace/v1","mode":"quick","records":640000,
-           "machine":{"os":"linux","arch":"x86_64","threads":8},
-           "suite":[
-             {"name":"cc1","records":80000,"v2_bytes":350000,"v3_bytes":120000,
-              "v2_bits_record":35.0,"v3_bits_record":12.0,
-              "encode_mb_s":60.0,"decode_mb_s":150.0},
-             {"name":"li","records":80000,"v2_bytes":340000,"v3_bytes":100000,
-              "v2_bits_record":34.0,"v3_bits_record":10.0,
-              "encode_mb_s":70.0,"decode_mb_s":180.0}],
-           "aggregate":{"v2_bits_record":34.5,"v3_bits_record":11.0,
-             "ratio_vs_v2":3.136,"encode_mb_s":65.0,"decode_mb_s":165.0,
-             "v2_stream_pred_s":23000000.0,"v3_stream_pred_s":10000000.0,
-             "stream_ratio":0.435,"stream_threads":4}}"#
-            .to_owned()
-    }
-
-    #[test]
-    fn bench_check_accepts_valid_trace_artifact() {
-        let path = std::env::temp_dir().join("dfcm_tools_bench_trace_ok.json");
-        // Unknown fields must be ignored, like the other validators.
-        let doc = trace_bench_doc().replace(
-            r#""mode":"quick""#,
-            r#""mode":"quick","future_field":{"nested":1}"#,
-        );
-        std::fs::write(&path, doc).unwrap();
-        let out = bench_check(&path).unwrap();
-        assert!(out.contains("OK"), "{out}");
-        assert!(
-            out.contains("dfcm-bench-trace/v1, 2 suite trace(s)"),
-            "{out}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_check_rejects_trace_schema_violations() {
-        let dir = std::env::temp_dir().join("dfcm_tools_bench_trace_bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let reject = |name: &str, doc: String, needle: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, doc).unwrap();
-            let msg = bench_check(&path).unwrap_err().to_string();
-            assert!(msg.contains(needle), "{name}: {msg}");
-        };
-        // A suite trace over the per-benchmark density gate.
-        reject(
-            "suite_density.json",
-            trace_bench_doc().replace(r#""v3_bits_record":12.0"#, r#""v3_bits_record":17.0"#),
-            "density gate",
-        );
-        // Aggregate density over its (tighter) gate. Keep ratio_vs_v2
-        // consistent so only the gate itself fires.
-        reject(
-            "agg_density.json",
-            trace_bench_doc()
-                .replace(r#""v3_bits_record":11.0"#, r#""v3_bits_record":13.0"#)
-                .replace(r#""ratio_vs_v2":3.136"#, r#""ratio_vs_v2":2.654"#),
-            "density gate",
-        );
-        // Aggregate compression ratio under the 2x floor.
-        reject(
-            "ratio_floor.json",
-            trace_bench_doc()
-                .replace(r#""v2_bits_record":34.5"#, r#""v2_bits_record":12.0"#)
-                .replace(r#""ratio_vs_v2":3.136"#, r#""ratio_vs_v2":1.091"#),
-            "compression gate",
-        );
-        // Ratio inconsistent with its own density fields.
-        reject(
-            "ratio_consistency.json",
-            trace_bench_doc().replace(r#""ratio_vs_v2":3.136"#, r#""ratio_vs_v2":9.0"#),
-            "inconsistent",
-        );
-        // Stream ratio inconsistent with the measured rates.
-        reject(
-            "stream_consistency.json",
-            trace_bench_doc().replace(r#""stream_ratio":0.435"#, r#""stream_ratio":2.0"#),
-            "inconsistent",
-        );
-        // Rates must be positive.
-        reject(
-            "rate.json",
-            trace_bench_doc().replace(r#""decode_mb_s":150.0"#, r#""decode_mb_s":0.0"#),
-            "decode_mb_s",
-        );
-        // Missing suite array.
-        reject(
-            "no_suite.json",
-            {
-                let doc = trace_bench_doc();
-                let start = doc.find(r#""suite":["#).unwrap();
-                let end = doc.find(r#"],"#).unwrap() + 2;
-                format!("{}{}", &doc[..start], &doc[end..])
-            },
-            "suite",
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn vm_profile_reports_opcode_and_pair_histograms() {
         let out = vm_profile("sieve", 200_000).unwrap();
@@ -2468,7 +1357,7 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_artifacts_pass_bench_check() {
+    fn loadgen_strict_run_acks_every_request_and_writes_histogram_jsonl() {
         let dir = std::env::temp_dir().join("dfcm_tools_loadgen_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -2485,19 +1374,26 @@ mod tests {
         let mut opts = LoadGenOpts::new(&addr.to_string(), "dfcm:6:8");
         opts.clients = 2;
         opts.strict = true;
-        opts.bench_out = Some(dir.join("BENCH_serve.json"));
         opts.hist_out = Some(dir.join("latency_hist.jsonl"));
         let out = loadgen(&trace_path, &opts).unwrap();
-        assert!(out.contains("acked 600/600"), "{out}");
+        assert!(
+            out.contains("acked 600/600 (failed 0, corrupted 0, verified 600)"),
+            "{out}"
+        );
 
-        // The emitted artifact validates, and the histogram is JSONL.
-        let checked = bench_check(&dir.join("BENCH_serve.json")).unwrap();
-        assert!(checked.contains("dfcm-bench-serve/v1"), "{checked}");
+        // One cumulative bucket per JSONL line, the `+Inf` one last and
+        // holding every acknowledged request.
         let hist = std::fs::read_to_string(dir.join("latency_hist.jsonl")).unwrap();
-        assert!(hist.lines().count() > 1);
-        for line in hist.lines() {
-            dfcm_obs::json::parse(line).unwrap();
-        }
+        let counts: Vec<u64> = hist
+            .lines()
+            .map(|line| {
+                let bucket = dfcm_obs::json::parse(line).unwrap();
+                bucket.get("count").and_then(|v| v.as_u64()).unwrap()
+            })
+            .collect();
+        assert!(counts.len() > 1, "{hist}");
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{hist}");
+        assert_eq!(counts.last(), Some(&600), "{hist}");
 
         handle.shutdown();
         join.join().unwrap();
@@ -2555,95 +1451,6 @@ mod tests {
         let msg = obs_report(&dir, false).unwrap_err().to_string();
         assert!(msg.contains("series.jsonl"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn trend_dirs(tag: &str) -> (PathBuf, PathBuf) {
-        let root = std::env::temp_dir().join(format!("dfcm_tools_trend_{tag}"));
-        let _ = std::fs::remove_dir_all(&root);
-        let current = root.join("current");
-        let baseline = root.join("baseline");
-        std::fs::create_dir_all(&current).unwrap();
-        std::fs::create_dir_all(&baseline).unwrap();
-        (current, baseline)
-    }
-
-    #[test]
-    fn bench_trend_passes_on_identical_artifacts() {
-        let (current, baseline) = trend_dirs("identical");
-        for dir in [&current, &baseline] {
-            std::fs::write(dir.join("BENCH_throughput.json"), bench_doc(4.0)).unwrap();
-            std::fs::write(dir.join("BENCH_vm.json"), vm_bench_doc()).unwrap();
-            std::fs::write(dir.join("BENCH_trace.json"), trace_bench_doc()).unwrap();
-            std::fs::write(dir.join("BENCH_serve.json"), serve_bench_doc()).unwrap();
-        }
-        let out = bench_trend(&current, &baseline, 10.0, false).unwrap();
-        assert!(out.contains("0 regression(s)"), "{out}");
-        assert!(out.contains("4 artifact(s)"), "{out}");
-        let _ = std::fs::remove_dir_all(current.parent().unwrap());
-    }
-
-    #[test]
-    fn bench_trend_flags_injected_regressions_in_both_directions() {
-        let (current, baseline) = trend_dirs("regressed");
-        std::fs::write(baseline.join("BENCH_throughput.json"), bench_doc(4.0)).unwrap();
-        // Throughput (higher-is-better) drops 40%.
-        std::fs::write(
-            current.join("BENCH_throughput.json"),
-            bench_doc(4.0).replace(
-                r#""predictions_per_sec":200000.0"#,
-                r#""predictions_per_sec":120000.0"#,
-            ),
-        )
-        .unwrap();
-        // Trace density (lower-is-better) grows past the threshold.
-        std::fs::write(baseline.join("BENCH_trace.json"), trace_bench_doc()).unwrap();
-        std::fs::write(
-            current.join("BENCH_trace.json"),
-            trace_bench_doc().replace(r#""v3_bits_record":11.0"#, r#""v3_bits_record":13.0"#),
-        )
-        .unwrap();
-
-        let msg = bench_trend(&current, &baseline, 10.0, false)
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("predictions_per_sec"), "{msg}");
-        assert!(msg.contains("aggregate.v3_bits_record"), "{msg}");
-        assert!(msg.contains("REGRESSED"), "{msg}");
-
-        // Report-only mode reports the same regressions but succeeds.
-        let out = bench_trend(&current, &baseline, 10.0, true).unwrap();
-        assert!(out.contains("REGRESSED"), "{out}");
-        assert!(out.contains("report-only"), "{out}");
-
-        // A generous threshold absorbs the drift.
-        assert!(bench_trend(&current, &baseline, 60.0, false).is_ok());
-        let _ = std::fs::remove_dir_all(current.parent().unwrap());
-    }
-
-    #[test]
-    fn bench_trend_tolerates_missing_baselines_but_not_missing_currents() {
-        let (current, baseline) = trend_dirs("missing");
-        // Serve artifact exists only in the current run: skipped, not a
-        // failure (BENCH_serve.json is CI-only at the repo root).
-        std::fs::write(current.join("BENCH_throughput.json"), bench_doc(4.0)).unwrap();
-        std::fs::write(baseline.join("BENCH_throughput.json"), bench_doc(4.0)).unwrap();
-        std::fs::write(current.join("BENCH_serve.json"), serve_bench_doc()).unwrap();
-        let out = bench_trend(&current, &baseline, 10.0, false).unwrap();
-        assert!(out.contains("no baseline"), "{out}");
-
-        // An artifact that vanished from the current run is a regression.
-        std::fs::write(baseline.join("BENCH_vm.json"), vm_bench_doc()).unwrap();
-        let msg = bench_trend(&current, &baseline, 10.0, false)
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("missing from the current run"), "{msg}");
-        assert!(bench_trend(&current, &baseline, 10.0, true).is_ok());
-
-        // Nothing to compare at all is an error, not a silent pass.
-        let (empty_cur, empty_base) = trend_dirs("empty");
-        assert!(bench_trend(&empty_cur, &empty_base, 10.0, false).is_err());
-        let _ = std::fs::remove_dir_all(current.parent().unwrap());
-        let _ = std::fs::remove_dir_all(empty_cur.parent().unwrap());
     }
 
     #[test]

@@ -47,18 +47,6 @@ usage:
               the top-K hard-to-predict PC table; --check validates the
               series stream and cross-reconciles it against the aggregate
               metrics, exiting nonzero on any disagreement)
-  dfcm-tools bench check <BENCH_file.json>
-             (validates a benchmark artifact against its declared schema —
-              dfcm-bench-throughput/v1, dfcm-bench-serve/v1,
-              dfcm-bench-vm/v1 or dfcm-bench-trace/v1; exits nonzero on
-              any violation)
-  dfcm-tools bench trend --baseline <dir> [--current <dir>]
-             [--threshold PCT] [--report-only]
-             (compares the current BENCH_*.json artifacts — current
-              defaults to `.` — against a committed baseline directory
-              and exits nonzero on any headline metric regressed beyond
-              the threshold, default 10%; --report-only reports without
-              failing, for advisory gates on noisy runners)
   dfcm-tools serve <addr> <predictor> [--snapshot FILE] [--max-sessions N]
              [--workers N] [--queue N] [--deadline-ms N] [--idle-ms N]
              (runs the prediction daemon until SIGTERM/SIGINT, then drains
@@ -68,14 +56,14 @@ usage:
               shed with an explicit Overloaded reply)
   dfcm-tools loadgen <trace.trc> <addr> <predictor> [--clients N]
              [--session-base N] [--inject-faults SEED[:P[:T[:D]]]]
-             [--strict] [--bench-out FILE] [--hist-out FILE]
+             [--strict] [--hist-out FILE]
              (replays the trace as N concurrent sessions, verifying every
               acknowledged reply against a local shadow predictor;
               --inject-faults adds deterministic chaos — connection drops,
               corrupt frames, slow-loris stalls — at permille rates;
               corrupted acknowledgements always exit nonzero, unacked
-              requests only under --strict; --bench-out writes the
-              dfcm-bench-serve/v1 artifact for `bench check`, --hist-out
+              requests only under --strict; zero clients, an empty trace
+              or a panicked client thread is an error; --hist-out writes
               the latency histogram as JSONL)
   dfcm-tools scrape <addr>
              (fetches a running daemon's metrics as Prometheus text:
@@ -274,51 +262,6 @@ fn run() -> Result<String, String> {
             }
             _ => Err(USAGE.to_owned()),
         },
-        "bench" => match rest.split_first() {
-            Some((sub, [path])) if sub == "check" => {
-                dfcm_tools::bench_check(&PathBuf::from(path)).map_err(|e| e.to_string())
-            }
-            Some((sub, args)) if sub == "trend" => {
-                let mut rest = args.to_vec();
-                let mut take_value = |flag: &str| -> Result<Option<String>, String> {
-                    match rest.iter().position(|a| a == flag) {
-                        Some(pos) => {
-                            let value = rest
-                                .get(pos + 1)
-                                .cloned()
-                                .ok_or_else(|| format!("{flag} needs a value"))?;
-                            rest.drain(pos..=pos + 1);
-                            Ok(Some(value))
-                        }
-                        None => Ok(None),
-                    }
-                };
-                let baseline = take_value("--baseline")?.ok_or("bench trend needs --baseline")?;
-                let current = take_value("--current")?.unwrap_or_else(|| ".".to_owned());
-                let threshold = take_value("--threshold")?
-                    .map(|s| s.parse::<f64>().map_err(|_| "bad --threshold".to_owned()))
-                    .transpose()?
-                    .unwrap_or(10.0);
-                let report_only = if let Some(pos) = rest.iter().position(|a| a == "--report-only")
-                {
-                    rest.remove(pos);
-                    true
-                } else {
-                    false
-                };
-                if !rest.is_empty() {
-                    return Err(USAGE.to_owned());
-                }
-                dfcm_tools::bench_trend(
-                    &PathBuf::from(current),
-                    &PathBuf::from(baseline),
-                    threshold,
-                    report_only,
-                )
-                .map_err(|e| e.to_string())
-            }
-            _ => Err(USAGE.to_owned()),
-        },
         "serve" => {
             let mut rest = rest.to_vec();
             let mut take_value = |flag: &str| -> Result<Option<String>, String> {
@@ -384,7 +327,6 @@ fn run() -> Result<String, String> {
             let clients = take_value("--clients")?;
             let session_base = take_value("--session-base")?;
             let faults = take_value("--inject-faults")?;
-            let bench_out = take_value("--bench-out")?;
             let hist_out = take_value("--hist-out")?;
             let strict = if let Some(pos) = rest.iter().position(|a| a == "--strict") {
                 rest.remove(pos);
@@ -404,7 +346,6 @@ fn run() -> Result<String, String> {
             }
             opts.faults = faults;
             opts.strict = strict;
-            opts.bench_out = bench_out.map(PathBuf::from);
             opts.hist_out = hist_out.map(PathBuf::from);
             dfcm_tools::loadgen(&PathBuf::from(trace), &opts).map_err(|e| e.to_string())
         }
