@@ -1,11 +1,15 @@
 //! Shared options and helpers for the reproduction experiments.
 
+use std::fmt::Debug;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use dfcm_sim::{EngineConfig, EngineReport};
+use dfcm::ValuePredictor;
+use dfcm_sim::checkpoint::{decode_rows, encode_rows};
+use dfcm_sim::engine::{TaskError, TaskOutput};
+use dfcm_sim::{run_tasks_resumable, sweep_engine_ft, EngineConfig, EngineReport, SweepPoint};
 use dfcm_trace::suite::{standard_suite, standard_traces};
 use dfcm_trace::{salvage_trace, BenchmarkTrace, Trace};
 
@@ -226,13 +230,34 @@ impl Options {
         }
     }
 
-    /// The engine configuration these options select.
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            threads: self.threads,
-            progress: self.progress,
-            obs: self.obs.clone(),
-            ..EngineConfig::default()
+    /// The handle an experiment runs its suite work through (see
+    /// [`Experiment`]); `name` names its checkpoints and metrics file.
+    pub fn experiment(&self, name: &'static str) -> Experiment<'_> {
+        Experiment {
+            opts: self,
+            name,
+            engine: EngineConfig {
+                threads: self.threads,
+                progress: self.progress,
+                obs: self.obs.clone(),
+                ..EngineConfig::default()
+            },
+            report: EngineReport::empty(0),
+        }
+    }
+
+    /// Names the suites these options produce, for checkpoint paths:
+    /// the seed and scale, plus the `--traces` directory when one is
+    /// given. The VM kernel traces follow `--scale` too.
+    fn suite_key(&self) -> String {
+        let key = format!("seed{}-scale{}", self.seed, self.scale);
+        match &self.trace_dir {
+            Some(dir) => {
+                let dir = dir.canonicalize().unwrap_or_else(|_| dir.clone());
+                let crc = dfcm_trace::crc::crc32(dir.to_string_lossy().as_bytes());
+                format!("{key}-traces{crc:08x}")
+            }
+            None => key,
         }
     }
 
@@ -255,38 +280,117 @@ impl Options {
             );
         }
     }
+}
 
-    /// The checkpoint path for a named sweep when `--resume` is set:
-    /// `<out_dir>/checkpoints/<name>.jsonl`. `None` without `--resume`,
-    /// so non-resumable runs leave no checkpoint files behind.
-    pub fn checkpoint_for(&self, name: &str) -> Option<PathBuf> {
-        self.resume.then(|| {
-            self.out_dir
+/// One experiment's suite work on the engine.
+///
+/// Every batch runs under the run's `--threads`/`--progress`/`--obs`
+/// engine config. With `--resume`, batch `b` of experiment `e`
+/// checkpoints to `<out>/checkpoints/<suite>/<e>-<b>.jsonl`, where
+/// `<suite>` names the `--seed`, `--scale` and `--traces` the suite came
+/// from and each entry's label names its configuration and benchmark,
+/// so a checkpoint is only ever resumed into the sweep that wrote it.
+/// Failed tasks are warned about on stderr and their benchmarks (or
+/// rows) omitted; [`Experiment::finish`] writes the merged report of all
+/// batches to `<out>/metrics/<e>.jsonl`.
+pub struct Experiment<'a> {
+    opts: &'a Options,
+    name: &'static str,
+    engine: EngineConfig,
+    report: EngineReport,
+}
+
+impl Experiment<'_> {
+    /// Evaluates `configs` over `traces`, a fresh predictor per
+    /// (configuration, benchmark) pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint cannot be opened.
+    pub fn sweep<C, P, F>(
+        &mut self,
+        batch: &str,
+        traces: &[BenchmarkTrace],
+        configs: &[C],
+        factory: F,
+    ) -> Vec<SweepPoint<C>>
+    where
+        C: Clone + Debug + Sync,
+        P: ValuePredictor,
+        F: Fn(&C) -> P + Sync,
+    {
+        let checkpoint = self.checkpoint(batch);
+        let (points, report) = sweep_engine_ft(
+            configs,
+            factory,
+            traces,
+            &self.engine,
+            checkpoint.as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.name));
+        self.record(report);
+        points
+    }
+
+    /// Computes one table row per label, `row_for(index)` each, in label
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint cannot be opened.
+    pub fn rows<F>(&mut self, batch: &str, labels: Vec<String>, row_for: F) -> Vec<Vec<String>>
+    where
+        F: Fn(usize) -> Result<TaskOutput<Vec<String>>, TaskError> + Sync,
+    {
+        let checkpoint = self.checkpoint(batch);
+        let (rows, report) = run_tasks_resumable(
+            labels,
+            row_for,
+            &self.engine,
+            checkpoint.as_deref(),
+            |row| encode_rows(row),
+            decode_rows,
+        )
+        .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.name));
+        self.record(report);
+        rows.into_iter().flatten().collect()
+    }
+
+    fn checkpoint(&self, batch: &str) -> Option<PathBuf> {
+        let opts = self.opts;
+        opts.resume.then(|| {
+            opts.out_dir
                 .join("checkpoints")
-                .join(format!("{name}.jsonl"))
+                .join(opts.suite_key())
+                .join(format!("{}-{batch}.jsonl", self.name))
         })
     }
 
-    /// Warns on stderr about every failed task in an engine report.
-    /// Benign when all tasks succeeded (the overwhelmingly common case);
-    /// after a partial failure the emitted tables simply omit the failed
-    /// benchmarks, and this makes that visible.
-    pub fn warn_failures(report: &EngineReport, name: &str) {
+    fn record(&mut self, report: EngineReport) {
         for t in report.failures() {
-            eprintln!("[dfcm-repro] {name}: task `{}` {}", t.label, t.outcome);
+            eprintln!(
+                "[dfcm-repro] {}: task `{}` {}",
+                self.name, t.label, t.outcome
+            );
         }
+        self.report.merge(report);
     }
 
-    /// Writes an experiment's engine metrics as JSON lines under
-    /// `<out_dir>/metrics/<name>.jsonl`.
+    /// Writes the merged engine report of every batch as JSON lines to
+    /// `<out>/metrics/<experiment>.jsonl`.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors, like [`Options::emit`].
-    pub fn emit_metrics(&self, report: &EngineReport, name: &str) {
-        let path = self.out_dir.join("metrics").join(format!("{name}.jsonl"));
-        report
-            .write_jsonl(&path)
+    pub fn finish(self) {
+        let name = self.name;
+        self.report
+            .write_jsonl(
+                self.opts
+                    .out_dir
+                    .join("metrics")
+                    .join(format!("{name}.jsonl")),
+            )
             .unwrap_or_else(|e| panic!("writing metrics/{name}.jsonl: {e}"));
     }
 }
@@ -299,9 +403,4 @@ pub fn banner(title: &str, note: &str) {
         println!("{note}");
     }
     println!();
-}
-
-/// Number of worker threads for parallel sweeps.
-pub fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -10,7 +10,6 @@
 
 use dfcm::{FcmPredictor, LastValuePredictor, StridePredictor};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::sweep_engine_ft;
 
 use crate::common::{banner, Options};
 
@@ -21,44 +20,26 @@ pub fn run(opts: &Options) {
         "Each FCM curve fixes the level-1 size and sweeps the level-2 size.",
     );
     let traces = opts.traces();
+    let mut run = opts.experiment("fig03");
     let mut table = TextTable::new(vec!["predictor", "l1", "l2", "kbit", "accuracy"]);
 
     let entry_sweep: Vec<u32> = (6..=16).step_by(2).collect();
-    let engine = opts.engine_config();
-    let (points, mut metrics) = sweep_engine_ft(
-        &entry_sweep,
-        |&bits| LastValuePredictor::new(bits),
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig03-lvp").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig03 checkpoint: {e}"));
-    for point in points {
-        table.row(vec![
-            "lvp".into(),
-            format!("2^{}", point.config),
-            "-".into(),
-            fmt_kbits(point.kbits()),
-            fmt_accuracy(point.accuracy()),
-        ]);
-    }
-    let (points, stride_metrics) = sweep_engine_ft(
-        &entry_sweep,
-        |&bits| StridePredictor::new(bits),
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig03-stride").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig03 checkpoint: {e}"));
-    metrics.merge(stride_metrics);
-    for point in points {
-        table.row(vec![
-            "stride".into(),
-            format!("2^{}", point.config),
-            "-".into(),
-            fmt_kbits(point.kbits()),
-            fmt_accuracy(point.accuracy()),
-        ]);
+    let lvp = run.sweep("lvp", &traces, &entry_sweep, |&bits| {
+        LastValuePredictor::new(bits)
+    });
+    let stride = run.sweep("stride", &traces, &entry_sweep, |&bits| {
+        StridePredictor::new(bits)
+    });
+    for (name, points) in [("lvp", lvp), ("stride", stride)] {
+        for point in points {
+            table.row(vec![
+                name.into(),
+                format!("2^{}", point.config),
+                "-".into(),
+                fmt_kbits(point.kbits()),
+                fmt_accuracy(point.accuracy()),
+            ]);
+        }
     }
 
     let l1_sweep: Vec<u32> = vec![0, 4, 6, 8, 10, 12, 14, 16];
@@ -67,21 +48,13 @@ pub fn run(opts: &Options) {
         .iter()
         .flat_map(|&l1| l2_sweep.iter().map(move |&l2| (l1, l2)))
         .collect();
-    let (points, fcm_metrics) = sweep_engine_ft(
-        &grid,
-        |&(l1, l2)| {
-            FcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig03-fcm").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig03 checkpoint: {e}"));
-    metrics.merge(fcm_metrics);
+    let points = run.sweep("fcm", &traces, &grid, |&(l1, l2)| {
+        FcmPredictor::builder()
+            .l1_bits(l1)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
     for point in points {
         let (l1, l2) = point.config;
         table.row(vec![
@@ -93,10 +66,9 @@ pub fn run(opts: &Options) {
         ]);
     }
 
-    Options::warn_failures(&metrics, "fig03");
+    run.finish();
     print!("{}", table.render());
     opts.emit(&table, "fig03");
-    opts.emit_metrics(&metrics, "fig03");
     println!();
     println!(
         "Check (paper): FCM beats LVP and stride for all but the smallest sizes; \

@@ -9,7 +9,6 @@
 use dfcm::{DfcmPredictor, FcmPredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::{run_suite_engine_ft, sweep_engine_ft};
 
 use crate::common::{banner, Options};
 
@@ -24,37 +23,22 @@ pub fn run_a(opts: &Options) {
     let mut fcm_curve = Vec::new();
     let mut dfcm_curve = Vec::new();
     let l2s = opts.l2_sweep();
-    let engine = opts.engine_config();
-    let (fcm_points, mut metrics) = sweep_engine_ft(
-        &l2s,
-        |&l2| {
-            FcmPredictor::builder()
-                .l1_bits(16)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig10a-fcm").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig10a checkpoint: {e}"));
-    let (dfcm_points, dfcm_metrics) = sweep_engine_ft(
-        &l2s,
-        |&l2| {
-            DfcmPredictor::builder()
-                .l1_bits(16)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig10a-dfcm").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig10a checkpoint: {e}"));
-    metrics.merge(dfcm_metrics);
-    Options::warn_failures(&metrics, "fig10a");
+    let mut run = opts.experiment("fig10a");
+    let fcm_points = run.sweep("fcm", &traces, &l2s, |&l2| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    let dfcm_points = run.sweep("dfcm", &traces, &l2s, |&l2| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
     for (f, d) in fcm_points.iter().zip(&dfcm_points) {
         let l2 = f.config;
         let (fcm, dfcm) = (f.accuracy(), d.accuracy());
@@ -67,7 +51,6 @@ pub fn run_a(opts: &Options) {
         fcm_curve.push((f64::from(1u32 << l2.min(31)), fcm));
         dfcm_curve.push((f64::from(1u32 << l2.min(31)), dfcm));
     }
-    opts.emit_metrics(&metrics, "fig10a");
     print!("{}", table.render());
     println!();
     print!(
@@ -93,36 +76,23 @@ pub fn run_b(opts: &Options) {
         "",
     );
     let traces = opts.traces();
-    let engine = opts.engine_config();
-    let (fcm, mut metrics) = run_suite_engine_ft(
-        || {
-            FcmPredictor::builder()
-                .l1_bits(16)
-                .l2_bits(12)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig10b-fcm").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig10b checkpoint: {e}"));
-    let (dfcm, dfcm_metrics) = run_suite_engine_ft(
-        || {
-            DfcmPredictor::builder()
-                .l1_bits(16)
-                .l2_bits(12)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig10b-dfcm").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig10b checkpoint: {e}"));
-    metrics.merge(dfcm_metrics);
-    Options::warn_failures(&metrics, "fig10b");
-    opts.emit_metrics(&metrics, "fig10b");
+    let mut run = opts.experiment("fig10b");
+    let fcm = run.sweep("fcm", &traces, &[12u32], |&l2| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    let dfcm = run.sweep("dfcm", &traces, &[12u32], |&l2| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
+    let (fcm, dfcm) = (&fcm[0].result, &dfcm[0].result);
     let mut table = TextTable::new(vec!["benchmark", "FCM", "DFCM", "gain"]);
     let mut bars = dfcm_sim::chart::BarChart::new(46).max(1.0);
     for b in &fcm.benchmarks {

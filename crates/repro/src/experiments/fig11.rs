@@ -8,14 +8,13 @@
 //! front sits .06–.09 above the FCM front except at the smallest sizes
 //! (paper: .66 vs .57 at ~200 Kbit, +15%).
 
-use std::path::Path;
-
 use dfcm::{DfcmPredictor, FcmPredictor, ValuePredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::{pareto_front, sweep_engine_ft, EngineConfig, EngineReport, ParetoPoint};
+use dfcm_sim::{pareto_front, ParetoPoint};
+use dfcm_trace::BenchmarkTrace;
 
-use crate::common::{banner, Options};
+use crate::common::{banner, Experiment, Options};
 
 /// Runs the Figure 11(a) reproduction.
 pub fn run_a(opts: &Options) {
@@ -29,22 +28,15 @@ pub fn run_a(opts: &Options) {
         .iter()
         .flat_map(|&l1| opts.l2_sweep().into_iter().map(move |l2| (l1, l2)))
         .collect();
-    let (points, metrics) = sweep_engine_ft(
-        &grid,
-        |&(l1, l2)| {
-            DfcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-        &opts.engine_config(),
-        opts.checkpoint_for("fig11a").as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("fig11a checkpoint: {e}"));
-    Options::warn_failures(&metrics, "fig11a");
-    opts.emit_metrics(&metrics, "fig11a");
+    let mut run = opts.experiment("fig11a");
+    let points = run.sweep("dfcm", &traces, &grid, |&(l1, l2)| {
+        DfcmPredictor::builder()
+            .l1_bits(l1)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
     for point in points {
         let (l1, l2) = point.config;
         table.row(vec![
@@ -58,39 +50,32 @@ pub fn run_a(opts: &Options) {
     opts.emit(&table, "fig11a");
 }
 
+/// The Pareto candidates of one predictor family: every (l1, l2) pair
+/// of the grid, swept as batch `batch`.
 fn grid_points<P, F>(
+    run: &mut Experiment<'_>,
+    batch: &str,
+    traces: &[BenchmarkTrace],
     l1s: &[u32],
     l2s: &[u32],
     factory: F,
-    traces: &[dfcm_trace::BenchmarkTrace],
-    engine: &EngineConfig,
-    checkpoint: Option<&Path>,
-) -> (Vec<ParetoPoint>, EngineReport)
+) -> Vec<ParetoPoint>
 where
     P: ValuePredictor,
-    F: Fn(u32, u32) -> P + Send + Sync,
+    F: Fn(u32, u32) -> P + Sync,
 {
     let grid: Vec<(u32, u32)> = l1s
         .iter()
         .flat_map(|&l1| l2s.iter().map(move |&l2| (l1, l2)))
         .collect();
-    let (points, report) = sweep_engine_ft(
-        &grid,
-        |&(l1, l2)| factory(l1, l2),
-        traces,
-        engine,
-        checkpoint,
-    )
-    .unwrap_or_else(|e| panic!("fig11b checkpoint: {e}"));
-    let points = points
+    run.sweep(batch, traces, &grid, |&(l1, l2)| factory(l1, l2))
         .into_iter()
         .map(|p| ParetoPoint {
             label: format!("l1=2^{},l2=2^{}", p.config.0, p.config.1),
             kbits: p.kbits(),
             accuracy: p.accuracy(),
         })
-        .collect();
-    (points, report)
+        .collect()
 }
 
 /// Runs the Figure 11(b) reproduction.
@@ -101,8 +86,11 @@ pub fn run_b(opts: &Options) {
     );
     let traces = opts.traces();
     let l2s = opts.l2_sweep();
-    let engine = opts.engine_config();
-    let (fcm_points, mut metrics) = grid_points(
+    let mut run = opts.experiment("fig11b");
+    let fcm_points = grid_points(
+        &mut run,
+        "fcm",
+        &traces,
         &[0, 4, 6, 8, 10, 12, 14, 16],
         &l2s,
         |l1, l2| {
@@ -112,11 +100,11 @@ pub fn run_b(opts: &Options) {
                 .build()
                 .expect("valid")
         },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig11b-fcm").as_deref(),
     );
-    let (dfcm_points, dfcm_metrics) = grid_points(
+    let dfcm_points = grid_points(
+        &mut run,
+        "dfcm",
+        &traces,
         &[8, 10, 12, 14, 16],
         &l2s,
         |l1, l2| {
@@ -126,13 +114,8 @@ pub fn run_b(opts: &Options) {
                 .build()
                 .expect("valid")
         },
-        &traces,
-        &engine,
-        opts.checkpoint_for("fig11b-dfcm").as_deref(),
     );
-    metrics.merge(dfcm_metrics);
-    Options::warn_failures(&metrics, "fig11b");
-    opts.emit_metrics(&metrics, "fig11b");
+    run.finish();
 
     let mut table = TextTable::new(vec!["front", "config", "kbit", "accuracy"]);
     for (name, points) in [("fcm", &fcm_points), ("dfcm", &dfcm_points)] {

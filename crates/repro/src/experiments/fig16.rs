@@ -13,7 +13,6 @@ use dfcm::{
     CounterMeta, DfcmPredictor, FcmPredictor, HybridPredictor, PerfectMeta, StridePredictor,
 };
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -24,6 +23,39 @@ pub fn run(opts: &Options) {
         "STRIDE+FCM and STRIDE+DFCM use a perfect (oracle) selector.",
     );
     let traces = opts.traces();
+    let l2s = opts.l2_sweep();
+    let fcm = |l2| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    };
+    let dfcm = |l2| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    };
+    let mut run = opts.experiment("fig16");
+    let columns = [
+        run.sweep("fcm", &traces, &l2s, |&l2| fcm(l2)),
+        run.sweep("dfcm", &traces, &l2s, |&l2| dfcm(l2)),
+        run.sweep("stride-fcm", &traces, &l2s, |&l2| {
+            HybridPredictor::new(StridePredictor::new(16), fcm(l2), PerfectMeta)
+        }),
+        run.sweep("stride-dfcm", &traces, &l2s, |&l2| {
+            HybridPredictor::new(StridePredictor::new(16), dfcm(l2), PerfectMeta)
+        }),
+        // A *realizable* selector (PC-indexed saturating counters), for
+        // scale: the paper argues no implementable meta-predictor can
+        // reach the oracle, so the DFCM beats any real hybrid.
+        run.sweep("real-stride-fcm", &traces, &l2s, |&l2| {
+            HybridPredictor::new(StridePredictor::new(16), fcm(l2), CounterMeta::new(16))
+        }),
+    ];
+    run.finish();
     let mut table = TextTable::new(vec![
         "l2",
         "FCM",
@@ -35,77 +67,9 @@ pub fn run(opts: &Options) {
     let mut dfcm_beats_hybrid_everywhere = true;
     let mut dfcm_within_real_hybrid = true;
     let mut max_stride_dfcm_gain: f64 = 0.0;
-    for l2 in opts.l2_sweep() {
-        let fcm = run_suite(
-            || {
-                FcmPredictor::builder()
-                    .l1_bits(16)
-                    .l2_bits(l2)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let dfcm = run_suite(
-            || {
-                DfcmPredictor::builder()
-                    .l1_bits(16)
-                    .l2_bits(l2)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let stride_fcm = run_suite(
-            || {
-                HybridPredictor::new(
-                    StridePredictor::new(16),
-                    FcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(l2)
-                        .build()
-                        .expect("valid"),
-                    PerfectMeta,
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let stride_dfcm = run_suite(
-            || {
-                HybridPredictor::new(
-                    StridePredictor::new(16),
-                    DfcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(l2)
-                        .build()
-                        .expect("valid"),
-                    PerfectMeta,
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        // A *realizable* selector (PC-indexed saturating counters), for
-        // scale: the paper argues no implementable meta-predictor can
-        // reach the oracle, so the DFCM beats any real hybrid.
-        let real_hybrid = run_suite(
-            || {
-                HybridPredictor::new(
-                    StridePredictor::new(16),
-                    FcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(l2)
-                        .build()
-                        .expect("valid"),
-                    CounterMeta::new(16),
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
+    for (i, l2) in l2s.iter().enumerate() {
+        let [fcm, dfcm, stride_fcm, stride_dfcm, real_hybrid] =
+            columns.each_ref().map(|points| points[i].accuracy());
         dfcm_beats_hybrid_everywhere &= dfcm >= stride_fcm - 1e-9;
         dfcm_within_real_hybrid &= dfcm > real_hybrid - 0.02;
         max_stride_dfcm_gain = max_stride_dfcm_gain.max(stride_dfcm - dfcm);

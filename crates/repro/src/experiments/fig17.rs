@@ -8,7 +8,6 @@
 use dfcm::{DelayedUpdate, DfcmPredictor, FcmPredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -22,39 +21,34 @@ pub fn run(opts: &Options) {
         "The update for a prediction lands only after d further predictions.",
     );
     let traces = opts.traces();
+    let mut run = opts.experiment("fig17");
+    let fcm = run.sweep("fcm", &traces, &DELAYS, |&d| {
+        let fcm = FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .build()
+            .expect("valid");
+        DelayedUpdate::new(fcm, d)
+    });
+    let dfcm = run.sweep("dfcm", &traces, &DELAYS, |&d| {
+        let dfcm = DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .build()
+            .expect("valid");
+        DelayedUpdate::new(dfcm, d)
+    });
+    run.finish();
     let mut table = TextTable::new(vec!["delay", "FCM", "DFCM"]);
     let mut rows = Vec::new();
-    for d in DELAYS {
-        let fcm = run_suite(
-            || {
-                DelayedUpdate::new(
-                    FcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid"),
-                    d,
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let dfcm = run_suite(
-            || {
-                DelayedUpdate::new(
-                    DfcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid"),
-                    d,
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        rows.push((d, fcm, dfcm));
-        table.row(vec![d.to_string(), fmt_accuracy(fcm), fmt_accuracy(dfcm)]);
+    for (f, d) in fcm.iter().zip(&dfcm) {
+        let (delay, fcm, dfcm) = (f.config, f.accuracy(), d.accuracy());
+        rows.push((delay, fcm, dfcm));
+        table.row(vec![
+            delay.to_string(),
+            fmt_accuracy(fcm),
+            fmt_accuracy(dfcm),
+        ]);
     }
     print!("{}", table.render());
     println!();

@@ -11,9 +11,8 @@
 //! loss to level-1 aliasing + hashing + capacity (minus any constructive
 //! cross-instruction sharing the oracle forgoes).
 
-use dfcm::{AnalyzedKind, DfcmPredictor, FcmPredictor, IdealContextPredictor, ValuePredictor};
+use dfcm::{AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction, IdealContextPredictor};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -24,45 +23,45 @@ pub fn run(opts: &Options) {
         "Ideal = per-instruction, unbounded, collision-free tables of the same order.",
     );
     let traces = opts.traces();
+    let l2s = [12u32, 16];
+    let mut run = opts.experiment("ideal");
+    let fcm = run.sweep("fcm", &traces, &l2s, |&l2| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    let dfcm = run.sweep("dfcm", &traces, &l2s, |&l2| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(l2)
+            .build()
+            .expect("valid")
+    });
+    let oracles: Vec<(AnalyzedKind, u32)> = [AnalyzedKind::Fcm, AnalyzedKind::Dfcm]
+        .into_iter()
+        .flat_map(|kind| l2s.map(|l2| (kind, l2)))
+        .collect();
+    let ideal = run.sweep("ideal", &traces, &oracles, |&(kind, l2)| {
+        IdealContextPredictor::new(kind, HashFunction::FsR5.order(l2) as usize)
+    });
+    run.finish();
     let mut table = TextTable::new(vec!["predictor", "accuracy", "ideal", "gap"]);
-    for (kind, label) in [(AnalyzedKind::Fcm, "fcm"), (AnalyzedKind::Dfcm, "dfcm")] {
-        for l2 in [12u32, 16] {
-            let real = match kind {
-                AnalyzedKind::Fcm => run_suite(
-                    || -> Box<dyn ValuePredictor> {
-                        Box::new(
-                            FcmPredictor::builder()
-                                .l1_bits(16)
-                                .l2_bits(l2)
-                                .build()
-                                .expect("valid"),
-                        )
-                    },
-                    &traces,
-                ),
-                AnalyzedKind::Dfcm => run_suite(
-                    || -> Box<dyn ValuePredictor> {
-                        Box::new(
-                            DfcmPredictor::builder()
-                                .l1_bits(16)
-                                .l2_bits(l2)
-                                .build()
-                                .expect("valid"),
-                        )
-                    },
-                    &traces,
-                ),
-            };
-            let order = dfcm::HashFunction::FsR5.order(l2) as usize;
-            let ideal = run_suite(|| IdealContextPredictor::new(kind, order), &traces);
-            let (r, i) = (real.weighted_accuracy(), ideal.weighted_accuracy());
-            table.row(vec![
-                format!("{label}(2^16/2^{l2}, order {order})"),
-                fmt_accuracy(r),
-                fmt_accuracy(i),
-                format!("{:+.3}", i - r),
-            ]);
-        }
+    for (real, ideal) in fcm.iter().chain(&dfcm).zip(&ideal) {
+        let (kind, l2) = ideal.config;
+        let label = match kind {
+            AnalyzedKind::Fcm => "fcm",
+            AnalyzedKind::Dfcm => "dfcm",
+        };
+        let order = HashFunction::FsR5.order(l2);
+        let (r, i) = (real.accuracy(), ideal.accuracy());
+        table.row(vec![
+            format!("{label}(2^16/2^{l2}, order {order})"),
+            fmt_accuracy(r),
+            fmt_accuracy(i),
+            format!("{:+.3}", i - r),
+        ]);
     }
     print!("{}", table.render());
     opts.emit(&table, "ideal");

@@ -9,7 +9,6 @@
 
 use dfcm::{DfcmPredictor, FcmPredictor, HashFunction};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -20,42 +19,42 @@ pub fn run(opts: &Options) {
         "order = ceil(12 / shift); shift 5 is the paper's FS R-5 (order 3).",
     );
     let traces = opts.traces();
-    let mut table = TextTable::new(vec!["hash", "order", "FCM", "DFCM"]);
-    let mut configs: Vec<(String, HashFunction)> = [12u8, 6, 5, 4, 3, 2]
+    let mut hashes: Vec<(String, HashFunction)> = [12u8, 6, 5, 4, 3, 2]
         .iter()
         .map(|&shift| (format!("fs-r{shift}"), HashFunction::FsShift { shift }))
         .collect();
-    configs.push(("fold-xor".into(), HashFunction::FoldXor));
-    for (label, hash) in configs {
-        let fcm = run_suite(
-            || {
-                FcmPredictor::builder()
-                    .l1_bits(16)
-                    .l2_bits(12)
-                    .hash(hash)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let dfcm = run_suite(
-            || {
-                DfcmPredictor::builder()
-                    .l1_bits(16)
-                    .l2_bits(12)
-                    .hash(hash)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        )
-        .weighted_accuracy();
+    hashes.push(("fold-xor".into(), HashFunction::FoldXor));
+    let mut run = opts.experiment("order");
+    let fcm = run.sweep("fcm", &traces, &hashes, |&(_, hash)| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .hash(hash)
+            .build()
+            .expect("valid")
+    });
+    let dfcm = run.sweep("dfcm", &traces, &hashes, |&(_, hash)| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .hash(hash)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
+    let mut table = TextTable::new(vec!["hash", "order", "FCM", "DFCM"]);
+    for (f, d) in fcm.iter().zip(&dfcm) {
+        let (label, hash) = &f.config;
         let order = match hash {
             HashFunction::FoldXor => "-".to_owned(),
             h => h.order(12).to_string(),
         };
-        table.row(vec![label, order, fmt_accuracy(fcm), fmt_accuracy(dfcm)]);
+        table.row(vec![
+            label.clone(),
+            order,
+            fmt_accuracy(f.accuracy()),
+            fmt_accuracy(d.accuracy()),
+        ]);
     }
     print!("{}", table.render());
     opts.emit(&table, "order");

@@ -17,9 +17,20 @@ use dfcm::{
     ClassifiedPredictor, DfcmPredictor, LastNValuePredictor, LastValuePredictor, ValuePredictor,
 };
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::run_suite;
+use dfcm_sim::SweepPoint;
 
 use crate::common::{banner, Options};
+
+/// One table row per configuration: its label, size and accuracy.
+fn rows<C>(table: &mut TextTable, points: &[SweepPoint<C>]) {
+    for p in points {
+        table.row(vec![
+            p.result.predictor.clone(),
+            fmt_kbits(p.kbits()),
+            fmt_accuracy(p.accuracy()),
+        ]);
+    }
+}
 
 /// Runs the §5 related-work comparison.
 pub fn run(opts: &Options) {
@@ -29,14 +40,11 @@ pub fn run(opts: &Options) {
     );
     let traces = opts.traces();
     let mut table = TextTable::new(vec!["predictor", "kbit", "accuracy"]);
-
-    let mut row = |name: String, kbits: f64, acc: f64| {
-        table.row(vec![name, fmt_kbits(kbits), fmt_accuracy(acc)]);
-    };
+    let mut run = opts.experiment("related");
 
     // Dynamic classification: LVP + stride + FCM sub-tables plus a
     // classifier, sized to ~match the DFCM below.
-    let classified = || {
+    let classified = |_: &()| {
         ClassifiedPredictor::builder()
             .class_bits(12)
             .lvp_bits(11)
@@ -45,15 +53,13 @@ pub fn run(opts: &Options) {
             .build()
             .expect("valid")
     };
-    let result = run_suite(classified, &traces);
-    row(
-        result.predictor.clone(),
-        result.kbits,
-        result.weighted_accuracy(),
+    rows(
+        &mut table,
+        &run.sweep("classified", &traces, &[()], classified),
     );
 
     // Report the classification census of one representative benchmark.
-    let mut census_probe = classified();
+    let mut census_probe = classified(&());
     for r in &traces[0].trace {
         census_probe.access(r.pc, r.value);
     }
@@ -64,39 +70,24 @@ pub fn run(opts: &Options) {
     );
 
     // Last-n value predictors.
-    for n in [1usize, 2, 4] {
-        let result = run_suite(|| LastNValuePredictor::new(12, n), &traces);
-        row(
-            result.predictor.clone(),
-            result.kbits,
-            result.weighted_accuracy(),
-        );
-    }
-    let result = run_suite(|| LastValuePredictor::new(12), &traces);
-    row(
-        result.predictor.clone(),
-        result.kbits,
-        result.weighted_accuracy(),
+    let last_n = |&n: &usize| LastNValuePredictor::new(12, n);
+    rows(
+        &mut table,
+        &run.sweep("last-n", &traces, &[1, 2, 4], last_n),
     );
+    let lvp = |&bits: &u32| LastValuePredictor::new(bits);
+    rows(&mut table, &run.sweep("lvp", &traces, &[12], lvp));
 
     // The DFCM at comparable (and at half) storage.
-    for (l1, l2) in [(12u32, 12u32), (11, 11)] {
-        let result = run_suite(
-            || {
-                DfcmPredictor::builder()
-                    .l1_bits(l1)
-                    .l2_bits(l2)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        );
-        row(
-            result.predictor.clone(),
-            result.kbits,
-            result.weighted_accuracy(),
-        );
-    }
+    let dfcm = |&bits: &u32| {
+        DfcmPredictor::builder()
+            .l1_bits(bits)
+            .l2_bits(bits)
+            .build()
+            .expect("valid")
+    };
+    rows(&mut table, &run.sweep("dfcm", &traces, &[12, 11], dfcm));
+    run.finish();
 
     print!("{}", table.render());
     opts.emit(&table, "related");

@@ -7,9 +7,8 @@
 //! "not very useful". We sweep widths × sizes and print both the accuracy
 //! drops and the paper's entries-vs-width comparison.
 
-use dfcm::{DfcmPredictor, StrideWidth, ValuePredictor};
+use dfcm::{DfcmPredictor, StrideWidth};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -25,39 +24,44 @@ pub fn run(opts: &Options) {
         ("16b", StrideWidth::Bits(16)),
         ("8b", StrideWidth::Bits(8)),
     ];
+    let grid: Vec<(u32, u32, StrideWidth)> = [12u32, 16]
+        .into_iter()
+        .flat_map(|l1| [10u32, 12, 14, 16].map(|l2| (l1, l2)))
+        .flat_map(|(l1, l2)| widths.map(|(_, width)| (l1, l2, width)))
+        .collect();
+    let mut run = opts.experiment("sec4_4");
+    let points = run.sweep("dfcm", &traces, &grid, |&(l1, l2, width)| {
+        DfcmPredictor::builder()
+            .l1_bits(l1)
+            .l2_bits(l2)
+            .stride_width(width)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
     let mut table = TextTable::new(vec!["l1", "l2", "width", "kbit", "accuracy", "drop"]);
     let mut drops_16 = Vec::new();
     let mut drops_8 = Vec::new();
-    for l1 in [12u32, 16] {
-        for l2 in [10u32, 12, 14, 16] {
-            let mut baseline = None;
-            for (label, width) in widths {
-                let build = || {
-                    DfcmPredictor::builder()
-                        .l1_bits(l1)
-                        .l2_bits(l2)
-                        .stride_width(width)
-                        .build()
-                        .expect("valid")
-                };
-                let kbits = build().storage().kbits();
-                let acc = run_suite(build, &traces).weighted_accuracy();
-                let base = *baseline.get_or_insert(acc);
-                let drop = base - acc;
-                match width {
-                    StrideWidth::Bits(16) => drops_16.push(drop),
-                    StrideWidth::Bits(8) => drops_8.push(drop),
-                    _ => {}
-                }
-                table.row(vec![
-                    format!("2^{l1}"),
-                    format!("2^{l2}"),
-                    label.into(),
-                    fmt_kbits(kbits),
-                    fmt_accuracy(acc),
-                    format!("{drop:.3}"),
-                ]);
+    // Each geometry's widths are adjacent, full width first.
+    for geometry in points.chunks(widths.len()) {
+        let base = geometry[0].accuracy();
+        for (point, (label, _)) in geometry.iter().zip(widths) {
+            let (l1, l2, width) = point.config;
+            let acc = point.accuracy();
+            let drop = base - acc;
+            match width {
+                StrideWidth::Bits(16) => drops_16.push(drop),
+                StrideWidth::Bits(8) => drops_8.push(drop),
+                _ => {}
             }
+            table.row(vec![
+                format!("2^{l1}"),
+                format!("2^{l2}"),
+                label.into(),
+                fmt_kbits(point.kbits()),
+                fmt_accuracy(acc),
+                format!("{drop:.3}"),
+            ]);
         }
     }
     print!("{}", table.render());

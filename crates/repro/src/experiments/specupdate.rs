@@ -10,7 +10,6 @@
 
 use dfcm::{DelayedUpdate, DfcmPredictor, SpeculativeDfcm};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -24,35 +23,28 @@ pub fn run(opts: &Options) {
          advanced with the prediction, repaired on misprediction.",
     );
     let traces = opts.traces();
+    let mut run = opts.experiment("specupdate");
+    let stale = run.sweep("stale", &traces, &DELAYS, |&d| {
+        let dfcm = DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .build()
+            .expect("valid");
+        DelayedUpdate::new(dfcm, d)
+    });
+    let speculative = run.sweep("speculative", &traces, &DELAYS, |&d| {
+        SpeculativeDfcm::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .delay(d)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
     let mut table = TextTable::new(vec!["delay", "DFCM stale", "DFCM speculative", "recovered"]);
     let mut baseline = None;
-    for d in DELAYS {
-        let stale = run_suite(
-            || {
-                DelayedUpdate::new(
-                    DfcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid"),
-                    d,
-                )
-            },
-            &traces,
-        )
-        .weighted_accuracy();
-        let speculative = run_suite(
-            || {
-                SpeculativeDfcm::builder()
-                    .l1_bits(16)
-                    .l2_bits(12)
-                    .delay(d)
-                    .build()
-                    .expect("valid")
-            },
-            &traces,
-        )
-        .weighted_accuracy();
+    for (st, sp) in stale.iter().zip(&speculative) {
+        let (stale, speculative) = (st.accuracy(), sp.accuracy());
         let base = *baseline.get_or_insert(stale.max(speculative));
         let lost = base - stale;
         let recovered = if lost > 1e-9 {
@@ -61,7 +53,7 @@ pub fn run(opts: &Options) {
             "-".to_owned()
         };
         table.row(vec![
-            d.to_string(),
+            st.config.to_string(),
             fmt_accuracy(stale),
             fmt_accuracy(speculative),
             recovered,

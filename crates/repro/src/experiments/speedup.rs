@@ -10,37 +10,70 @@
 
 use dfcm::{DfcmPredictor, FcmPredictor, TaggedDfcmPredictor};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::speculation::{
-    speculate_always, speculate_confident, SpeculationModel, SpeculationOutcome,
-};
-use dfcm_sim::ConfidenceStats;
-use dfcm_trace::{BenchmarkTrace, Trace};
+use dfcm_sim::speculation::SpeculationModel;
+use dfcm_sim::{simulate_confidence, ConfidenceStats, SweepPoint};
 
 use crate::common::{banner, Options};
 
-/// Aggregates a per-trace speculation evaluation over the suite.
-fn over_suite<F>(traces: &[BenchmarkTrace], mut run_one: F) -> (ConfidenceStats, f64)
-where
-    F: FnMut(&Trace) -> SpeculationOutcome,
-{
-    let mut total = ConfidenceStats::default();
-    let mut net = 0.0;
-    for bench in traces {
-        let out = run_one(&bench.trace);
-        total.all.merge(out.stats.all);
-        total.issued.merge(out.stats.issued);
-        net += out.net_cycles;
-    }
-    (total, net)
+/// An always-issuing policy's per-benchmark stats: every prediction is
+/// issued.
+fn issue_all(points: &[SweepPoint<()>]) -> Vec<ConfidenceStats> {
+    points[0]
+        .result
+        .benchmarks
+        .iter()
+        .map(|b| ConfidenceStats {
+            all: b.stats,
+            issued: b.stats,
+        })
+        .collect()
 }
 
 /// Runs the speculation-benefit analysis.
+///
+/// The penalty only enters [`SpeculationModel::net_cycles`], so each
+/// policy is simulated once per benchmark and every penalty is applied to
+/// those per-benchmark stats, in suite order.
 pub fn run(opts: &Options) {
     banner(
         "Extension: first-order speculation benefit (2^16/2^12)",
         "Net cycles saved per 1000 predicted instructions; benefit = 1 cycle per hit.",
     );
     let traces = opts.traces();
+    let mut run = opts.experiment("speedup");
+    let fcm = run.sweep("fcm", &traces, &[()], |()| {
+        FcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .build()
+            .expect("valid")
+    });
+    let dfcm = run.sweep("dfcm", &traces, &[()], |()| {
+        DfcmPredictor::builder()
+            .l1_bits(16)
+            .l2_bits(12)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
+    // The confidence-gated policy reads each prediction's confidence, so
+    // it keeps its own per-record loop.
+    let tagged = traces
+        .iter()
+        .map(|bench| {
+            let mut p = TaggedDfcmPredictor::builder()
+                .l1_bits(16)
+                .l2_bits(12)
+                .build()
+                .expect("valid");
+            simulate_confidence(&mut p, &bench.trace)
+        })
+        .collect();
+    let policies: [(&str, Vec<ConfidenceStats>); 3] = [
+        ("fcm, always", issue_all(&fcm)),
+        ("dfcm, always", issue_all(&dfcm)),
+        ("dfcm+tag, confident", tagged),
+    ];
     let mut table = TextTable::new(vec![
         "penalty",
         "issue policy",
@@ -53,45 +86,17 @@ pub fn run(opts: &Options) {
             benefit: 1.0,
             penalty,
         };
-        let policies: Vec<(&str, (ConfidenceStats, f64))> = vec![
-            (
-                "fcm, always",
-                over_suite(&traces, |trace| {
-                    let mut p = FcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid");
-                    speculate_always(model, &mut p, trace)
-                }),
-            ),
-            (
-                "dfcm, always",
-                over_suite(&traces, |trace| {
-                    let mut p = DfcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid");
-                    speculate_always(model, &mut p, trace)
-                }),
-            ),
-            (
-                "dfcm+tag, confident",
-                over_suite(&traces, |trace| {
-                    let mut p = TaggedDfcmPredictor::builder()
-                        .l1_bits(16)
-                        .l2_bits(12)
-                        .build()
-                        .expect("valid");
-                    speculate_confident(model, &mut p, trace)
-                }),
-            ),
-        ];
-        for (label, (stats, net)) in policies {
+        for (label, per_bench) in &policies {
+            let mut stats = ConfidenceStats::default();
+            let mut net = 0.0;
+            for bench in per_bench {
+                stats.all.merge(bench.all);
+                stats.issued.merge(bench.issued);
+                net += model.net_cycles(bench.issued);
+            }
             table.row(vec![
                 format!("{penalty:.0}"),
-                label.to_owned(),
+                (*label).to_owned(),
                 fmt_accuracy(stats.coverage()),
                 fmt_accuracy(stats.issued_accuracy()),
                 format!("{:+.1}", 1000.0 * net / stats.all.predictions.max(1) as f64),

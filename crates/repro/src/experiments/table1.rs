@@ -5,59 +5,13 @@
 //! stand-ins (with their block mixes and measured trace statistics) and
 //! the VM kernels.
 
-use dfcm_sim::checkpoint::{decode_rows, encode_rows, CheckpointLog};
-use dfcm_sim::engine::{run_tasks_resumable, TaskError, TaskOutput};
+use dfcm_sim::engine::{TaskError, TaskOutput};
 use dfcm_sim::report::TextTable;
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
 use dfcm_vm::{assemble, programs, Vm, VmLimits};
 
 use crate::common::{banner, Options};
-
-/// Runs one table half as a checkpointable engine batch: each task
-/// produces one row of cells, completed rows stream to the experiment's
-/// checkpoint when `--resume` is set, and failed tasks are warned about
-/// and omitted rather than aborting the table.
-fn row_batch<F>(
-    opts: &Options,
-    name: &str,
-    labels: Vec<String>,
-    row_for: F,
-) -> (Vec<Vec<String>>, dfcm_sim::EngineReport)
-where
-    F: Fn(usize) -> Result<TaskOutput<Vec<String>>, TaskError> + Sync,
-{
-    let checkpoint = opts.checkpoint_for(name);
-    let (log, raw_seeded) = CheckpointLog::load_seeded(checkpoint.as_deref(), &labels)
-        .unwrap_or_else(|e| panic!("{name} checkpoint: {e}"));
-    let seeded = if log.is_none() {
-        Vec::new()
-    } else {
-        raw_seeded
-            .into_iter()
-            .map(|slot| {
-                slot.and_then(|(payload, records)| {
-                    decode_rows(&payload).map(|rows| (rows, records))
-                })
-            })
-            .collect()
-    };
-    let (rows, report) = run_tasks_resumable(
-        labels,
-        row_for,
-        &opts.engine_config(),
-        seeded,
-        |index, label, records, row: &Vec<String>| {
-            if let Some(log) = &log {
-                if let Err(e) = log.append(index, label, records, &encode_rows(row)) {
-                    eprintln!("[dfcm-repro] {name}: checkpoint append failed for {label}: {e}");
-                }
-            }
-        },
-    );
-    Options::warn_failures(&report, name);
-    (rows.into_iter().flatten().collect(), report)
-}
 
 /// Runs the Table 1 reproduction.
 ///
@@ -78,7 +32,8 @@ pub fn run(opts: &Options) {
     // is computed.
     let traces = opts.traces();
     let labels = specs.iter().map(|s| s.name().to_owned()).collect();
-    let (rows, mut metrics) = row_batch(opts, "table1-suite", labels, |i| {
+    let mut run = opts.experiment("table1");
+    let rows = run.rows("suite", labels, |i| {
         let spec = &specs[i];
         let stats = TraceStats::measure(&traces[i].trace);
         let paper_m = spec.predictions(1.0) as f64 / 10_000.0;
@@ -114,7 +69,7 @@ pub fn run(opts: &Options) {
     println!("VM kernels (trace-generating real programs):");
     let kernels = programs::all();
     let labels = kernels.iter().map(|(name, _)| (*name).to_owned()).collect();
-    let (rows, vm_metrics) = row_batch(opts, "table1-vm", labels, |i| {
+    let rows = run.rows("vm", labels, |i| {
         let (name, src) = kernels[i];
         // Budgeted so a kernel that regresses into an infinite loop
         // fails its task instead of hanging the sweep.
@@ -139,8 +94,7 @@ pub fn run(opts: &Options) {
             records: stats.records as u64,
         })
     });
-    metrics.merge(vm_metrics);
-    opts.emit_metrics(&metrics, "table1");
+    run.finish();
     let mut vm_table = TextTable::new(vec![
         "kernel",
         "records",

@@ -11,7 +11,6 @@
 use dfcm::{DfcmPredictor, FcmPredictor, StridePredictor};
 use dfcm_sim::kernel_traces_observed;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::run_suite;
 
 use crate::common::{banner, Options};
 
@@ -27,27 +26,26 @@ pub fn run(opts: &Options) {
     // mechanics land in the export as `vm_*` metrics.
     let traces = kernel_traces_observed(max_records, opts.vm_tier, &opts.obs);
 
-    let stride = run_suite(|| StridePredictor::new(12), &traces);
-    let fcm = run_suite(
-        || {
-            FcmPredictor::builder()
-                .l1_bits(12)
-                .l2_bits(12)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-    );
-    let dfcm = run_suite(
-        || {
-            DfcmPredictor::builder()
-                .l1_bits(12)
-                .l2_bits(12)
-                .build()
-                .expect("valid")
-        },
-        &traces,
-    );
+    let mut run = opts.experiment("vmbench");
+    let stride = run.sweep("stride", &traces, &[12u32], |&bits| {
+        StridePredictor::new(bits)
+    });
+    let fcm = run.sweep("fcm", &traces, &[12u32], |&bits| {
+        FcmPredictor::builder()
+            .l1_bits(bits)
+            .l2_bits(bits)
+            .build()
+            .expect("valid")
+    });
+    let dfcm = run.sweep("dfcm", &traces, &[12u32], |&bits| {
+        DfcmPredictor::builder()
+            .l1_bits(bits)
+            .l2_bits(bits)
+            .build()
+            .expect("valid")
+    });
+    run.finish();
+    let (stride, fcm, dfcm) = (&stride[0].result, &fcm[0].result, &dfcm[0].result);
 
     let mut table = TextTable::new(vec!["kernel", "records", "stride", "FCM", "DFCM", "gain"]);
     for b in &fcm.benchmarks {

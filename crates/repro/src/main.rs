@@ -39,9 +39,10 @@
 //!   --out DIR   CSV output directory (default results/)
 //!   --threads N engine worker threads; 0 = one per hardware thread (default 0)
 //!   --progress  print engine task progress on stderr
-//!   --resume    checkpoint completed tasks under `<out>/checkpoints/` and
-//!               skip tasks a previous interrupted run already completed;
-//!               the merged output is byte-identical to an uninterrupted run
+//!   --resume    checkpoint completed tasks under `<out>/checkpoints/<suite>/`
+//!               and skip tasks a previous interrupted run of the same
+//!               suite already completed; the merged output is
+//!               byte-identical to an uninterrupted run
 //!   --traces DIR  load suite traces from `<DIR>/<benchmark>.trc` (as written
 //!               by `dfcm-tools gen`) instead of regenerating them; damaged
 //!               files are salvaged chunk-by-chunk with a warning
@@ -52,8 +53,11 @@
 //!               and metrics.prom into DIR at the end of the run; render
 //!               with `dfcm-tools obs summarize DIR`
 //!
-//! Engine-backed experiments (table1, fig3, fig10a/b, fig11a/b) also write
-//! run metrics as JSON lines under `<out>/metrics/<experiment>.jsonl`.
+//! Every experiment that evaluates predictors over a suite runs on the
+//! engine: it honours --threads, --progress and --resume, and writes run
+//! metrics as JSON lines under `<out>/metrics/<experiment>.jsonl`. The
+//! per-record analyses (fig4_8, fig6_9, fig12-14, tags, phases) run
+//! serially and write no metrics file.
 //! ```
 
 use std::process::ExitCode;

@@ -5,7 +5,7 @@
 //! Every completed task appends one self-contained line:
 //!
 //! ```text
-//! {"type":"task","index":3,"label":"cfg0/li","records":5000,"payload":{"predictions":5000,"correct":3120}}
+//! {"type":"task","index":3,"label":"12/li","records":5000,"payload":{"predictions":5000,"correct":3120}}
 //! ```
 //!
 //! The `payload` is an opaque JSON fragment chosen by the caller (the
@@ -15,7 +15,8 @@
 //! [`CheckpointLog::open`] skips on reload. Entries are validated
 //! against the current task list by index *and* label, so a stale
 //! checkpoint from a different sweep shape is ignored rather than
-//! merged.
+//! merged. Sweep labels name the configuration and the benchmark; the
+//! suite those benchmarks came from is keyed by the log's path.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write as _};
@@ -41,7 +42,7 @@ pub struct CheckpointEntry {
 
 /// A seeded slot per task index: the `(payload, records)` of a
 /// checkpointed completion, or `None` if the task still has to run.
-pub type SeededPayloads = Vec<Option<(String, u64)>>;
+type SeededPayloads = Vec<Option<(String, u64)>>;
 
 /// An append-only JSONL checkpoint file.
 #[derive(Debug)]
@@ -120,7 +121,7 @@ impl CheckpointLog {
     /// # Errors
     ///
     /// Propagates [`CheckpointLog::open`] errors.
-    pub fn load_seeded(
+    pub(crate) fn load_seeded(
         path: Option<&Path>,
         labels: &[String],
     ) -> io::Result<(Option<CheckpointLog>, SeededPayloads)> {

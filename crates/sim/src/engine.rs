@@ -4,11 +4,12 @@
 //! (configuration, benchmark) simulations: the paper's methodology (§4)
 //! gives each pair a fresh, cold predictor, so pairs share no state and
 //! can run in any order. The engine exploits exactly that granularity: a
-//! shared work queue of (configuration, benchmark) tasks drained by
-//! `std::thread::scope` workers, with results merged back into
-//! configuration/suite order so the output is bit-identical to the
-//! serial [`sweep`](crate::sweep) path (which remains the reference
-//! implementation for equivalence tests).
+//! shared work queue of (configuration, benchmark) tasks drained by the
+//! calling thread plus `std::thread::scope` workers, with results merged
+//! back into configuration/suite order so the output is bit-identical at
+//! any thread count. [`sweep_engine_ft`] is the one evaluator of
+//! configurations over a suite; the `engine_equiv` tests check it
+//! against a naive model of the paper's predictors.
 //!
 //! # Fault tolerance
 //!
@@ -53,9 +54,8 @@ use dfcm_trace::BenchmarkTrace;
 use crate::checkpoint::{decode_stats, encode_stats, CheckpointLog};
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::report::json_string;
-use crate::run::{simulate_trace, RunStats};
-use crate::suite::{BenchmarkResult, SuiteResult};
-use crate::sweep::SweepPoint;
+use crate::run::simulate_trace;
+use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
 
 /// Locks a mutex, recovering the guard if a panicking task poisoned it:
 /// the engine's shared state (queue, result list, metrics) is only ever
@@ -239,7 +239,7 @@ impl EngineConfig {
 /// Timing and outcome of one completed (configuration, benchmark) task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskMetric {
-    /// Task label, `cfg<index>/<benchmark>` for sweep tasks.
+    /// Task label, `<configuration:?>/<benchmark>` for sweep tasks.
     pub label: String,
     /// Index of the worker that ran the task.
     pub worker: usize,
@@ -367,8 +367,8 @@ impl EngineReport {
     /// ```text
     /// {"type":"suite","threads":4,"tasks":32,"ok":31,"failed":1,"attempts":33,"records":160000,"wall_s":0.5,"records_per_s":320000}
     /// {"type":"worker","worker":0,"tasks":8,"busy_s":0.48,"utilization":0.96}
-    /// {"type":"task","label":"cfg0/cc1","worker":0,"outcome":"ok","attempts":1,"records":5000,"wall_s":0.015,"records_per_s":333333.3}
-    /// {"type":"task","label":"cfg0/go","worker":1,"outcome":"panicked","attempts":1,"error":"injected fault: panic (task 1, attempt 0)","records":0,"wall_s":0.000021,"records_per_s":0.0}
+    /// {"type":"task","label":"12/cc1","worker":0,"outcome":"ok","attempts":1,"records":5000,"wall_s":0.015,"records_per_s":333333.3}
+    /// {"type":"task","label":"12/go","worker":1,"outcome":"panicked","attempts":1,"error":"injected fault: panic (task 1, attempt 0)","records":0,"wall_s":0.000021,"records_per_s":0.0}
     /// ```
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -587,23 +587,16 @@ where
     }
 }
 
-/// The fault-tolerant scheduling primitive with checkpoint support:
-/// runs the tasks whose `seeded` slot is `None` over a shared work
-/// queue, merges seeded (checkpoint-restored) results back in, and
-/// calls `on_complete(index, label, records, value)` for every task
-/// that newly completes `Ok` — the hook point for streaming results to
-/// a [`CheckpointLog`].
+/// The scheduling core: runs the tasks whose `seeded` slot is `None`
+/// over a shared work queue, merges the seeded (checkpoint-restored)
+/// results back in, and calls `on_complete(index, label, records,
+/// value)` for every task that newly completes `Ok`.
 ///
-/// Tasks must be pure in the sense that their output depends only on
-/// their index, which makes the merge deterministic regardless of
-/// execution order. A failed task yields `None` in the value vector and
-/// a non-`Ok` [`TaskOutcome`] in the report; it never aborts the batch.
-///
-/// # Panics
-///
-/// Panics if `seeded` is non-empty and its length differs from
-/// `labels`.
-pub fn run_tasks_resumable<T, F, O>(
+/// Worker 0 is the calling thread and only workers 1.. are spawned, so a
+/// one-worker batch spawns nothing: its tasks reuse the caller's warm
+/// allocator arena instead of faulting fresh predictor tables in on a
+/// new thread.
+fn run_tasks<T, F, O>(
     labels: Vec<String>,
     task: F,
     config: &EngineConfig,
@@ -616,93 +609,84 @@ where
     O: Fn(usize, &str, u64, &T) + Sync,
 {
     let count = labels.len();
-    assert!(
-        seeded.is_empty() || seeded.len() == count,
-        "seeded results must align with the task list"
-    );
-    let pending: VecDeque<usize> = if seeded.is_empty() {
-        (0..count).collect()
-    } else {
-        (0..count).filter(|&i| seeded[i].is_none()).collect()
-    };
+    debug_assert_eq!(seeded.len(), count, "seeded results align with the tasks");
+    let pending: VecDeque<usize> = (0..count).filter(|&i| seeded[i].is_none()).collect();
     let pending_count = pending.len();
     let threads = config.resolve_threads(pending_count);
     if count == 0 {
         return (Vec::new(), EngineReport::empty(threads));
     }
     let started = Instant::now();
-    let mut values: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let mut tasks: Vec<Option<TaskMetric>> = (0..count).map(|_| None).collect();
     // Seeded results merge in first: zero wall, zero attempts.
-    if !seeded.is_empty() {
-        for (index, slot) in seeded.into_iter().enumerate() {
-            if let Some((value, records)) = slot {
-                values[index] = Some(value);
-                tasks[index] = Some(TaskMetric {
-                    label: labels[index].clone(),
+    let (mut values, mut tasks): (Vec<Option<T>>, Vec<Option<TaskMetric>>) = seeded
+        .into_iter()
+        .zip(&labels)
+        .map(|(slot, label)| match slot {
+            Some((value, records)) => {
+                let metric = TaskMetric {
+                    label: label.clone(),
                     worker: 0,
                     records,
                     wall: Duration::ZERO,
                     outcome: TaskOutcome::Ok,
                     attempts: 0,
-                });
+                };
+                (Some(value), Some(metric))
             }
-        }
-    }
+            None => (None, None),
+        })
+        .unzip();
     let queue: Mutex<VecDeque<usize>> = Mutex::new(pending);
     let completed: Mutex<Vec<(usize, Option<T>, TaskMetric)>> =
         Mutex::new(Vec::with_capacity(pending_count));
     let worker_metrics: Mutex<Vec<WorkerMetric>> = Mutex::new(Vec::with_capacity(threads));
-    let task = &task;
-    let labels = &labels;
-    let on_complete = &on_complete;
-    if pending_count > 0 {
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let queue = &queue;
-                let completed = &completed;
-                let worker_metrics = &worker_metrics;
-                let progress = config.progress;
-                scope.spawn(move || {
-                    let mut worker_span = config.obs.span("engine.worker");
-                    worker_span.arg("worker", &worker.to_string());
-                    let mut busy = Duration::ZERO;
-                    let mut ran = 0u64;
-                    loop {
-                        let Some(index) = lock_unpoisoned(queue).pop_front() else {
-                            break;
-                        };
-                        let task_started = Instant::now();
-                        let (value, outcome, records, attempts) =
-                            execute_with_retries(task, index, &labels[index], config);
-                        let wall = task_started.elapsed();
-                        busy += wall;
-                        ran += 1;
-                        if let Some(value) = &value {
-                            on_complete(index, &labels[index], records, value);
-                        }
-                        let metric = TaskMetric {
-                            label: labels[index].clone(),
-                            worker,
-                            records,
-                            wall,
-                            outcome,
-                            attempts,
-                        };
-                        let mut done = lock_unpoisoned(completed);
-                        done.push((index, value, metric));
-                        if progress {
-                            eprint!("\r[dfcm-sim engine] {}/{} tasks", done.len(), pending_count);
-                        }
-                    }
-                    worker_span.arg("tasks", &ran.to_string());
-                    lock_unpoisoned(worker_metrics).push(WorkerMetric {
-                        worker,
-                        busy,
-                        tasks: ran,
-                    });
-                });
+    let run_worker = |worker: usize| {
+        let mut worker_span = config.obs.span("engine.worker");
+        worker_span.arg("worker", &worker.to_string());
+        let mut busy = Duration::ZERO;
+        let mut ran = 0u64;
+        loop {
+            // `let`-`else` drops the queue guard before the task runs.
+            let Some(index) = lock_unpoisoned(&queue).pop_front() else {
+                break;
+            };
+            let task_started = Instant::now();
+            let (value, outcome, records, attempts) =
+                execute_with_retries(&task, index, &labels[index], config);
+            let wall = task_started.elapsed();
+            busy += wall;
+            ran += 1;
+            if let Some(value) = &value {
+                on_complete(index, &labels[index], records, value);
             }
+            let metric = TaskMetric {
+                label: labels[index].clone(),
+                worker,
+                records,
+                wall,
+                outcome,
+                attempts,
+            };
+            let mut done = lock_unpoisoned(&completed);
+            done.push((index, value, metric));
+            if config.progress {
+                eprint!("\r[dfcm-sim engine] {}/{} tasks", done.len(), pending_count);
+            }
+        }
+        worker_span.arg("tasks", &ran.to_string());
+        lock_unpoisoned(&worker_metrics).push(WorkerMetric {
+            worker,
+            busy,
+            tasks: ran,
+        });
+    };
+    if pending_count > 0 {
+        let run_worker = &run_worker;
+        std::thread::scope(|scope| {
+            for worker in 1..threads {
+                scope.spawn(move || run_worker(worker));
+            }
+            run_worker(0);
         });
         if config.progress {
             eprintln!();
@@ -731,8 +715,13 @@ where
     (values, report)
 }
 
-/// [`run_tasks_resumable`] without checkpointing: every task runs, a
-/// failure yields `None` in the value vector instead of aborting.
+/// The fault-tolerant scheduling primitive: runs every task over a
+/// shared work queue and merges the results back into task order.
+///
+/// Tasks must be pure in the sense that their output depends only on
+/// their index, which makes the merge deterministic regardless of
+/// execution order. A failed task yields `None` in the value vector and
+/// a non-`Ok` [`TaskOutcome`] in the report; it never aborts the batch.
 pub fn run_tasks_ft<T, F>(
     labels: Vec<String>,
     task: F,
@@ -742,55 +731,97 @@ where
     T: Send,
     F: Fn(usize) -> Result<TaskOutput<T>, TaskError> + Sync,
 {
-    run_tasks_resumable(labels, task, config, Vec::new(), |_, _, _, _| {})
+    let seeded = labels.iter().map(|_| None).collect();
+    run_tasks(labels, task, config, seeded, |_, _, _, _| {})
 }
 
-/// Builds the engine's task labels for a (configuration × benchmark)
-/// sweep: `cfg<index>/<benchmark>`, configuration-major.
-fn sweep_labels(configs: usize, traces: &[BenchmarkTrace]) -> Vec<String> {
-    let benches = traces.len();
-    (0..configs * benches)
-        .map(|i| format!("cfg{}/{}", i / benches, traces[i % benches].name))
-        .collect()
-}
-
-/// The placeholder points [`sweep`](crate::sweep) produces for an empty
-/// suite, mirrored by every engine path.
-fn empty_suite_points<C: Clone>(configs: &[C]) -> Vec<SweepPoint<C>> {
-    configs
-        .iter()
-        .map(|c| SweepPoint {
-            config: c.clone(),
-            result: SuiteResult {
-                predictor: "(empty suite)".to_owned(),
-                kbits: 0.0,
-                benchmarks: Vec::new(),
-            },
-        })
-        .collect()
-}
-
-/// Fault-tolerant [`sweep`](crate::sweep) at (configuration, benchmark)
-/// granularity, with optional checkpoint/resume.
+/// [`run_tasks_ft`] with checkpoint/resume.
 ///
-/// Every pair becomes one engine task with a fresh cold predictor, and
-/// results merge deterministically back into configuration order. A
-/// failed task's benchmark is *omitted* from its configuration's
-/// [`SuiteResult`] (and recorded in the report) instead of aborting the
-/// sweep; with no failures the returned points are identical (including
-/// float bits) to the serial sweep's.
-///
-/// With `checkpoint` set, completed tasks stream to a JSONL
-/// [`CheckpointLog`] at that path;
-/// re-running with the same path skips already-completed tasks (matched
-/// by index and label) and produces byte-identical merged output versus
-/// an uninterrupted run.
+/// With `checkpoint` set, every task that completes `Ok` appends its
+/// `encode`d value to the JSONL [`CheckpointLog`] at that path, and a
+/// task whose index and label match an entry already in the log is
+/// restored from it (through `decode`) instead of run again. Labels must
+/// therefore name everything a task's result depends on that the log's
+/// path does not. A failed append is reported on stderr and only costs
+/// re-running that task on resume.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from opening the checkpoint log. (Failed
-/// checkpoint *appends* are reported on stderr but do not fail the
-/// sweep: losing a checkpoint entry only costs re-simulation.)
+/// Propagates I/O errors from opening the checkpoint log.
+pub fn run_tasks_resumable<T, F>(
+    labels: Vec<String>,
+    task: F,
+    config: &EngineConfig,
+    checkpoint: Option<&Path>,
+    encode: fn(&T) -> String,
+    decode: fn(&str) -> Option<T>,
+) -> io::Result<(Vec<Option<T>>, EngineReport)>
+where
+    T: Send,
+    F: Fn(usize) -> Result<TaskOutput<T>, TaskError> + Sync,
+{
+    let (log, restored) = CheckpointLog::load_seeded(checkpoint, &labels)?;
+    let seeded = restored
+        .into_iter()
+        .map(|slot| slot.and_then(|(payload, records)| Some((decode(&payload)?, records))))
+        .collect();
+    Ok(run_tasks(
+        labels,
+        task,
+        config,
+        seeded,
+        |index, label, records, value| {
+            if let Some(log) = &log {
+                if let Err(e) = log.append(index, label, records, &encode(value)) {
+                    eprintln!(
+                        "[dfcm-sim engine] checkpoint append failed for {label}: {e} \
+                         (the task will re-run on resume)"
+                    );
+                }
+            }
+        },
+    ))
+}
+
+/// Evaluates a family of predictor configurations over a benchmark
+/// suite at (configuration, benchmark) granularity, with optional
+/// checkpoint/resume: the paper's method (§4), one fresh cold predictor
+/// per pair, on the engine.
+///
+/// `factory` builds a fresh predictor for a configuration; it is invoked
+/// once per (configuration, benchmark) pair, and once more per
+/// configuration for the label and size in its [`SuiteResult`].
+/// Results merge deterministically back into configuration order, so
+/// they are identical (including float bits) at any thread count. A
+/// failed task's benchmark is *omitted* from its configuration's
+/// [`SuiteResult`] (and recorded in the report) instead of aborting the
+/// sweep.
+///
+/// Task labels are `<configuration:?>/<benchmark>`. With `checkpoint`
+/// set, completed tasks stream to a JSONL [`CheckpointLog`] at that path
+/// and a rerun skips every task whose index and label match an entry,
+/// producing byte-identical output versus an uninterrupted run. The
+/// label does not name the benchmark's records, so one checkpoint path
+/// must serve one suite: key the path by whatever generated it.
+///
+/// ```
+/// use dfcm::LastValuePredictor;
+/// use dfcm_sim::{sweep_engine_ft, EngineConfig};
+/// use dfcm_trace::suite::standard_traces;
+///
+/// let traces = standard_traces(1, 0.001);
+/// let engine = EngineConfig::threads(1);
+/// let (points, report) =
+///     sweep_engine_ft(&[6u32, 8], |&bits| LastValuePredictor::new(bits), &traces, &engine, None)?;
+/// assert_eq!(points.len(), 2);
+/// assert!(points[0].accuracy() > 0.0);
+/// assert_eq!(report.tasks[0].label, "6/cc1");
+/// # Ok::<(), std::io::Error>(())
+/// ```
+///
+/// # Errors
+///
+/// Propagates I/O errors from opening the checkpoint log.
 pub fn sweep_engine_ft<C, P, F>(
     configs: &[C],
     factory: F,
@@ -799,62 +830,50 @@ pub fn sweep_engine_ft<C, P, F>(
     checkpoint: Option<&Path>,
 ) -> io::Result<(Vec<SweepPoint<C>>, EngineReport)>
 where
-    C: Clone + Sync,
+    C: Clone + fmt::Debug + Sync,
     P: ValuePredictor,
     F: Fn(&C) -> P + Sync,
 {
     if traces.is_empty() {
-        // No benchmarks, no tasks: mirror the serial path's placeholder
-        // suite result per configuration.
-        return Ok((
-            empty_suite_points(configs),
-            EngineReport::empty(config.resolve_threads(0)),
-        ));
+        // No benchmarks, no tasks: a placeholder suite result per
+        // configuration.
+        let points = configs
+            .iter()
+            .map(|c| SweepPoint {
+                config: c.clone(),
+                result: SuiteResult {
+                    predictor: "(empty suite)".to_owned(),
+                    kbits: 0.0,
+                    benchmarks: Vec::new(),
+                },
+            })
+            .collect();
+        return Ok((points, EngineReport::empty(config.resolve_threads(0))));
     }
     let benches = traces.len();
-    let labels = sweep_labels(configs.len(), traces);
-    let (log, raw_seeded) = CheckpointLog::load_seeded(checkpoint, &labels)?;
-    let seeded: Vec<Option<(RunStats, u64)>> = if log.is_none() {
-        Vec::new()
-    } else {
-        raw_seeded
-            .into_iter()
-            .map(|slot| {
-                slot.and_then(|(payload, records)| {
-                    decode_stats(&payload).map(|stats| (stats, records))
-                })
-            })
-            .collect()
-    };
+    let labels = (0..configs.len() * benches)
+        .map(|i| format!("{:?}/{}", configs[i / benches], traces[i % benches].name))
+        .collect();
     let (stats_out, report) = run_tasks_resumable(
         labels,
         |i| {
             let bench = &traces[i % benches];
             let mut predictor = factory(&configs[i / benches]);
-            let stats = simulate_trace(&mut predictor, &bench.trace);
             Ok(TaskOutput {
-                value: stats,
+                value: simulate_trace(&mut predictor, &bench.trace),
                 records: bench.trace.len() as u64,
             })
         },
         config,
-        seeded,
-        |index, label, records, stats: &RunStats| {
-            if let Some(log) = &log {
-                if let Err(e) = log.append(index, label, records, &encode_stats(stats)) {
-                    eprintln!(
-                        "[dfcm-sim engine] checkpoint append failed for {label}: {e} \
-                         (the task will re-run on resume)"
-                    );
-                }
-            }
-        },
-    );
+        checkpoint,
+        encode_stats,
+        decode_stats,
+    )?;
     let points = configs
         .iter()
         .enumerate()
         .map(|(c, cfg)| {
-            let benchmarks: Vec<BenchmarkResult> = (0..benches)
+            let benchmarks = (0..benches)
                 .filter_map(|b| {
                     stats_out[c * benches + b].map(|stats| BenchmarkResult {
                         name: traces[b].name,
@@ -862,9 +881,6 @@ where
                     })
                 })
                 .collect();
-            // The label and size come from a fresh predictor of this
-            // configuration — the same deterministic values the serial
-            // path reads off its first benchmark's predictor.
             let probe = factory(cfg);
             SweepPoint {
                 config: cfg.clone(),
@@ -879,84 +895,9 @@ where
     Ok((points, report))
 }
 
-/// [`sweep`](crate::sweep)'s work at (configuration, benchmark)
-/// granularity: every pair becomes one engine task with a fresh cold
-/// predictor, and results merge deterministically back into
-/// configuration order. The returned points are identical (including
-/// float bits) to the serial sweep's.
-///
-/// This is the infallible wrapper over [`sweep_engine_ft`]: it runs no
-/// checkpoint and panics if any task failed (which cannot happen unless
-/// the config injects faults or the factory/simulation panics).
-///
-/// # Panics
-///
-/// Panics if any task panicked or failed.
-pub fn sweep_engine<C, P, F>(
-    configs: &[C],
-    factory: F,
-    traces: &[BenchmarkTrace],
-    config: &EngineConfig,
-) -> (Vec<SweepPoint<C>>, EngineReport)
-where
-    C: Clone + Sync,
-    P: ValuePredictor,
-    F: Fn(&C) -> P + Sync,
-{
-    let (points, report) =
-        sweep_engine_ft(configs, factory, traces, config, None).expect("no checkpoint I/O");
-    if let Some(failed) = report.failures().next() {
-        panic!("engine task `{}` {}", failed.label, failed.outcome);
-    }
-    (points, report)
-}
-
-/// Fault-tolerant [`run_suite`](crate::run_suite) on the engine: one
-/// configuration, one task per benchmark, with optional
-/// checkpoint/resume. Failed benchmarks are omitted from the
-/// [`SuiteResult`] and recorded in the report.
-///
-/// # Errors
-///
-/// Propagates I/O errors from opening the checkpoint log.
-pub fn run_suite_engine_ft<P, F>(
-    factory: F,
-    traces: &[BenchmarkTrace],
-    config: &EngineConfig,
-    checkpoint: Option<&Path>,
-) -> io::Result<(SuiteResult, EngineReport)>
-where
-    P: ValuePredictor,
-    F: Fn() -> P + Sync,
-{
-    let (mut points, report) = sweep_engine_ft(&[()], |()| factory(), traces, config, checkpoint)?;
-    Ok((points.pop().expect("one config in").result, report))
-}
-
-/// [`run_suite`](crate::run_suite) on the engine: one configuration,
-/// one task per benchmark.
-///
-/// # Panics
-///
-/// Panics if any task panicked or failed (see [`sweep_engine`]).
-pub fn run_suite_engine<P, F>(
-    factory: F,
-    traces: &[BenchmarkTrace],
-    config: &EngineConfig,
-) -> (SuiteResult, EngineReport)
-where
-    P: ValuePredictor,
-    F: Fn() -> P + Sync,
-{
-    let (mut points, report) = sweep_engine(&[()], |()| factory(), traces, config);
-    (points.pop().expect("one config in").result, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_suite;
-    use crate::sweep::sweep;
     use dfcm::{DfcmPredictor, LastValuePredictor};
     use dfcm_trace::{Trace, TraceRecord};
 
@@ -972,6 +913,16 @@ mod tests {
             .collect()
     }
 
+    /// The LVP sweep most tests run: `bits` per configuration, no
+    /// checkpoint.
+    fn lvp_sweep(
+        bits: &[u32],
+        traces: &[BenchmarkTrace],
+        config: &EngineConfig,
+    ) -> (Vec<SweepPoint<u32>>, EngineReport) {
+        sweep_engine_ft(bits, |&b| LastValuePredictor::new(b), traces, config, None).unwrap()
+    }
+
     #[test]
     fn engine_matches_serial_sweep() {
         let traces = suite(3, 400);
@@ -983,37 +934,98 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let serial = sweep(&configs, factory, &traces);
+        // The serial loop: a fresh predictor per (configuration,
+        // benchmark) pair, in order.
+        let serial: Vec<Vec<BenchmarkResult>> = configs
+            .iter()
+            .map(|c| {
+                traces
+                    .iter()
+                    .map(|b| BenchmarkResult {
+                        name: b.name,
+                        stats: simulate_trace(&mut factory(c), &b.trace),
+                    })
+                    .collect()
+            })
+            .collect();
         for threads in [1, 3, 64] {
-            let (points, report) =
-                sweep_engine(&configs, factory, &traces, &EngineConfig::threads(threads));
-            assert_eq!(points, serial);
+            let (points, report) = sweep_engine_ft(
+                &configs,
+                factory,
+                &traces,
+                &EngineConfig::threads(threads),
+                None,
+            )
+            .unwrap();
+            for ((point, expect), config) in points.iter().zip(&serial).zip(&configs) {
+                assert_eq!(point.config, *config);
+                assert_eq!(&point.result.benchmarks, expect);
+                assert_eq!(point.result.predictor, factory(config).name());
+            }
             assert_eq!(report.tasks.len(), configs.len() * traces.len());
             assert_eq!(report.total_records(), 3 * 3 * 400);
+            assert!(report.threads <= threads);
             assert!(report.all_ok());
         }
     }
 
     #[test]
-    fn run_suite_engine_matches_run_suite() {
-        let traces = suite(4, 300);
-        let serial = run_suite(|| LastValuePredictor::new(6), &traces);
-        let (result, report) = run_suite_engine(
-            || LastValuePredictor::new(6),
-            &traces,
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        // One requested worker, and one task (the worker count never
+        // exceeds the task count), both resolve to a single worker.
+        for (threads, tasks) in [(1, 6), (4, 1)] {
+            let (ids, report) = run_tasks_ft(
+                (0..tasks).map(|i| format!("t{i}")).collect(),
+                |_| {
+                    Ok(TaskOutput {
+                        value: std::thread::current().id(),
+                        records: 1,
+                    })
+                },
+                &EngineConfig::threads(threads),
+            );
+            assert_eq!(report.threads, 1);
+            assert!(ids.iter().all(|id| *id == Some(caller)), "{ids:?}");
+        }
+    }
+
+    #[test]
+    fn workers_run_tasks_concurrently() {
+        // Each task waits until both have started: a worker that held
+        // the queue lock while running its task would leave the other
+        // task queued, and the first would time out.
+        let started = std::sync::atomic::AtomicUsize::new(0);
+        let (met, _) = run_tasks_ft(
+            vec!["a".to_owned(), "b".to_owned()],
+            |_| {
+                started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while started.load(std::sync::atomic::Ordering::SeqCst) < 2 {
+                    if Instant::now() > deadline {
+                        return Ok(TaskOutput {
+                            value: false,
+                            records: 0,
+                        });
+                    }
+                    std::thread::yield_now();
+                }
+                Ok(TaskOutput {
+                    value: true,
+                    records: 0,
+                })
+            },
             &EngineConfig::threads(2),
         );
-        assert_eq!(result, serial);
-        assert_eq!(report.tasks.len(), 4);
-        assert!(report.threads <= 2);
+        assert_eq!(met, vec![Some(true), Some(true)]);
     }
 
     #[test]
     fn empty_suite_mirrors_serial_placeholder() {
-        let serial = run_suite(|| LastValuePredictor::new(4), &[]);
-        let (result, report) =
-            run_suite_engine(|| LastValuePredictor::new(4), &[], &EngineConfig::default());
-        assert_eq!(result, serial);
+        let (points, report) = lvp_sweep(&[4], &[], &EngineConfig::default());
+        assert_eq!(points[0].result.predictor, "(empty suite)");
+        assert_eq!(points[0].kbits(), 0.0);
+        assert!(points[0].result.benchmarks.is_empty());
         assert!(report.tasks.is_empty());
         assert_eq!(report.total_records(), 0);
     }
@@ -1021,12 +1033,7 @@ mod tests {
     #[test]
     fn worker_accounting_covers_all_tasks() {
         let traces = suite(4, 200);
-        let (_, report) = sweep_engine(
-            &[6u32, 8],
-            |&bits| LastValuePredictor::new(bits),
-            &traces,
-            &EngineConfig::threads(3),
-        );
+        let (_, report) = lvp_sweep(&[6, 8], &traces, &EngineConfig::threads(3));
         let by_workers: u64 = report.workers.iter().map(|w| w.tasks).sum();
         assert_eq!(by_workers, report.tasks.len() as u64);
         assert!(report.workers.len() <= 3);
@@ -1039,18 +1046,13 @@ mod tests {
     #[test]
     fn jsonl_has_one_line_per_entity() {
         let traces = suite(2, 100);
-        let (_, report) = sweep_engine(
-            &[4u32],
-            |&bits| LastValuePredictor::new(bits),
-            &traces,
-            &EngineConfig::threads(1),
-        );
+        let (_, report) = lvp_sweep(&[4], &traces, &EngineConfig::threads(1));
         let jsonl = report.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 1 + report.workers.len() + report.tasks.len());
         assert!(lines[0].starts_with("{\"type\":\"suite\""));
         assert!(lines[0].contains("\"ok\":2,\"failed\":0"));
-        assert!(jsonl.contains("\"label\":\"cfg0/a\""));
+        assert!(jsonl.contains("\"label\":\"4/a\""));
         assert!(jsonl.contains("\"outcome\":\"ok\""));
         assert!(jsonl.contains("\"utilization\":"));
         for line in lines {
@@ -1073,15 +1075,7 @@ mod tests {
     #[test]
     fn merge_concatenates_and_sums() {
         let traces = suite(2, 100);
-        let run = || {
-            sweep_engine(
-                &[4u32],
-                |&bits| LastValuePredictor::new(bits),
-                &traces,
-                &EngineConfig::threads(2),
-            )
-            .1
-        };
+        let run = || lvp_sweep(&[4], &traces, &EngineConfig::threads(2)).1;
         let mut a = run();
         let b = run();
         let total_before = a.total_records() + b.total_records();
@@ -1136,12 +1130,7 @@ mod tests {
             obs: Obs::enabled(),
             ..EngineConfig::default()
         };
-        let (_, report) = sweep_engine(
-            &[4u32],
-            |&bits| LastValuePredictor::new(bits),
-            &traces,
-            &config,
-        );
+        let (_, report) = lvp_sweep(&[4], &traces, &config);
         let (events, metrics) = config.obs.snapshot();
         let attempts = events
             .iter()

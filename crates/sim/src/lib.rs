@@ -13,13 +13,13 @@
 //!   format and takes the obs handle), bit-identical to the reference
 //!   loop and flat-memory on chunked files. Every pass, observed or not,
 //!   runs one chunk loop with its observer as a type parameter.
-//! * [`run_suite`] — fresh predictor per benchmark, weighted-mean accuracy.
-//! * [`sweep`] — evaluate a family of configurations over a suite.
 //! * [`engine`] — the parallel execution engine: a shared work queue of
-//!   (configuration, benchmark) tasks with deterministic merge, run
-//!   metrics, panic isolation, bounded retries and checkpoint/resume
-//!   ([`sweep_engine`], [`sweep_engine_ft`], [`run_suite_engine`],
-//!   [`EngineReport`], [`TaskOutcome`]).
+//!   tasks with deterministic merge, run metrics, panic isolation,
+//!   bounded retries and checkpoint/resume ([`run_tasks_ft`],
+//!   [`run_tasks_resumable`], [`EngineReport`], [`TaskOutcome`]).
+//!   [`sweep_engine_ft`] is the suite runner: a fresh predictor per
+//!   (configuration, benchmark) task, with the weighted-mean accuracy of
+//!   each configuration in a [`SuiteResult`].
 //! * [`checkpoint`] — the append-only JSONL task-result log that backs
 //!   `--resume` ([`checkpoint::CheckpointLog`]).
 //! * [`fault`] — seeded, deterministic fault injection for testing the
@@ -64,15 +64,13 @@ mod run;
 pub mod speculation;
 pub mod stream;
 mod suite;
-mod sweep;
 mod timeline;
 mod vm_tasks;
 
 pub use crate::confidence::{simulate_confidence, ConfidenceStats};
 pub use crate::engine::{
-    run_suite_engine, run_suite_engine_ft, run_tasks_ft, run_tasks_resumable, sweep_engine,
-    sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy, TaskError, TaskMetric, TaskOutcome,
-    TaskOutput, WorkerMetric,
+    run_tasks_ft, run_tasks_resumable, sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy,
+    TaskError, TaskMetric, TaskOutcome, TaskOutput, WorkerMetric,
 };
 pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
@@ -81,7 +79,6 @@ pub use crate::stream::{
     stream_records_with, stream_trace, stream_trace_file, stream_v2_file, stream_v3_file,
     SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
 };
-pub use crate::suite::{run_suite, BenchmarkResult, SuiteResult};
-pub use crate::sweep::{sweep, SweepPoint};
+pub use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
 pub use crate::timeline::simulate_timeline;
 pub use crate::vm_tasks::{kernel_traces_observed, record_tier_stats};

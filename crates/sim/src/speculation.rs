@@ -10,11 +10,13 @@
 //! benefit of 1 and a penalty of 10, a predictor must exceed ~91%
 //! accuracy on the predictions it issues, which is why the confidence
 //! estimation of §4.2 matters.
+//!
+//! The penalty only enters [`SpeculationModel::net_cycles`], so one
+//! simulation serves every penalty: an always-issuing predictor scores
+//! its [`simulate_trace`](crate::simulate_trace) stats, a
+//! confidence-gated one the `issued` half of its
+//! [`simulate_confidence`](crate::simulate_confidence) stats.
 
-use dfcm::{ConfidencePredictor, ValuePredictor};
-use dfcm_trace::Trace;
-
-use crate::confidence::ConfidenceStats;
 use crate::run::RunStats;
 
 /// Cycle cost model for issued predictions.
@@ -50,70 +52,12 @@ impl Default for SpeculationModel {
     }
 }
 
-/// Result of a speculation evaluation over a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationOutcome {
-    /// Coverage/accuracy statistics of the run.
-    pub stats: ConfidenceStats,
-    /// Net cycles saved over the whole trace under the model.
-    pub net_cycles: f64,
-}
-
-impl SpeculationOutcome {
-    /// Net cycles saved per 1000 predicted instructions — the comparable
-    /// figure of merit.
-    pub fn net_per_kilo(&self) -> f64 {
-        if self.stats.all.predictions == 0 {
-            0.0
-        } else {
-            1000.0 * self.net_cycles / self.stats.all.predictions as f64
-        }
-    }
-}
-
-/// Evaluates an always-issuing predictor (no confidence estimation) under
-/// the model.
-pub fn speculate_always<P>(
-    model: SpeculationModel,
-    predictor: &mut P,
-    trace: &Trace,
-) -> SpeculationOutcome
-where
-    P: ValuePredictor + ?Sized,
-{
-    let stats = crate::run::simulate_trace(predictor, trace);
-    let outcome = ConfidenceStats {
-        all: stats,
-        issued: stats,
-    };
-    SpeculationOutcome {
-        stats: outcome,
-        net_cycles: model.net_cycles(stats),
-    }
-}
-
-/// Evaluates a confidence-gated predictor under the model: only confident
-/// predictions are issued and scored.
-pub fn speculate_confident<P>(
-    model: SpeculationModel,
-    predictor: &mut P,
-    trace: &Trace,
-) -> SpeculationOutcome
-where
-    P: ConfidencePredictor + ?Sized,
-{
-    let stats = crate::confidence::simulate_confidence(predictor, trace);
-    SpeculationOutcome {
-        stats,
-        net_cycles: model.net_cycles(stats.issued),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{simulate_confidence, simulate_trace};
     use dfcm::{DfcmPredictor, TaggedDfcmPredictor};
-    use dfcm_trace::TraceRecord;
+    use dfcm_trace::{Trace, TraceRecord};
 
     fn mixed_trace() -> Trace {
         let mut trace = Trace::new();
@@ -124,6 +68,24 @@ mod tests {
             trace.push(TraceRecord::new(0x20, x >> 25)); // unpredictable
         }
         trace
+    }
+
+    /// Net cycles of issuing every prediction of a plain DFCM, and of
+    /// issuing only the confident predictions of a tagged one.
+    fn always_and_gated(model: SpeculationModel, trace: &Trace) -> (f64, f64) {
+        let mut plain = DfcmPredictor::builder()
+            .l1_bits(8)
+            .l2_bits(10)
+            .build()
+            .unwrap();
+        let mut tagged = TaggedDfcmPredictor::builder()
+            .l1_bits(8)
+            .l2_bits(10)
+            .build()
+            .unwrap();
+        let always = model.net_cycles(simulate_trace(&mut plain, trace));
+        let gated = model.net_cycles(simulate_confidence(&mut tagged, trace).issued);
+        (always, gated)
     }
 
     #[test]
@@ -157,60 +119,26 @@ mod tests {
     fn confidence_gating_rescues_harsh_penalties() {
         // At a 10-cycle squash cost, a ~50%-accurate unconditional DFCM
         // loses cycles; the tagged estimator turns it profitable.
-        let trace = mixed_trace();
-        let model = SpeculationModel::default();
-        let mut plain = DfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let always = speculate_always(model, &mut plain, &trace);
-        let mut tagged = TaggedDfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let gated = speculate_confident(model, &mut tagged, &trace);
-        assert!(
-            always.net_cycles < 0.0,
-            "unconditional issue must lose: {always:?}"
-        );
-        assert!(gated.net_cycles > 0.0, "gated issue must win: {gated:?}");
-        assert!(gated.net_per_kilo() > always.net_per_kilo());
+        let (always, gated) = always_and_gated(SpeculationModel::default(), &mixed_trace());
+        assert!(always < 0.0, "unconditional issue must lose: {always}");
+        assert!(gated > 0.0, "gated issue must win: {gated}");
     }
 
     #[test]
     fn mild_penalties_favor_wide_issue() {
         // With no squash cost, issuing everything dominates gating.
-        let trace = mixed_trace();
         let model = SpeculationModel {
             benefit: 1.0,
             penalty: 0.0,
         };
-        let mut plain = DfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let always = speculate_always(model, &mut plain, &trace);
-        let mut tagged = TaggedDfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let gated = speculate_confident(model, &mut tagged, &trace);
-        assert!(always.net_cycles >= gated.net_cycles);
+        let (always, gated) = always_and_gated(model, &mixed_trace());
+        assert!(always >= gated);
     }
 
     #[test]
     fn empty_trace_is_neutral() {
-        let mut p = DfcmPredictor::builder()
-            .l1_bits(4)
-            .l2_bits(6)
-            .build()
-            .unwrap();
-        let out = speculate_always(SpeculationModel::default(), &mut p, &Trace::new());
-        assert_eq!(out.net_cycles, 0.0);
-        assert_eq!(out.net_per_kilo(), 0.0);
+        let (always, gated) = always_and_gated(SpeculationModel::default(), &Trace::new());
+        assert_eq!(always, 0.0);
+        assert_eq!(gated, 0.0);
     }
 }

@@ -1,7 +1,4 @@
-use dfcm::ValuePredictor;
-use dfcm_trace::BenchmarkTrace;
-
-use crate::run::{simulate_trace, RunStats};
+use crate::run::RunStats;
 
 /// Per-benchmark result of a suite run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,6 +13,8 @@ pub struct BenchmarkResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteResult {
     /// The predictor's label (from [`ValuePredictor::name`]).
+    ///
+    /// [`ValuePredictor::name`]: dfcm::ValuePredictor::name
     pub predictor: String,
     /// The predictor's storage in Kbit.
     pub kbits: f64,
@@ -43,40 +42,34 @@ impl SuiteResult {
     }
 }
 
-/// Runs a *fresh* predictor (from `factory`) over each benchmark trace —
-/// the paper's per-benchmark simulation — and aggregates the results.
-pub fn run_suite<P, F>(mut factory: F, traces: &[BenchmarkTrace]) -> SuiteResult
-where
-    P: ValuePredictor,
-    F: FnMut() -> P,
-{
-    let mut benchmarks = Vec::with_capacity(traces.len());
-    let mut label = None;
-    let mut kbits = 0.0;
-    for bench in traces {
-        let mut predictor = factory();
-        if label.is_none() {
-            label = Some(predictor.name());
-            kbits = predictor.storage().kbits();
-        }
-        let stats = simulate_trace(&mut predictor, &bench.trace);
-        benchmarks.push(BenchmarkResult {
-            name: bench.name,
-            stats,
-        });
+/// One evaluated configuration of a parameter sweep
+/// ([`sweep_engine_ft`](crate::sweep_engine_ft)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepPoint<C> {
+    /// The configuration that was evaluated.
+    pub config: C,
+    /// The suite result at that configuration.
+    pub result: SuiteResult,
+}
+
+impl<C> SweepPoint<C> {
+    /// Shorthand for the weighted suite accuracy at this point.
+    pub fn accuracy(&self) -> f64 {
+        self.result.weighted_accuracy()
     }
-    SuiteResult {
-        predictor: label.unwrap_or_else(|| "(empty suite)".to_owned()),
-        kbits,
-        benchmarks,
+
+    /// Shorthand for the configuration's storage in Kbit.
+    pub fn kbits(&self) -> f64 {
+        self.result.kbits
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfcm::LastValuePredictor;
-    use dfcm_trace::{Trace, TraceRecord};
+    use crate::{sweep_engine_ft, EngineConfig};
+    use dfcm::{FcmPredictor, LastValuePredictor, ValuePredictor};
+    use dfcm_trace::{BenchmarkTrace, Trace, TraceRecord};
 
     fn bench(name: &'static str, values: &[u64]) -> BenchmarkTrace {
         BenchmarkTrace {
@@ -88,12 +81,42 @@ mod tests {
         }
     }
 
+    /// One configuration over `traces` on a single engine worker.
+    fn one<P: ValuePredictor>(
+        factory: impl Fn() -> P + Sync,
+        traces: &[BenchmarkTrace],
+    ) -> SuiteResult {
+        let (mut points, _) = sweep_engine_ft(
+            &[()],
+            |()| factory(),
+            traces,
+            &EngineConfig::threads(1),
+            None,
+        )
+        .unwrap();
+        points.pop().unwrap().result
+    }
+
+    fn sweep<C, P>(
+        configs: &[C],
+        factory: impl Fn(&C) -> P + Sync,
+        traces: &[BenchmarkTrace],
+    ) -> Vec<SweepPoint<C>>
+    where
+        C: Clone + std::fmt::Debug + Sync,
+        P: ValuePredictor,
+    {
+        sweep_engine_ft(configs, factory, traces, &EngineConfig::threads(2), None)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn fresh_predictor_per_benchmark() {
         // If state leaked between benchmarks, the second identical
         // benchmark would have no cold miss.
         let traces = vec![bench("a", &[5, 5, 5]), bench("b", &[5, 5, 5])];
-        let result = run_suite(|| LastValuePredictor::new(4), &traces);
+        let result = one(|| LastValuePredictor::new(4), &traces);
         assert_eq!(result.benchmarks[0].stats.correct, 2);
         assert_eq!(result.benchmarks[1].stats.correct, 2, "state must not leak");
     }
@@ -105,7 +128,7 @@ mod tests {
             bench("big", &[7; 100]),
             bench("small", &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
         ];
-        let result = run_suite(|| LastValuePredictor::new(4), &traces);
+        let result = one(|| LastValuePredictor::new(4), &traces);
         let expected = 99.0 / 110.0;
         assert!((result.weighted_accuracy() - expected).abs() < 1e-12);
     }
@@ -113,7 +136,7 @@ mod tests {
     #[test]
     fn benchmark_accuracy_lookup() {
         let traces = vec![bench("x", &[3, 3])];
-        let result = run_suite(|| LastValuePredictor::new(4), &traces);
+        let result = one(|| LastValuePredictor::new(4), &traces);
         assert_eq!(result.benchmark_accuracy("x"), Some(0.5));
         assert_eq!(result.benchmark_accuracy("y"), None);
     }
@@ -121,8 +144,42 @@ mod tests {
     #[test]
     fn labels_and_size_reported() {
         let traces = vec![bench("x", &[1])];
-        let result = run_suite(|| LastValuePredictor::new(6), &traces);
+        let result = one(|| LastValuePredictor::new(6), &traces);
         assert_eq!(result.predictor, "lvp(2^6)");
         assert!((result.kbits - 2.0).abs() < 1e-12); // 64 entries * 32 bits
+    }
+
+    fn context_suite() -> Vec<BenchmarkTrace> {
+        // PCs must be 4-byte aligned (see `TraceRecord::pc`): predictors
+        // drop the two always-zero low bits, so `16 + (i % 4)` would
+        // collapse all four "instructions" into one level-1 entry.
+        let trace: Trace = (0..500u64)
+            .map(|i| TraceRecord::new(16 + 4 * (i % 4), (i % 7) * 100))
+            .collect();
+        vec![BenchmarkTrace { name: "t", trace }]
+    }
+
+    fn fcm(l1: u32, l2: u32) -> FcmPredictor {
+        FcmPredictor::builder()
+            .l1_bits(l1)
+            .l2_bits(l2)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sweep_evaluates_each_config() {
+        let traces = context_suite();
+        let points = sweep(&[(4u32, 8u32), (8, 12)], |&(l1, l2)| fcm(l1, l2), &traces);
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].config, (4, 8));
+        assert!(points[1].kbits() > points[0].kbits());
+    }
+
+    #[test]
+    fn bigger_tables_do_not_hurt_on_context_patterns() {
+        let traces = context_suite();
+        let points = sweep(&[8u32, 14], |&l2| fcm(8, l2), &traces);
+        assert!(points[1].accuracy() >= points[0].accuracy() - 0.02);
     }
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use dfcm::{DfcmPredictor, LastValuePredictor};
 use dfcm_sim::checkpoint::CheckpointLog;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
-use dfcm_sim::{sweep, sweep_engine_ft, EngineConfig, FaultPlan, RetryPolicy, TaskOutcome};
+use dfcm_sim::{sweep_engine_ft, EngineConfig, FaultPlan, RetryPolicy, TaskOutcome};
 use dfcm_trace::{BenchmarkTrace, Trace, TraceRecord};
 use proptest::prelude::*;
 
@@ -69,10 +69,18 @@ fn panicking_task_is_isolated_and_reported() {
         ..EngineConfig::default()
     };
     let (points, report) = sweep_engine_ft(&CONFIGS, dfcm_factory, &traces, &config, None).unwrap();
-    // Every non-faulted task completed and matches the serial reference.
-    let serial = sweep(&CONFIGS, dfcm_factory, &traces);
+    // Every non-faulted task completed and matches a fault-free run.
+    let clean = sweep_engine_ft(
+        &CONFIGS,
+        dfcm_factory,
+        &traces,
+        &EngineConfig::threads(1),
+        None,
+    )
+    .unwrap()
+    .0;
     for (c, point) in points.iter().enumerate() {
-        let expect: Vec<_> = serial[c]
+        let expect: Vec<_> = clean[c]
             .result
             .benchmarks
             .iter()
@@ -81,7 +89,7 @@ fn panicking_task_is_isolated_and_reported() {
             .map(|(_, r)| r.clone())
             .collect();
         assert_eq!(point.result.benchmarks, expect, "config {c}");
-        assert_eq!(point.result.predictor, serial[c].result.predictor);
+        assert_eq!(point.result.predictor, clean[c].result.predictor);
     }
     // Failures are first-class in the report, in task order.
     let reported: Vec<usize> = report
@@ -320,6 +328,26 @@ fn stale_checkpoint_from_different_sweep_is_ignored() {
 }
 
 #[test]
+fn checkpoint_resumed_with_reordered_configs_returns_clean_points() {
+    // Entries are keyed by configuration, not by position: resuming a
+    // checkpoint with the configuration list reordered must not hand
+    // one configuration's results to another.
+    let traces = suite(3, 200);
+    let config = EngineConfig::threads(2);
+    let path = temp_path("reordered_configs.jsonl");
+    sweep_engine_ft(&CONFIGS, dfcm_factory, &traces, &config, Some(&path)).unwrap();
+    let reordered = [CONFIGS[2], CONFIGS[0], CONFIGS[1]];
+    let clean = sweep_engine_ft(&reordered, dfcm_factory, &traces, &config, None)
+        .unwrap()
+        .0;
+    let (resumed, report) =
+        sweep_engine_ft(&reordered, dfcm_factory, &traces, &config, Some(&path)).unwrap();
+    assert_eq!(resumed, clean);
+    assert!(report.all_ok());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn checkpoint_appends_are_concurrency_safe() {
     let path = temp_path("concurrent_appends.jsonl");
     let (log, _) = CheckpointLog::open(&path).unwrap();
@@ -467,7 +495,7 @@ fn lock_recovery_under_injected_panics_is_exhaustive() {
 }
 
 #[test]
-fn run_suite_engine_ft_reports_partial_suites() {
+fn one_config_sweep_reports_partial_suites() {
     let traces = suite(4, 100);
     // Pick (deterministically) a seed whose plan faults a proper,
     // non-empty subset of the four tasks.
@@ -484,10 +512,15 @@ fn run_suite_engine_ft_reports_partial_suites() {
         faults: Some(plan),
         ..EngineConfig::default()
     };
-    let (result, report) =
-        dfcm_sim::run_suite_engine_ft(|| LastValuePredictor::new(6), &traces, &config, None)
-            .unwrap();
-    assert_eq!(result.benchmarks.len(), 4 - faulted.len());
+    let (points, report) = sweep_engine_ft(
+        &[6u32],
+        |&bits| LastValuePredictor::new(bits),
+        &traces,
+        &config,
+        None,
+    )
+    .unwrap();
+    assert_eq!(points[0].result.benchmarks.len(), 4 - faulted.len());
     assert_eq!(report.failures().count(), faulted.len());
 }
 

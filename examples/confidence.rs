@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example confidence [penalty]`
 
 use dfcm_suite::predictors::{DfcmPredictor, TaggedDfcmPredictor};
-use dfcm_suite::sim::speculation::{speculate_always, speculate_confident, SpeculationModel};
+use dfcm_suite::sim::speculation::SpeculationModel;
+use dfcm_suite::sim::{simulate_confidence, simulate_trace};
 use dfcm_suite::trace::suite::standard_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,11 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut coverage_stats = (0u64, 0u64);
     for bench in &traces {
         let mut p = DfcmPredictor::builder().l1_bits(14).l2_bits(12).build()?;
-        let out = speculate_always(model, &mut p, &bench.trace);
-        all += out.net_cycles;
-        predictions += out.stats.all.predictions;
-        coverage_stats.0 += out.stats.issued.predictions;
-        coverage_stats.1 += out.stats.issued.correct;
+        // Issuing everything: every prediction is an issued one.
+        let stats = simulate_trace(&mut p, &bench.trace);
+        all += model.net_cycles(stats);
+        predictions += stats.predictions;
+        coverage_stats.0 += stats.predictions;
+        coverage_stats.1 += stats.correct;
     }
     println!(
         "{:<26} {:>8.1}% {:>10.1}% {:>+10.1}",
@@ -63,11 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .tag_bits(tag_bits)
                 .conf_threshold(threshold)
                 .build()?;
-            let out = speculate_confident(model, &mut p, &bench.trace);
-            net += out.net_cycles;
-            n += out.stats.all.predictions;
-            issued.0 += out.stats.issued.predictions;
-            issued.1 += out.stats.issued.correct;
+            let stats = simulate_confidence(&mut p, &bench.trace);
+            net += model.net_cycles(stats.issued);
+            n += stats.all.predictions;
+            issued.0 += stats.issued.predictions;
+            issued.1 += stats.issued.correct;
         }
         println!(
             "{:<26} {:>8.1}% {:>10.1}% {:>+10.1}",

@@ -7,9 +7,29 @@
 //!
 //! Run with: `cargo run --release --example table_tuning [budget_kbit]`
 
-use dfcm_suite::predictors::{DfcmPredictor, FcmPredictor};
-use dfcm_suite::sim::{pareto_front, sweep, ParetoPoint};
+use dfcm_suite::predictors::{DfcmPredictor, FcmPredictor, ValuePredictor};
+use dfcm_suite::sim::{pareto_front, sweep_engine_ft, EngineConfig, ParetoPoint};
 use dfcm_suite::trace::suite::standard_traces;
+use dfcm_suite::trace::BenchmarkTrace;
+
+/// Sweeps one predictor family over the grid (on every hardware thread)
+/// and returns its size/accuracy points.
+fn points<P: ValuePredictor>(
+    grid: &[(u32, u32)],
+    factory: impl Fn(u32, u32) -> P + Sync,
+    traces: &[BenchmarkTrace],
+) -> std::io::Result<Vec<ParetoPoint>> {
+    let engine = EngineConfig::default();
+    let (points, _) = sweep_engine_ft(grid, |&(l1, l2)| factory(l1, l2), traces, &engine, None)?;
+    Ok(points
+        .into_iter()
+        .map(|p| ParetoPoint {
+            label: p.result.predictor.clone(),
+            kbits: p.kbits(),
+            accuracy: p.accuracy(),
+        })
+        .collect())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget: f64 = std::env::args()
@@ -25,9 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|&a| l2s.iter().map(move |&b| (a, b)))
         .collect();
 
-    let fcm_points: Vec<ParetoPoint> = sweep(
+    let fcm_points = points(
         &grid,
-        |&(l1, l2)| {
+        |l1, l2| {
             FcmPredictor::builder()
                 .l1_bits(l1)
                 .l2_bits(l2)
@@ -35,18 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("valid")
         },
         &traces,
-    )
-    .into_iter()
-    .map(|p| ParetoPoint {
-        label: p.result.predictor.clone(),
-        kbits: p.kbits(),
-        accuracy: p.accuracy(),
-    })
-    .collect();
-
-    let dfcm_points: Vec<ParetoPoint> = sweep(
+    )?;
+    let dfcm_points = points(
         &grid,
-        |&(l1, l2)| {
+        |l1, l2| {
             DfcmPredictor::builder()
                 .l1_bits(l1)
                 .l2_bits(l2)
@@ -54,14 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("valid")
         },
         &traces,
-    )
-    .into_iter()
-    .map(|p| ParetoPoint {
-        label: p.result.predictor.clone(),
-        kbits: p.kbits(),
-        accuracy: p.accuracy(),
-    })
-    .collect();
+    )?;
 
     println!("Pareto-optimal configurations (suite-weighted accuracy):\n");
     for (name, points) in [("FCM", &fcm_points), ("DFCM", &dfcm_points)] {

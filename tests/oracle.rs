@@ -1,0 +1,148 @@
+//! The production predictors against the naive model of the paper's
+//! definitions (`support/oracle.rs`): every record's prediction must
+//! match, for each of the five predictors, on random aliasing-heavy
+//! traces and on the standard suite.
+//!
+//! Raise `PROPTEST_CASES` for a heavier run (CI runs this file in release
+//! with more cases).
+
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use dfcm_suite::predictors;
+use dfcm_suite::trace::suite::standard_traces;
+use oracle::{Model, Oracle};
+use proptest::prelude::*;
+
+/// Tiny tables, so level-1 and level-2 entries alias constantly; every
+/// model kind, with both truncated DFCM widths.
+const SMALL: [Model; 9] = [
+    Model::Lvp { bits: 3 },
+    Model::Stride { bits: 3 },
+    Model::TwoDelta { bits: 3 },
+    Model::Fcm { l1: 3, l2: 6 },
+    Model::Fcm { l1: 4, l2: 11 },
+    Model::Dfcm {
+        l1: 3,
+        l2: 6,
+        width: None,
+    },
+    Model::Dfcm {
+        l1: 4,
+        l2: 11,
+        width: None,
+    },
+    Model::Dfcm {
+        l1: 3,
+        l2: 7,
+        width: Some(16),
+    },
+    Model::Dfcm {
+        l1: 3,
+        l2: 7,
+        width: Some(8),
+    },
+];
+
+/// The figures' shapes: histories of order 3 and 4.
+const SUITE: [Model; 9] = [
+    Model::Lvp { bits: 10 },
+    Model::Stride { bits: 10 },
+    Model::TwoDelta { bits: 10 },
+    Model::Fcm { l1: 10, l2: 12 },
+    Model::Fcm { l1: 16, l2: 16 },
+    Model::Dfcm {
+        l1: 10,
+        l2: 12,
+        width: None,
+    },
+    Model::Dfcm {
+        l1: 16,
+        l2: 16,
+        width: None,
+    },
+    Model::Dfcm {
+        l1: 12,
+        l2: 12,
+        width: Some(16),
+    },
+    Model::Dfcm {
+        l1: 12,
+        l2: 12,
+        width: Some(8),
+    },
+];
+
+/// Runs `model` and its production predictor side by side over
+/// `records` and fails at the first prediction that differs.
+fn assert_agrees(model: Model, records: impl IntoIterator<Item = (u64, u64)>, what: &str) {
+    let mut production = model.production();
+    let mut naive = Oracle::new(model);
+    for (i, (pc, value)) in records.into_iter().enumerate() {
+        let got = production.access(pc, value);
+        let want = naive.access(pc, value);
+        assert_eq!(
+            got.predicted, want,
+            "{model:?} on {what}, record {i} (pc {pc:#x}, value {value:#x})"
+        );
+        assert_eq!(got.correct, want == value);
+    }
+}
+
+/// Records over 24 aligned PCs. Values mix runs of a per-PC stride
+/// (negative ones included, so truncated differences need their sign),
+/// repeats, small contexts and raw 64-bit noise.
+fn arb_records() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let record = (0u64..24, 0u8..4, any::<u64>(), -300i64..300);
+    prop::collection::vec(record, 0..400).prop_map(|raw| {
+        let mut last = [0u64; 24];
+        raw.into_iter()
+            .map(|(slot, kind, noise, step)| {
+                let value = match kind {
+                    0 => last[slot as usize].wrapping_add(step as u64),
+                    1 => last[slot as usize],
+                    2 => noise % 5,
+                    _ => noise,
+                };
+                last[slot as usize] = value;
+                (0x40_0000 + 4 * slot, value)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #[test]
+    fn every_model_agrees_with_production_on_random_traces(records in arb_records()) {
+        for model in SMALL {
+            assert_agrees(model, records.iter().copied(), "a random trace");
+        }
+    }
+}
+
+#[test]
+fn every_model_agrees_with_production_on_the_standard_suite() {
+    for bench in standard_traces(0x0AC1E, 0.01) {
+        for model in SUITE {
+            assert_agrees(
+                model,
+                bench.trace.iter().map(|r| (r.pc, r.value)),
+                bench.name,
+            );
+        }
+    }
+}
+
+#[test]
+fn the_model_is_cold_and_learns_a_stride() {
+    // Zeroed tables predict 0 first; a DFCM of order 3 predicts a fresh
+    // stride once its difference history is full of that stride.
+    let mut naive = Oracle::new(Model::Dfcm {
+        l1: 4,
+        l2: 12,
+        width: None,
+    });
+    let predictions: Vec<u64> = (1..=8).map(|i| naive.access(0x40, 10 * i)).collect();
+    assert_eq!(predictions[0], 0);
+    assert_eq!(&predictions[5..], &[60, 70, 80]);
+}

@@ -6,7 +6,7 @@ use dfcm_suite::predictors::{
     DelayedUpdate, DfcmPredictor, FcmPredictor, HybridPredictor, PerfectMeta, StridePredictor,
     StrideWidth, ValuePredictor,
 };
-use dfcm_suite::sim::{run_suite, SuiteResult};
+use dfcm_suite::sim::{sweep_engine_ft, EngineConfig, SuiteResult};
 use dfcm_suite::trace::suite::standard_traces;
 use dfcm_suite::trace::BenchmarkTrace;
 
@@ -17,8 +17,26 @@ fn traces() -> Vec<BenchmarkTrace> {
     standard_traces(SEED, SCALE)
 }
 
+/// One configuration over the suite on the engine: a fresh predictor
+/// per benchmark, weighted-mean accuracy.
+fn suite<P: ValuePredictor>(
+    factory: impl Fn() -> P + Sync,
+    traces: &[BenchmarkTrace],
+) -> SuiteResult {
+    let (mut points, report) = sweep_engine_ft(
+        &[()],
+        |()| factory(),
+        traces,
+        &EngineConfig::default(),
+        None,
+    )
+    .expect("no checkpoint");
+    assert!(report.all_ok());
+    points.pop().expect("one configuration").result
+}
+
 fn fcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
-    run_suite(
+    suite(
         || {
             FcmPredictor::builder()
                 .l1_bits(l1)
@@ -31,7 +49,7 @@ fn fcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
 }
 
 fn dfcm_suite(traces: &[BenchmarkTrace], l1: u32, l2: u32) -> SuiteResult {
-    run_suite(
+    suite(
         || {
             DfcmPredictor::builder()
                 .l1_bits(l1)
@@ -111,7 +129,7 @@ fn per_benchmark_gains_match_paper_ordering() {
 fn dfcm_beats_perfect_stride_fcm_hybrid() {
     let traces = traces();
     for l2 in [10u32, 12, 14] {
-        let hybrid = run_suite(
+        let hybrid = suite(
             || {
                 HybridPredictor::new(
                     StridePredictor::new(16),
@@ -146,7 +164,7 @@ fn dfcm_beats_perfect_stride_fcm_hybrid() {
 fn stride_dfcm_hybrid_adds_little() {
     let traces = traces();
     let d = dfcm_suite(&traces, 16, 12).weighted_accuracy();
-    let hybrid = run_suite(
+    let hybrid = suite(
         || {
             HybridPredictor::new(
                 StridePredictor::new(16),
@@ -176,7 +194,7 @@ fn stride_dfcm_hybrid_adds_little() {
 fn delayed_update_degrades_but_preserves_ordering() {
     let traces = traces();
     let run = |delay: usize, dfcm: bool| {
-        run_suite(
+        suite(
             || -> Box<dyn ValuePredictor> {
                 if dfcm {
                     Box::new(DelayedUpdate::new(
@@ -225,7 +243,7 @@ fn delayed_update_degrades_but_preserves_ordering() {
 fn narrow_stride_storage_costs_accuracy_in_bands() {
     let traces = traces();
     let acc = |width: StrideWidth| {
-        run_suite(
+        suite(
             || {
                 DfcmPredictor::builder()
                     .l1_bits(16)
@@ -268,8 +286,8 @@ fn fcm_is_best_simple_predictor_at_large_sizes() {
     use dfcm_suite::predictors::LastValuePredictor;
     let traces = traces();
     let fcm = fcm_suite(&traces, 16, 16).weighted_accuracy();
-    let lvp = run_suite(|| LastValuePredictor::new(16), &traces).weighted_accuracy();
-    let stride = run_suite(|| StridePredictor::new(16), &traces).weighted_accuracy();
+    let lvp = suite(|| LastValuePredictor::new(16), &traces).weighted_accuracy();
+    let stride = suite(|| StridePredictor::new(16), &traces).weighted_accuracy();
     assert!(fcm > lvp, "FCM {fcm:.3} must beat LVP {lvp:.3}");
     assert!(fcm > stride, "FCM {fcm:.3} must beat stride {stride:.3}");
 }
