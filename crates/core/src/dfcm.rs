@@ -292,9 +292,128 @@ impl DfcmPredictor {
         Ok(())
     }
 
+    /// Whether this predictor runs the plain kernel: FS R-5 difference
+    /// histories, full-width differences and table stats off, as every
+    /// `dfcm:L1:L2` spec builds it. [`access`](ValuePredictor::access)
+    /// tests this per call; a [`DfcmBlock`] tests it once, when built.
+    pub fn is_plain(&self) -> bool {
+        self.hash == HashFunction::FsR5
+            && self.stride_width == StrideWidth::Full
+            && self.stats.is_none()
+    }
+
     #[inline]
     fn l1_index(&self, pc: u64) -> usize {
         crate::predictor::pc_index(pc, self.l1_mask)
+    }
+
+    /// The one predict-then-update step on level-1 entry `i1` (`pc`'s).
+    /// `PLAIN` compiles the plain configuration in (no width conversion,
+    /// the FS R-5 update, no stats) and is set only when
+    /// [`is_plain`](DfcmPredictor::is_plain) holds.
+    #[inline(always)]
+    fn step_at<const PLAIN: bool>(&mut self, pc: u64, i1: usize, actual: u64) -> AccessOutcome {
+        let history = self.hist[i1];
+        let last = self.last[i1];
+        let stored = self.l2[history as usize];
+        let diff = actual.wrapping_sub(last);
+        let predicted;
+        if PLAIN {
+            predicted = last.wrapping_add(stored);
+            self.l2[history as usize] = diff;
+            self.hist[i1] = HashFunction::fs_r5_update(history, diff, self.l2_bits);
+        } else {
+            predicted = last.wrapping_add(self.stride_width.load(stored));
+            self.l2[history as usize] = self.stride_width.store(diff);
+            self.hist[i1] = self.hash.fold_update(history, diff, self.l2_bits);
+            if let Some(stats) = &mut self.stats {
+                stats.l1.record(i1);
+                stats.l2.record(history as usize);
+                if let Some(analyzer) = &mut stats.analyzer {
+                    let (class, _) = analyzer.access(pc, actual);
+                    stats.last_class = Some(class);
+                }
+            }
+        }
+        self.last[i1] = actual;
+        AccessOutcome {
+            predicted,
+            correct: predicted == actual,
+        }
+    }
+}
+
+/// The number of lanes a [`DfcmBlock`] steps together.
+pub const BLOCK_LANES: usize = 4;
+
+/// [`BLOCK_LANES`] plain DFCM lanes with one level-1 size, stepped as one
+/// block.
+///
+/// A sweep over level-2 sizes (Figs 3, 10a and 11a) runs lanes whose
+/// level-1 index depends only on the PC and the level-1 size. The block
+/// computes it once per record, then steps each lane on its own tables,
+/// `last` included, exactly as the lane's own
+/// [`access`](ValuePredictor::access) would. Its loop over the lanes has
+/// a length known at compile time, so it unrolls.
+///
+/// ```
+/// use dfcm::{DfcmBlock, DfcmPredictor, ValuePredictor};
+///
+/// # fn main() -> Result<(), dfcm::ConfigError> {
+/// let build = |l2| DfcmPredictor::builder().l1_bits(8).l2_bits(l2).build();
+/// let mut lanes = [build(6)?, build(8)?, build(10)?, build(12)?];
+/// let mut alone = lanes.clone();
+/// let mut block = DfcmBlock::new(lanes.each_mut());
+/// for i in 0..200u64 {
+///     let (pc, value) = (0x40 + 4 * (i % 3), 7 * i);
+///     let outcomes = block.access(pc, value);
+///     for (outcome, lane) in outcomes.iter().zip(&mut alone) {
+///         assert_eq!(*outcome, lane.access(pc, value));
+///     }
+/// }
+/// drop(block);
+/// assert_eq!(lanes[3].state_words(), alone[3].state_words());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct DfcmBlock<'a> {
+    lanes: [&'a mut DfcmPredictor; BLOCK_LANES],
+    l1_mask: usize,
+}
+
+impl<'a> DfcmBlock<'a> {
+    /// Blocks `lanes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is not [plain](DfcmPredictor::is_plain) or the
+    /// lanes' level-1 sizes differ.
+    pub fn new(lanes: [&'a mut DfcmPredictor; BLOCK_LANES]) -> Self {
+        let l1_mask = lanes[0].l1_mask;
+        assert!(
+            lanes.iter().all(|l| l.is_plain() && l.l1_mask == l1_mask),
+            "a DFCM block takes plain lanes of one level-1 size"
+        );
+        DfcmBlock { lanes, l1_mask }
+    }
+
+    /// Lane `k`, as the block has left it.
+    pub fn lane(&self, k: usize) -> &DfcmPredictor {
+        self.lanes[k]
+    }
+
+    /// Predicts `pc`'s value in every lane, then updates each with
+    /// `actual`: lane `k`'s outcome is what its own
+    /// [`access`](ValuePredictor::access) would return.
+    #[inline(always)]
+    pub fn access(&mut self, pc: u64, actual: u64) -> [AccessOutcome; BLOCK_LANES] {
+        let i1 = crate::predictor::pc_index(pc, self.l1_mask);
+        let mut outcomes = [AccessOutcome::default(); BLOCK_LANES];
+        for (lane, outcome) in self.lanes.iter_mut().zip(&mut outcomes) {
+            *outcome = lane.step_at::<true>(pc, i1, actual);
+        }
+        outcomes
     }
 }
 
@@ -306,46 +425,21 @@ impl ValuePredictor for DfcmPredictor {
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let i1 = self.l1_index(pc);
-        let history = self.hist[i1];
-        let diff = actual.wrapping_sub(self.last[i1]);
-        self.l2[history as usize] = self.stride_width.store(diff);
-        self.hist[i1] = self.hash.fold_update(history, diff, self.l2_bits);
-        self.last[i1] = actual;
-        if let Some(stats) = &mut self.stats {
-            stats.l1.record(i1);
-            stats.l2.record(history as usize);
-            if let Some(analyzer) = &mut stats.analyzer {
-                let (class, _) = analyzer.access(pc, actual);
-                stats.last_class = Some(class);
-            }
-        }
+        self.access(pc, actual);
     }
 
     // Fused predict+update: the shared L1 index, the history and the last
     // value are each read once per record instead of once in `predict` and
     // again in `update`. Bit-identical to the default predict-then-update.
+    // A plain predictor takes the kernel with its configuration compiled
+    // in; a `DfcmBlock` makes that choice once, when it is built.
     #[inline]
     fn access(&mut self, pc: u64, actual: u64) -> AccessOutcome {
         let i1 = self.l1_index(pc);
-        let history = self.hist[i1];
-        let last = self.last[i1];
-        let predicted = last.wrapping_add(self.stride_width.load(self.l2[history as usize]));
-        let diff = actual.wrapping_sub(last);
-        self.l2[history as usize] = self.stride_width.store(diff);
-        self.hist[i1] = self.hash.fold_update(history, diff, self.l2_bits);
-        self.last[i1] = actual;
-        if let Some(stats) = &mut self.stats {
-            stats.l1.record(i1);
-            stats.l2.record(history as usize);
-            if let Some(analyzer) = &mut stats.analyzer {
-                let (class, _) = analyzer.access(pc, actual);
-                stats.last_class = Some(class);
-            }
-        }
-        AccessOutcome {
-            predicted,
-            correct: predicted == actual,
+        if self.is_plain() {
+            self.step_at::<true>(pc, i1, actual)
+        } else {
+            self.step_at::<false>(pc, i1, actual)
         }
     }
 
@@ -630,5 +724,60 @@ mod tests {
             "expected few entries, got {}",
             indices.len()
         );
+    }
+
+    #[test]
+    fn only_the_paper_configuration_without_stats_is_plain() {
+        assert!(dfcm(16, 12).is_plain());
+        let with = |f: fn(&mut DfcmBuilder) -> &mut DfcmBuilder| {
+            f(&mut DfcmPredictor::builder()).build().unwrap().is_plain()
+        };
+        assert!(!with(|b| b.stride_width(StrideWidth::Bits(8))));
+        assert!(!with(|b| b.hash(HashFunction::FoldXor)));
+        assert!(!with(|b| b.hash(HashFunction::FsShift { shift: 5 })));
+        let mut observed = dfcm(16, 12);
+        observed.enable_table_stats();
+        assert!(!observed.is_plain());
+    }
+
+    #[test]
+    fn block_matches_each_lane_alone_after_lanes_warmed_apart() {
+        // The second and fourth lanes have seen other records first, so
+        // their `last` values differ from the others'; each lane must
+        // still predict and end up exactly as it would alone.
+        let warm = |mut p: DfcmPredictor| {
+            for i in 0..40u64 {
+                p.access(4 * (i % 5), 1000 + 3 * i);
+            }
+            p
+        };
+        let mut lanes = [dfcm(4, 6), warm(dfcm(4, 9)), dfcm(4, 3), warm(dfcm(4, 12))];
+        let mut alone = lanes.clone();
+        let mut block = DfcmBlock::new(lanes.each_mut());
+        for i in 0..200u64 {
+            let (pc, value) = (4 * (i % 7), (i / 3).wrapping_mul(11) ^ (i % 4));
+            let outcomes = block.access(pc, value);
+            for (k, lane) in alone.iter_mut().enumerate() {
+                assert_eq!(outcomes[k], lane.access(pc, value), "lane {k}, record {i}");
+            }
+        }
+        for (lane, alone) in lanes.iter().zip(&alone) {
+            assert_eq!(lane.state_words(), alone.state_words());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plain lanes of one level-1 size")]
+    fn block_refuses_lanes_of_two_level1_sizes() {
+        let mut lanes = [dfcm(4, 8), dfcm(4, 8), dfcm(5, 8), dfcm(4, 8)];
+        DfcmBlock::new(lanes.each_mut());
+    }
+
+    #[test]
+    #[should_panic(expected = "plain lanes of one level-1 size")]
+    fn block_refuses_an_instrumented_lane() {
+        let mut lanes = [dfcm(4, 8), dfcm(4, 8), dfcm(4, 8), dfcm(4, 8)];
+        lanes[1].enable_table_stats();
+        DfcmBlock::new(lanes.each_mut());
     }
 }

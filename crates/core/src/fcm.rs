@@ -215,9 +215,44 @@ impl FcmPredictor {
         Ok(())
     }
 
+    /// Whether this predictor runs the plain kernel: FS R-5 value
+    /// histories and table stats off, as every `fcm:L1:L2` spec builds
+    /// it. [`access`](ValuePredictor::access) tests this per call.
+    pub fn is_plain(&self) -> bool {
+        self.hash == HashFunction::FsR5 && self.stats.is_none()
+    }
+
     #[inline]
     fn l1_index(&self, pc: u64) -> usize {
         crate::predictor::pc_index(pc, self.l1_mask)
+    }
+
+    /// The one predict-then-update step on level-1 entry `i1` (`pc`'s).
+    /// `PLAIN` compiles the plain configuration in (the FS R-5 update, no
+    /// stats) and is set only when [`is_plain`](FcmPredictor::is_plain)
+    /// holds.
+    #[inline(always)]
+    fn step_at<const PLAIN: bool>(&mut self, pc: u64, i1: usize, actual: u64) -> AccessOutcome {
+        let history = self.l1[i1];
+        let predicted = self.l2[history as usize];
+        self.l2[history as usize] = actual;
+        if PLAIN {
+            self.l1[i1] = HashFunction::fs_r5_update(history, actual, self.l2_bits);
+        } else {
+            self.l1[i1] = self.hash.fold_update(history, actual, self.l2_bits);
+            if let Some(stats) = &mut self.stats {
+                stats.l1.record(i1);
+                stats.l2.record(history as usize);
+                if let Some(analyzer) = &mut stats.analyzer {
+                    let (class, _) = analyzer.access(pc, actual);
+                    stats.last_class = Some(class);
+                }
+            }
+        }
+        AccessOutcome {
+            predicted,
+            correct: predicted == actual,
+        }
     }
 }
 
@@ -227,41 +262,21 @@ impl ValuePredictor for FcmPredictor {
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let i1 = self.l1_index(pc);
-        let history = self.l1[i1];
-        self.l2[history as usize] = actual;
-        self.l1[i1] = self.hash.fold_update(history, actual, self.l2_bits);
-        if let Some(stats) = &mut self.stats {
-            stats.l1.record(i1);
-            stats.l2.record(history as usize);
-            if let Some(analyzer) = &mut stats.analyzer {
-                let (class, _) = analyzer.access(pc, actual);
-                stats.last_class = Some(class);
-            }
-        }
+        self.access(pc, actual);
     }
 
     // Fused predict+update: the shared L1 index (and the history read off
     // it) is computed once per record instead of once in `predict` and
     // again in `update`. Bit-identical to the default predict-then-update.
+    // A plain predictor takes the kernel with its configuration compiled
+    // in.
     #[inline]
     fn access(&mut self, pc: u64, actual: u64) -> AccessOutcome {
         let i1 = self.l1_index(pc);
-        let history = self.l1[i1];
-        let predicted = self.l2[history as usize];
-        self.l2[history as usize] = actual;
-        self.l1[i1] = self.hash.fold_update(history, actual, self.l2_bits);
-        if let Some(stats) = &mut self.stats {
-            stats.l1.record(i1);
-            stats.l2.record(history as usize);
-            if let Some(analyzer) = &mut stats.analyzer {
-                let (class, _) = analyzer.access(pc, actual);
-                stats.last_class = Some(class);
-            }
-        }
-        AccessOutcome {
-            predicted,
-            correct: predicted == actual,
+        if self.is_plain() {
+            self.step_at::<true>(pc, i1, actual)
+        } else {
+            self.step_at::<false>(pc, i1, actual)
         }
     }
 
@@ -433,5 +448,18 @@ mod tests {
     #[test]
     fn name_mentions_config() {
         assert_eq!(fcm(16, 12).name(), "fcm(l1=2^16,l2=2^12,fs-r5)");
+    }
+
+    #[test]
+    fn only_fs_r5_without_stats_is_plain() {
+        assert!(fcm(16, 12).is_plain());
+        let xor = FcmPredictor::builder()
+            .hash(HashFunction::FoldXor)
+            .build()
+            .unwrap();
+        assert!(!xor.is_plain());
+        let mut observed = fcm(16, 12);
+        observed.enable_table_stats();
+        assert!(!observed.is_plain());
     }
 }

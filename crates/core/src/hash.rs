@@ -66,6 +66,14 @@ impl HashFunction {
             bits > 0 && bits < 64,
             "fold width must be in 1..=63, got {bits}"
         );
+        Self::fold_unchecked(value, bits)
+    }
+
+    /// [`fold`](Self::fold) without its width check, for widths a
+    /// predictor builder has already validated.
+    #[inline(always)]
+    fn fold_unchecked(value: u64, bits: u32) -> u64 {
+        debug_assert!(bits > 0 && bits < 64, "fold width {bits}");
         let mask = (1u64 << bits) - 1;
         let mut v = value;
         let mut folded = 0u64;
@@ -74,6 +82,14 @@ impl HashFunction {
             v >>= bits;
         }
         folded
+    }
+
+    /// [`fold_update`](Self::fold_update) of [`HashFunction::FsR5`] with
+    /// the width check left out: the plain FCM and DFCM kernels call it
+    /// with the level-2 width their builder validated.
+    #[inline(always)]
+    pub(crate) fn fs_r5_update(old: u64, value: u64, index_bits: u32) -> u64 {
+        ((old << 5) ^ Self::fold_unchecked(value, index_bits)) & ((1u64 << index_bits) - 1)
     }
 
     /// Incrementally mixes `value` into the hashed history `old`, producing

@@ -138,7 +138,7 @@ pub use crate::classified::{
 };
 pub use crate::counter::SaturatingCounter;
 pub use crate::delayed::DelayedUpdate;
-pub use crate::dfcm::{DfcmBuilder, DfcmPredictor, StrideWidth};
+pub use crate::dfcm::{DfcmBlock, DfcmBuilder, DfcmPredictor, StrideWidth, BLOCK_LANES};
 pub use crate::error::ConfigError;
 pub use crate::fcm::{FcmBuilder, FcmPredictor};
 pub use crate::hash::HashFunction;

@@ -2,7 +2,7 @@ use crate::storage::StorageCost;
 use crate::table_stats::TableStats;
 
 /// Result of one predict-then-update step on a value predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct AccessOutcome {
     /// The value the predictor produced before seeing the actual result.
     pub predicted: u64,

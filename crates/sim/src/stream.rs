@@ -13,6 +13,13 @@
 //!   chunk group by group, so every type's `access` is a direct call in a
 //!   loop of its own, which the compiler can inline, with no enum or `dyn`
 //!   dispatch per (record, lane).
+//! * **Sweeps share level-1 work.** Plain dfcm lanes (the paper's
+//!   configuration with table stats off, as every spec builds them) of
+//!   one level-1 size run as blocks of four ([`DfcmBlock`]): the
+//!   configuration is compiled in, a block computes the record's level-1
+//!   index once, and every lane updates its own tables. The rest of a
+//!   size, and plain fcm lanes, walk in their kind's group on the same
+//!   compiled-in kernel through `access`.
 //! * **One chunk loop, observed by construction.** Every pass — an
 //!   in-memory slice, a v1/v2/v3 file, and the 64 in-memory chunks of
 //!   [`simulate_trace_observed`](crate::simulate_trace_observed) — runs
@@ -42,8 +49,8 @@ use std::path::Path;
 use std::sync::mpsc;
 
 use dfcm::{
-    AccessOutcome, AliasClass, DfcmPredictor, FcmPredictor, LastValuePredictor, StorageCost,
-    StridePredictor, TableStats, TwoDeltaStridePredictor, ValuePredictor,
+    AccessOutcome, AliasClass, DfcmBlock, DfcmPredictor, FcmPredictor, LastValuePredictor,
+    StorageCost, StridePredictor, TableStats, TwoDeltaStridePredictor, ValuePredictor, BLOCK_LANES,
 };
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_obs::Obs;
@@ -711,39 +718,135 @@ impl<P: ValuePredictor> LaneSet for Group<'_, P> {
     }
 }
 
+/// Blocks of four plain dfcm lanes ([`DfcmBlock`]), with each block
+/// lane's lane index and correct predictions. A lane's position here is
+/// `block * BLOCK_LANES + k`.
+pub(crate) struct DfcmBlocks<'l> {
+    blocks: Vec<DfcmBlock<'l>>,
+    index: Vec<[usize; BLOCK_LANES]>,
+    correct: Vec<[u64; BLOCK_LANES]>,
+}
+
+impl<'l> DfcmBlocks<'l> {
+    /// Places the dfcm lanes `lanes`, given as `(lane index, lane)` pairs
+    /// in lane order: the plain lanes of each level-1 size four at a time
+    /// into blocks here, and the rest of each size and the lanes that are
+    /// not plain into `group`. Records each lane's place in `at`.
+    fn new(
+        lanes: Vec<(usize, &'l mut DfcmPredictor)>,
+        group: &mut Group<'l, DfcmPredictor>,
+        at: &mut [Option<At>],
+    ) -> Self {
+        let mut blocks = DfcmBlocks {
+            blocks: Vec::new(),
+            index: Vec::new(),
+            correct: Vec::new(),
+        };
+        let mut by_l1: BTreeMap<u32, Vec<(usize, &'l mut DfcmPredictor)>> = BTreeMap::new();
+        for (li, lane) in lanes {
+            if lane.is_plain() {
+                by_l1.entry(lane.l1_bits()).or_default().push((li, lane));
+            } else {
+                at[li] = Some(At::Dfcm(group.push(li, lane)));
+            }
+        }
+        for same_l1 in by_l1.into_values() {
+            let mut lanes = same_l1.into_iter();
+            while lanes.len() >= BLOCK_LANES {
+                let pairs: [_; BLOCK_LANES] =
+                    std::array::from_fn(|_| lanes.next().expect("a full block left"));
+                let index = pairs.each_ref().map(|&(li, _)| li);
+                for (k, &li) in index.iter().enumerate() {
+                    at[li] = Some(At::DfcmBlock(blocks.blocks.len() * BLOCK_LANES + k));
+                }
+                let block = DfcmBlock::new(pairs.map(|(_, lane)| lane));
+                blocks.blocks.push(block);
+                blocks.index.push(index);
+                blocks.correct.push([0; BLOCK_LANES]);
+            }
+            for (li, lane) in lanes {
+                at[li] = Some(At::Dfcm(group.push(li, lane)));
+            }
+        }
+        blocks
+    }
+
+    #[inline]
+    fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]) {
+        for ((block, index), correct) in self
+            .blocks
+            .iter_mut()
+            .zip(&self.index)
+            .zip(&mut self.correct)
+        {
+            walk_block(block, index, correct, observer, first, chunk);
+        }
+    }
+
+    fn lane(&self, pos: usize) -> (&dyn ValuePredictor, u64) {
+        let (b, k) = (pos / BLOCK_LANES, pos % BLOCK_LANES);
+        (self.blocks[b].lane(k), self.correct[b][k])
+    }
+}
+
+/// Where a lane of a [`KindGroups`] is: its group or the dfcm blocks, and
+/// its position there.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    Lvp(usize),
+    Stride(usize),
+    TwoDelta(usize),
+    Fcm(usize),
+    Dfcm(usize),
+    DfcmBlock(usize),
+}
+
 /// A [`StreamPredictor`] slice split by variant, built once per pass.
+/// Plain dfcm lanes (see [`DfcmPredictor::is_plain`]) walk as blocks of
+/// four lanes of one level-1 size; the rest of each size, instrumented
+/// lanes and other configurations walk in the groups.
 pub(crate) struct KindGroups<'l> {
     lvp: Group<'l, LastValuePredictor>,
     stride: Group<'l, StridePredictor>,
     two_delta: Group<'l, TwoDeltaStridePredictor>,
     fcm: Group<'l, FcmPredictor>,
     dfcm: Group<'l, DfcmPredictor>,
-    /// Each lane's variant (as an index into the group list above) and
-    /// position in that group, in lane order.
-    at: Vec<(u8, usize)>,
+    dfcm_blocks: DfcmBlocks<'l>,
+    /// Each lane's place, in lane order.
+    at: Vec<At>,
 }
 
 impl<'l> KindGroups<'l> {
     fn new(lanes: &'l mut [StreamPredictor]) -> Self {
-        let mut groups = KindGroups {
-            lvp: Group::new(),
-            stride: Group::new(),
-            two_delta: Group::new(),
-            fcm: Group::new(),
-            dfcm: Group::new(),
-            at: Vec::with_capacity(lanes.len()),
-        };
+        let (mut lvp, mut stride, mut two_delta) = (Group::new(), Group::new(), Group::new());
+        let (mut fcm, mut dfcm) = (Group::new(), Group::new());
+        let mut dfcm_lanes = Vec::new();
+        let mut at: Vec<Option<At>> = Vec::with_capacity(lanes.len());
         for (li, lane) in lanes.iter_mut().enumerate() {
-            let at = match lane {
-                StreamPredictor::Lvp(p) => (0, groups.lvp.push(li, p)),
-                StreamPredictor::Stride(p) => (1, groups.stride.push(li, p)),
-                StreamPredictor::TwoDelta(p) => (2, groups.two_delta.push(li, p)),
-                StreamPredictor::Fcm(p) => (3, groups.fcm.push(li, p)),
-                StreamPredictor::Dfcm(p) => (4, groups.dfcm.push(li, p)),
-            };
-            groups.at.push(at);
+            at.push(match lane {
+                StreamPredictor::Lvp(p) => Some(At::Lvp(lvp.push(li, p))),
+                StreamPredictor::Stride(p) => Some(At::Stride(stride.push(li, p))),
+                StreamPredictor::TwoDelta(p) => Some(At::TwoDelta(two_delta.push(li, p))),
+                StreamPredictor::Fcm(p) => Some(At::Fcm(fcm.push(li, p))),
+                StreamPredictor::Dfcm(p) => {
+                    dfcm_lanes.push((li, p));
+                    None
+                }
+            });
         }
-        groups
+        let dfcm_blocks = DfcmBlocks::new(dfcm_lanes, &mut dfcm, &mut at);
+        KindGroups {
+            lvp,
+            stride,
+            two_delta,
+            fcm,
+            dfcm,
+            dfcm_blocks,
+            at: at
+                .into_iter()
+                .map(|at| at.expect("every lane placed"))
+                .collect(),
+        }
     }
 }
 
@@ -755,6 +858,7 @@ impl LaneSet for KindGroups<'_> {
         self.two_delta.walk(observer, first, chunk);
         self.fcm.walk(observer, first, chunk);
         self.dfcm.walk(observer, first, chunk);
+        self.dfcm_blocks.walk(observer, first, chunk);
     }
 
     fn len(&self) -> usize {
@@ -762,13 +866,13 @@ impl LaneSet for KindGroups<'_> {
     }
 
     fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64) {
-        let (kind, pos) = self.at[li];
-        match kind {
-            0 => self.lvp.lane(pos),
-            1 => self.stride.lane(pos),
-            2 => self.two_delta.lane(pos),
-            3 => self.fcm.lane(pos),
-            _ => self.dfcm.lane(pos),
+        match self.at[li] {
+            At::Lvp(pos) => self.lvp.lane(pos),
+            At::Stride(pos) => self.stride.lane(pos),
+            At::TwoDelta(pos) => self.two_delta.lane(pos),
+            At::Fcm(pos) => self.fcm.lane(pos),
+            At::Dfcm(pos) => self.dfcm.lane(pos),
+            At::DfcmBlock(pos) => self.dfcm_blocks.lane(pos),
         }
     }
 }
@@ -856,6 +960,27 @@ fn walk<P: ValuePredictor, O: Observer>(
             let outcome = lane.access(record.pc, record.value);
             *correct += u64::from(outcome.correct);
             observer.outcome(li, &**lane, first + ri as u64, record, outcome);
+        }
+    }
+}
+
+/// One block's record loop: the block steps its lanes on every record of
+/// `chunk` in turn, and `observer` sees each lane's outcome; `first` is
+/// the pass index of `chunk[0]`. As in [`walk`], the block, the counters
+/// and the observer arrive as separate `&mut` arguments.
+fn walk_block<O: Observer>(
+    block: &mut DfcmBlock<'_>,
+    index: &[usize; BLOCK_LANES],
+    correct: &mut [u64; BLOCK_LANES],
+    observer: &mut O,
+    first: u64,
+    chunk: &[TraceRecord],
+) {
+    for (ri, record) in chunk.iter().enumerate() {
+        let outcomes = block.access(record.pc, record.value);
+        for (k, outcome) in outcomes.into_iter().enumerate() {
+            correct[k] += u64::from(outcome.correct);
+            observer.outcome(index[k], block.lane(k), first + ri as u64, record, outcome);
         }
     }
 }

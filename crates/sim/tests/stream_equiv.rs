@@ -246,32 +246,49 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-/// One lane of a given kind, at deliberately tiny table sizes (`bits`)
-/// so aliasing and history collisions happen inside short random traces.
-fn lane_for(kind: usize, bits: u32) -> StreamPredictor {
+/// One lane of a given kind, at deliberately tiny table sizes so
+/// aliasing and history collisions happen inside short random traces:
+/// `l1` sizes the one table of lvp and the stride predictors and the
+/// level-1 table of fcm and dfcm, `l2` the level-2 table.
+fn lane_for(kind: usize, l1: u32, l2: u32) -> StreamPredictor {
     match kind {
-        0 => LastValuePredictor::new(bits).into(),
-        1 => StridePredictor::new(bits).into(),
-        2 => TwoDeltaStridePredictor::new(bits).into(),
+        0 => LastValuePredictor::new(l1).into(),
+        1 => StridePredictor::new(l1).into(),
+        2 => TwoDeltaStridePredictor::new(l1).into(),
         3 => FcmPredictor::builder()
-            .l1_bits(bits)
-            .l2_bits(bits + 3)
+            .l1_bits(l1)
+            .l2_bits(l2)
             .build()
             .unwrap()
             .into(),
         _ => DfcmPredictor::builder()
-            .l1_bits(bits)
-            .l2_bits(bits + 3)
+            .l1_bits(l1)
+            .l2_bits(l2)
             .build()
             .unwrap()
             .into(),
     }
 }
 
-/// Up to five lanes of random kinds, interleaved, each with its own
-/// table size: two lanes of one kind usually differ.
-fn arb_lanes() -> impl Strategy<Value = Vec<(usize, u32)>> {
-    prop::collection::vec((0usize..5, 2u32..5), 1..6)
+/// One to five lanes of random kinds, and inserted among them at random
+/// places a sweep of up to six fcm or dfcm lanes that share a level-1
+/// size and differ in level-2 size (the figures' shape; four or more
+/// dfcm lanes make a block). Level-1 and level-2 sizes are drawn apart
+/// from two small ranges, so the random lanes join the sweep's level-1
+/// size now and then too.
+fn arb_lanes() -> impl Strategy<Value = Vec<(usize, u32, u32)>> {
+    (
+        prop::collection::vec((0usize..5, 2u32..5, 2u32..8), 1..6),
+        3usize..5,
+        2u32..5,
+        prop::collection::vec((2u32..8, 0usize..12), 0..7),
+    )
+        .prop_map(|(mut lanes, kind, l1, sweep)| {
+            for (l2, at) in sweep {
+                lanes.insert(at.min(lanes.len()), (kind, l1, l2));
+            }
+            lanes
+        })
 }
 
 proptest! {
@@ -285,7 +302,8 @@ proptest! {
         chunk in 1usize..700,
         kinds in arb_lanes(),
     ) {
-        let base: Vec<StreamPredictor> = kinds.iter().map(|&(k, b)| lane_for(k, b)).collect();
+        let base: Vec<StreamPredictor> =
+            kinds.iter().map(|&(k, l1, l2)| lane_for(k, l1, l2)).collect();
         let mut serial = base.clone();
         let mut chunked = base.clone();
         let expected = stream_trace(&mut serial, &trace);
@@ -307,11 +325,169 @@ proptest! {
         kinds in arb_lanes(),
     ) {
         let mut streamed: Vec<StreamPredictor> =
-            kinds.iter().map(|&(k, b)| lane_for(k, b)).collect();
+            kinds.iter().map(|&(k, l1, l2)| lane_for(k, l1, l2)).collect();
         let stats = stream_trace(&mut streamed, &trace);
-        for (li, &(k, b)) in kinds.iter().enumerate() {
-            let mut reference = lane_for(k, b);
+        for (li, &(k, l1, l2)) in kinds.iter().enumerate() {
+            let mut reference = lane_for(k, l1, l2);
             prop_assert_eq!(stats[li], simulate_trace(&mut reference, &trace));
+            prop_assert_eq!(streamed[li].state_words(), reference.state_words());
         }
+    }
+}
+
+/// The figures' sweep shape: fcm and dfcm lanes at one level-1 size over
+/// seven level-2 sizes (the dfcm sweep is a block of four and three lanes
+/// in the kind's group), with lanes of the other kinds and of another
+/// level-1 size between them.
+const SWEEP: [&str; 18] = [
+    "dfcm:8:6",
+    "fcm:8:6",
+    "lvp:8",
+    "dfcm:8:7",
+    "fcm:8:7",
+    "dfcm:8:8",
+    "fcm:8:8",
+    "dfcm:6:9",
+    "dfcm:8:9",
+    "fcm:8:9",
+    "stride:8",
+    "dfcm:8:10",
+    "fcm:8:10",
+    "dfcm:8:11",
+    "fcm:8:11",
+    "dfcm:8:12",
+    "fcm:8:12",
+    "2delta:8",
+];
+
+/// [`SWEEP`]'s lanes, and last a `Bits(8)` dfcm lane of the sweep's
+/// level-1 size, which runs on the general path beside the blocks.
+fn sweep_lanes() -> Vec<StreamPredictor> {
+    let mut lanes: Vec<StreamPredictor> = SWEEP
+        .iter()
+        .map(|spec| StreamPredictor::parse_spec(spec).unwrap())
+        .collect();
+    let narrow = DfcmPredictor::builder()
+        .l1_bits(8)
+        .l2_bits(12)
+        .stride_width(dfcm::StrideWidth::Bits(8))
+        .build()
+        .unwrap();
+    lanes.insert(9, narrow.into());
+    lanes
+}
+
+/// The suite at scale 0.02 as one trace.
+fn suite_trace() -> Trace {
+    standard_traces(0xD1FF, 0.02)
+        .iter()
+        .flat_map(|b| b.trace.records().iter().copied())
+        .collect()
+}
+
+#[test]
+fn sweep_pass_leaves_every_lane_as_streaming_it_alone_would() {
+    // A dfcm block steps four lanes per record and the rest of the sweep
+    // walks in the kind's group; each lane must still end up holding
+    // exactly its own full state, `last` included.
+    let trace = suite_trace();
+    let mut swept = sweep_lanes();
+    for chunk in trace.chunks(dfcm_trace::V2_CHUNK_RECORDS) {
+        stream_records_with(&mut swept, chunk, |_, _, _| {});
+    }
+    for (li, mut alone) in sweep_lanes().into_iter().enumerate() {
+        stream_trace(std::slice::from_mut(&mut alone), &trace);
+        assert_eq!(
+            swept[li].state_words(),
+            alone.state_words(),
+            "{}: lane state after the sweep pass",
+            alone.name()
+        );
+    }
+}
+
+#[test]
+fn lanes_warmed_apart_then_swept_together_match_each_lane_alone() {
+    // Each lane first sees its own prefix of the suite, so the lanes meet
+    // the shared pass with different `last` values in many level-1
+    // entries; a block shares only the level-1 index, so each lane must
+    // still predict from its own `last` there.
+    let trace = suite_trace();
+    let records = trace.records();
+    let (warmup, rest) = records.split_at(records.len() / 2);
+    let mut warmed = sweep_lanes();
+    let n = warmed.len();
+    for (li, lane) in warmed.iter_mut().enumerate() {
+        let prefix = &warmup[..warmup.len() * (li + 1) / n];
+        stream_records_with(std::slice::from_mut(lane), prefix, |_, _, _| {});
+    }
+    let mut together = warmed.clone();
+    let mut seen: Vec<Vec<(u64, bool)>> = vec![Vec::with_capacity(rest.len()); n];
+    stream_records_with(&mut together, rest, |li, _, out| {
+        seen[li].push((out.predicted, out.correct));
+    });
+    for (li, mut alone) in warmed.into_iter().enumerate() {
+        let mut want = Vec::with_capacity(rest.len());
+        stream_records_with(std::slice::from_mut(&mut alone), rest, |_, _, out| {
+            want.push((out.predicted, out.correct));
+        });
+        if let Some(i) = (0..rest.len()).find(|&i| seen[li][i] != want[i]) {
+            panic!(
+                "{}: record {i} swept {:?}, alone {:?}",
+                alone.name(),
+                seen[li][i],
+                want[i]
+            );
+        }
+        assert_eq!(
+            together[li].state_words(),
+            alone.state_words(),
+            "{}",
+            alone.name()
+        );
+    }
+}
+
+#[test]
+fn corrupt_second_chunk_leaves_every_lane_after_the_first() {
+    // `stream_v2_file`'s contract: the lanes consume the intact chunks
+    // before a corrupt one. With two chunks and the last byte of the
+    // file (the second chunk's payload) flipped, every lane must hold
+    // exactly the state of that lane fed the first chunk alone.
+    use dfcm_sim::{stream_v2_file, stream_v3_file};
+    use dfcm_trace::TraceFormat;
+
+    let trace: Trace = suite_trace().iter().copied().take(100_000).collect();
+    let first = &trace.records()[..dfcm_trace::V2_CHUNK_RECORDS];
+    let mut want = sweep_lanes();
+    stream_records_with(&mut want, first, |_, _, _| {});
+    let dir = std::env::temp_dir();
+    for (name, format) in [
+        ("dfcm_corrupt_second.v2.trc", TraceFormat::V2 { seed: 5 }),
+        ("dfcm_corrupt_second.v3.trc", TraceFormat::V3 { seed: 5 }),
+    ] {
+        let mut bytes = Vec::new();
+        trace.write_with(&mut bytes, format).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        let path = dir.join(name);
+        dfcm_trace::atomic_write(&path, &bytes).unwrap();
+        for threads in [1, 4] {
+            let mut lanes = sweep_lanes();
+            let err = match format {
+                TraceFormat::V2 { .. } => stream_v2_file(&path, &mut lanes, threads),
+                _ => stream_v3_file(&path, &mut lanes, threads),
+            }
+            .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            for (li, lane) in lanes.iter().enumerate() {
+                assert_eq!(
+                    lane.state_words(),
+                    want[li].state_words(),
+                    "{name} at {threads} threads: {}",
+                    lane.name()
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
