@@ -30,21 +30,22 @@
 //!   occupancy at chunk ends and records the lane metrics.
 //! * **Deterministic file streaming.** [`stream_v2_file`] and
 //!   [`stream_v3_file`] stream on-disk `DFCMTRC2`/`DFCMTRC3` traces
-//!   ([`stream_trace_file`] sniffs any format and takes the obs handle),
-//!   decoding chunks on worker threads while the (stateful) lanes consume
-//!   them strictly in file order — bit-identical to a serial run, any
-//!   thread count.
+//!   ([`stream_trace_file`] opens any format with [`TraceFile`] and
+//!   takes the obs handle), decoding chunks on worker threads while the
+//!   (stateful) lanes consume them strictly in file order — bit-identical
+//!   to a serial run, any thread count.
 //! * **Flat memory at any trace size.** The chunked file paths never
 //!   materialize the trace: a bounded pipeline holds O(`decode_threads`)
 //!   compressed and decoded chunks at once, so a 100M-record v3 trace
 //!   streams in a working set of a few chunks.
 //!
-//! Every path is differentially tested to be bit-identical to the
-//! predict-then-update reference loop (`tests/stream_equiv.rs`).
+//! Every path is differentially tested against the naive model of the
+//! predictors and against `simulate_trace` (`tests/stream_equiv.rs`,
+//! `tests/stream_oracle.rs`), and a damaged file streams as
+//! [`Trace::read_from`] reads it.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, Read};
 use std::path::Path;
 use std::sync::mpsc;
 
@@ -54,10 +55,8 @@ use dfcm::{
 };
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_obs::Obs;
-use dfcm_trace::io::RawChunk;
 use dfcm_trace::{
-    Trace, TraceFormatError, TraceRecord, V2ChunkReader, V3ChunkReader, V3RawChunk,
-    V2_CHUNK_RECORDS,
+    Trace, TraceChunk, TraceFile, TraceRecord, V2ChunkReader, V3ChunkReader, V2_CHUNK_RECORDS,
 };
 
 use crate::run::RunStats;
@@ -338,25 +337,6 @@ pub struct StreamFileReport {
     pub chunks: usize,
 }
 
-/// A chunk the streaming pipeline can ship to a decode worker: both the
-/// v2 and v3 raw-chunk types, which decode independently of their
-/// neighbours.
-trait StreamChunk: Send {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>>;
-}
-
-impl StreamChunk for RawChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
-        self.decode()
-    }
-}
-
-impl StreamChunk for V3RawChunk {
-    fn decode_records(&self) -> io::Result<Vec<TraceRecord>> {
-        self.decode()
-    }
-}
-
 /// Streams an on-disk `DFCMTRC2` trace through the lanes, decoding its
 /// chunks on `decode_threads` worker threads.
 ///
@@ -382,7 +362,11 @@ pub fn stream_v2_file<P: AsRef<Path>>(
     lanes: &mut [StreamPredictor],
     decode_threads: usize,
 ) -> io::Result<StreamFileReport> {
-    TraceFile::V2(V2ChunkReader::open(path)?).stream(Pass::new(lanes, ()), decode_threads)
+    stream_file(
+        TraceFile::V2(V2ChunkReader::open(path)?),
+        Pass::new(lanes, ()),
+        decode_threads,
+    )
 }
 
 /// Streams an on-disk compressed `DFCMTRC3` trace through the lanes,
@@ -406,7 +390,11 @@ pub fn stream_v3_file<P: AsRef<Path>>(
     lanes: &mut [StreamPredictor],
     decode_threads: usize,
 ) -> io::Result<StreamFileReport> {
-    TraceFile::V3(V3ChunkReader::open(path)?).stream(Pass::new(lanes, ()), decode_threads)
+    stream_file(
+        TraceFile::V3(V3ChunkReader::open(path)?),
+        Pass::new(lanes, ()),
+        decode_threads,
+    )
 }
 
 /// Streams any trace file through the lanes, auto-detecting the format
@@ -436,64 +424,31 @@ pub fn stream_trace_file<P: AsRef<Path>>(
     decode_threads: usize,
     obs: &Obs,
 ) -> io::Result<StreamFileReport> {
-    let file = TraceFile::open(path.as_ref())?;
+    let file = TraceFile::open(path)?;
     if obs.is_enabled() {
         let observer = LaneObserver::new(obs, lanes, StreamPredictor::spec);
-        file.stream(Pass::new(lanes, observer), decode_threads)
+        stream_file(file, Pass::new(lanes, observer), decode_threads)
     } else {
-        file.stream(Pass::new(lanes, ()), decode_threads)
+        stream_file(file, Pass::new(lanes, ()), decode_threads)
     }
 }
 
-/// A trace file opened for streaming.
-enum TraceFile {
-    /// v1 has no independently decodable chunks, so it is loaded whole
-    /// and streamed as borrowed [`STREAM_CHUNK_RECORDS`]-record slices.
-    V1(Trace),
-    V2(V2ChunkReader<BufReader<File>>),
-    V3(V3ChunkReader<BufReader<File>>),
-}
-
-impl TraceFile {
-    /// Opens `path` as whichever format its magic names.
-    ///
-    /// A file shorter than the 8-byte magic is corrupt, not a read
-    /// hiccup, so it fails as [`TraceFormatError::BadHeader`]
-    /// (`InvalidData`) rather than `UnexpectedEof`.
-    fn open(path: &Path) -> io::Result<TraceFile> {
-        let mut file = File::open(path)?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => io::Error::from(TraceFormatError::BadHeader {
-                detail: "file is shorter than the 8-byte magic".to_owned(),
-            }),
-            _ => e,
-        })?;
-        file.seek(SeekFrom::Start(0))?;
-        let reader = BufReader::new(file);
-        Ok(match &magic {
-            b"DFCMTRC1" => TraceFile::V1(Trace::read_from(reader)?),
-            b"DFCMTRC2" => TraceFile::V2(dfcm_trace::v2_chunks(reader)?),
-            b"DFCMTRC3" => TraceFile::V3(dfcm_trace::v3_chunks(reader)?),
-            _ => return Err(TraceFormatError::BadMagic { found: magic }.into()),
-        })
+/// Runs `pass` over every record of `file`, decoding v2/v3 chunks on
+/// `decode_threads` workers. v1 has no independently decodable chunks,
+/// so it is read whole and streamed as [`STREAM_CHUNK_RECORDS`]-record
+/// slices.
+fn stream_file<R: Read + Send, G: LaneSet, O: Observer>(
+    file: TraceFile<R>,
+    mut pass: Pass<G, O>,
+    decode_threads: usize,
+) -> io::Result<StreamFileReport> {
+    let feed = |chunk: &[TraceRecord]| pass.feed(chunk);
+    match file {
+        TraceFile::V2(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
+        TraceFile::V3(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
+        v1 => v1.into_trace()?.chunks(STREAM_CHUNK_RECORDS).for_each(feed),
     }
-
-    /// Runs `pass` over every record of the file, decoding v2/v3 chunks
-    /// on `decode_threads` workers.
-    fn stream<G: LaneSet, O: Observer>(
-        self,
-        mut pass: Pass<G, O>,
-        decode_threads: usize,
-    ) -> io::Result<StreamFileReport> {
-        let feed = |chunk: &[TraceRecord]| pass.feed(chunk);
-        match self {
-            TraceFile::V1(trace) => trace.chunks(STREAM_CHUNK_RECORDS).for_each(feed),
-            TraceFile::V2(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
-            TraceFile::V3(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
-        }
-        Ok(pass.finish())
-    }
+    Ok(pass.finish())
 }
 
 /// Class-slot labels of the phase-resolved time series: the paper's five
@@ -1000,14 +955,14 @@ fn walk_block<O: Observer>(
 /// chunks at or beyond a failed index.
 fn stream_chunk_pipeline<C, I, F>(chunks: I, threads: usize, mut consume: F) -> io::Result<()>
 where
-    C: StreamChunk,
+    C: TraceChunk,
     I: Iterator<Item = io::Result<C>> + Send,
     F: FnMut(&[TraceRecord]),
 {
     if threads <= 1 {
         // True single-chunk working set: read, decode, consume, drop.
         for chunk in chunks {
-            consume(&chunk?.decode_records()?);
+            consume(&chunk?.decode()?);
         }
         return Ok(());
     }
@@ -1055,7 +1010,7 @@ where
             let dec_tx = dec_tx.clone();
             scope.spawn(move || {
                 while let Ok((i, chunk)) = raw_rx.recv() {
-                    let decoded = chunk.and_then(|c| c.decode_records());
+                    let decoded = chunk.and_then(|c| c.decode());
                     if dec_tx.send((i, decoded)).is_err() {
                         break; // consumer bailed
                     }
@@ -1102,7 +1057,7 @@ pub const STREAM_CHUNK_RECORDS: usize = V2_CHUNK_RECORDS;
 mod tests {
     use super::*;
     use crate::simulate_trace;
-    use dfcm_trace::atomic_write;
+    use dfcm_trace::{atomic_write, TraceFormatError};
 
     fn lanes() -> Vec<StreamPredictor> {
         vec![

@@ -1,15 +1,27 @@
-//! Differential tests: the streaming pass must be bit-identical to the
-//! classic predict-then-update reference loop — aggregate [`RunStats`]
-//! and every per-record outcome — and the chunk-parallel variants must be
-//! bit-identical to the serial streaming pass.
+//! Differential tests: the streaming pass must make every per-record
+//! prediction of the naive model of the paper's predictors
+//! (`tests/support/oracle.rs` at the workspace root) and the aggregate
+//! [`RunStats`] of `simulate_trace`, and the chunk-parallel and file
+//! variants must be bit-identical to the serial streaming pass.
 
+// `Model::production` builds `dyn` predictors for the engine tests; the
+// lanes here are built from specs.
+#[allow(dead_code)]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+
+use dfcm as predictors;
 use dfcm::{
     DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor,
     ValuePredictor,
 };
-use dfcm_sim::{simulate_trace, stream_records_with, stream_trace, RunStats, StreamPredictor};
+use dfcm_obs::Obs;
+use dfcm_sim::{
+    simulate_trace, stream_records_with, stream_trace, stream_trace_file, RunStats, StreamPredictor,
+};
 use dfcm_trace::suite::standard_traces;
-use dfcm_trace::{Trace, TraceRecord};
+use dfcm_trace::{Trace, TraceFormat, TraceFormatError, TraceRecord, V2_CHUNK_RECORDS};
+use oracle::{Model, Oracle};
 use proptest::prelude::*;
 
 /// The four paper predictors plus two-delta, at eval-sized tables.
@@ -33,20 +45,45 @@ fn lanes() -> Vec<StreamPredictor> {
     ]
 }
 
-/// The reference path: `simulate_trace` over a `dyn ValuePredictor`, with
-/// every per-record outcome captured through the two-call protocol.
-fn reference_outcomes(lane: &StreamPredictor, trace: &Trace) -> (RunStats, Vec<(u64, bool)>) {
-    let mut p: Box<dyn ValuePredictor> = Box::new(lane.clone());
-    let mut outcomes = Vec::with_capacity(trace.len());
-    for record in trace {
-        let predicted = p.predict(record.pc);
-        p.update(record.pc, record.value);
-        outcomes.push((predicted, predicted == record.value));
+/// The oracle model of `lane`, read off its spec: every lane here is
+/// built as its spec builds it (FS R-5, full-width differences).
+fn model(lane: &StreamPredictor) -> Model {
+    let spec = lane.spec();
+    let size: Vec<u32> = spec
+        .split(':')
+        .skip(1)
+        .map(|f| f.parse().unwrap())
+        .collect();
+    match lane {
+        StreamPredictor::Lvp(_) => Model::Lvp { bits: size[0] },
+        StreamPredictor::Stride(_) => Model::Stride { bits: size[0] },
+        StreamPredictor::TwoDelta(_) => Model::TwoDelta { bits: size[0] },
+        StreamPredictor::Fcm(_) => Model::Fcm {
+            l1: size[0],
+            l2: size[1],
+        },
+        StreamPredictor::Dfcm(_) => Model::Dfcm {
+            l1: size[0],
+            l2: size[1],
+            width: None,
+        },
     }
-    // Aggregate on a second cold copy through the public entry point, so
-    // the test also covers `simulate_trace`'s own counting.
-    let mut again: Box<dyn ValuePredictor> = Box::new(lane.clone());
-    (simulate_trace(&mut again, trace), outcomes)
+}
+
+/// The reference path: `simulate_trace` over a `dyn ValuePredictor` for
+/// the aggregate, and the naive model of the lane for every per-record
+/// outcome, which shares no code with the production tables.
+fn reference_outcomes(lane: &StreamPredictor, trace: &Trace) -> (RunStats, Vec<(u64, bool)>) {
+    let mut naive = Oracle::new(model(lane));
+    let outcomes = trace
+        .iter()
+        .map(|r| {
+            let predicted = naive.access(r.pc, r.value);
+            (predicted, predicted == r.value)
+        })
+        .collect();
+    let mut p: Box<dyn ValuePredictor> = Box::new(lane.clone());
+    (simulate_trace(&mut p, trace), outcomes)
 }
 
 #[test]
@@ -133,9 +170,7 @@ fn interleaved_kinds_keep_their_lane_indices_over_full_suite() {
 #[test]
 fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
     use dfcm_obs::metrics::{MetricValue, MetricsSnapshot};
-    use dfcm_obs::Obs;
-    use dfcm_sim::{simulate_trace_observed, stream_trace_file};
-    use dfcm_trace::TraceFormat;
+    use dfcm_sim::simulate_trace_observed;
 
     // Three v3 chunks, so the observer's chunk-end hook runs between
     // group walks more than once.
@@ -189,9 +224,7 @@ fn v3_file_streaming_is_bit_identical_to_v2_over_full_suite() {
     // benchmark, streaming the compressed v3 file — at one thread and at
     // several — produces the same records and the same RunStats as the
     // v2 path and the in-memory pass.
-    use dfcm_obs::Obs;
-    use dfcm_sim::{stream_trace_file, stream_v2_file, stream_v3_file};
-    use dfcm_trace::TraceFormat;
+    use dfcm_sim::{stream_v2_file, stream_v3_file};
 
     let dir = std::env::temp_dir().join("dfcm_stream_equiv_v3");
     std::fs::create_dir_all(&dir).unwrap();
@@ -455,7 +488,6 @@ fn corrupt_second_chunk_leaves_every_lane_after_the_first() {
     // file (the second chunk's payload) flipped, every lane must hold
     // exactly the state of that lane fed the first chunk alone.
     use dfcm_sim::{stream_v2_file, stream_v3_file};
-    use dfcm_trace::TraceFormat;
 
     let trace: Trace = suite_trace().iter().copied().take(100_000).collect();
     let first = &trace.records()[..dfcm_trace::V2_CHUNK_RECORDS];
@@ -486,6 +518,99 @@ fn corrupt_second_chunk_leaves_every_lane_after_the_first() {
                     "{name} at {threads} threads: {}",
                     lane.name()
                 );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The lanes the damaged-file cases stream, one of each kind.
+const DAMAGE_LANES: [&str; 5] = ["lvp:8", "stride:8", "2delta:8", "fcm:8:10", "dfcm:8:10"];
+
+fn damage_lanes() -> Vec<StreamPredictor> {
+    DAMAGE_LANES
+        .iter()
+        .map(|s| StreamPredictor::parse_spec(s).unwrap())
+        .collect()
+}
+
+/// A three-chunk trace as v2 and as v3 bytes, encoded once for every
+/// damaged-file case.
+fn damage_bases() -> &'static [Vec<u8>; 2] {
+    static BASES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+    BASES.get_or_init(|| {
+        let trace: Trace = suite_trace()
+            .iter()
+            .copied()
+            .take(2 * V2_CHUNK_RECORDS + 777)
+            .collect();
+        [TraceFormat::V2 { seed: 3 }, TraceFormat::V3 { seed: 3 }].map(|format| {
+            let mut bytes = Vec::new();
+            trace.write_with(&mut bytes, format).unwrap();
+            bytes
+        })
+    })
+}
+
+/// What a failed read says, up to its wording: the error variant, and
+/// the chunk it names.
+fn diagnosis(
+    e: &std::io::Error,
+) -> Option<(std::mem::Discriminant<TraceFormatError>, Option<usize>)> {
+    TraceFormatError::classify(e).map(|t| {
+        let chunk = match t {
+            TraceFormatError::ChunkCrcMismatch { chunk, .. }
+            | TraceFormatError::TruncatedTail { chunk, .. }
+            | TraceFormatError::DecompressionBomb { chunk, .. } => Some(*chunk),
+            TraceFormatError::BadMagic { .. } | TraceFormatError::BadHeader { .. } => None,
+        };
+        (std::mem::discriminant(t), chunk)
+    })
+}
+
+proptest! {
+    /// A damaged v2 or v3 file streams as it reads: byte flips anywhere,
+    /// then a cut past the magic in most cases. `stream_trace_file`, at
+    /// 1 and at 4 decode threads, fails exactly when `Trace::read_from`
+    /// fails, with the same error variant naming the same chunk, and
+    /// otherwise returns the stats of the trace the read returns,
+    /// streamed in memory.
+    #[test]
+    fn damaged_files_stream_as_they_read(
+        v3 in any::<bool>(),
+        flips in prop::collection::vec((any::<u32>(), any::<u8>()), 0..4),
+        keep in 0u32..1300,
+    ) {
+        let mut bytes = damage_bases()[usize::from(v3)].clone();
+        for (at, mask) in flips {
+            let at = at as usize % bytes.len();
+            bytes[at] ^= mask.max(1);
+        }
+        if keep < 1000 {
+            bytes.truncate(8 + (bytes.len() - 8) * keep as usize / 1000);
+        }
+        let path = std::env::temp_dir()
+            .join(format!("dfcm_stream_equiv_damaged.{}.trc", std::process::id()));
+        dfcm_trace::atomic_write(&path, &bytes).unwrap();
+        let read = Trace::read_from(bytes.as_slice());
+        for threads in [1, 4] {
+            let streamed = stream_trace_file(&path, &mut damage_lanes(), threads, &Obs::disabled());
+            match (&read, &streamed) {
+                (Ok(trace), Ok(report)) => {
+                    prop_assert_eq!(&report.stats, &stream_trace(&mut damage_lanes(), trace));
+                }
+                (Err(want), Err(got)) => prop_assert_eq!(
+                    diagnosis(got),
+                    diagnosis(want),
+                    "at {} threads: streamed `{}`, read `{}`", threads, got, want
+                ),
+                _ => prop_assert!(
+                    false,
+                    "at {} threads: streamed {:?}, read {:?}",
+                    threads,
+                    streamed.as_ref().map(|r| r.records),
+                    read.as_ref().map(Trace::len)
+                ),
             }
         }
         let _ = std::fs::remove_file(&path);

@@ -11,8 +11,8 @@
 //! lane (the general path) run in the same pass.
 //!
 //! In memory every per-record prediction is checked through
-//! `stream_records_with`. A file pass reports only counts, so v2 and v3
-//! files, at 1 and 4 decode threads, are checked by their counts and
+//! `stream_records_with`. A file pass reports only counts, so v1, v2 and
+//! v3 files, at 1 and 4 decode threads, are checked by their counts and
 //! then by every prediction the lanes make on a further segment after
 //! the file, which reads the state the file left in them.
 //!
@@ -30,7 +30,10 @@ use dfcm::{
     DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor, StrideWidth,
     TwoDeltaStridePredictor,
 };
-use dfcm_sim::{stream_records_with, stream_v2_file, stream_v3_file, StreamPredictor};
+use dfcm_obs::Obs;
+use dfcm_sim::{
+    stream_records_with, stream_trace_file, stream_v2_file, stream_v3_file, StreamPredictor,
+};
 use dfcm_trace::suite::standard_traces;
 use dfcm_trace::{Trace, TraceFormat, TraceRecord};
 use oracle::{Model, Oracle};
@@ -205,8 +208,10 @@ fn sweep_file_passes_agree_with_the_model_at_1_and_4_threads() {
     let (file_part, after) = records.split_at(100_000);
     let trace: Trace = file_part.iter().copied().collect();
     let dir = std::env::temp_dir();
+    let v1 = dir.join("dfcm_stream_oracle.v1.trc");
     let v2 = dir.join("dfcm_stream_oracle.v2.trc");
     let v3 = dir.join("dfcm_stream_oracle.v3.trc");
+    trace.save_with(&v1, TraceFormat::V1).unwrap();
     trace.save_with(&v2, TraceFormat::V2 { seed: 7 }).unwrap();
     trace.save_with(&v3, TraceFormat::V3 { seed: 7 }).unwrap();
     // No block, a block and one lane in the group, a block and three;
@@ -224,14 +229,18 @@ fn sweep_file_passes_agree_with_the_model_at_1_and_4_threads() {
             })
             .collect();
         for threads in [1, 4] {
-            for path in [&v2, &v3] {
+            for path in [&v1, &v2, &v3] {
                 let what = format!("{} at {threads} threads, {k}-wide", path.display());
                 let mut lanes: Vec<StreamPredictor> =
                     models.iter().map(|&m| stream_lane(m)).collect();
                 let report = if path == &v2 {
                     stream_v2_file(path, &mut lanes, threads)
-                } else {
+                } else if path == &v3 {
                     stream_v3_file(path, &mut lanes, threads)
+                } else {
+                    // v1 has no chunks to decode on workers: the file is
+                    // read whole and streamed in 65536-record slices.
+                    stream_trace_file(path, &mut lanes, threads, &Obs::disabled())
                 }
                 .unwrap();
                 assert_eq!(report.chunks, 2, "{what}");
@@ -247,6 +256,7 @@ fn sweep_file_passes_agree_with_the_model_at_1_and_4_threads() {
             }
         }
     }
-    let _ = std::fs::remove_file(&v2);
-    let _ = std::fs::remove_file(&v3);
+    for path in [v1, v2, v3] {
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -50,8 +50,8 @@ use dfcm_sim::{
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{
-    atomic_write_with, inspect_trace, salvage_trace, Trace, TraceFormat, TraceSource,
-    V3StreamWriter,
+    atomic_write_with, inspect_trace, salvage_trace, ChunkReader, Trace, TraceChunk, TraceFile,
+    TraceFormat, TraceSource, V3StreamWriter,
 };
 use dfcm_vm::{assemble, classify_pair, disassemble, programs, Tier, Vm, VmLimits};
 
@@ -602,22 +602,26 @@ pub fn trace_salvage(path: &Path, output: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Streams already-decoded chunks into a fresh v3 file — the flat-memory
-/// half of [`trace_compress`].
-fn write_v3_streaming<I>(output: &Path, records: u64, seed: u64, chunks: I) -> std::io::Result<()>
+/// Decodes `chunks` one at a time into a fresh v3 file — the flat-memory
+/// half of [`trace_compress`]. Returns the records written.
+fn write_v3_streaming<C, R>(output: &Path, chunks: ChunkReader<C, R>) -> std::io::Result<u64>
 where
-    I: Iterator<Item = std::io::Result<Vec<dfcm_trace::TraceRecord>>>,
+    C: TraceChunk,
+    R: std::io::Read,
 {
+    let records = chunks.declared_records();
+    let seed = chunks.seed();
     atomic_write_with(output, |w| {
         let mut writer = V3StreamWriter::new(&mut *w, records, seed)?;
         for chunk in chunks {
-            for record in chunk? {
+            for record in chunk?.decode()? {
                 writer.push(record)?;
             }
         }
         writer.finish()?;
         Ok(())
-    })
+    })?;
+    Ok(records)
 }
 
 /// `trace compress <file> --output <out> [--format v1|v2|v3]` — rewrites
@@ -639,51 +643,17 @@ pub fn trace_compress(
 ) -> Result<String, ToolError> {
     let in_err = |e: std::io::Error| err(format!("{}: {e}", path.display()));
     let out_err = |e: std::io::Error| err(format!("writing {}: {e}", output.display()));
-    let mut magic = [0u8; 8];
-    {
-        use std::io::Read as _;
-        File::open(path)
-            .map_err(in_err)?
-            .read_exact(&mut magic)
-            .map_err(in_err)?;
-    }
-    let seed = match &magic {
-        b"DFCMTRC2" => dfcm_trace::V2ChunkReader::open(path)
-            .map_err(in_err)?
-            .seed(),
-        b"DFCMTRC3" => dfcm_trace::V3ChunkReader::open(path)
-            .map_err(in_err)?
-            .seed(),
-        _ => 0,
-    };
-    let target = parse_trace_format(format.unwrap_or("v3"), seed)?;
-    let records = match (&magic, target) {
-        (b"DFCMTRC2", TraceFormat::V3 { .. }) => {
-            let reader = dfcm_trace::V2ChunkReader::open(path).map_err(in_err)?;
-            let records = reader.declared_records();
-            write_v3_streaming(
-                output,
-                records,
-                seed,
-                reader.map(|c| c.and_then(|c| c.decode())),
-            )
-            .map_err(out_err)?;
-            records
+    let file = TraceFile::open(path).map_err(in_err)?;
+    let target = parse_trace_format(format.unwrap_or("v3"), file.seed().unwrap_or(0))?;
+    let records = match (file, target) {
+        (TraceFile::V2(chunks), TraceFormat::V3 { .. }) => {
+            write_v3_streaming(output, chunks).map_err(out_err)?
         }
-        (b"DFCMTRC3", TraceFormat::V3 { .. }) => {
-            let reader = dfcm_trace::V3ChunkReader::open(path).map_err(in_err)?;
-            let records = reader.declared_records();
-            write_v3_streaming(
-                output,
-                records,
-                seed,
-                reader.map(|c| c.and_then(|c| c.decode())),
-            )
-            .map_err(out_err)?;
-            records
+        (TraceFile::V3(chunks), TraceFormat::V3 { .. }) => {
+            write_v3_streaming(output, chunks).map_err(out_err)?
         }
-        _ => {
-            let trace = Trace::load(path).map_err(in_err)?;
+        (file, target) => {
+            let trace = file.into_trace().map_err(in_err)?;
             trace.save_with(output, target).map_err(out_err)?;
             trace.len() as u64
         }

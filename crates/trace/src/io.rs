@@ -1,7 +1,7 @@
 //! Compact binary serialization for value traces: the legacy `DFCMTRC1`
-//! format, the checksummed, salvageable `DFCMTRC2` format, and the
-//! dispatch points for the compressed `DFCMTRC3` format (whose encoding
-//! lives in the `v3` module).
+//! format, the checksummed, salvageable `DFCMTRC2` format, and the one
+//! reader of both chunked formats, `DFCMTRC2` and the compressed
+//! `DFCMTRC3` (whose encoding lives in the `v3` module).
 //!
 //! Traces regenerate deterministically from seeds, but saving them is
 //! useful for sharing workloads across tools and for freezing a trace
@@ -46,7 +46,7 @@
 //! a corrupted file is *salvageable*: [`salvage_trace`] recovers every
 //! intact chunk, skips corrupt ones, and reports exactly what was
 //! dropped. [`inspect_trace`] reports the header and per-chunk CRC
-//! status without failing.
+//! status without failing. Both hold one chunk at a time.
 //!
 //! PC deltas are small (loops revisit nearby code), so a typical suite
 //! trace compresses to a handful of bytes per record in either version.
@@ -55,22 +55,31 @@
 //!
 //! The paper-scale tier: v2's chunked, salvageable framing with each
 //! chunk bit-packed and then LZ+Huffman compressed, reaching a few bits
-//! per record. Layout, packing, streaming reader/writer, and the
-//! decompression-bomb guards are documented in the `v3` module; this
-//! module dispatches to it from [`Trace::read_from`], [`salvage_trace`]
-//! and [`inspect_trace`] based on the magic.
+//! per record. Layout, packing, the streaming writer and the
+//! decompression-bomb guards are documented in the `v3` module.
+//!
+//! # Reading
+//!
+//! [`TraceFile`] reads the magic, the one place the formats are told
+//! apart, and opens any of the three. Both chunked formats are framed by
+//! one [`ChunkReader`], generic over the format's chunk type
+//! ([`RawChunk`] or [`V3RawChunk`](crate::V3RawChunk)), and a chunk's own
+//! `decode` is the only place its payload is checked. [`Trace::read_from`],
+//! [`salvage_trace`], [`inspect_trace`] and the streaming pipeline are all
+//! loops over that reader.
 
 use std::ffi::OsString;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::crc::crc32;
 use crate::record::{Trace, TraceRecord};
-use crate::v3::{inspect_v3, read_v3_body, salvage_v3, write_v3, MAGIC_V3};
+use crate::v3::{write_v3, V3ChunkReader, MAGIC_V3};
 
 const MAGIC_V1: &[u8; 8] = b"DFCMTRC1";
 const MAGIC_V2: &[u8; 8] = b"DFCMTRC2";
@@ -583,122 +592,82 @@ pub(crate) fn read_v2_header<R: Read>(r: &mut R) -> io::Result<V2Header> {
     })
 }
 
-/// One chunk as read off the wire, CRC checked but not yet trusted.
+/// Reads a trace's 8-byte magic. A stream too short to hold it is a
+/// corrupt file, not a read hiccup, so it fails as
+/// [`TraceFormatError::BadHeader`].
+fn read_magic<R: Read>(r: &mut R) -> io::Result<[u8; 8]> {
+    let mut magic = [0u8; 8];
+    match r.read_exact(&mut magic) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            Err(bad_header("file is shorter than the 8-byte magic"))
+        }
+        result => result.map(|()| magic),
+    }
+}
+
+/// A trace opened by its magic: the one place the three formats are told
+/// apart. [`Trace::read_from`], [`salvage_trace`], [`inspect_trace`] and
+/// the streaming pipeline all start here.
 #[derive(Debug)]
-struct ScannedChunk {
-    index: usize,
-    records: u64,
-    payload_bytes: u64,
-    crc_stored: u32,
-    crc_computed: u32,
-    /// The decoded records, or why the payload failed to decode.
-    decoded: Result<Vec<TraceRecord>, String>,
+pub enum TraceFile<R> {
+    /// A legacy `DFCMTRC1` trace: the stream right after the magic. v1
+    /// has no chunks, so it is read whole ([`TraceFile::into_trace`]).
+    V1(R),
+    /// A `DFCMTRC2` trace's chunks, its header parsed.
+    V2(V2ChunkReader<R>),
+    /// A `DFCMTRC3` trace's chunks, its header parsed.
+    V3(V3ChunkReader<R>),
 }
 
-impl ScannedChunk {
-    fn intact(&self) -> bool {
-        self.crc_stored == self.crc_computed && self.decoded.is_ok()
+impl<R: Read> TraceFile<R> {
+    /// Opens the trace `reader` holds, positioned at its magic. Fails as
+    /// [`TraceFile::open`] does.
+    pub(crate) fn from_reader(mut reader: R) -> io::Result<Self> {
+        let magic = read_magic(&mut reader)?;
+        match &magic {
+            MAGIC_V1 => Ok(TraceFile::V1(reader)),
+            MAGIC_V2 => ChunkReader::after_magic(reader).map(TraceFile::V2),
+            MAGIC_V3 => ChunkReader::after_magic(reader).map(TraceFile::V3),
+            _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
+        }
+    }
+
+    /// The generator seed a v2/v3 header stamps; `None` for v1.
+    pub fn seed(&self) -> Option<u64> {
+        match self {
+            TraceFile::V1(_) => None,
+            TraceFile::V2(chunks) => Some(chunks.seed()),
+            TraceFile::V3(chunks) => Some(chunks.seed()),
+        }
+    }
+
+    /// Reads every record, failing on the first damaged chunk (or, in
+    /// v1, record).
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::read_from`].
+    pub fn into_trace(self) -> io::Result<Trace> {
+        match self {
+            TraceFile::V1(mut r) => read_v1_body(&mut r),
+            TraceFile::V2(chunks) => read_chunks(chunks),
+            TraceFile::V3(chunks) => read_chunks(chunks),
+        }
     }
 }
 
-/// Decodes one chunk payload; the pc delta chain restarts at zero.
-fn decode_chunk_payload(payload: &[u8], records: u64) -> Result<Vec<TraceRecord>, String> {
-    let mut slice = payload;
-    let mut out = Vec::with_capacity(records as usize);
-    let mut prev_pc = 0i64;
-    for i in 0..records {
-        let delta = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
-        let value = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
-        let pc = prev_pc.wrapping_add(unzigzag(delta));
-        out.push(TraceRecord::new(pc as u64, value));
-        prev_pc = pc;
+impl TraceFile<BufReader<File>> {
+    /// Opens a trace file by its magic.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` carrying [`TraceFormatError::BadMagic`] for
+    /// unrecognized magic and [`TraceFormatError::BadHeader`] for a file
+    /// shorter than the magic or an unreadable v2/v3 header; propagates
+    /// file-open and read errors.
+    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        TraceFile::from_reader(BufReader::new(File::open(path)?))
     }
-    if !slice.is_empty() {
-        return Err(format!("{} unused bytes after last record", slice.len()));
-    }
-    Ok(out)
-}
-
-/// Reads chunks until `header.records` are accounted for. Returns the
-/// chunks read (including CRC-mismatched and undecodable ones, which a
-/// salvaging caller may skip) and the framing error that stopped the
-/// scan early, if any. Only environment I/O errors (not corruption) are
-/// returned as `Err`.
-fn scan_v2<R: Read>(
-    r: &mut R,
-    header: &V2Header,
-) -> io::Result<(Vec<ScannedChunk>, Option<io::Error>)> {
-    let mut chunks = Vec::new();
-    let mut remaining = header.records;
-    let mut index = 0usize;
-    while remaining > 0 {
-        let records = match read_varint(r) {
-            Ok(v) => v,
-            Err(e) if is_corruption(&e) => {
-                return Ok((
-                    chunks,
-                    Some(truncated(index, format!("chunk framing: {e}"))),
-                ));
-            }
-            Err(e) => return Err(e),
-        };
-        if records == 0 || records > V2_CHUNK_RECORDS as u64 || records > remaining {
-            return Ok((
-                chunks,
-                Some(truncated(
-                    index,
-                    format!("implausible chunk record count {records} ({remaining} outstanding)"),
-                )),
-            ));
-        }
-        let payload_bytes = match read_varint(r) {
-            Ok(v) => v,
-            Err(e) if is_corruption(&e) => {
-                return Ok((
-                    chunks,
-                    Some(truncated(index, format!("chunk framing: {e}"))),
-                ));
-            }
-            Err(e) => return Err(e),
-        };
-        if payload_bytes > records * MAX_RECORD_BYTES {
-            return Ok((
-                chunks,
-                Some(truncated(
-                    index,
-                    format!("implausible chunk byte length {payload_bytes}"),
-                )),
-            ));
-        }
-        let mut crc_bytes = [0u8; 4];
-        if let Err(e) = r.read_exact(&mut crc_bytes) {
-            if is_corruption(&e) {
-                return Ok((chunks, Some(truncated(index, "chunk checksum cut short"))));
-            }
-            return Err(e);
-        }
-        let mut payload = vec![0u8; payload_bytes as usize];
-        if let Err(e) = r.read_exact(&mut payload) {
-            if is_corruption(&e) {
-                return Ok((chunks, Some(truncated(index, "chunk payload cut short"))));
-            }
-            return Err(e);
-        }
-        let crc_stored = u32::from_le_bytes(crc_bytes);
-        let crc_computed = crc32(&payload);
-        let decoded = decode_chunk_payload(&payload, records);
-        chunks.push(ScannedChunk {
-            index,
-            records,
-            payload_bytes,
-            crc_stored,
-            crc_computed,
-            decoded,
-        });
-        remaining -= records;
-        index += 1;
-    }
-    Ok((chunks, None))
 }
 
 fn read_v1_body<R: Read>(r: &mut R) -> io::Result<Trace> {
@@ -717,32 +686,30 @@ fn read_v1_body<R: Read>(r: &mut R) -> io::Result<Trace> {
     Ok(trace)
 }
 
-fn read_v2_body<R: Read>(r: &mut R) -> io::Result<Trace> {
-    let header = read_v2_header(r)?;
-    let (chunks, framing_error) = scan_v2(r, &header)?;
-    // Report the earliest-chunk problem, preferring CRC mismatches (the
-    // sharper diagnosis) over the framing error that may follow them.
-    for c in &chunks {
-        if c.crc_stored != c.crc_computed {
-            return Err(TraceFormatError::ChunkCrcMismatch {
-                chunk: c.index,
-                stored: c.crc_stored,
-                computed: c.crc_computed,
-            }
-            .into());
-        }
-        if let Err(detail) = &c.decoded {
-            return Err(truncated(c.index, format!("undecodable chunk: {detail}")));
-        }
+/// How the detail of a chunk whose payload fails to decode begins.
+const UNDECODABLE: &str = "undecodable chunk: ";
+
+/// A chunk payload that passed its CRC but does not decode.
+pub(crate) fn undecodable(chunk: usize, detail: impl fmt::Display) -> io::Error {
+    truncated(chunk, format!("{UNDECODABLE}{detail}"))
+}
+
+/// Decodes one chunk payload; the pc delta chain restarts at zero.
+fn decode_chunk_payload(payload: &[u8], records: u64) -> Result<Vec<TraceRecord>, String> {
+    let mut slice = payload;
+    let mut out = Vec::with_capacity(records as usize);
+    let mut prev_pc = 0i64;
+    for i in 0..records {
+        let delta = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
+        let value = take_varint(&mut slice).map_err(|e| format!("record {i}: {e}"))?;
+        let pc = prev_pc.wrapping_add(unzigzag(delta));
+        out.push(TraceRecord::new(pc as u64, value));
+        prev_pc = pc;
     }
-    if let Some(e) = framing_error {
-        return Err(e);
+    if !slice.is_empty() {
+        return Err(format!("{} unused bytes after last record", slice.len()));
     }
-    let mut trace = Trace::with_capacity(header.records.min(MAX_PREALLOC) as usize);
-    for c in chunks {
-        trace.extend(c.decoded.expect("checked above"));
-    }
-    Ok(trace)
+    Ok(out)
 }
 
 /// One undecoded v2 chunk: framing fields plus the raw payload bytes.
@@ -784,64 +751,165 @@ impl RawChunk {
             .into());
         }
         decode_chunk_payload(&self.payload, self.records)
-            .map_err(|detail| truncated(self.index, format!("undecodable chunk: {detail}")))
+            .map_err(|detail| undecodable(self.index, detail))
     }
 }
 
-/// Streams the chunks of a v2 (`DFCMTRC2`) trace without decoding them:
-/// an iterator of [`RawChunk`]s, created by [`v2_chunks`] or
-/// [`V2ChunkReader::open`]. The header is parsed eagerly (so
-/// [`seed`](V2ChunkReader::seed) and
-/// [`declared_records`](V2ChunkReader::declared_records) are available
-/// before the first chunk); chunk framing is validated with the same
-/// plausibility bounds as [`Trace::read_from`], and payload integrity is
-/// checked by [`RawChunk::decode`].
+impl sealed::Framing for RawChunk {
+    const MAGIC: &'static [u8; 8] = MAGIC_V2;
+    const VERSION: u8 = 2;
+    const CHUNK_RECORDS: usize = V2_CHUNK_RECORDS;
+    const PACKED: bool = false;
+
+    fn max_payload(records: u64) -> u64 {
+        records * MAX_RECORD_BYTES
+    }
+
+    fn from_frame(frame: sealed::Frame) -> Self {
+        RawChunk {
+            index: frame.index,
+            records: frame.records,
+            crc_stored: frame.crc_stored,
+            payload: frame.payload,
+        }
+    }
+}
+
+impl TraceChunk for RawChunk {
+    fn decode(&self) -> io::Result<Vec<TraceRecord>> {
+        RawChunk::decode(self)
+    }
+}
+
+/// What the chunk reader knows of a chunked format, sealed in a module
+/// private to the crate so that its two chunk types are the only
+/// [`TraceChunk`]s.
+pub(crate) mod sealed {
+    /// One chunk frame as read off the wire, before it becomes its
+    /// format's chunk type.
+    #[derive(Debug)]
+    pub struct Frame {
+        pub index: usize,
+        pub records: u64,
+        /// The payload's declared unpacked size: v3's packed size, or
+        /// the stored size in v2, which stores payloads unpacked.
+        pub unpacked: u64,
+        pub crc_stored: u32,
+        pub payload: Vec<u8>,
+    }
+
+    /// A chunked format's framing.
+    pub trait Framing: Sized {
+        /// The magic a file of the format opens with.
+        const MAGIC: &'static [u8; 8];
+        /// The format version salvage and inspect report.
+        const VERSION: u8;
+        /// Records per chunk; the last chunk of a file holds the rest.
+        const CHUNK_RECORDS: usize;
+        /// Whether a frame declares the payload's unpacked size ahead
+        /// of its stored size (v3's frames do).
+        const PACKED: bool;
+
+        /// The longest stored payload a frame of `records` records may
+        /// declare. The reader allocates that much, and salvage trusts
+        /// it to step to the next frame.
+        fn max_payload(records: u64) -> u64;
+
+        /// The format's chunk for `frame`.
+        fn from_frame(frame: Frame) -> Self;
+    }
+}
+
+/// A chunk of a chunked trace format, as [`ChunkReader`] yields it:
+/// [`RawChunk`] (v2) or [`V3RawChunk`](crate::V3RawChunk) (v3), the only
+/// two. Every chunk decodes independently of its neighbours, so a
+/// consumer may decode chunks on worker threads and consume them in
+/// `index` order.
+pub trait TraceChunk: sealed::Framing + Send {
+    /// Checks the payload and decodes it: the chunk type's own `decode`,
+    /// the one place payload checks run.
+    ///
+    /// # Errors
+    ///
+    /// As [`RawChunk::decode`] and
+    /// [`V3RawChunk::decode`](crate::V3RawChunk::decode).
+    fn decode(&self) -> io::Result<Vec<TraceRecord>>;
+}
+
+/// Streams the chunks of a v2 or v3 trace without decoding them: an
+/// iterator of [`TraceChunk`]s, the one reader of chunk framing. The
+/// header is parsed on opening, so [`seed`](ChunkReader::seed) and
+/// [`declared_records`](ChunkReader::declared_records) are known before
+/// the first chunk. A frame's record count and stored size are bounded
+/// before its payload is read, and the payload is checked only by the
+/// chunk's `decode`. The reader holds one chunk at a time and stops for
+/// good at the first frame it cannot read.
+///
+/// [`Trace::read_from`], [`salvage_trace`] and [`inspect_trace`] loop
+/// over it, and so does the streaming pipeline.
 #[derive(Debug)]
-pub struct V2ChunkReader<R> {
+pub struct ChunkReader<C, R> {
     reader: R,
     header: V2Header,
     remaining: u64,
     index: usize,
-    /// Set once a framing error is hit so iteration stops permanently.
+    /// Set once a frame fails to read, so iteration stops for good.
     poisoned: bool,
+    chunk: PhantomData<fn() -> C>,
 }
+
+/// A v2 chunk stream, created by [`v2_chunks`] or
+/// [`ChunkReader::open`].
+pub type V2ChunkReader<R> = ChunkReader<RawChunk, R>;
 
 /// Opens a v2 chunk stream over `reader`, which must be positioned at the
 /// start of a `DFCMTRC2` file (magic included).
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for v1 files or unrecognized magic (v1 has no
-/// chunking to iterate) and for unreadable v2 headers; propagates I/O
-/// errors from the reader.
-pub fn v2_chunks<R: Read>(mut reader: R) -> io::Result<V2ChunkReader<R>> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC_V2 {
-        return Err(TraceFormatError::BadMagic { found: magic }.into());
-    }
-    let header = read_v2_header(&mut reader)?;
-    Ok(V2ChunkReader {
-        reader,
-        remaining: header.records,
-        header,
-        index: 0,
-        poisoned: false,
-    })
+/// Returns `InvalidData` carrying [`TraceFormatError::BadMagic`] for any
+/// other magic (v1 has no chunking to iterate) and
+/// [`TraceFormatError::BadHeader`] for a stream shorter than the magic or
+/// an unreadable header; propagates I/O errors from the reader.
+pub fn v2_chunks<R: Read>(reader: R) -> io::Result<V2ChunkReader<R>> {
+    ChunkReader::new(reader)
 }
 
-impl V2ChunkReader<BufReader<File>> {
-    /// Opens a v2 trace file as a chunk stream.
+impl<C: TraceChunk> ChunkReader<C, BufReader<File>> {
+    /// Opens a trace file of `C`'s format as a chunk stream.
     ///
     /// # Errors
     ///
     /// As [`v2_chunks`], plus file-open errors.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        v2_chunks(BufReader::new(File::open(path)?))
+        ChunkReader::new(BufReader::new(File::open(path)?))
     }
 }
 
-impl<R: Read> V2ChunkReader<R> {
+impl<C: TraceChunk, R: Read> ChunkReader<C, R> {
+    /// A chunk stream over `reader`, positioned at the magic of a file of
+    /// `C`'s format.
+    pub(crate) fn new(mut reader: R) -> io::Result<Self> {
+        let magic = read_magic(&mut reader)?;
+        if &magic != C::MAGIC {
+            return Err(TraceFormatError::BadMagic { found: magic }.into());
+        }
+        Self::after_magic(reader)
+    }
+
+    /// A chunk stream over `reader`, positioned right after the magic.
+    fn after_magic(mut reader: R) -> io::Result<Self> {
+        let header = read_v2_header(&mut reader)?;
+        Ok(ChunkReader {
+            reader,
+            remaining: header.records,
+            header,
+            index: 0,
+            poisoned: false,
+            chunk: PhantomData,
+        })
+    }
+
     /// Generator seed stamped in the file header.
     pub fn seed(&self) -> u64 {
         self.header.seed
@@ -851,79 +919,89 @@ impl<R: Read> V2ChunkReader<R> {
     pub fn declared_records(&self) -> u64 {
         self.header.records
     }
-}
 
-impl<R: Read> V2ChunkReader<R> {
-    /// Reads the next chunk's framing and payload. Framing-level
-    /// corruption (short reads, implausible counts) is reported as an
-    /// `InvalidData` error carrying [`TraceFormatError::TruncatedTail`];
-    /// other I/O errors pass through unchanged.
-    fn read_chunk(&mut self) -> io::Result<RawChunk> {
-        let index = self.index;
-        let records = read_varint(&mut self.reader)
-            .map_err(|e| corruption_at(index, e, "chunk framing cut short"))?;
-        if records == 0 || records > V2_CHUNK_RECORDS as u64 || records > self.remaining {
+    /// The next frame; `None` once the declared records are accounted
+    /// for or a frame failed to read.
+    fn next_frame(&mut self) -> Option<io::Result<sealed::Frame>> {
+        if self.poisoned || self.remaining == 0 {
+            return None;
+        }
+        let frame = self.read_frame();
+        self.poisoned = frame.is_err();
+        Some(frame)
+    }
+
+    /// Reads one frame. A frame the file does not hold whole, or whose
+    /// record count or stored size no writer produces, is a
+    /// [`TraceFormatError::TruncatedTail`] naming this chunk; other I/O
+    /// errors pass through.
+    fn read_frame(&mut self) -> io::Result<sealed::Frame> {
+        let (index, remaining, r) = (self.index, self.remaining, &mut self.reader);
+        let framing = |e| cut_short(index, e, |e| format!("chunk framing cut short: {e}"));
+        let records = read_varint(r).map_err(framing)?;
+        if records == 0 || records > C::CHUNK_RECORDS as u64 || records > remaining {
             return Err(truncated(
                 index,
-                format!(
-                    "implausible chunk record count {records} ({} outstanding)",
-                    self.remaining
-                ),
+                format!("implausible chunk record count {records} ({remaining} outstanding)"),
             ));
         }
-        let payload_bytes = read_varint(&mut self.reader)
-            .map_err(|e| corruption_at(index, e, "chunk framing cut short"))?;
-        if payload_bytes > records * MAX_RECORD_BYTES {
+        let unpacked = if C::PACKED {
+            Some(read_varint(r).map_err(framing)?)
+        } else {
+            None
+        };
+        let stored = read_varint(r).map_err(framing)?;
+        if stored > C::max_payload(records) {
             return Err(truncated(
                 index,
-                format!("implausible chunk byte length {payload_bytes}"),
+                format!("implausible chunk byte length {stored}"),
             ));
         }
-        let mut crc_bytes = [0u8; 4];
-        self.reader
-            .read_exact(&mut crc_bytes)
-            .map_err(|e| corruption_at(index, e, "chunk checksum cut short"))?;
-        let mut payload = vec![0u8; payload_bytes as usize];
-        self.reader
-            .read_exact(&mut payload)
-            .map_err(|e| corruption_at(index, e, "chunk payload cut short"))?;
+        let mut crc = [0u8; 4];
+        r.read_exact(&mut crc)
+            .map_err(|e| cut_short(index, e, |_| "chunk checksum cut short".into()))?;
+        let mut payload = vec![0u8; stored as usize];
+        r.read_exact(&mut payload)
+            .map_err(|e| cut_short(index, e, |_| "chunk payload cut short".into()))?;
         self.remaining -= records;
         self.index += 1;
-        Ok(RawChunk {
+        Ok(sealed::Frame {
             index,
             records,
-            crc_stored: u32::from_le_bytes(crc_bytes),
+            unpacked: unpacked.unwrap_or(stored),
+            crc_stored: u32::from_le_bytes(crc),
             payload,
         })
     }
 }
 
-/// Wraps a read error hit inside chunk `index`: corruption-shaped errors
-/// (unexpected EOF, invalid data) become a [`TraceFormatError::TruncatedTail`]
-/// naming the chunk; genuine I/O failures pass through untouched.
-pub(crate) fn corruption_at(index: usize, e: io::Error, what: &str) -> io::Error {
+/// A read error inside chunk `index`'s frame: corruption (an early end of
+/// the stream, a malformed varint) becomes a
+/// [`TraceFormatError::TruncatedTail`] with `detail`, and genuine I/O
+/// failures pass through untouched.
+fn cut_short(index: usize, e: io::Error, detail: impl FnOnce(&io::Error) -> String) -> io::Error {
     if is_corruption(&e) {
-        truncated(index, format!("{what}: {e}"))
+        truncated(index, detail(&e))
     } else {
         e
     }
 }
 
-impl<R: Read> Iterator for V2ChunkReader<R> {
-    type Item = io::Result<RawChunk>;
+impl<C: TraceChunk, R: Read> Iterator for ChunkReader<C, R> {
+    type Item = io::Result<C>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned || self.remaining == 0 {
-            return None;
-        }
-        match self.read_chunk() {
-            Ok(chunk) => Some(Ok(chunk)),
-            Err(e) => {
-                self.poisoned = true;
-                Some(Err(e))
-            }
-        }
+        self.next_frame().map(|frame| frame.map(C::from_frame))
     }
+}
+
+/// Decodes every chunk into one trace, failing on the first bad one.
+fn read_chunks<C: TraceChunk, R: Read>(chunks: ChunkReader<C, R>) -> io::Result<Trace> {
+    let mut trace = Trace::with_capacity(chunks.declared_records().min(MAX_PREALLOC) as usize);
+    for chunk in chunks {
+        trace.extend(chunk?.decode()?);
+    }
+    Ok(trace)
 }
 
 /// A chunk (or tail) that [`salvage_trace`] could not recover.
@@ -963,34 +1041,27 @@ impl SalvageReport {
     }
 }
 
-/// Chunks an intact v2 file with `records` records holds.
-fn expected_chunks(records: u64) -> usize {
-    records.div_ceil(V2_CHUNK_RECORDS as u64) as usize
-}
-
 /// Recovers everything recoverable from a trace file.
 ///
-/// For v2 files every chunk whose framing is readable and whose CRC and
-/// decode succeed is recovered bit-identically; corrupt chunks are
-/// skipped and reported. Once the chunk *framing* itself is unreadable
-/// the rest of the file is undecipherable and reported as one dropped
-/// tail. For v1 files (no checksums, no chunking) the longest cleanly
-/// decodable prefix is recovered.
+/// For v2 and v3 files every chunk whose framing is readable and whose
+/// CRC and decode succeed is recovered bit-identically; corrupt chunks
+/// (a v3 decompression bomb included) are skipped and reported. Once the
+/// chunk *framing* itself is unreadable the rest of the file is
+/// undecipherable and reported as one dropped tail. For v1 files (no
+/// checksums, no chunking) the longest cleanly decodable prefix is
+/// recovered.
 ///
 /// # Errors
 ///
 /// Returns an error only when there is nothing to salvage (unrecognized
-/// magic, unreadable v2 header) or on a genuine I/O failure; corruption
-/// past the header is reported in the [`SalvageReport`], not as an
-/// error.
-pub fn salvage_trace<R: Read>(mut r: R) -> io::Result<SalvageReport> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    match &magic {
-        MAGIC_V1 => salvage_v1(&mut r),
-        MAGIC_V2 => salvage_v2(&mut r),
-        MAGIC_V3 => salvage_v3(&mut r),
-        _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
+/// magic, a stream shorter than the magic, an unreadable v2/v3 header)
+/// or on a genuine I/O failure; corruption past the header is reported
+/// in the [`SalvageReport`], not as an error.
+pub fn salvage_trace<R: Read>(r: R) -> io::Result<SalvageReport> {
+    match TraceFile::from_reader(r)? {
+        TraceFile::V1(mut r) => salvage_v1(&mut r),
+        TraceFile::V2(chunks) => salvage_chunks(chunks),
+        TraceFile::V3(chunks) => salvage_chunks(chunks),
     }
 }
 
@@ -1035,57 +1106,65 @@ fn salvage_v1<R: Read>(r: &mut R) -> io::Result<SalvageReport> {
     })
 }
 
-fn salvage_v2<R: Read>(r: &mut R) -> io::Result<SalvageReport> {
-    let header = read_v2_header(r)?;
-    let (chunks, framing_error) = scan_v2(r, &header)?;
-    let scanned = chunks.len();
-    let mut recovered = Trace::with_capacity(header.records.min(MAX_PREALLOC) as usize);
-    let mut recovered_chunks = 0usize;
-    let mut dropped = Vec::new();
-    let mut accounted = 0u64;
-    for c in chunks {
-        accounted += c.records;
-        if c.crc_stored != c.crc_computed {
-            dropped.push(DroppedChunk {
-                chunk: c.index,
-                records: c.records,
-                reason: format!(
-                    "CRC mismatch (stored {:#010x}, computed {:#010x})",
-                    c.crc_stored, c.crc_computed
-                ),
-            });
-        } else {
-            match c.decoded {
-                Ok(records) => {
-                    recovered.extend(records);
-                    recovered_chunks += 1;
-                }
-                Err(detail) => dropped.push(DroppedChunk {
-                    chunk: c.index,
-                    records: c.records,
-                    reason: format!("undecodable payload: {detail}"),
-                }),
+fn salvage_chunks<C: TraceChunk, R: Read>(
+    mut chunks: ChunkReader<C, R>,
+) -> io::Result<SalvageReport> {
+    let declared = chunks.declared_records();
+    let mut report = SalvageReport {
+        version: C::VERSION,
+        declared_records: declared,
+        seed: Some(chunks.seed()),
+        recovered: Trace::with_capacity(declared.min(MAX_PREALLOC) as usize),
+        total_chunks: declared.div_ceil(C::CHUNK_RECORDS as u64) as usize,
+        recovered_chunks: 0,
+        dropped: Vec::new(),
+    };
+    while let Some(frame) = chunks.next_frame() {
+        let frame = match frame {
+            Ok(frame) => frame,
+            Err(e) if is_corruption(&e) => {
+                // The unreadable chunk and everything behind it are lost.
+                report.dropped.push(DroppedChunk {
+                    chunk: chunks.index,
+                    records: chunks.remaining,
+                    reason: e.to_string(),
+                });
+                break;
             }
+            Err(e) => return Err(e),
+        };
+        let (chunk, records) = (frame.index, frame.records);
+        match C::from_frame(frame).decode() {
+            Ok(decoded) => {
+                report.recovered.extend(decoded);
+                report.recovered_chunks += 1;
+            }
+            Err(e) => report.dropped.push(DroppedChunk {
+                chunk,
+                records,
+                reason: drop_reason(&e),
+            }),
         }
     }
-    if let Some(e) = framing_error {
-        // The unreadable chunk comes right after the ones scanned; it and
-        // everything behind it are lost.
-        dropped.push(DroppedChunk {
-            chunk: scanned,
-            records: header.records - accounted,
-            reason: e.to_string(),
-        });
+    Ok(report)
+}
+
+/// Why salvage drops a chunk whose payload fails `decode`: a CRC
+/// mismatch or an undecodable payload in salvage's own words, a
+/// decompression bomb as its error says.
+fn drop_reason(e: &io::Error) -> String {
+    match TraceFormatError::classify(e) {
+        Some(TraceFormatError::ChunkCrcMismatch {
+            stored, computed, ..
+        }) => format!("CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"),
+        Some(TraceFormatError::TruncatedTail { detail, .. }) => {
+            match detail.strip_prefix(UNDECODABLE) {
+                Some(detail) => format!("undecodable payload: {detail}"),
+                None => e.to_string(),
+            }
+        }
+        _ => e.to_string(),
     }
-    Ok(SalvageReport {
-        version: 2,
-        declared_records: header.records,
-        seed: Some(header.seed),
-        recovered,
-        total_chunks: expected_chunks(header.records),
-        recovered_chunks,
-        dropped,
-    })
 }
 
 /// Per-chunk integrity status, from [`inspect_trace`].
@@ -1152,19 +1231,18 @@ impl TraceInfo {
 /// Reads a whole trace file's structure without failing on corruption:
 /// the header, the chunk map with per-chunk CRC status, and whatever
 /// error stopped decoding. This is the engine behind `dfcm-tools trace
-/// inspect`/`verify`.
+/// inspect`/`verify`. It holds one chunk at a time, so it runs in the
+/// same small working set at any file size.
 ///
 /// # Errors
 ///
-/// Returns an error only for unrecognized magic, an unreadable header,
-/// or a genuine I/O failure; corruption past the header is *described*
-/// in the returned [`TraceInfo`] instead.
+/// Returns an error only for unrecognized magic, a stream shorter than
+/// the magic, an unreadable header, or a genuine I/O failure; corruption
+/// past the header is *described* in the returned [`TraceInfo`] instead.
 pub fn inspect_trace<R: Read>(mut r: R) -> io::Result<TraceInfo> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    let mut info = match &magic {
-        MAGIC_V1 => {
-            let report = salvage_v1(&mut r)?;
+    let mut info = match TraceFile::from_reader(&mut r)? {
+        TraceFile::V1(mut body) => {
+            let report = salvage_v1(&mut body)?;
             TraceInfo {
                 version: 1,
                 declared_records: report.declared_records,
@@ -1176,41 +1254,51 @@ pub fn inspect_trace<R: Read>(mut r: R) -> io::Result<TraceInfo> {
                 error: report.dropped.first().map(|d| d.reason.clone()),
             }
         }
-        MAGIC_V2 => {
-            let header = read_v2_header(&mut r)?;
-            let (chunks, framing_error) = scan_v2(&mut r, &header)?;
-            let decoded_records = chunks
-                .iter()
-                .filter(|c| c.intact())
-                .map(|c| c.records)
-                .sum();
-            TraceInfo {
-                version: 2,
-                declared_records: header.records,
-                decoded_records,
-                seed: Some(header.seed),
-                flags: header.flags,
-                chunks: chunks
-                    .into_iter()
-                    .map(|c| ChunkInfo {
-                        chunk: c.index,
-                        records: c.records,
-                        payload_bytes: c.payload_bytes,
-                        uncompressed_bytes: c.payload_bytes,
-                        crc_stored: c.crc_stored,
-                        crc_computed: c.crc_computed,
-                        decodes: c.decoded.is_ok(),
-                    })
-                    .collect(),
-                trailing_bytes: 0,
-                error: framing_error.map(|e| e.to_string()),
-            }
-        }
-        MAGIC_V3 => inspect_v3(&mut r)?,
-        _ => return Err(TraceFormatError::BadMagic { found: magic }.into()),
+        TraceFile::V2(chunks) => inspect_chunks(chunks)?,
+        TraceFile::V3(chunks) => inspect_chunks(chunks)?,
     };
     // Anything left in the stream is not part of the trace.
     info.trailing_bytes = io::copy(&mut r, &mut io::sink())?;
+    Ok(info)
+}
+
+fn inspect_chunks<C: TraceChunk, R: Read>(mut chunks: ChunkReader<C, R>) -> io::Result<TraceInfo> {
+    let mut info = TraceInfo {
+        version: C::VERSION,
+        declared_records: chunks.declared_records(),
+        decoded_records: 0,
+        seed: Some(chunks.seed()),
+        flags: chunks.header.flags,
+        chunks: Vec::new(),
+        trailing_bytes: 0,
+        error: None,
+    };
+    while let Some(frame) = chunks.next_frame() {
+        let frame = match frame {
+            Ok(frame) => frame,
+            Err(e) if is_corruption(&e) => {
+                info.error = Some(e.to_string());
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        let crc_computed = crc32(&frame.payload);
+        let mut chunk = ChunkInfo {
+            chunk: frame.index,
+            records: frame.records,
+            payload_bytes: frame.payload.len() as u64,
+            uncompressed_bytes: frame.unpacked,
+            crc_stored: frame.crc_stored,
+            crc_computed,
+            decodes: false,
+        };
+        // A payload that fails its CRC is not decoded.
+        chunk.decodes = crc_computed == chunk.crc_stored && C::from_frame(frame).decode().is_ok();
+        if chunk.intact() {
+            info.decoded_records += chunk.records;
+        }
+        info.chunks.push(chunk);
+    }
     Ok(info)
 }
 
@@ -1281,24 +1369,17 @@ impl Trace {
         }
     }
 
-    /// Reads a trace in either format, auto-detected from the magic;
-    /// v2 chunk checksums are verified. Pass `&mut reader` to keep using
-    /// the reader afterwards.
+    /// Reads a trace in any format, auto-detected from the magic; v2/v3
+    /// chunk checksums are verified. Pass `&mut reader` to keep using the
+    /// reader afterwards.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` carrying a [`TraceFormatError`] for
     /// malformed, truncated or checksum-failing data, and propagates
     /// I/O errors from the reader.
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<Trace> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        match &magic {
-            MAGIC_V1 => read_v1_body(&mut r),
-            MAGIC_V2 => read_v2_body(&mut r),
-            MAGIC_V3 => read_v3_body(&mut r),
-            _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
-        }
+    pub fn read_from<R: Read>(r: R) -> io::Result<Trace> {
+        TraceFile::from_reader(r)?.into_trace()
     }
 
     /// Saves the trace to a file atomically (staged in a sibling
@@ -1418,6 +1499,38 @@ mod tests {
             TraceFormatError::classify(&err),
             Some(TraceFormatError::BadMagic { .. })
         ));
+
+        // A stream cut inside the 8-byte magic is a bad header at every
+        // entry point, never an untyped early end of file.
+        let path = std::env::temp_dir().join(format!("dfcm_io_short.{}.trc", std::process::id()));
+        for len in 0..8 {
+            let bytes = &MAGIC_V2[..len];
+            atomic_write(&path, bytes).unwrap();
+            let entries = [
+                ("read_from", Trace::read_from(bytes).map(drop)),
+                ("load", Trace::load(&path).map(drop)),
+                ("salvage_trace", salvage_trace(bytes).map(drop)),
+                ("inspect_trace", inspect_trace(bytes).map(drop)),
+                ("v2_chunks", v2_chunks(bytes).map(drop)),
+                ("v3_chunks", crate::v3_chunks(bytes).map(drop)),
+            ];
+            for (entry, result) in entries {
+                let err = result.unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{entry}, {len} bytes"
+                );
+                assert!(
+                    matches!(
+                        TraceFormatError::classify(&err),
+                        Some(TraceFormatError::BadHeader { .. })
+                    ),
+                    "{entry}, {len} bytes: {err}"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

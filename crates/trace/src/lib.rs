@@ -53,8 +53,8 @@ mod v3;
 pub use crate::deadline::Deadline;
 pub use crate::io::{
     atomic_write, atomic_write_with, inspect_trace, read_varint, salvage_trace, v2_chunks,
-    write_varint, ChunkInfo, DroppedChunk, RawChunk, SalvageReport, TraceFormat, TraceFormatError,
-    TraceInfo, V2ChunkReader, V2_CHUNK_RECORDS,
+    write_varint, ChunkInfo, ChunkReader, DroppedChunk, RawChunk, SalvageReport, TraceChunk,
+    TraceFile, TraceFormat, TraceFormatError, TraceInfo, V2ChunkReader, V2_CHUNK_RECORDS,
 };
 pub use crate::pattern::{Pattern, PatternState};
 pub use crate::phases::PhasedProgram;

@@ -63,30 +63,29 @@
 //! # Bomb guards
 //!
 //! A legitimate chunk can expand at most ~600× through the pipeline
-//! (LZ matches ≈ 75×, Huffman ≤ 8×). The reader enforces, before any
-//! payload-sized allocation:
+//! (LZ matches ≈ 75×, Huffman ≤ 8×). The chunk reader
+//! ([`crate::ChunkReader`], shared with v2) bounds the compressed size
+//! at the packed bound plus container slack before it reads a payload,
+//! and [`V3RawChunk::decode`] checks, before it decompresses anything:
 //!
 //! * declared packed size ≤ [`max_packed_len`] (≈ 27 bytes/record),
-//! * compressed size ≤ packed bound + container slack,
 //! * packed/compressed ratio ≤ [`MAX_EXPANSION_RATIO`] once the chunk
 //!   is past the small-chunk exemption.
 //!
-//! Violations surface as [`TraceFormatError::DecompressionBomb`]; the
-//! payload length is still trusted enough to *skip*, so salvage drops
-//! only the offending chunk.
+//! Violations surface from `decode` as
+//! [`TraceFormatError::DecompressionBomb`]. The reader has already read
+//! the bomb's bounded payload, so salvage drops only the offending chunk
+//! and reads on.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
 use crate::compress::{compress, decompress, max_token_len};
 use crate::crc::crc32;
 use crate::io::{
-    corruption_at, is_corruption, read_v2_header, read_varint, take_varint, truncated, unzigzag,
-    write_varint, zigzag, DroppedChunk, SalvageReport, TraceFormatError, TraceInfo, V2Header,
+    sealed, take_varint, undecodable, unzigzag, write_varint, zigzag, ChunkReader, TraceChunk,
+    TraceFormatError,
 };
-use crate::io::{ChunkInfo, MAX_PREALLOC};
 use crate::record::{Trace, TraceRecord};
 
 pub(crate) const MAGIC_V3: &[u8; 8] = b"DFCMTRC3";
@@ -113,11 +112,6 @@ const RATIO_EXEMPT_BYTES: u64 = 4096;
 /// on what the decoder will ever allocate for one chunk.
 pub fn max_packed_len(records: u64) -> u64 {
     records * 27 + 16
-}
-
-/// Worst-case compressed size: the stored fallback plus container slack.
-fn max_compressed_len(records: u64) -> u64 {
-    max_packed_len(records) + 64
 }
 
 // ---------------------------------------------------------------------
@@ -411,9 +405,8 @@ fn unpack_records(packed: &[u8], records: u64) -> Result<Vec<TraceRecord>, Strin
 // ---------------------------------------------------------------------
 
 /// One undecoded v3 chunk: framing fields plus the raw compressed
-/// payload. Produced by [`V3ChunkReader`]; the v3 counterpart of
-/// [`crate::RawChunk`], with the same independence property — every
-/// chunk decodes with no state from its neighbours.
+/// payload, as [`V3ChunkReader`] yields it. Every chunk decodes with no
+/// state from its neighbours.
 #[derive(Debug, Clone)]
 pub struct V3RawChunk {
     /// Zero-based position of this chunk in the file.
@@ -429,11 +422,13 @@ pub struct V3RawChunk {
 }
 
 impl V3RawChunk {
-    /// Decompresses and unpacks the payload, verifying the CRC first.
+    /// Decompresses and unpacks the payload. The bomb guard runs first,
+    /// then the CRC check: this is the one place a v3 payload is checked.
     ///
-    /// Allocation is bounded by the declared packed size, which is
-    /// itself re-checked against [`max_packed_len`] so a hand-crafted
-    /// chunk cannot demand more than one chunk's worst case.
+    /// Allocation is bounded by the declared packed size, which the bomb
+    /// guard checks against [`max_packed_len`] and the expansion ratio
+    /// before anything is decompressed, so a hand-crafted chunk cannot
+    /// demand more than one chunk's worst case.
     ///
     /// # Errors
     ///
@@ -460,9 +455,8 @@ impl V3RawChunk {
             .into());
         }
         let packed = decompress(&self.payload, self.packed_bytes as usize)
-            .map_err(|e| truncated(self.index, format!("undecodable chunk: {e}")))?;
-        unpack_records(&packed, self.records)
-            .map_err(|detail| truncated(self.index, format!("undecodable chunk: {detail}")))
+            .map_err(|e| undecodable(self.index, e))?;
+        unpack_records(&packed, self.records).map_err(|detail| undecodable(self.index, detail))
     }
 
     /// An upper bound on the peak bytes [`decode`](Self::decode)
@@ -482,8 +476,9 @@ impl V3RawChunk {
     }
 }
 
-/// The bomb guard applied before any payload-sized work: `None` when
-/// the declared sizes are consistent with a legitimate writer.
+/// The bomb guard [`V3RawChunk::decode`] applies before any
+/// payload-sized work: `None` when the declared sizes are consistent
+/// with a legitimate writer.
 fn bomb_guard(
     chunk: usize,
     records: u64,
@@ -500,353 +495,53 @@ fn bomb_guard(
     })
 }
 
-/// Streams the chunks of a v3 (`DFCMTRC3`) trace without decoding them:
-/// the v3 counterpart of [`crate::V2ChunkReader`]. Holds at most one
-/// compressed chunk at a time; decoding (via [`V3RawChunk::decode`])
-/// adds at most one decoded chunk, so a full-file scan runs in a
-/// single-chunk working set regardless of file size.
-#[derive(Debug)]
-pub struct V3ChunkReader<R> {
-    reader: R,
-    header: V2Header,
-    remaining: u64,
-    index: usize,
-    /// Set once a framing error is hit so iteration stops permanently.
-    poisoned: bool,
+impl sealed::Framing for V3RawChunk {
+    const MAGIC: &'static [u8; 8] = MAGIC_V3;
+    const VERSION: u8 = 3;
+    const CHUNK_RECORDS: usize = V3_CHUNK_RECORDS;
+    const PACKED: bool = true;
+
+    /// The compressed-size bound: the stored fallback plus container
+    /// slack. It holds even when the declared packed size is a bomb, so
+    /// salvage can step over a bomb chunk and drop only that one.
+    fn max_payload(records: u64) -> u64 {
+        max_packed_len(records) + 64
+    }
+
+    fn from_frame(frame: sealed::Frame) -> Self {
+        V3RawChunk {
+            index: frame.index,
+            records: frame.records,
+            packed_bytes: frame.unpacked,
+            crc_stored: frame.crc_stored,
+            payload: frame.payload,
+        }
+    }
 }
+
+impl TraceChunk for V3RawChunk {
+    fn decode(&self) -> io::Result<Vec<TraceRecord>> {
+        V3RawChunk::decode(self)
+    }
+}
+
+/// A v3 chunk stream, created by [`v3_chunks`] or
+/// [`ChunkReader::open`]. It holds at most one compressed chunk, and a
+/// [`V3RawChunk::decode`] adds at most one decoded chunk, so a full-file
+/// scan runs in a single-chunk working set regardless of file size.
+pub type V3ChunkReader<R> = ChunkReader<V3RawChunk, R>;
 
 /// Opens a v3 chunk stream over `reader`, which must be positioned at
 /// the start of a `DFCMTRC3` file (magic included).
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for other formats or unrecognized magic and
-/// for unreadable headers; propagates I/O errors from the reader.
-pub fn v3_chunks<R: Read>(mut reader: R) -> io::Result<V3ChunkReader<R>> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC_V3 {
-        return Err(TraceFormatError::BadMagic { found: magic }.into());
-    }
-    let header = read_v2_header(&mut reader)?;
-    Ok(V3ChunkReader {
-        reader,
-        remaining: header.records,
-        header,
-        index: 0,
-        poisoned: false,
-    })
-}
-
-impl V3ChunkReader<BufReader<File>> {
-    /// Opens a v3 trace file as a chunk stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`v3_chunks`], plus file-open errors.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        v3_chunks(BufReader::new(File::open(path)?))
-    }
-}
-
-impl<R: Read> V3ChunkReader<R> {
-    /// Generator seed stamped in the file header.
-    pub fn seed(&self) -> u64 {
-        self.header.seed
-    }
-
-    /// Record count the header declares for the whole file.
-    pub fn declared_records(&self) -> u64 {
-        self.header.records
-    }
-
-    /// Reads the next chunk's framing and payload, applying the bomb
-    /// guards before the payload allocation.
-    fn read_chunk(&mut self) -> io::Result<V3RawChunk> {
-        let index = self.index;
-        let framing = read_v3_chunk_framing(&mut self.reader, index, self.remaining)?;
-        if let Some(e) = bomb_guard(index, framing.records, framing.packed, framing.compressed) {
-            return Err(e.into());
-        }
-        let mut crc_bytes = [0u8; 4];
-        self.reader
-            .read_exact(&mut crc_bytes)
-            .map_err(|e| corruption_at(index, e, "chunk checksum cut short"))?;
-        let mut payload = vec![0u8; framing.compressed as usize];
-        self.reader
-            .read_exact(&mut payload)
-            .map_err(|e| corruption_at(index, e, "chunk payload cut short"))?;
-        self.remaining -= framing.records;
-        self.index += 1;
-        Ok(V3RawChunk {
-            index,
-            records: framing.records,
-            packed_bytes: framing.packed,
-            crc_stored: u32::from_le_bytes(crc_bytes),
-            payload,
-        })
-    }
-}
-
-impl<R: Read> Iterator for V3ChunkReader<R> {
-    type Item = io::Result<V3RawChunk>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned || self.remaining == 0 {
-            return None;
-        }
-        match self.read_chunk() {
-            Ok(chunk) => Some(Ok(chunk)),
-            Err(e) => {
-                self.poisoned = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// The three framing varints of a v3 chunk, plausibility-checked up to
-/// (but not including) the bomb guard.
-struct V3ChunkFraming {
-    records: u64,
-    packed: u64,
-    compressed: u64,
-}
-
-fn read_v3_chunk_framing<R: Read>(
-    r: &mut R,
-    index: usize,
-    remaining: u64,
-) -> io::Result<V3ChunkFraming> {
-    let records = read_varint(r).map_err(|e| corruption_at(index, e, "chunk framing cut short"))?;
-    if records == 0 || records > V3_CHUNK_RECORDS as u64 || records > remaining {
-        return Err(truncated(
-            index,
-            format!("implausible chunk record count {records} ({remaining} outstanding)"),
-        ));
-    }
-    let packed = read_varint(r).map_err(|e| corruption_at(index, e, "chunk framing cut short"))?;
-    let compressed =
-        read_varint(r).map_err(|e| corruption_at(index, e, "chunk framing cut short"))?;
-    // The compressed length is what gets allocated *and* what a salvage
-    // skip trusts to find the next chunk, so it must stay plausible even
-    // when the packed length is a bomb.
-    if compressed > max_compressed_len(records) {
-        return Err(truncated(
-            index,
-            format!("implausible chunk byte length {compressed}"),
-        ));
-    }
-    Ok(V3ChunkFraming {
-        records,
-        packed,
-        compressed,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Whole-file read / salvage / inspect
-// ---------------------------------------------------------------------
-
-/// One chunk as read off the wire during a salvage/inspect scan.
-struct ScannedV3Chunk {
-    index: usize,
-    records: u64,
-    packed_bytes: u64,
-    payload_bytes: u64,
-    crc_stored: u32,
-    crc_computed: u32,
-    /// The bomb-guard verdict, if it tripped (payload skipped).
-    bomb: Option<TraceFormatError>,
-    /// The decoded records, or why the payload failed to decode.
-    decoded: Result<Vec<TraceRecord>, String>,
-}
-
-impl ScannedV3Chunk {
-    fn intact(&self) -> bool {
-        self.bomb.is_none() && self.crc_stored == self.crc_computed && self.decoded.is_ok()
-    }
-}
-
-/// Reads chunks until `header.records` are accounted for, decoding what
-/// it can. Bomb-guarded chunks are *skipped* (their compressed length
-/// is plausibility-bounded, so the scan can step over the payload) and
-/// reported in place, which is what lets salvage recover everything
-/// after a bomb. Only environment I/O errors are returned as `Err`.
-fn scan_v3<R: Read>(
-    r: &mut R,
-    header: &V2Header,
-) -> io::Result<(Vec<ScannedV3Chunk>, Option<io::Error>)> {
-    let mut chunks = Vec::new();
-    let mut remaining = header.records;
-    let mut index = 0usize;
-    while remaining > 0 {
-        let framing = match read_v3_chunk_framing(r, index, remaining) {
-            Ok(f) => f,
-            Err(e) if is_corruption(&e) => return Ok((chunks, Some(e))),
-            Err(e) => return Err(e),
-        };
-        let mut crc_bytes = [0u8; 4];
-        if let Err(e) = r.read_exact(&mut crc_bytes) {
-            if is_corruption(&e) {
-                return Ok((chunks, Some(truncated(index, "chunk checksum cut short"))));
-            }
-            return Err(e);
-        }
-        let mut payload = vec![0u8; framing.compressed as usize];
-        if let Err(e) = r.read_exact(&mut payload) {
-            if is_corruption(&e) {
-                return Ok((chunks, Some(truncated(index, "chunk payload cut short"))));
-            }
-            return Err(e);
-        }
-        let crc_stored = u32::from_le_bytes(crc_bytes);
-        let crc_computed = crc32(&payload);
-        let bomb = bomb_guard(index, framing.records, framing.packed, framing.compressed);
-        let decoded = match &bomb {
-            Some(e) => Err(e.to_string()),
-            None if crc_stored != crc_computed => {
-                // CRC already failed; don't decode a payload known bad.
-                Err("CRC mismatch".into())
-            }
-            None => decompress(&payload, framing.packed as usize)
-                .map_err(|e| e.to_string())
-                .and_then(|packed| unpack_records(&packed, framing.records)),
-        };
-        chunks.push(ScannedV3Chunk {
-            index,
-            records: framing.records,
-            packed_bytes: framing.packed,
-            payload_bytes: framing.compressed,
-            crc_stored,
-            crc_computed,
-            bomb,
-            decoded,
-        });
-        remaining -= framing.records;
-        index += 1;
-    }
-    Ok((chunks, None))
-}
-
-/// Strict whole-file v3 read (magic already consumed): the body of
-/// [`Trace::read_from`] for `DFCMTRC3` files.
-pub(crate) fn read_v3_body<R: Read>(r: &mut R) -> io::Result<Trace> {
-    let header = read_v2_header(r)?;
-    let (chunks, framing_error) = scan_v3(r, &header)?;
-    // Report the earliest-chunk problem, preferring the sharpest
-    // diagnosis: bomb guard, then CRC, then decode failure.
-    for c in &chunks {
-        if let Some(bomb) = &c.bomb {
-            return Err(bomb.clone().into());
-        }
-        if c.crc_stored != c.crc_computed {
-            return Err(TraceFormatError::ChunkCrcMismatch {
-                chunk: c.index,
-                stored: c.crc_stored,
-                computed: c.crc_computed,
-            }
-            .into());
-        }
-        if let Err(detail) = &c.decoded {
-            return Err(truncated(c.index, format!("undecodable chunk: {detail}")));
-        }
-    }
-    if let Some(e) = framing_error {
-        return Err(e);
-    }
-    let mut trace = Trace::with_capacity(header.records.min(MAX_PREALLOC) as usize);
-    for c in chunks {
-        trace.extend(c.decoded.expect("checked above"));
-    }
-    Ok(trace)
-}
-
-/// v3 salvage (magic already consumed): recovers every intact chunk,
-/// skipping bombs, CRC failures, and undecodable payloads individually.
-pub(crate) fn salvage_v3<R: Read>(r: &mut R) -> io::Result<SalvageReport> {
-    let header = read_v2_header(r)?;
-    let (chunks, framing_error) = scan_v3(r, &header)?;
-    let scanned = chunks.len();
-    let mut recovered = Trace::with_capacity(header.records.min(MAX_PREALLOC) as usize);
-    let mut recovered_chunks = 0usize;
-    let mut dropped = Vec::new();
-    let mut accounted = 0u64;
-    for c in chunks {
-        accounted += c.records;
-        if c.intact() {
-            recovered.extend(c.decoded.expect("intact chunk decoded"));
-            recovered_chunks += 1;
-            continue;
-        }
-        let reason = if let Some(bomb) = &c.bomb {
-            bomb.to_string()
-        } else if c.crc_stored != c.crc_computed {
-            format!(
-                "CRC mismatch (stored {:#010x}, computed {:#010x})",
-                c.crc_stored, c.crc_computed
-            )
-        } else {
-            format!(
-                "undecodable payload: {}",
-                c.decoded.as_ref().expect_err("not intact")
-            )
-        };
-        dropped.push(DroppedChunk {
-            chunk: c.index,
-            records: c.records,
-            reason,
-        });
-    }
-    if let Some(e) = framing_error {
-        dropped.push(DroppedChunk {
-            chunk: scanned,
-            records: header.records - accounted,
-            reason: e.to_string(),
-        });
-    }
-    Ok(SalvageReport {
-        version: 3,
-        declared_records: header.records,
-        seed: Some(header.seed),
-        recovered,
-        total_chunks: header.records.div_ceil(V3_CHUNK_RECORDS as u64) as usize,
-        recovered_chunks,
-        dropped,
-    })
-}
-
-/// v3 inspect (magic already consumed): the chunk map with per-chunk
-/// CRC status and compressed/uncompressed sizes.
-pub(crate) fn inspect_v3<R: Read>(r: &mut R) -> io::Result<TraceInfo> {
-    let header = read_v2_header(r)?;
-    let (chunks, framing_error) = scan_v3(r, &header)?;
-    let decoded_records = chunks
-        .iter()
-        .filter(|c| c.intact())
-        .map(|c| c.records)
-        .sum();
-    Ok(TraceInfo {
-        version: 3,
-        declared_records: header.records,
-        decoded_records,
-        seed: Some(header.seed),
-        flags: header.flags,
-        chunks: chunks
-            .into_iter()
-            .map(|c| ChunkInfo {
-                chunk: c.index,
-                records: c.records,
-                payload_bytes: c.payload_bytes,
-                uncompressed_bytes: c.packed_bytes,
-                crc_stored: c.crc_stored,
-                crc_computed: c.crc_computed,
-                decodes: c.bomb.is_none() && c.decoded.is_ok(),
-            })
-            .collect(),
-        trailing_bytes: 0,
-        error: framing_error.map(|e| e.to_string()),
-    })
+/// Returns `InvalidData` carrying [`TraceFormatError::BadMagic`] for
+/// other formats and unrecognized magic and
+/// [`TraceFormatError::BadHeader`] for a stream shorter than the magic
+/// or an unreadable header; propagates I/O errors from the reader.
+pub fn v3_chunks<R: Read>(reader: R) -> io::Result<V3ChunkReader<R>> {
+    ChunkReader::new(reader)
 }
 
 // ---------------------------------------------------------------------
