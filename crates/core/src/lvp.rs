@@ -109,11 +109,7 @@ impl ValuePredictor for LastValuePredictor {
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let idx = self.index(pc);
-        self.table[idx] = actual;
-        if let Some(stats) = &mut self.stats {
-            stats.record(idx);
-        }
+        self.access(pc, actual);
     }
 
     // Fused predict+update: the table index is computed once per record.

@@ -152,24 +152,7 @@ impl ValuePredictor for StridePredictor {
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let idx = self.index(pc);
-        let predicted = self.last[idx].wrapping_add(self.stride[idx]);
-        let correct = predicted == actual;
-        // The stride is replaced only while confidence is below saturation;
-        // the pre-update counter value gates the replacement so that a
-        // high-confidence stride survives a single reset (cf. two-delta).
-        if !self.confidence[idx].is_max() {
-            self.stride[idx] = actual.wrapping_sub(self.last[idx]);
-        }
-        if correct {
-            self.confidence[idx].increment();
-        } else {
-            self.confidence[idx].decrement();
-        }
-        self.last[idx] = actual;
-        if let Some(stats) = &mut self.stats {
-            stats.record(idx);
-        }
+        self.access(pc, actual);
     }
 
     // Fused predict+update with a single index computation; bit-identical
@@ -179,6 +162,9 @@ impl ValuePredictor for StridePredictor {
         let idx = self.index(pc);
         let predicted = self.last[idx].wrapping_add(self.stride[idx]);
         let correct = predicted == actual;
+        // The stride is replaced only while confidence is below saturation;
+        // the pre-update counter value gates the replacement so that a
+        // high-confidence stride survives a single reset (cf. two-delta).
         if !self.confidence[idx].is_max() {
             self.stride[idx] = actual.wrapping_sub(self.last[idx]);
         }
@@ -343,16 +329,7 @@ impl ValuePredictor for TwoDeltaStridePredictor {
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let idx = self.index(pc);
-        let stride = actual.wrapping_sub(self.last[idx]);
-        if stride == self.s2[idx] {
-            self.s1[idx] = stride;
-        }
-        self.s2[idx] = stride;
-        self.last[idx] = actual;
-        if let Some(stats) = &mut self.stats {
-            stats.record(idx);
-        }
+        self.access(pc, actual);
     }
 
     // Fused predict+update with a single index computation; bit-identical

@@ -45,10 +45,6 @@ pub struct Options {
     /// Directory the observability exports are written to at the end of
     /// the run (`--obs DIR`).
     pub obs_dir: Option<PathBuf>,
-    /// VM execution tier for kernel workloads (`--vm-tier fast|interp`).
-    /// The tiers are bit-identical, so this never changes results —
-    /// `interp` exists as the always-correct baseline and escape hatch.
-    pub vm_tier: dfcm_vm::Tier,
     /// The suite [`Options::traces`] last produced. Not a setting: it is
     /// public only so that `..Options::default()` literals compile.
     pub suite: SuiteMemo,
@@ -118,7 +114,6 @@ impl Default for Options {
             strict: false,
             obs: dfcm_obs::Obs::disabled(),
             obs_dir: None,
-            vm_tier: dfcm_vm::Tier::Fast,
             suite: SuiteMemo::default(),
         }
     }

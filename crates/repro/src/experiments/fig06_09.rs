@@ -11,7 +11,7 @@
 use dfcm::{DfcmPredictor, FcmPredictor, L2Indexed, StrideOccupancyProfiler, ValuePredictor};
 use dfcm_sim::report::TextTable;
 use dfcm_trace::Trace;
-use dfcm_vm::suite::kernel_trace_with;
+use dfcm_vm::suite::kernel_trace;
 
 use crate::common::{banner, Options};
 
@@ -95,7 +95,7 @@ pub fn run(opts: &Options) {
     // VM trace lengths follow --scale (default 0.1 -> 1.5 M records).
     let vm_records = ((opts.scale * 15_000_000.0) as usize).clamp(50_000, 5_000_000);
     for name in ["norm", "queens"] {
-        let kernel = kernel_trace_with(name, vm_records, opts.vm_tier).expect("bundled kernel");
+        let kernel = kernel_trace(name, vm_records).expect("bundled kernel");
         run_workload(name, &kernel.trace, opts);
     }
 

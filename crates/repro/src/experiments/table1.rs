@@ -9,14 +9,14 @@ use dfcm_sim::engine::{TaskError, TaskOutput};
 use dfcm_sim::report::TextTable;
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
-use dfcm_vm::{assemble, programs, Vm, VmLimits};
+use dfcm_vm::{assemble, programs, Tier, Vm, VmLimits};
 
 use crate::common::{banner, Options};
 
 /// Runs the Table 1 reproduction.
 ///
 /// The suite half measures the run's memoized suite and the VM half runs
-/// each kernel on `--vm-tier`; statistics are independent per trace, so
+/// each kernel on the VM's fast tier; statistics are independent per trace, so
 /// both halves run as engine task batches whose metrics land in
 /// `metrics/table1.jsonl`.
 pub fn run(opts: &Options) {
@@ -78,7 +78,7 @@ pub fn run(opts: &Options) {
             ..VmLimits::default()
         };
         let program = assemble(src).expect("bundled kernel assembles");
-        let mut vm = Vm::with_tier(program, limits, opts.vm_tier)?;
+        let mut vm = Vm::with_tier(program, limits, Tier::Fast)?;
         let trace = vm
             .try_take_trace(2_000_000)
             .map_err(|e| TaskError::Permanent(format!("{name} faulted: {e}")))?;

@@ -21,10 +21,9 @@ pub fn run(opts: &Options) {
         "Genuine program traces from the VM, uncalibrated.",
     );
     let max_records = ((opts.scale * 10_000_000.0) as usize).clamp(20_000, 2_000_000);
-    // The tier never affects the traces (differentially verified
-    // bit-identical); with `--obs` the fast tier's fusion/replay
-    // mechanics land in the export as `vm_*` metrics.
-    let traces = kernel_traces_observed(max_records, opts.vm_tier, &opts.obs);
+    // With `--obs` the fast tier's fusion/replay mechanics land in the
+    // export as `vm_*` metrics.
+    let traces = kernel_traces_observed(max_records, &opts.obs);
 
     let mut run = opts.experiment("vmbench");
     let stride = run.sweep("stride", &traces, &[12u32], |&bits| {

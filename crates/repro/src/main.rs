@@ -29,7 +29,7 @@
 //!   phases   extension: sensitivity to program phase changes
 //!   specupdate extension: speculative history update under delay
 //!   order    ablation: history order via the FS R-k hash family
-//!   all      everything above
+//!   all      everything above except order, which runs only on its own
 //!
 //! options:
 //!   --seed N    workload seed (default 12345)
@@ -65,7 +65,7 @@ use std::process::ExitCode;
 use dfcm_repro::common::Options;
 use dfcm_repro::experiments;
 
-const USAGE: &str = "usage: dfcm-repro <table1|fig3|fig4_8|fig6_9|fig10a|fig10b|fig11a|fig11b|fig12|fig13|fig14|fig16|fig17|sec4_4|tags|related|ideal|speedup|vmbench|phases|specupdate|order|all> [--seed N] [--scale F] [--full] [--json] [--out DIR] [--threads N] [--progress] [--resume] [--traces DIR] [--strict] [--obs DIR] [--vm-tier fast|interp]";
+const USAGE: &str = "usage: dfcm-repro <table1|fig3|fig4_8|fig6_9|fig10a|fig10b|fig11a|fig11b|fig12|fig13|fig14|fig16|fig17|sec4_4|tags|related|ideal|speedup|vmbench|phases|specupdate|order|all> [--seed N] [--scale F] [--full] [--json] [--out DIR] [--threads N] [--progress] [--resume] [--traces DIR] [--strict] [--obs DIR]";
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -104,10 +104,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--obs needs a directory")?;
                 opts.obs_dir = Some(v.into());
                 opts.obs = dfcm_obs::Obs::enabled();
-            }
-            "--vm-tier" => {
-                let v = it.next().ok_or("--vm-tier needs a value")?;
-                opts.vm_tier = v.parse()?;
             }
             other => return Err(format!("unknown option `{other}`")),
         }

@@ -5,14 +5,15 @@
 //! trace; suite results are reported as the arithmetic mean over all
 //! benchmarks weighted by the number of predicted instructions.
 //!
-//! * [`simulate_trace`] / [`simulate_n`] — run one predictor over one
-//!   trace; [`simulate_trace_observed`] adds the `--obs` telemetry.
+//! * [`simulate_trace`] — run one predictor, of any type, over one
+//!   buffered trace.
 //! * [`stream`] — the single-pass streaming core: one trace decode feeds
 //!   many predictor lanes ([`stream_trace`], [`stream_v2_file`],
-//!   [`stream_v3_file`], and [`stream_trace_file`], which sniffs any
-//!   format and takes the obs handle), bit-identical to the reference
-//!   loop and flat-memory on chunked files. Every pass, observed or not,
-//!   runs one chunk loop with its observer as a type parameter.
+//!   [`stream_v3_file`], and [`stream_trace_file`], which opens any
+//!   format and takes the obs handle for the `--obs` telemetry),
+//!   bit-identical to the reference loop and flat-memory on files. Every
+//!   pass, observed or not, runs one chunk loop with its observer as a
+//!   type parameter.
 //! * [`engine`] — the parallel execution engine: a shared work queue of
 //!   tasks with deterministic merge, run metrics, panic isolation,
 //!   bounded retries and checkpoint/resume ([`run_tasks_ft`],
@@ -64,7 +65,6 @@ mod run;
 pub mod speculation;
 pub mod stream;
 mod suite;
-mod timeline;
 mod vm_tasks;
 
 pub use crate::confidence::{simulate_confidence, ConfidenceStats};
@@ -74,11 +74,10 @@ pub use crate::engine::{
 };
 pub use crate::fault::{FaultPlan, InjectedFault};
 pub use crate::pareto::{pareto_front, ParetoPoint};
-pub use crate::run::{simulate_n, simulate_trace, simulate_trace_observed, RunStats};
+pub use crate::run::{simulate_trace, RunStats};
 pub use crate::stream::{
     stream_records_with, stream_trace, stream_trace_file, stream_v2_file, stream_v3_file,
     SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
 };
 pub use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
-pub use crate::timeline::simulate_timeline;
 pub use crate::vm_tasks::{kernel_traces_observed, record_tier_stats};

@@ -21,23 +21,23 @@
 //!   size, and plain fcm lanes, walk in their kind's group on the same
 //!   compiled-in kernel through `access`.
 //! * **One chunk loop, observed by construction.** Every pass — an
-//!   in-memory slice, a v1/v2/v3 file, and the 64 in-memory chunks of
-//!   [`simulate_trace_observed`](crate::simulate_trace_observed) — runs
-//!   the same predict-then-update loop over record chunks, with its
-//!   observer as a type parameter. Unobserved passes use the no-op
-//!   observer, so they carry no per-record obs branch; `--obs` passes use
-//!   one inline observer that folds the phase series, samples table
-//!   occupancy at chunk ends and records the lane metrics.
+//!   in-memory slice or a v1/v2/v3 file — runs the same
+//!   predict-then-update loop over record chunks, with its observer as a
+//!   type parameter. Unobserved passes use the no-op observer, so they
+//!   carry no per-record obs branch; `--obs` passes use one inline
+//!   observer that folds the phase series, samples table occupancy at
+//!   chunk ends and records the lane metrics.
 //! * **Deterministic file streaming.** [`stream_v2_file`] and
 //!   [`stream_v3_file`] stream on-disk `DFCMTRC2`/`DFCMTRC3` traces
 //!   ([`stream_trace_file`] opens any format with [`TraceFile`] and
 //!   takes the obs handle), decoding chunks on worker threads while the
 //!   (stateful) lanes consume them strictly in file order — bit-identical
 //!   to a serial run, any thread count.
-//! * **Flat memory at any trace size.** The chunked file paths never
-//!   materialize the trace: a bounded pipeline holds O(`decode_threads`)
-//!   compressed and decoded chunks at once, so a 100M-record v3 trace
-//!   streams in a working set of a few chunks.
+//! * **Flat memory at any trace size.** File passes never materialize
+//!   the trace: a bounded pipeline holds O(`decode_threads`) compressed
+//!   and decoded v2/v3 chunks at once, and v1 is read one chunk at a
+//!   time, so a 100M-record trace streams in a working set of a few
+//!   chunks.
 //!
 //! Every path is differentially tested against the naive model of the
 //! predictors and against `simulate_trace` (`tests/stream_equiv.rs`,
@@ -399,18 +399,18 @@ pub fn stream_v3_file<P: AsRef<Path>>(
 
 /// Streams any trace file through the lanes, auto-detecting the format
 /// from the magic: chunked formats (v2, v3) stream flat-memory as in
-/// [`stream_v2_file`]/[`stream_v3_file`]; the unchunked legacy v1 format
-/// is fully loaded and then streamed in [`STREAM_CHUNK_RECORDS`] chunks
-/// (v1 has no independently decodable chunks to bound memory with).
+/// [`stream_v2_file`]/[`stream_v3_file`]; the legacy v1 format, which has
+/// no independently decodable chunks, is read inline one
+/// [`STREAM_CHUNK_RECORDS`]-record chunk at a time.
 ///
 /// With `obs` enabled the pass runs the `--obs` observer: every lane's
 /// table instrumentation is turned on (occupancy and, on fcm/dfcm, the
 /// §4.2 alias analyzer), and each lane's phase series (`series.jsonl`),
 /// chunk-end occupancy samples and table/alias/accuracy metrics are
-/// recorded under its canonical spec, as
-/// [`simulate_trace_observed`](crate::simulate_trace_observed) records
-/// them. The series is bit-identical at any `decode_threads`. With `obs`
-/// disabled no lane is instrumented and the pass is the plain lane walk.
+/// recorded under its canonical spec. A lane's series and metrics do not
+/// depend on which other lanes share its pass, and the series is
+/// bit-identical at any `decode_threads`. With `obs` disabled no lane is
+/// instrumented and the pass is the plain lane walk.
 ///
 /// # Errors
 ///
@@ -426,7 +426,7 @@ pub fn stream_trace_file<P: AsRef<Path>>(
 ) -> io::Result<StreamFileReport> {
     let file = TraceFile::open(path)?;
     if obs.is_enabled() {
-        let observer = LaneObserver::new(obs, lanes, StreamPredictor::spec);
+        let observer = LaneObserver::new(obs, lanes);
         stream_file(file, Pass::new(lanes, observer), decode_threads)
     } else {
         stream_file(file, Pass::new(lanes, ()), decode_threads)
@@ -435,18 +435,23 @@ pub fn stream_trace_file<P: AsRef<Path>>(
 
 /// Runs `pass` over every record of `file`, decoding v2/v3 chunks on
 /// `decode_threads` workers. v1 has no independently decodable chunks,
-/// so it is read whole and streamed as [`STREAM_CHUNK_RECORDS`]-record
-/// slices.
-fn stream_file<R: Read + Send, G: LaneSet, O: Observer>(
+/// so it is read inline, [`STREAM_CHUNK_RECORDS`] records at a time.
+fn stream_file<R: Read + Send, O: Observer>(
     file: TraceFile<R>,
-    mut pass: Pass<G, O>,
+    mut pass: Pass<'_, O>,
     decode_threads: usize,
 ) -> io::Result<StreamFileReport> {
-    let feed = |chunk: &[TraceRecord]| pass.feed(chunk);
+    let mut feed = |chunk: &[TraceRecord]| pass.feed(chunk);
     match file {
+        TraceFile::V1(mut v1) => {
+            let mut chunk = Vec::with_capacity(STREAM_CHUNK_RECORDS);
+            while v1.read_chunk(&mut chunk)? > 0 {
+                feed(&chunk);
+                chunk.clear();
+            }
+        }
         TraceFile::V2(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
         TraceFile::V3(chunks) => stream_chunk_pipeline(chunks, decode_threads, feed)?,
-        v1 => v1.into_trace()?.chunks(STREAM_CHUNK_RECORDS).for_each(feed),
     }
     Ok(pass.finish())
 }
@@ -474,7 +479,7 @@ fn class_slot(class: Option<AliasClass>) -> usize {
 /// typed group at a time, so the order across lanes is unspecified, even
 /// within one record. `chunk_end` and `finish` see the lanes in lane
 /// order.
-pub(crate) trait Observer: Sized {
+trait Observer: Sized {
     /// Sees lane `li`'s outcome on `record`, the pass's `index`-th record.
     #[inline(always)]
     fn outcome<P: ValuePredictor>(
@@ -488,10 +493,10 @@ pub(crate) trait Observer: Sized {
     }
 
     /// Runs after every chunk, with the lanes as that chunk left them.
-    fn chunk_end(&mut self, _lanes: &impl LaneSet) {}
+    fn chunk_end(&mut self, _lanes: &KindGroups<'_>) {}
 
     /// Runs once after the last chunk, with the per-lane totals.
-    fn finish(self, _lanes: &impl LaneSet, _stats: &[RunStats]) {}
+    fn finish(self, _lanes: &KindGroups<'_>, _stats: &[RunStats]) {}
 }
 
 impl Observer for () {}
@@ -519,7 +524,7 @@ impl<F: FnMut(usize, usize, AccessOutcome)> Observer for OnOutcome<F> {
 /// as `series.jsonl`), samples every table's occupancy at each chunk end,
 /// and after the last chunk records the table, alias and `eval_accuracy`
 /// metrics, all labelled with the lane's spec.
-pub(crate) struct LaneObserver<'o> {
+struct LaneObserver<'o> {
     obs: &'o Obs,
     series: Vec<LaneSeries>,
 }
@@ -527,17 +532,13 @@ pub(crate) struct LaneObserver<'o> {
 impl<'o> LaneObserver<'o> {
     /// Turns on every lane's table instrumentation (occupancy tracking
     /// and, on fcm/dfcm, the §4.2 alias analyzer behind the series'
-    /// per-class breakdown) and labels each lane with `spec(lane)`.
-    pub(crate) fn new<L: ValuePredictor>(
-        obs: &'o Obs,
-        lanes: &mut [L],
-        spec: impl Fn(&L) -> String,
-    ) -> Self {
+    /// per-class breakdown) and labels each lane with its spec.
+    fn new(obs: &'o Obs, lanes: &mut [StreamPredictor]) -> Self {
         let series = lanes
             .iter_mut()
             .map(|lane| {
                 lane.enable_table_stats();
-                LaneSeries::with_defaults(&spec(lane), SERIES_CLASS_LABELS)
+                LaneSeries::with_defaults(&lane.spec(), SERIES_CLASS_LABELS)
             })
             .collect();
         LaneObserver { obs, series }
@@ -563,7 +564,7 @@ impl Observer for LaneObserver<'_> {
         );
     }
 
-    fn chunk_end(&mut self, lanes: &impl LaneSet) {
+    fn chunk_end(&mut self, lanes: &KindGroups<'_>) {
         for (li, series) in self.series.iter().enumerate() {
             if let Some(ts) = lanes.lane(li).0.table_stats() {
                 for t in &ts.tables {
@@ -577,7 +578,7 @@ impl Observer for LaneObserver<'_> {
         }
     }
 
-    fn finish(self, lanes: &impl LaneSet, stats: &[RunStats]) {
+    fn finish(self, lanes: &KindGroups<'_>, stats: &[RunStats]) {
         let obs = self.obs;
         for (li, (series, stats)) in self.series.into_iter().zip(stats).enumerate() {
             let spec = series.spec();
@@ -607,25 +608,9 @@ impl Observer for LaneObserver<'_> {
     }
 }
 
-/// The lanes of a [`Pass`], split into groups of one concrete predictor
-/// type so that each group's `access` is a direct call in a loop of its
-/// own.
-pub(crate) trait LaneSet {
-    /// Runs every lane over `chunk`, one group at a time; `first` is the
-    /// pass index of `chunk[0]`.
-    fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]);
-
-    /// The number of lanes.
-    fn len(&self) -> usize;
-
-    /// Lane `li`, counted in the order the pass was given its lanes, and
-    /// its correct predictions so far.
-    fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64);
-}
-
 /// Lanes of one predictor type `P`, with their lane indices and a
 /// contiguous counter of correct predictions.
-pub(crate) struct Group<'l, P> {
+struct Group<'l, P> {
     lanes: Vec<&'l mut P>,
     index: Vec<usize>,
     correct: Vec<u64>,
@@ -647,9 +632,9 @@ impl<'l, P: ValuePredictor> Group<'l, P> {
         self.correct.push(0);
         self.lanes.len() - 1
     }
-}
 
-impl<P: ValuePredictor> LaneSet for Group<'_, P> {
+    /// Runs the group's lanes over `chunk`; `first` is the pass index of
+    /// `chunk[0]`.
     #[inline]
     fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]) {
         if !self.lanes.is_empty() {
@@ -664,19 +649,16 @@ impl<P: ValuePredictor> LaneSet for Group<'_, P> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64) {
-        (&*self.lanes[li], self.correct[li])
+    /// The group's `pos`-th lane and its correct predictions so far.
+    fn lane(&self, pos: usize) -> (&dyn ValuePredictor, u64) {
+        (&*self.lanes[pos], self.correct[pos])
     }
 }
 
 /// Blocks of four plain dfcm lanes ([`DfcmBlock`]), with each block
 /// lane's lane index and correct predictions. A lane's position here is
 /// `block * BLOCK_LANES + k`.
-pub(crate) struct DfcmBlocks<'l> {
+struct DfcmBlocks<'l> {
     blocks: Vec<DfcmBlock<'l>>,
     index: Vec<[usize; BLOCK_LANES]>,
     correct: Vec<[u64; BLOCK_LANES]>,
@@ -756,11 +738,13 @@ enum At {
     DfcmBlock(usize),
 }
 
-/// A [`StreamPredictor`] slice split by variant, built once per pass.
-/// Plain dfcm lanes (see [`DfcmPredictor::is_plain`]) walk as blocks of
-/// four lanes of one level-1 size; the rest of each size, instrumented
-/// lanes and other configurations walk in the groups.
-pub(crate) struct KindGroups<'l> {
+/// The lanes of a [`Pass`]: a [`StreamPredictor`] slice split once into
+/// groups of one concrete predictor type, so that each group's `access`
+/// is a direct call in a loop of its own. Plain dfcm lanes (see
+/// [`DfcmPredictor::is_plain`]) walk as blocks of four lanes of one
+/// level-1 size; the rest of each size, instrumented lanes and other
+/// configurations walk in the groups.
+struct KindGroups<'l> {
     lvp: Group<'l, LastValuePredictor>,
     stride: Group<'l, StridePredictor>,
     two_delta: Group<'l, TwoDeltaStridePredictor>,
@@ -805,7 +789,9 @@ impl<'l> KindGroups<'l> {
     }
 }
 
-impl LaneSet for KindGroups<'_> {
+impl KindGroups<'_> {
+    /// Runs every lane over `chunk`, one group at a time; `first` is the
+    /// pass index of `chunk[0]`.
     #[inline]
     fn walk<O: Observer>(&mut self, observer: &mut O, first: u64, chunk: &[TraceRecord]) {
         self.lvp.walk(observer, first, chunk);
@@ -816,10 +802,13 @@ impl LaneSet for KindGroups<'_> {
         self.dfcm_blocks.walk(observer, first, chunk);
     }
 
+    /// The number of lanes.
     fn len(&self) -> usize {
         self.at.len()
     }
 
+    /// Lane `li`, counted in the order the pass was given its lanes, and
+    /// its correct predictions so far.
     fn lane(&self, li: usize) -> (&dyn ValuePredictor, u64) {
         match self.at[li] {
             At::Lvp(pos) => self.lvp.lane(pos),
@@ -833,36 +822,21 @@ impl LaneSet for KindGroups<'_> {
 }
 
 /// One predict-then-update pass of a lane set over a sequence of record
-/// chunks: the loop every streaming and observed evaluation runs. Lanes
+/// chunks: the loop every streaming evaluation runs, observed or not. Lanes
 /// are stateful, so chunks must be fed in trace order; where the chunks
 /// split the trace only decides when the observer's `chunk_end` runs.
-pub(crate) struct Pass<G, O> {
-    lanes: G,
+struct Pass<'l, O> {
+    lanes: KindGroups<'l>,
     observer: O,
     records: u64,
     chunks: usize,
 }
 
-impl<'l, O: Observer> Pass<KindGroups<'l>, O> {
+impl<'l, O: Observer> Pass<'l, O> {
     /// A pass over `lanes`, split once into one group per variant.
-    pub(crate) fn new(lanes: &'l mut [StreamPredictor], observer: O) -> Self {
-        Pass::over(KindGroups::new(lanes), observer)
-    }
-}
-
-impl<'l, P: ValuePredictor, O: Observer> Pass<Group<'l, P>, O> {
-    /// A pass over one lane: the one-group case of the same loop.
-    pub(crate) fn one(lane: &'l mut P, observer: O) -> Self {
-        let mut group = Group::new();
-        group.push(0, lane);
-        Pass::over(group, observer)
-    }
-}
-
-impl<G: LaneSet, O: Observer> Pass<G, O> {
-    fn over(lanes: G, observer: O) -> Self {
+    fn new(lanes: &'l mut [StreamPredictor], observer: O) -> Self {
         Pass {
-            lanes,
+            lanes: KindGroups::new(lanes),
             observer,
             records: 0,
             chunks: 0,
@@ -870,7 +844,7 @@ impl<G: LaneSet, O: Observer> Pass<G, O> {
     }
 
     /// Runs every lane over `chunk`.
-    pub(crate) fn feed(&mut self, chunk: &[TraceRecord]) {
+    fn feed(&mut self, chunk: &[TraceRecord]) {
         self.lanes.walk(&mut self.observer, self.records, chunk);
         self.records += chunk.len() as u64;
         self.chunks += 1;
@@ -879,7 +853,7 @@ impl<G: LaneSet, O: Observer> Pass<G, O> {
 
     /// Ends the pass: the observer records what it gathered, and the
     /// per-lane totals come back, in lane order.
-    pub(crate) fn finish(self) -> StreamFileReport {
+    fn finish(self) -> StreamFileReport {
         let stats: Vec<RunStats> = (0..self.lanes.len())
             .map(|li| RunStats {
                 predictions: self.records,
@@ -1359,21 +1333,13 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_and_file_passes_share_one_observer() {
-        // `simulate_trace_observed` runs one lane per call over 64
-        // in-memory chunks; a file pass runs every lane at once over the
-        // file's chunks. Neither the series nor the lane metrics may
-        // depend on which driver fed the observer.
+    fn lane_sets_and_formats_share_one_observer() {
+        // A lane's series and metrics may depend neither on which other
+        // lanes share its pass nor on the file's format: `eval` splits
+        // its lanes into sets that each stream the file on their own.
         let trace = mixed_trace(V2_CHUNK_RECORDS as u64 + 4321);
-        let memory = Obs::enabled();
-        for mut lane in lanes() {
-            let spec = lane.spec();
-            crate::simulate_trace_observed(&mut lane, &trace, &memory, &spec);
-        }
-        let memory_series = dfcm_obs::timeseries::render_series(&memory.series_snapshot());
-        let memory_metrics = memory.snapshot().1;
-        assert!(!memory_metrics.is_empty());
         let dir = std::env::temp_dir();
+        let mut reference: Option<(Vec<String>, dfcm_obs::metrics::MetricsSnapshot)> = None;
         for (name, format) in [
             ("dfcm_one_observer.v1.trc", dfcm_trace::TraceFormat::V1),
             (
@@ -1387,13 +1353,55 @@ mod tests {
         ] {
             let path = dir.join(name);
             trace.save_with(&path, format).unwrap();
-            let file = Obs::enabled();
-            stream_trace_file(&path, &mut lanes(), 2, &file).unwrap();
-            let file_series = dfcm_obs::timeseries::render_series(&file.series_snapshot());
-            assert_eq!(file_series, memory_series, "{name}");
-            assert_eq!(file.snapshot().1, memory_metrics, "{name}");
+            let together = Obs::enabled();
+            stream_trace_file(&path, &mut lanes(), 2, &together).unwrap();
+            let alone = Obs::enabled();
+            for lane in lanes() {
+                stream_trace_file(&path, &mut [lane], 2, &alone).unwrap();
+            }
             let _ = std::fs::remove_file(&path);
+            let series = dfcm_obs::timeseries::render_series(&together.series_snapshot());
+            let metrics = together.snapshot().1;
+            assert!(!metrics.is_empty());
+            assert_eq!(
+                dfcm_obs::timeseries::render_series(&alone.series_snapshot()),
+                series,
+                "{name}"
+            );
+            assert_eq!(alone.snapshot().1, metrics, "{name}");
+            let reference = reference.get_or_insert_with(|| (series.clone(), metrics.clone()));
+            assert_eq!(reference.0, series, "{name}");
+            assert_eq!(reference.1, metrics, "{name}");
         }
+    }
+
+    #[test]
+    fn observed_file_pass_samples_each_chunk_end() {
+        // Two whole chunks and a partial one: the partial chunk gets its
+        // own closing sample, so the occupancy series always ends at the
+        // tables' final state, in every format.
+        let trace = mixed_trace(2 * V2_CHUNK_RECORDS as u64 + 5);
+        let path = std::env::temp_dir().join("dfcm_occupancy_samples.trc");
+        for format in [
+            dfcm_trace::TraceFormat::V1,
+            dfcm_trace::TraceFormat::V2 { seed: 6 },
+        ] {
+            trace.save_with(&path, format).unwrap();
+            let obs = Obs::enabled();
+            let mut lane = [StreamPredictor::parse_spec("lvp:4").unwrap()];
+            let report = stream_trace_file(&path, &mut lane, 2, &obs).unwrap();
+            assert_eq!(report.chunks, 3, "{format:?}");
+            let (events, _) = obs.snapshot();
+            let samples = events
+                .iter()
+                .filter(|e| {
+                    matches!(e, dfcm_obs::span::Event::Sample { name, .. }
+                    if name == "table_occupancy_percent")
+                })
+                .count();
+            assert_eq!(samples, 3, "{format:?}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Instrumented VM trace generation: runs the bundled kernels on a
-//! chosen execution tier and records the tier's behaviour into
+//! Instrumented VM trace generation: runs the bundled kernels on the
+//! fast execution tier and records the tier's behaviour into
 //! [`dfcm_obs`] so `dfcm-tools obs summarize` can surface it.
 //!
 //! The fast tier is differentially verified to be bit-identical to the
@@ -11,7 +11,7 @@
 
 use dfcm_obs::Obs;
 use dfcm_trace::BenchmarkTrace;
-use dfcm_vm::{assemble, programs, suite, Tier, TierStats, Vm, VmLimits};
+use dfcm_vm::{assemble, programs, Tier, TierStats, Vm, VmLimits};
 
 /// Records one VM run's [`TierStats`] into `obs` as `vm_*` counters,
 /// labeled with the kernel name and tier. No-op on a disabled handle or
@@ -45,17 +45,16 @@ pub fn record_tier_stats(obs: &Obs, kernel: &str, tier: Tier, stats: &TierStats)
     obs.gauge("vm_fusion_sites", labels, stats.fusion_sites as f64);
 }
 
-/// As [`dfcm_vm::suite::kernel_traces_with`], with per-kernel
-/// `vm.kernel` spans and `vm_*` tier metrics recorded into `obs`.
+/// As [`dfcm_vm::suite::kernel_traces`], with per-kernel `vm.kernel`
+/// spans and `vm_*` fast-tier metrics recorded into `obs`; both are
+/// no-ops when `obs` is disabled.
 ///
 /// # Panics
 ///
 /// Panics if a bundled kernel fails to assemble or faults — both
 /// indicate a broken build, not a caller error.
-pub fn kernel_traces_observed(max_records: usize, tier: Tier, obs: &Obs) -> Vec<BenchmarkTrace> {
-    if !obs.is_enabled() {
-        return suite::kernel_traces_with(max_records, tier);
-    }
+pub fn kernel_traces_observed(max_records: usize, obs: &Obs) -> Vec<BenchmarkTrace> {
+    let tier = Tier::Fast;
     programs::all()
         .into_iter()
         .map(|(name, src)| {
@@ -82,10 +81,9 @@ mod tests {
 
     #[test]
     fn observed_traces_match_plain_suite() {
-        let obs = Obs::enabled();
-        let observed = kernel_traces_observed(2_000, Tier::Fast, &obs);
-        let plain = suite::kernel_traces_with(2_000, Tier::Fast);
-        assert_eq!(observed, plain);
+        let plain = dfcm_vm::suite::kernel_traces(2_000);
+        assert_eq!(kernel_traces_observed(2_000, &Obs::enabled()), plain);
+        assert_eq!(kernel_traces_observed(2_000, &Obs::disabled()), plain);
     }
 
     #[test]
@@ -93,7 +91,7 @@ mod tests {
         use dfcm_obs::metrics::MetricValue;
 
         let obs = Obs::enabled();
-        kernel_traces_observed(2_000, Tier::Fast, &obs);
+        kernel_traces_observed(2_000, &obs);
         let (events, metrics) = obs.snapshot();
         let counter = |name: &str, kernel: &str| -> u64 {
             match metrics.get(name, &[("kernel", kernel), ("tier", "fast")]) {
@@ -115,20 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_tier_records_no_tier_metrics() {
-        let obs = Obs::enabled();
-        kernel_traces_observed(500, Tier::Interp, &obs);
-        let (_, metrics) = obs.snapshot();
-        assert!(metrics
-            .metrics
-            .iter()
-            .all(|(k, _)| !k.name.starts_with("vm_")));
-    }
-
-    #[test]
     fn disabled_handle_is_a_passthrough() {
         let obs = Obs::disabled();
-        let traces = kernel_traces_observed(500, Tier::Fast, &obs);
+        let traces = kernel_traces_observed(500, &obs);
         assert_eq!(traces.len(), programs::all().len());
         let (events, metrics) = obs.snapshot();
         assert!(events.is_empty() && metrics.is_empty());

@@ -170,7 +170,6 @@ fn interleaved_kinds_keep_their_lane_indices_over_full_suite() {
 #[test]
 fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
     use dfcm_obs::metrics::{MetricValue, MetricsSnapshot};
-    use dfcm_sim::simulate_trace_observed;
 
     // Three v3 chunks, so the observer's chunk-end hook runs between
     // group walks more than once.
@@ -186,7 +185,6 @@ fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
     let grouped = Obs::enabled();
     let mut lanes = interleaved_lanes();
     let report = stream_trace_file(&path, &mut lanes, 2, &grouped).unwrap();
-    let _ = std::fs::remove_file(&path);
     assert_eq!(report.chunks, 3);
 
     // The observer records the lanes' series in lane order.
@@ -194,11 +192,17 @@ fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
     assert_eq!(series.len(), INTERLEAVED.len());
     let metrics = grouped.snapshot().1;
     let mut alone_metrics = MetricsSnapshot::default();
-    for (li, mut lane) in interleaved_lanes().into_iter().enumerate() {
+    for (li, lane) in interleaved_lanes().into_iter().enumerate() {
         let spec = INTERLEAVED[li];
         let alone = Obs::enabled();
-        let stats = simulate_trace_observed(&mut lane, &trace, &alone, spec);
+        let stats = stream_trace_file(&path, &mut [lane], 2, &alone)
+            .unwrap()
+            .stats[0];
         assert_eq!(report.stats[li], stats, "{spec}: RunStats");
+        assert_eq!(
+            stats,
+            reference_outcomes(&interleaved_lanes()[li], &trace).0
+        );
         assert_eq!(series[li].spec(), spec, "lane {li}: series spec");
         assert_eq!(
             series[li].to_jsonl(),
@@ -213,6 +217,7 @@ fn observed_file_pass_over_interleaved_kinds_matches_each_lane_alone() {
         // Specs are distinct, so merging the lanes' snapshots is a union.
         alone_metrics.merge(&alone.snapshot().1);
     }
+    let _ = std::fs::remove_file(&path);
     // Every table, alias and accuracy metric carries its own lane's spec
     // and value.
     assert_eq!(metrics, alone_metrics);

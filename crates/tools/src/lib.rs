@@ -9,9 +9,8 @@
 //!   traces are streamed to disk without materializing, so record counts
 //!   in the hundreds of millions stay flat-memory).
 //! * `stats` — trace statistics (Table 1-style) for a saved trace.
-//! * `eval` — run a predictor configuration over a saved trace
-//!   (`--streaming` feeds every predictor in one bounded-memory pass
-//!   straight off the file, any format).
+//! * `eval` — run predictor configurations over a saved trace, any
+//!   format, streamed straight off the file in bounded memory.
 //! * `trace` — integrity tooling for saved traces: `inspect` (header and
 //!   chunk map, with per-chunk compressed/packed sizes and bits/record
 //!   for v3), `verify` (fail on any corruption), `salvage` (recover
@@ -44,9 +43,7 @@ use std::time::Duration;
 
 use dfcm::ValuePredictor;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
-use dfcm_sim::{
-    simulate_trace_observed, stream_trace_file, EngineConfig, EngineReport, StreamPredictor,
-};
+use dfcm_sim::{stream_trace_file, EngineConfig, EngineReport, StreamPredictor};
 use dfcm_trace::stats::TraceStats;
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{
@@ -99,27 +96,10 @@ pub fn generate(
     out: &Path,
     seed: u64,
 ) -> Result<String, ToolError> {
-    generate_tiered(workload, records, out, seed, Tier::Fast)
+    generate_formatted(workload, records, out, seed, TraceFormat::V2 { seed })
 }
 
-/// [`generate`] with an explicit VM execution tier (`--vm-tier`). The
-/// tiers are differentially verified bit-identical, so this only changes
-/// wall-clock for kernel workloads; synthetic benchmarks ignore it.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown workloads or I/O failures.
-pub fn generate_tiered(
-    workload: &str,
-    records: usize,
-    out: &Path,
-    seed: u64,
-    tier: Tier,
-) -> Result<String, ToolError> {
-    generate_formatted(workload, records, out, seed, tier, TraceFormat::V2 { seed })
-}
-
-/// [`generate_tiered`] with an explicit on-disk format (`--format`).
+/// [`generate`] with an explicit on-disk format (`--format`).
 ///
 /// Synthetic workloads written as v3 never materialize the trace: records
 /// are pulled from the generator straight into a [`V3StreamWriter`], so
@@ -135,7 +115,6 @@ pub fn generate_formatted(
     records: usize,
     out: &Path,
     seed: u64,
-    tier: Tier,
     format: TraceFormat,
 ) -> Result<String, ToolError> {
     if matches!(format, TraceFormat::V3 { .. }) {
@@ -157,7 +136,7 @@ pub fn generate_formatted(
             return Ok(format!("wrote {} records to {}", records, out.display()));
         }
     }
-    let trace = trace_for_tiered(workload, records, seed, tier)?;
+    let trace = trace_for(workload, records, seed)?;
     trace
         .save_with(out, format)
         .map_err(|e| err(format!("writing {}: {e}", out.display())))?;
@@ -169,27 +148,14 @@ pub fn generate_formatted(
 }
 
 /// Builds a trace for a named workload (shared by `gen` and tests).
+/// Kernels run on the VM's fast tier, which is bit-identical to the
+/// interpreter.
 ///
 /// # Errors
 ///
 /// Returns [`ToolError`] if the name matches neither a synthetic
 /// benchmark nor a bundled kernel.
 pub fn trace_for(workload: &str, records: usize, seed: u64) -> Result<Trace, ToolError> {
-    trace_for_tiered(workload, records, seed, Tier::Fast)
-}
-
-/// [`trace_for`] with an explicit VM execution tier for kernel workloads.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] if the name matches neither a synthetic
-/// benchmark nor a bundled kernel.
-pub fn trace_for_tiered(
-    workload: &str,
-    records: usize,
-    seed: u64,
-    tier: Tier,
-) -> Result<Trace, ToolError> {
     if let Some(spec) = standard_suite().into_iter().find(|b| b.name() == workload) {
         return Ok(spec.program(seed).take_trace(records));
     }
@@ -206,8 +172,8 @@ pub fn trace_for_tiered(
             ),
             ..VmLimits::default()
         };
-        let mut vm =
-            Vm::with_tier(program, limits, tier).map_err(|e| err(format!("{workload}: {e}")))?;
+        let mut vm = Vm::with_tier(program, limits, Tier::Fast)
+            .map_err(|e| err(format!("{workload}: {e}")))?;
         return vm
             .try_take_trace(records)
             .map_err(|e| err(format!("{workload} faulted: {e}")));
@@ -235,20 +201,10 @@ pub fn stats(path: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Builds a predictor from a spec string like `dfcm:16:12`, `fcm:12:12`,
-/// `stride:14`, `2delta:14` or `lvp:12`.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown predictor names or malformed specs.
-pub fn predictor_for(spec: &str) -> Result<Box<dyn ValuePredictor>, ToolError> {
-    Ok(Box::new(stream_predictor_for(spec)?))
-}
-
-/// Builds a streaming lane from the same spec grammar as
-/// [`predictor_for`]. A streaming lane is one of the five concrete
-/// predictor kinds of [`StreamPredictor`] — which is exactly what the
-/// spec grammar covers.
+/// Builds a streaming lane from a spec string like `dfcm:16:12`,
+/// `fcm:12:12`, `stride:14`, `2delta:14` or `lvp:12`: one of the five
+/// concrete predictor kinds of [`StreamPredictor`], which is exactly what
+/// the spec grammar covers.
 ///
 /// # Errors
 ///
@@ -257,30 +213,37 @@ pub fn stream_predictor_for(spec: &str) -> Result<StreamPredictor, ToolError> {
     StreamPredictor::parse_spec(spec).map_err(|e| err(e.to_string()))
 }
 
-/// `eval --streaming` — runs every spec as a lane of the single-pass
-/// streaming core: the trace is decoded and walked once straight off the
-/// file, all predictors update in the same pass (one engine task, so
-/// `--metrics`, retries and `--strict` still apply to it).
+/// `eval <trace.trc> <predictor-spec>...` — runs predictors over a saved
+/// trace and reports accuracies, one line per spec in spec order.
 ///
-/// Any trace format is accepted (the magic is sniffed). Chunked formats
-/// (v2, v3) stream with a bounded working set — O(decode threads) chunks
-/// — so arbitrarily large traces evaluate in flat memory; the engine's
-/// thread count doubles as the chunk-decode thread count.
+/// Every spec is a lane of the streaming core, and the lanes split into
+/// `sets = min(threads, lanes)` contiguous lane sets. Each set is one
+/// engine task that streams the file once, in any format, decoding v2/v3
+/// chunks on `threads / sets` threads, so a lone lane still decodes on
+/// every thread. A set holds a few chunks at a time, so traces of any
+/// length evaluate in flat memory. `engine` picks the thread count,
+/// progress reporting, retry policy and (for testing) fault injection,
+/// and the returned [`EngineReport`] carries the run metrics (per-set
+/// timing, outcome, per-worker utilization). Accuracies do not depend on
+/// the thread count.
 ///
-/// Output lines match [`eval`]'s layout and ordering. The streaming pass
-/// is bit-identical to the per-predictor path; what changes is
-/// throughput. With `engine.obs` enabled the streaming pass records the
-/// same telemetry as the per-predictor path: the per-spec
+/// A set that panics or exhausts its retries does not abort the run:
+/// each of its specs reads `FAILED` with the outcome, the other sets
+/// still report, and the failure stays visible in the report (callers
+/// decide whether that is fatal — the CLI's `--strict` flag does exactly
+/// that). Corruption fails a set at once; other read errors are retried.
+///
+/// With `engine.obs` enabled every lane also records the per-spec
 /// `eval_accuracy` gauge, table occupancy/write counters, the paper's
-/// aliasing taxonomy, chunk-boundary occupancy samples, and the
-/// windowed phase series with top-K per-PC attribution (rendered by
-/// `dfcm-tools obs report`). The series are bit-identical at any decode
-/// thread count.
+/// aliasing taxonomy, chunk-end occupancy samples, and the windowed phase
+/// series with top-K per-PC attribution (rendered by `dfcm-tools obs
+/// report`); the CLI's `--obs DIR` flag dumps the exports. None of it
+/// depends on the thread count.
 ///
 /// # Errors
 ///
-/// Returns [`ToolError`] for unreadable traces or bad predictor specs.
-pub fn eval_streaming(
+/// Returns [`ToolError`] for bad predictor specs or an empty spec list.
+pub fn eval(
     path: &Path,
     specs: &[String],
     engine: &EngineConfig,
@@ -289,17 +252,21 @@ pub fn eval_streaming(
         .iter()
         .map(|s| stream_predictor_for(s))
         .collect::<Result<Vec<StreamPredictor>, ToolError>>()?;
-    let decode_threads = if engine.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        engine.threads
+    if lanes.is_empty() {
+        return Err(err("eval needs at least one predictor spec"));
+    }
+    let threads = match engine.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
-    let label = format!("stream[{}]", specs.join(","));
-    let (mut values, report) = run_tasks_ft(
-        vec![label.clone()],
-        |_| {
-            let mut lanes = lanes.clone();
-            let file_report = stream_trace_file(path, &mut lanes, decode_threads, &engine.obs)
+    let sets = threads.min(lanes.len());
+    let set = |k: usize| k * lanes.len() / sets..(k + 1) * lanes.len() / sets;
+    let labels = (0..sets).map(|k| specs[set(k)].join(",")).collect();
+    let (values, report) = run_tasks_ft(
+        labels,
+        |k| {
+            let mut lanes = lanes[set(k)].to_vec();
+            let file_report = stream_trace_file(path, &mut lanes, threads / sets, &engine.obs)
                 // Corruption won't heal on retry; read hiccups might.
                 .map_err(|e| match e.kind() {
                     std::io::ErrorKind::InvalidData => {
@@ -320,100 +287,26 @@ pub fn eval_streaming(
                 })
                 .collect();
             Ok(TaskOutput {
-                // One streaming task touches every record once per lane.
-                records: file_report.records * specs.len() as u64,
+                // A set touches every record once per lane.
+                records: file_report.records * lanes.len() as u64,
                 value: (file_report.records, lines),
             })
         },
         engine,
     );
     let mut out = String::new();
-    match values.pop().flatten() {
-        Some((records, lines)) => {
-            let _ = writeln!(
-                out,
-                "{} ({} records, streaming x{}):",
-                path.display(),
-                records,
-                specs.len()
-            );
-            for line in lines {
+    let _ = match values.iter().flatten().next() {
+        Some((records, _)) => writeln!(out, "{} ({records} records):", path.display()),
+        None => writeln!(out, "{}:", path.display()),
+    };
+    for (k, (value, metric)) in values.iter().zip(&report.tasks).enumerate() {
+        match value {
+            Some((_, lines)) => lines.iter().for_each(|line| {
                 let _ = writeln!(out, "{line}");
-            }
-        }
-        None => {
-            let outcome = report
-                .tasks
-                .first()
-                .map(|t| t.outcome.to_string())
-                .unwrap_or_default();
-            let _ = writeln!(out, "{} (streaming x{}):", path.display(), specs.len());
-            let _ = writeln!(out, "  {label:<32} FAILED: {outcome}");
-        }
-    }
-    Ok((out, report))
-}
-
-/// `eval <trace.trc> <predictor-spec>...` — runs predictors over a saved
-/// trace and reports accuracies.
-///
-/// Each predictor runs as one engine task; `engine` picks the worker
-/// count, progress reporting, retry policy and (for testing) fault
-/// injection. Lines appear in spec order regardless of scheduling, and
-/// the returned [`EngineReport`] carries the run metrics (per-task
-/// timing, outcome, per-worker utilization).
-///
-/// A task that panics or exhausts its retries does not abort the run:
-/// its line reads `FAILED` with the outcome, the other predictors still
-/// report, and the failure stays visible in the report (callers decide
-/// whether that is fatal — the CLI's `--strict` flag does exactly that).
-///
-/// With `engine.obs` enabled, every predictor additionally runs with
-/// table-usage instrumentation (occupancy samples, write/overwrite
-/// counters, the paper's aliasing taxonomy for FCM/DFCM and the
-/// `eval_accuracy` gauge) accumulated into the shared handle; the CLI's
-/// `--obs DIR` flag dumps the three export formats from it.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unreadable traces or bad predictor specs.
-pub fn eval(
-    path: &Path,
-    specs: &[String],
-    engine: &EngineConfig,
-) -> Result<(String, EngineReport), ToolError> {
-    let trace = Trace::load(path).map_err(|e| err(format!("{}: {e}", path.display())))?;
-    // Surface bad specs (in order) before any simulation runs.
-    for spec in specs {
-        predictor_for(spec)?;
-    }
-    let (lines, report) = run_tasks_ft(
-        specs.to_vec(),
-        |i| {
-            let mut p = predictor_for(&specs[i]).expect("spec validated above");
-            let stats = simulate_trace_observed(&mut p, &trace, &engine.obs, &specs[i]);
-            Ok(TaskOutput {
-                value: format!(
-                    "  {:<32} accuracy {:.3}  ({:.1} Kbit)",
-                    p.name(),
-                    stats.accuracy(),
-                    p.storage().kbits()
-                ),
-                records: trace.len() as u64,
-            })
-        },
-        engine,
-    );
-    let mut out = String::new();
-    let _ = writeln!(out, "{} ({} records):", path.display(), trace.len());
-    for (line, metric) in lines.iter().zip(&report.tasks) {
-        match line {
-            Some(line) => {
-                let _ = writeln!(out, "{line}");
-            }
-            None => {
-                let _ = writeln!(out, "  {:<32} FAILED: {}", metric.label, metric.outcome);
-            }
+            }),
+            None => specs[set(k)].iter().for_each(|spec| {
+                let _ = writeln!(out, "  {spec:<32} FAILED: {}", metric.outcome);
+            }),
         }
     }
     Ok((out, report))
@@ -508,13 +401,14 @@ pub fn trace_verify(path: &Path) -> Result<String, ToolError> {
         } else {
             String::new()
         };
+        // A v1 file has no chunk map: it is one chunk.
+        let chunks = info.chunks.len().max(1);
         return Ok(format!(
-            "{}: OK (v{}, {} records, {} chunk{}{density})",
+            "{}: OK (v{}, {} records, {chunks} chunk{}{density})",
             path.display(),
             info.version,
             info.decoded_records,
-            info.chunks.len().max(1),
-            if info.chunks.len() == 1 { "" } else { "s" }
+            if chunks == 1 { "" } else { "s" }
         ));
     }
     let mut detail = Vec::new();
@@ -602,26 +496,52 @@ pub fn trace_salvage(path: &Path, output: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Decodes `chunks` one at a time into a fresh v3 file — the flat-memory
-/// half of [`trace_compress`]. Returns the records written.
-fn write_v3_streaming<C, R>(output: &Path, chunks: ChunkReader<C, R>) -> std::io::Result<u64>
+/// Decodes the chunks of `path` one at a time into a fresh v3 file at
+/// `output` — the flat-memory half of [`trace_compress`]. Returns the
+/// records written. A read or decode error is the input's, even though
+/// it stops the output's write.
+fn write_v3_streaming<C, R>(
+    path: &Path,
+    output: &Path,
+    chunks: ChunkReader<C, R>,
+) -> Result<u64, ToolError>
 where
     C: TraceChunk,
     R: std::io::Read,
 {
     let records = chunks.declared_records();
     let seed = chunks.seed();
-    atomic_write_with(output, |w| {
+    let mut input_error = None;
+    let written = atomic_write_with(output, |w| {
         let mut writer = V3StreamWriter::new(&mut *w, records, seed)?;
         for chunk in chunks {
-            for record in chunk?.decode()? {
+            let decoded = chunk.and_then(|chunk| chunk.decode()).map_err(|e| {
+                let abort = std::io::Error::other(e.to_string());
+                input_error = Some(e);
+                abort
+            })?;
+            for record in decoded {
                 writer.push(record)?;
             }
         }
         writer.finish()?;
         Ok(())
-    })?;
-    Ok(records)
+    });
+    match (input_error, written) {
+        (Some(e), _) => Err(input_error_of(path, e)),
+        (None, Err(e)) => Err(output_error_of(output, e)),
+        (None, Ok(())) => Ok(records),
+    }
+}
+
+/// A read or decode failure of the input trace at `path`.
+fn input_error_of(path: &Path, e: std::io::Error) -> ToolError {
+    err(format!("{}: {e}", path.display()))
+}
+
+/// A write failure of the output trace at `output`.
+fn output_error_of(output: &Path, e: std::io::Error) -> ToolError {
+    err(format!("writing {}: {e}", output.display()))
 }
 
 /// `trace compress <file> --output <out> [--format v1|v2|v3]` — rewrites
@@ -630,7 +550,9 @@ where
 /// Chunked inputs (v2, v3) converted to v3 are streamed chunk by chunk —
 /// decode one, re-encode it, drop it — so the conversion runs in flat
 /// memory at any trace size. The generator seed from a v2/v3 header is
-/// carried over; v1 inputs (which have no seed) stamp 0.
+/// carried over; v1 inputs (which have no seed) stamp 0. A damaged input
+/// is reported against the input path, and only write failures against
+/// `--output`.
 ///
 /// # Errors
 ///
@@ -641,16 +563,16 @@ pub fn trace_compress(
     output: &Path,
     format: Option<&str>,
 ) -> Result<String, ToolError> {
-    let in_err = |e: std::io::Error| err(format!("{}: {e}", path.display()));
-    let out_err = |e: std::io::Error| err(format!("writing {}: {e}", output.display()));
+    let in_err = |e| input_error_of(path, e);
+    let out_err = |e| output_error_of(output, e);
     let file = TraceFile::open(path).map_err(in_err)?;
     let target = parse_trace_format(format.unwrap_or("v3"), file.seed().unwrap_or(0))?;
     let records = match (file, target) {
         (TraceFile::V2(chunks), TraceFormat::V3 { .. }) => {
-            write_v3_streaming(output, chunks).map_err(out_err)?
+            write_v3_streaming(path, output, chunks)?
         }
         (TraceFile::V3(chunks), TraceFormat::V3 { .. }) => {
-            write_v3_streaming(output, chunks).map_err(out_err)?
+            write_v3_streaming(path, output, chunks)?
         }
         (file, target) => {
             let trace = file.into_trace().map_err(in_err)?;
@@ -1231,15 +1153,15 @@ mod tests {
 
     #[test]
     fn predictor_specs_parse() {
-        assert!(predictor_for("lvp:10").is_ok());
-        assert!(predictor_for("stride:10").is_ok());
-        assert!(predictor_for("2delta:10").is_ok());
-        assert!(predictor_for("fcm:12:12").is_ok());
-        assert!(predictor_for("dfcm:16:12").is_ok());
-        assert!(predictor_for("magic:3").is_err());
-        assert!(predictor_for("fcm:12").is_err());
-        assert!(predictor_for("dfcm:99:12").is_err());
-        assert!(predictor_for("dfcm:a:12").is_err());
+        assert!(stream_predictor_for("lvp:10").is_ok());
+        assert!(stream_predictor_for("stride:10").is_ok());
+        assert!(stream_predictor_for("2delta:10").is_ok());
+        assert!(stream_predictor_for("fcm:12:12").is_ok());
+        assert!(stream_predictor_for("dfcm:16:12").is_ok());
+        assert!(stream_predictor_for("magic:3").is_err());
+        assert!(stream_predictor_for("fcm:12").is_err());
+        assert!(stream_predictor_for("dfcm:99:12").is_err());
+        assert!(stream_predictor_for("dfcm:a:12").is_err());
     }
 
     #[test]
@@ -1252,64 +1174,106 @@ mod tests {
             "dfcm:16:12",
         ] {
             let lane = stream_predictor_for(spec).unwrap();
-            // The lane reports the same name/cost as the dyn-path build.
-            let boxed = predictor_for(spec).unwrap();
-            assert_eq!(lane.name(), boxed.name());
-            assert_eq!(lane.storage().total_bits(), boxed.storage().total_bits());
+            assert_eq!(lane.spec(), spec);
         }
         assert!(stream_predictor_for("magic:3").is_err());
         assert!(stream_predictor_for("fcm:12").is_err());
     }
 
     #[test]
-    fn eval_streaming_reports_same_lines_as_eval() {
-        let dir = std::env::temp_dir().join("dfcm_tools_stream_eval_test");
+    fn eval_prints_the_same_lines_at_any_thread_count() {
+        let dir = std::env::temp_dir().join("dfcm_tools_eval_threads_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("li.trc");
-        generate("li", 4000, &path, 7).unwrap();
-        let specs: Vec<String> = ["lvp:8", "stride:8", "fcm:8:10", "dfcm:8:10"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let engine = EngineConfig::default();
-        let (classic, _) = eval(&path, &specs, &engine).unwrap();
-        let (streamed, report) = eval_streaming(&path, &specs, &engine).unwrap();
-        // Identical per-spec result lines (headers differ), in spec order.
-        let body = |s: &str| s.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
-        assert_eq!(body(&streamed), body(&classic));
-        assert!(report.all_ok());
-        // One task, records = trace.len() × lanes.
-        assert_eq!(report.tasks.len(), 1);
-        assert_eq!(report.tasks[0].records, 4000 * 4);
+        // Two v2/v3 chunks; a 5-wide dfcm sweep at one level-1 size walks
+        // as a block when its set holds four of its lanes.
+        let trace = trace_for("li", 70_000, 7).unwrap();
+        let specs: Vec<String> = [
+            "lvp:8",
+            "stride:8",
+            "2delta:8",
+            "fcm:8:10",
+            "dfcm:10:8",
+            "dfcm:10:9",
+            "dfcm:10:10",
+            "dfcm:10:11",
+            "dfcm:10:12",
+        ]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+        let mut expected = Vec::new();
+        for spec in &specs {
+            let mut lane = stream_predictor_for(spec).unwrap();
+            let stats = dfcm_sim::simulate_trace(&mut lane, &trace);
+            expected.push(format!(
+                "  {:<32} accuracy {:.3}  ({:.1} Kbit)",
+                lane.name(),
+                stats.accuracy(),
+                lane.storage().kbits()
+            ));
+        }
+        for format in [
+            TraceFormat::V1,
+            TraceFormat::V2 { seed: 7 },
+            TraceFormat::V3 { seed: 7 },
+        ] {
+            let path = dir.join("li.trc");
+            trace.save_with(&path, format).unwrap();
+            for threads in [1, 2, 4] {
+                let (out, report) = eval(&path, &specs, &EngineConfig::threads(threads)).unwrap();
+                let mut lines = out.lines();
+                assert_eq!(
+                    lines.next(),
+                    Some(format!("{} (70000 records):", path.display()).as_str())
+                );
+                assert_eq!(lines.collect::<Vec<_>>(), expected, "{format:?}, {threads}");
+                assert!(report.all_ok());
+                // One task per lane set, each touching every record once
+                // per lane.
+                assert_eq!(report.tasks.len(), threads, "{format:?}");
+                assert_eq!(report.total_records(), 70_000 * specs.len() as u64);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn eval_streaming_rejects_bad_specs_before_running() {
-        let dir = std::env::temp_dir().join("dfcm_tools_stream_badspec_test");
+    fn eval_rejects_bad_specs_before_running() {
+        let dir = std::env::temp_dir().join("dfcm_tools_eval_badspec_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.trc");
         generate("li", 100, &path, 1).unwrap();
-        let e = eval_streaming(&path, &["nope:1".to_owned()], &EngineConfig::default());
+        let e = eval(&path, &["nope:1".to_owned()], &EngineConfig::default());
         assert!(e.is_err());
+        assert!(eval(&path, &[], &EngineConfig::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn eval_streaming_fails_a_too_short_trace_without_retrying() {
-        // Three bytes cannot hold the magic: the file is corrupt, which no
-        // retry heals, so the task fails on its first attempt.
-        let dir = std::env::temp_dir().join("dfcm_tools_stream_short_test");
+    fn eval_fails_a_damaged_trace_without_retrying() {
+        // Three bytes cannot hold the magic, and a v1 file cut inside a
+        // record is truncated: both are corrupt, which no retry heals, so
+        // the task fails on its first attempt.
+        let dir = std::env::temp_dir().join("dfcm_tools_eval_damaged_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.trc");
-        std::fs::write(&path, b"DFC").unwrap();
-        let (out, report) =
-            eval_streaming(&path, &["lvp:10".to_owned()], &EngineConfig::default()).unwrap();
-        assert!(out.contains("FAILED"), "{out}");
-        assert_eq!(report.tasks[0].attempts, 1, "{out}");
+        let tiny = dir.join("tiny.trc");
+        std::fs::write(&tiny, b"DFC").unwrap();
+        let cut = dir.join("cut.trc");
+        generate_formatted("li", 20_000, &cut, 1, TraceFormat::V1).unwrap();
+        let bytes = std::fs::read(&cut).unwrap();
+        std::fs::write(&cut, &bytes[..30_000]).unwrap();
+        let mut engine = EngineConfig::default();
+        engine.retry.max_attempts = 3;
+        for (path, error) in [(&tiny, "bad trace header"), (&cut, "truncated at chunk 0")] {
+            let specs = ["lvp:10".to_owned(), "dfcm:12:12".to_owned()];
+            let (out, report) = eval(path, &specs, &engine).unwrap();
+            assert_eq!(out.matches("FAILED").count(), 2, "{out}");
+            assert!(out.contains(error), "{out}");
+            assert!(report.tasks.iter().all(|t| t.attempts == 1), "{out}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,21 +6,18 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage:
-  dfcm-tools gen <workload> <records> <out.trc> [--seed N] [--vm-tier fast|interp]
-             [--format v1|v2|v3]
-             (--vm-tier picks the VM execution tier for kernel workloads;
-              the tiers are bit-identical — fast, the default, is just
-              faster; --format picks the trace encoding — v2, the default,
-              is the CRC-framed format, v3 adds per-chunk compression and
-              is written streaming, so record counts beyond memory are
-              fine)
+  dfcm-tools gen <workload> <records> <out.trc> [--seed N] [--format v1|v2|v3]
+             (--format picks the trace encoding — v2, the default, is the
+              CRC-framed format, v3 adds per-chunk compression and is
+              written streaming, so record counts beyond memory are fine)
   dfcm-tools stats <trace.trc>
-  dfcm-tools eval <trace.trc> <predictor>... [--streaming] [--threads N] [--progress]
+  dfcm-tools eval <trace.trc> <predictor>... [--threads N] [--progress]
              [--metrics FILE] [--obs DIR] [--retries N]
              [--inject-faults SEED[:PANIC[:TRANSIENT[:DELAY]]]] [--strict]
              (predictors: lvp:B | stride:B | 2delta:B | fcm:L1:L2 | dfcm:L1:L2;
-              --streaming decodes and walks the trace once, feeding every
-              predictor in a single pass (same results, higher throughput);
+              the trace streams off the file in bounded memory, any format;
+              the predictors split into min(threads, predictors) sets that
+              each stream it once on threads/sets decode threads;
               --threads 0 = one per hardware thread; --metrics writes engine JSONL;
               --obs enables table-usage/aliasing observability and writes
               events.jsonl, trace.json (Perfetto) and metrics.prom into DIR;
@@ -89,7 +86,6 @@ fn run() -> Result<String, String> {
         "gen" => {
             let mut rest = rest.to_vec();
             let mut seed = 12345u64;
-            let mut tier = dfcm_vm::Tier::Fast;
             if let Some(pos) = rest.iter().position(|a| a == "--seed") {
                 let value = rest
                     .get(pos + 1)
@@ -97,14 +93,6 @@ fn run() -> Result<String, String> {
                     .parse()
                     .map_err(|_| "bad seed".to_owned())?;
                 seed = value;
-                rest.drain(pos..=pos + 1);
-            }
-            if let Some(pos) = rest.iter().position(|a| a == "--vm-tier") {
-                tier = rest
-                    .get(pos + 1)
-                    .ok_or("--vm-tier needs a value")?
-                    .parse()
-                    .map_err(|e: String| e)?;
                 rest.drain(pos..=pos + 1);
             }
             let mut format_spec: Option<String> = None;
@@ -122,15 +110,8 @@ fn run() -> Result<String, String> {
                 }
                 None => dfcm_trace::TraceFormat::V2 { seed },
             };
-            dfcm_tools::generate_formatted(
-                workload,
-                records,
-                &PathBuf::from(out),
-                seed,
-                tier,
-                format,
-            )
-            .map_err(|e| e.to_string())
+            dfcm_tools::generate_formatted(workload, records, &PathBuf::from(out), seed, format)
+                .map_err(|e| e.to_string())
         }
         "stats" => {
             let [path] = rest else {
@@ -186,23 +167,14 @@ fn run() -> Result<String, String> {
                 strict = true;
                 rest.remove(pos);
             }
-            let mut streaming = false;
-            if let Some(pos) = rest.iter().position(|a| a == "--streaming") {
-                streaming = true;
-                rest.remove(pos);
-            }
             let Some((path, specs)) = rest.split_first() else {
                 return Err(USAGE.to_owned());
             };
             if specs.is_empty() {
                 return Err(USAGE.to_owned());
             }
-            let (out, report) = if streaming {
-                dfcm_tools::eval_streaming(&PathBuf::from(path), specs, &engine)
-            } else {
-                dfcm_tools::eval(&PathBuf::from(path), specs, &engine)
-            }
-            .map_err(|e| e.to_string())?;
+            let (out, report) = dfcm_tools::eval(&PathBuf::from(path), specs, &engine)
+                .map_err(|e| e.to_string())?;
             if let Some(metrics_path) = metrics_path {
                 report
                     .write_jsonl(&metrics_path)

@@ -24,7 +24,9 @@ fn gen_stats_eval_pipeline() {
         &dfcm_sim::EngineConfig::threads(2),
     )
     .unwrap();
-    assert_eq!(report.tasks.len(), 3);
+    // Two threads split the three specs into two lane sets, one task
+    // each; every set streams the trace once per lane it holds.
+    assert_eq!(report.tasks.len(), 2);
     assert_eq!(report.total_records(), 3 * 20_000);
     assert!(eval.contains("lvp(2^12)"), "{eval}");
     assert!(eval.contains("dfcm(l1=2^12,l2=2^12"), "{eval}");
@@ -153,6 +155,29 @@ fn corruption_drill_verify_fails_then_salvage_recovers() {
 }
 
 #[test]
+fn trace_compress_blames_a_damaged_input() {
+    // A chunk whose CRC fails is the input's fault: the message names the
+    // input, not the output, and no output is left behind.
+    let path = temp("compress_damaged.trc");
+    let out = temp("compress_damaged_out.trc");
+    let _ = std::fs::remove_file(&out);
+    dfcm_tools::generate("cc1", 200_000, &path, 9).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() * 3 / 4;
+    bytes[at] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let e = dfcm_tools::trace_compress(&path, &out, None)
+        .unwrap_err()
+        .to_string();
+    assert!(e.starts_with(&format!("{}: chunk ", path.display())), "{e}");
+    assert!(e.contains("CRC mismatch"), "{e}");
+    assert!(!e.contains("writing"), "{e}");
+    assert!(!out.exists());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn salvage_refuses_fully_destroyed_body() {
     let path = temp("hopeless.trc");
     let out = temp("hopeless_out.trc");
@@ -179,7 +204,6 @@ fn gen_v3_streams_and_matches_materialized_encoding() {
         10_000,
         &path,
         11,
-        dfcm_vm::Tier::Fast,
         dfcm_trace::TraceFormat::V3 { seed: 11 },
     )
     .unwrap();
@@ -249,7 +273,6 @@ fn v3_corruption_drill_verify_fails_then_salvage_reemits_v3() {
         200_000,
         &path,
         9,
-        dfcm_vm::Tier::Fast,
         dfcm_trace::TraceFormat::V3 { seed: 9 },
     )
     .unwrap();

@@ -21,7 +21,10 @@
 //!
 //! v1 has no integrity protection: truncation is detected (the record
 //! count is known up front) but bit flips decode silently. It remains
-//! fully readable; [`Trace::read_from`] auto-detects the version.
+//! fully readable; [`Trace::read_from`] auto-detects the version. v1 has
+//! no chunks on disk, but [`V1Reader`] reads it in chunks of
+//! [`V2_CHUNK_RECORDS`] records, so every reader of it holds one chunk at
+//! a time.
 //!
 //! # v2 (`DFCMTRC2`, default for [`Trace::save`])
 //!
@@ -64,9 +67,10 @@
 //! apart, and opens any of the three. Both chunked formats are framed by
 //! one [`ChunkReader`], generic over the format's chunk type
 //! ([`RawChunk`] or [`V3RawChunk`](crate::V3RawChunk)), and a chunk's own
-//! `decode` is the only place its payload is checked. [`Trace::read_from`],
-//! [`salvage_trace`], [`inspect_trace`] and the streaming pipeline are all
-//! loops over that reader.
+//! `decode` is the only place its payload is checked. v1 records are read
+//! by one [`V1Reader`]. [`Trace::read_from`], [`salvage_trace`],
+//! [`inspect_trace`] and the streaming pipeline are all loops over these
+//! two readers.
 
 use std::ffi::OsString;
 use std::fmt;
@@ -610,9 +614,8 @@ fn read_magic<R: Read>(r: &mut R) -> io::Result<[u8; 8]> {
 /// the streaming pipeline all start here.
 #[derive(Debug)]
 pub enum TraceFile<R> {
-    /// A legacy `DFCMTRC1` trace: the stream right after the magic. v1
-    /// has no chunks, so it is read whole ([`TraceFile::into_trace`]).
-    V1(R),
+    /// A legacy `DFCMTRC1` trace's records, its count parsed.
+    V1(V1Reader<R>),
     /// A `DFCMTRC2` trace's chunks, its header parsed.
     V2(V2ChunkReader<R>),
     /// A `DFCMTRC3` trace's chunks, its header parsed.
@@ -625,7 +628,7 @@ impl<R: Read> TraceFile<R> {
     pub(crate) fn from_reader(mut reader: R) -> io::Result<Self> {
         let magic = read_magic(&mut reader)?;
         match &magic {
-            MAGIC_V1 => Ok(TraceFile::V1(reader)),
+            MAGIC_V1 => V1Reader::after_magic(reader).map(TraceFile::V1),
             MAGIC_V2 => ChunkReader::after_magic(reader).map(TraceFile::V2),
             MAGIC_V3 => ChunkReader::after_magic(reader).map(TraceFile::V3),
             _ => Err(TraceFormatError::BadMagic { found: magic }.into()),
@@ -649,7 +652,12 @@ impl<R: Read> TraceFile<R> {
     /// As [`Trace::read_from`].
     pub fn into_trace(self) -> io::Result<Trace> {
         match self {
-            TraceFile::V1(mut r) => read_v1_body(&mut r),
+            TraceFile::V1(mut v1) => {
+                let capacity = v1.declared_records().min(MAX_PREALLOC) as usize;
+                let mut records = Vec::with_capacity(capacity);
+                while v1.read_chunk(&mut records)? > 0 {}
+                Ok(records.into_iter().collect())
+            }
             TraceFile::V2(chunks) => read_chunks(chunks),
             TraceFile::V3(chunks) => read_chunks(chunks),
         }
@@ -663,27 +671,101 @@ impl TraceFile<BufReader<File>> {
     ///
     /// Returns `InvalidData` carrying [`TraceFormatError::BadMagic`] for
     /// unrecognized magic and [`TraceFormatError::BadHeader`] for a file
-    /// shorter than the magic or an unreadable v2/v3 header; propagates
-    /// file-open and read errors.
+    /// shorter than the magic or an unreadable header (a v1 record count
+    /// included); propagates file-open and read errors.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         TraceFile::from_reader(BufReader::new(File::open(path)?))
     }
 }
 
-fn read_v1_body<R: Read>(r: &mut R) -> io::Result<Trace> {
-    let count = read_varint(r)?;
-    if count > MAX_PLAUSIBLE_RECORDS {
-        return Err(bad_header(format!("implausible record count {count}")));
+/// Reads the records of a legacy v1 trace up to [`V2_CHUNK_RECORDS`] at
+/// a time: the one v1 record reader. The record count is parsed on
+/// opening. A record the file does not hold whole is a
+/// [`TraceFormatError::TruncatedTail`] (chunk 0: v1 is one chunk), so a
+/// damaged file fails as a damaged v2/v3 file does; other I/O errors pass
+/// through. Stop reading at the first error.
+#[derive(Debug)]
+pub struct V1Reader<R> {
+    reader: R,
+    declared: u64,
+    read: u64,
+    prev_pc: i64,
+}
+
+impl<R: Read> V1Reader<R> {
+    /// A record reader over `reader`, positioned right after the magic.
+    fn after_magic(mut reader: R) -> io::Result<Self> {
+        let declared = match read_varint(&mut reader) {
+            Ok(count) if count <= MAX_PLAUSIBLE_RECORDS => count,
+            Ok(count) => return Err(bad_header(format!("implausible record count {count}"))),
+            Err(e) if is_corruption(&e) => {
+                return Err(bad_header(format!("unreadable count: {e}")))
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(V1Reader {
+            reader,
+            declared,
+            read: 0,
+            prev_pc: 0,
+        })
     }
-    let mut trace = Trace::with_capacity(count.min(MAX_PREALLOC) as usize);
-    let mut prev_pc = 0i64;
-    for _ in 0..count {
-        let pc = prev_pc.wrapping_add(unzigzag(read_varint(r)?));
-        let value = read_varint(r)?;
-        trace.push(TraceRecord::new(pc as u64, value));
-        prev_pc = pc;
+
+    /// Record count the file declares.
+    pub fn declared_records(&self) -> u64 {
+        self.declared
     }
-    Ok(trace)
+
+    /// Appends the next records, up to [`V2_CHUNK_RECORDS`] of them, to
+    /// `out` and returns how many; 0 once every declared record is read.
+    /// On an error `out` keeps the records read before the bad one.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` carrying [`TraceFormatError::TruncatedTail`]
+    /// when the file ends inside a record or a varint is malformed;
+    /// propagates other I/O errors.
+    pub fn read_chunk(&mut self, out: &mut Vec<TraceRecord>) -> io::Result<usize> {
+        let n = (self.declared - self.read).min(V2_CHUNK_RECORDS as u64) as usize;
+        out.reserve(n);
+        for _ in 0..n {
+            let r = &mut self.reader;
+            let (delta, value) = read_varint(r)
+                .and_then(|delta| Ok((delta, read_varint(r)?)))
+                .map_err(|e| cut_short(0, e, |e| format!("record {}: {e}", self.read)))?;
+            let pc = self.prev_pc.wrapping_add(unzigzag(delta));
+            out.push(TraceRecord::new(pc as u64, value));
+            self.prev_pc = pc;
+            self.read += 1;
+        }
+        Ok(n)
+    }
+
+    /// Reads every remaining record, chunk by chunk, into `each`, and
+    /// stops at the first damaged record: what salvage and inspect do.
+    /// `each` also sees the part of a chunk read before the damage.
+    /// Returns the damage, if reading stopped early.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors that are not corruption.
+    fn read_intact(
+        &mut self,
+        mut each: impl FnMut(&[TraceRecord]),
+    ) -> io::Result<Option<io::Error>> {
+        let mut chunk = Vec::new();
+        loop {
+            chunk.clear();
+            let result = self.read_chunk(&mut chunk);
+            each(&chunk);
+            match result {
+                Ok(0) => return Ok(None),
+                Ok(_) => {}
+                Err(e) if is_corruption(&e) => return Ok(Some(e)),
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// How the detail of a chunk whose payload fails to decode begins.
@@ -1058,50 +1140,30 @@ impl SalvageReport {
 /// or on a genuine I/O failure; corruption past the header is reported
 /// in the [`SalvageReport`], not as an error.
 pub fn salvage_trace<R: Read>(r: R) -> io::Result<SalvageReport> {
-    match TraceFile::from_reader(r)? {
-        TraceFile::V1(mut r) => salvage_v1(&mut r),
-        TraceFile::V2(chunks) => salvage_chunks(chunks),
-        TraceFile::V3(chunks) => salvage_chunks(chunks),
-    }
-}
-
-fn salvage_v1<R: Read>(r: &mut R) -> io::Result<SalvageReport> {
-    let declared = match read_varint(r) {
-        Ok(v) if v <= MAX_PLAUSIBLE_RECORDS => v,
-        Ok(v) => return Err(bad_header(format!("implausible record count {v}"))),
-        Err(e) if is_corruption(&e) => return Err(bad_header(format!("unreadable count: {e}"))),
-        Err(e) => return Err(e),
+    let mut v1 = match TraceFile::from_reader(r)? {
+        TraceFile::V1(v1) => v1,
+        TraceFile::V2(chunks) => return salvage_chunks(chunks),
+        TraceFile::V3(chunks) => return salvage_chunks(chunks),
     };
+    // A v1 trace's longest intact prefix.
+    let declared = v1.declared_records();
     let mut recovered = Trace::with_capacity(declared.min(MAX_PREALLOC) as usize);
-    let mut prev_pc = 0i64;
-    let mut dropped = Vec::new();
-    for i in 0..declared {
-        let record = read_varint(r).and_then(|d| read_varint(r).map(|v| (d, v)));
-        match record {
-            Ok((delta, value)) => {
-                let pc = prev_pc.wrapping_add(unzigzag(delta));
-                recovered.push(TraceRecord::new(pc as u64, value));
-                prev_pc = pc;
-            }
-            Err(e) if is_corruption(&e) => {
-                dropped.push(DroppedChunk {
-                    chunk: 0,
-                    records: declared - i,
-                    reason: format!("record {i}: {e}"),
-                });
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let intact = dropped.is_empty();
+    let damage = v1.read_intact(|chunk| recovered.extend(chunk.iter().copied()))?;
+    let dropped: Vec<DroppedChunk> = damage
+        .map(|e| DroppedChunk {
+            chunk: 0,
+            records: declared - recovered.len() as u64,
+            reason: e.to_string(),
+        })
+        .into_iter()
+        .collect();
     Ok(SalvageReport {
         version: 1,
         declared_records: declared,
         seed: None,
         recovered,
         total_chunks: 1,
-        recovered_chunks: usize::from(intact),
+        recovered_chunks: usize::from(dropped.is_empty()),
         dropped,
     })
 }
@@ -1241,17 +1303,18 @@ impl TraceInfo {
 /// past the header is *described* in the returned [`TraceInfo`] instead.
 pub fn inspect_trace<R: Read>(mut r: R) -> io::Result<TraceInfo> {
     let mut info = match TraceFile::from_reader(&mut r)? {
-        TraceFile::V1(mut body) => {
-            let report = salvage_v1(&mut body)?;
+        TraceFile::V1(mut v1) => {
+            let mut decoded = 0;
+            let damage = v1.read_intact(|chunk| decoded += chunk.len() as u64)?;
             TraceInfo {
                 version: 1,
-                declared_records: report.declared_records,
-                decoded_records: report.recovered.len() as u64,
+                declared_records: v1.declared_records(),
+                decoded_records: decoded,
                 seed: None,
                 flags: 0,
                 chunks: Vec::new(),
                 trailing_bytes: 0,
-                error: report.dropped.first().map(|d| d.reason.clone()),
+                error: damage.map(|e| e.to_string()),
             }
         }
         TraceFile::V2(chunks) => inspect_chunks(chunks)?,
@@ -1572,7 +1635,14 @@ mod tests {
         let mut buffer = Vec::from(*MAGIC_V1);
         write_varint(&mut buffer, (1u64 << 40) - 1).unwrap();
         let err = Trace::read_from(buffer.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            matches!(
+                TraceFormatError::classify(&err),
+                Some(TraceFormatError::TruncatedTail { chunk: 0, .. })
+            ),
+            "{err}"
+        );
 
         // Beyond the plausibility bound the header itself is rejected.
         let mut buffer = Vec::from(*MAGIC_V1);
@@ -1887,6 +1957,47 @@ mod tests {
         assert!(!info.intact());
         assert_eq!(info.chunks.iter().filter(|c| !c.intact()).count(), 1);
         assert_eq!(info.trailing_bytes, 4);
+    }
+
+    #[test]
+    fn v1_reads_in_chunks_and_a_cut_record_is_a_truncated_tail() {
+        let trace = multi_chunk_trace();
+        let mut buffer = Vec::new();
+        trace.write_to(&mut buffer).unwrap();
+        let TraceFile::V1(mut v1) = TraceFile::from_reader(buffer.as_slice()).unwrap() else {
+            panic!("a v1 file opens as v1");
+        };
+        let mut sizes = Vec::new();
+        let mut chunk = Vec::new();
+        while v1.read_chunk(&mut chunk).unwrap() > 0 {
+            sizes.push(chunk.len());
+            chunk.clear();
+        }
+        assert_eq!(
+            sizes,
+            [V2_CHUNK_RECORDS, V2_CHUNK_RECORDS, V2_CHUNK_RECORDS, 1234]
+        );
+
+        // Cut inside a record of the second chunk: every entry point
+        // reports the same typed damage, which is corruption, not a read
+        // hiccup worth retrying.
+        buffer.truncate(buffer.len() * 2 / 5);
+        let err = Trace::read_from(buffer.as_slice()).unwrap_err();
+        let Some(TraceFormatError::TruncatedTail { chunk: 0, detail }) =
+            TraceFormatError::classify(&err)
+        else {
+            panic!("untyped: {err}");
+        };
+        let at: usize = detail["record ".len()..detail.find(':').unwrap()]
+            .parse()
+            .unwrap();
+        assert!(at > V2_CHUNK_RECORDS && at < trace.len(), "{detail}");
+        let report = salvage_trace(buffer.as_slice()).unwrap();
+        assert_eq!(report.recovered.records(), &trace.records()[..at]);
+        assert_eq!(report.dropped[0].reason, err.to_string());
+        let info = inspect_trace(buffer.as_slice()).unwrap();
+        assert_eq!(info.decoded_records, at as u64);
+        assert_eq!(info.error, Some(err.to_string()));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use crate::deadline::Deadline;
 pub use crate::io::{
     atomic_write, atomic_write_with, inspect_trace, read_varint, salvage_trace, v2_chunks,
     write_varint, ChunkInfo, ChunkReader, DroppedChunk, RawChunk, SalvageReport, TraceChunk,
-    TraceFile, TraceFormat, TraceFormatError, TraceInfo, V2ChunkReader, V2_CHUNK_RECORDS,
+    TraceFile, TraceFormat, TraceFormatError, TraceInfo, V1Reader, V2ChunkReader, V2_CHUNK_RECORDS,
 };
 pub use crate::pattern::{Pattern, PatternState};
 pub use crate::phases::PhasedProgram;

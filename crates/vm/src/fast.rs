@@ -35,7 +35,6 @@
 //! bit-identical value traces and stop for identical reasons.
 
 use std::fmt;
-use std::str::FromStr;
 
 use dfcm_trace::{Deadline, Trace, TraceRecord};
 
@@ -57,7 +56,8 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// The CLI name of this tier (`"interp"` / `"fast"`).
+    /// The name of this tier (`"interp"` / `"fast"`), as `vm_*` metric
+    /// labels carry it.
     pub fn as_str(self) -> &'static str {
         match self {
             Tier::Interp => "interp",
@@ -69,18 +69,6 @@ impl Tier {
 impl fmt::Display for Tier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Tier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" => Ok(Tier::Interp),
-            "fast" => Ok(Tier::Fast),
-            other => Err(format!("unknown VM tier '{other}' (expected fast|interp)")),
-        }
     }
 }
 
@@ -1569,12 +1557,9 @@ mod tests {
     }
 
     #[test]
-    fn tier_round_trips_through_strings() {
-        assert_eq!("fast".parse::<Tier>().unwrap(), Tier::Fast);
-        assert_eq!("interp".parse::<Tier>().unwrap(), Tier::Interp);
+    fn tier_displays_its_name() {
         assert_eq!(Tier::Fast.to_string(), "fast");
         assert_eq!(Tier::Interp.to_string(), "interp");
-        assert!("jit".parse::<Tier>().is_err());
         assert_eq!(Tier::default(), Tier::Fast);
     }
 }

@@ -49,15 +49,10 @@ pub fn kernel_traces_with(max_records: usize, tier: Tier) -> Vec<BenchmarkTrace>
 
 /// Generates a trace for one bundled kernel by name (on [`Tier::Fast`]).
 pub fn kernel_trace(name: &str, max_records: usize) -> Option<BenchmarkTrace> {
-    kernel_trace_with(name, max_records, Tier::Fast)
-}
-
-/// As [`kernel_trace`] with an explicit execution tier.
-pub fn kernel_trace_with(name: &str, max_records: usize, tier: Tier) -> Option<BenchmarkTrace> {
     let src = programs::by_name(name)?;
     let program = assemble(src).expect("bundled kernel assembles");
-    let mut vm =
-        Vm::with_tier(program, VmLimits::default(), tier).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut vm = Vm::with_tier(program, VmLimits::default(), Tier::Fast)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     let registered = programs::all().iter().find(|&&(n, _)| n == name)?.0;
     Some(BenchmarkTrace {
         name: registered,

@@ -1,7 +1,8 @@
 //! The production predictors against the naive model of the paper's
 //! definitions (`support/oracle.rs`): every record's prediction must
 //! match, for each of the five predictors, on random aliasing-heavy
-//! traces and on the standard suite.
+//! traces and on the standard suite, and after a lane's `state_words`
+//! are restored into a fresh lane mid-trace.
 //!
 //! Raise `PROPTEST_CASES` for a heavier run (CI runs this file in release
 //! with more cases).
@@ -10,6 +11,8 @@
 mod oracle;
 
 use dfcm_suite::predictors;
+use dfcm_suite::predictors::ValuePredictor;
+use dfcm_suite::sim::StreamPredictor;
 use dfcm_suite::trace::suite::standard_traces;
 use oracle::{Model, Oracle};
 use proptest::prelude::*;
@@ -111,11 +114,68 @@ fn arb_records() -> impl Strategy<Value = Vec<(u64, u64)>> {
     })
 }
 
+/// A lane of every [`StreamPredictor`] kind at tiny tables, by its spec,
+/// with the model of what that spec builds (FS R-5, full-width
+/// differences).
+const LANES: [(&str, Model); 7] = [
+    ("lvp:3", Model::Lvp { bits: 3 }),
+    ("stride:3", Model::Stride { bits: 3 }),
+    ("2delta:3", Model::TwoDelta { bits: 3 }),
+    ("fcm:3:6", Model::Fcm { l1: 3, l2: 6 }),
+    ("fcm:4:11", Model::Fcm { l1: 4, l2: 11 }),
+    (
+        "dfcm:3:6",
+        Model::Dfcm {
+            l1: 3,
+            l2: 6,
+            width: None,
+        },
+    ),
+    (
+        "dfcm:4:11",
+        Model::Dfcm {
+            l1: 4,
+            l2: 11,
+            width: None,
+        },
+    ),
+];
+
 proptest! {
     #[test]
     fn every_model_agrees_with_production_on_random_traces(records in arb_records()) {
         for model in SMALL {
             assert_agrees(model, records.iter().copied(), "a random trace");
+        }
+    }
+
+    /// A lane streams a prefix, its `state_words` are restored into a
+    /// fresh lane built from its spec, and the restored lane must make
+    /// every later prediction of the model, which never stopped.
+    #[test]
+    fn state_words_restored_mid_trace_predict_as_the_model(
+        records in arb_records(),
+        split in 0usize..401,
+    ) {
+        let split = split.min(records.len());
+        for (spec, model) in LANES {
+            let mut lane = StreamPredictor::parse_spec(spec).unwrap();
+            assert_eq!(lane.spec(), spec);
+            let mut naive = Oracle::new(model);
+            for (i, &(pc, value)) in records[..split].iter().enumerate() {
+                let want = naive.access(pc, value);
+                assert_eq!(lane.access(pc, value).predicted, want, "{spec}, record {i}");
+            }
+            let mut restored = StreamPredictor::parse_spec(&lane.spec()).unwrap();
+            restored.load_state_words(&lane.state_words()).unwrap();
+            for (i, &(pc, value)) in records.iter().enumerate().skip(split) {
+                let want = naive.access(pc, value);
+                assert_eq!(
+                    restored.access(pc, value).predicted,
+                    want,
+                    "{spec} restored after record {split}, record {i} (pc {pc:#x}, value {value:#x})"
+                );
+            }
         }
     }
 }
