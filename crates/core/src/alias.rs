@@ -1,7 +1,8 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::error::{check_table_bits, ConfigError};
 use crate::hash::HashFunction;
+use crate::word_hash::WordHashBuilder;
 use crate::DEFAULT_VALUE_BITS;
 
 /// The paper's five aliasing categories (§4.2), in precedence order: every
@@ -149,14 +150,6 @@ impl AliasBreakdown {
     }
 }
 
-#[derive(Debug, Clone)]
-struct L2Shadow {
-    /// Complete unhashed history (oldest first) at the last update.
-    history: Vec<u64>,
-    /// PC of the instruction that performed the last update.
-    pc: u64,
-}
-
 /// An instrumented FCM/DFCM simulator that classifies every prediction into
 /// the paper's aliasing taxonomy (§4.2).
 ///
@@ -166,6 +159,12 @@ struct L2Shadow {
 /// level-2 entry (for `hash` and `l2_pc`), and a private level-2 table per
 /// level-1 entry (for `l2_priv`). Only the first rule that applies is
 /// counted.
+///
+/// The state is flat: one row per level-1 and per level-2 entry, each
+/// holding the replicated fields beside `order` history slots, and one
+/// map for every private table, keyed by level-1 entry and hashed
+/// history. So an access reads two rows and one map slot, hashes one
+/// word, and allocates nothing but for the map's growth.
 ///
 /// Predictions through a level-2 entry that has never been written cannot
 /// be checked by the `hash`/`l2_priv`/`l2_pc` rules (there is nothing
@@ -195,14 +194,19 @@ pub struct AliasAnalyzer {
     l1_bits: u32,
     l2_bits: u32,
     l1_mask: usize,
-    // Replicated predictor state.
-    last: Vec<u64>,
-    hist: Vec<u64>,
-    l2: Vec<u64>,
-    // Shadow structures.
-    elem_history: Vec<VecDeque<(u64, u64)>>,
-    l2_shadow: Vec<Option<L2Shadow>>,
-    private_l2: Vec<HashMap<u64, u64>>,
+    /// One row of `3 + 2·order` words per level-1 entry: the replicated
+    /// hashed history and last value, the length of the entry's element
+    /// history, then `order` slots of source PCs and `order` slots of
+    /// elements, oldest first. The history is the newest `length` slots.
+    l1_rows: Vec<u64>,
+    /// One row of `3 + order` words per level-2 entry: the replicated
+    /// stored element, the PC of its last writer, 0 if it was never
+    /// written and else 1 + the length of the history its last write
+    /// recorded, then that history in the first of `order` slots.
+    l2_rows: Vec<u64>,
+    /// Every level-1 entry's private level-2 table, keyed by
+    /// `i1 << 32 | hashed history` (both are under 2^30).
+    private_l2: HashMap<u64, u64, WordHashBuilder>,
     breakdown: AliasBreakdown,
     last_predicted: u64,
 }
@@ -234,20 +238,18 @@ impl AliasAnalyzer {
         check_table_bits("l1_bits", l1_bits)?;
         check_table_bits("l2_bits", l2_bits)?;
         hash.validate(l2_bits)?;
-        let l1_entries = 1usize << l1_bits;
+        let order = hash.order(l2_bits) as usize;
+        let (l1_entries, l2_entries) = (1usize << l1_bits, 1usize << l2_bits);
         Ok(AliasAnalyzer {
             kind,
             hash,
-            order: hash.order(l2_bits) as usize,
+            order,
             l1_bits,
             l2_bits,
             l1_mask: l1_entries - 1,
-            last: vec![0; l1_entries],
-            hist: vec![0; l1_entries],
-            l2: vec![0; 1 << l2_bits],
-            elem_history: vec![VecDeque::new(); l1_entries],
-            l2_shadow: vec![None; 1 << l2_bits],
-            private_l2: vec![HashMap::new(); l1_entries],
+            l1_rows: vec![0; l1_entries * (3 + 2 * order)],
+            l2_rows: vec![0; l2_entries * (3 + order)],
+            private_l2: HashMap::with_hasher(WordHashBuilder::new()),
             breakdown: AliasBreakdown::default(),
             last_predicted: 0,
         })
@@ -275,75 +277,66 @@ impl AliasAnalyzer {
     /// Performs one predict/classify/update step and returns the class and
     /// correctness of the prediction.
     pub fn access(&mut self, pc: u64, actual: u64) -> (AliasClass, bool) {
+        let order = self.order;
         let i1 = crate::predictor::pc_index(pc, self.l1_mask);
-        let h = self.hist[i1];
-        let i2 = h as usize;
+        let l1_row = &mut self.l1_rows[i1 * (3 + 2 * order)..][..3 + 2 * order];
+        let ([hist, last, length], history) = l1_row
+            .split_first_chunk_mut()
+            .expect("rows open with 3 words");
+        let (sources, elements) = history.split_at_mut(order);
+        let h = *hist;
+        let l2_row = &mut self.l2_rows[h as usize * (3 + order)..][..3 + order];
+        let ([stored, writer, written], recorded) = l2_row
+            .split_first_chunk_mut()
+            .expect("rows open with 3 words");
 
         // Replicated prediction.
-        let stored = self.l2[i2];
-        let predicted = match self.kind {
-            AnalyzedKind::Fcm => stored,
-            AnalyzedKind::Dfcm => self.last[i1].wrapping_add(stored),
+        let (predicted, elem) = match self.kind {
+            AnalyzedKind::Fcm => (*stored, actual),
+            AnalyzedKind::Dfcm => (last.wrapping_add(*stored), actual.wrapping_sub(*last)),
         };
         let correct = predicted == actual;
         self.last_predicted = predicted;
 
-        // Classification (first rule that applies).
-        let class = self.classify(pc, i1, h, i2, stored);
+        // Classification (first rule that applies). The private table's
+        // entry is read and written in one lookup.
+        let len = *length as usize;
+        let current = &elements[order - len..];
+        let private = self.private_l2.insert(((i1 as u64) << 32) | h, elem);
+        let class = if sources[order - len..].iter().any(|&src| src != pc) {
+            // Rule 1 — l1: a history element came from another instruction.
+            AliasClass::L1
+        } else if *written != 0 && (*written - 1 != len as u64 || recorded[..len] != *current) {
+            // Rule 2 — hash: the recorded complete history differs from
+            // the current one.
+            AliasClass::Hash
+        } else if private.is_some_and(|private| private != *stored) {
+            // Rule 3 — l2_priv: a private level-2 table would predict
+            // differently.
+            AliasClass::L2Priv
+        } else if *written != 0 && *writer != pc {
+            // Rule 4 — l2_pc: the entry was last written by another
+            // instruction.
+            AliasClass::L2Pc
+        } else {
+            AliasClass::NoAlias
+        };
         self.breakdown.record(class, correct);
 
         // Replicated update plus shadow maintenance.
-        let elem = match self.kind {
-            AnalyzedKind::Fcm => actual,
-            AnalyzedKind::Dfcm => actual.wrapping_sub(self.last[i1]),
-        };
-        let current_history: Vec<u64> = self.elem_history[i1].iter().map(|&(_, e)| e).collect();
-        self.l2[i2] = elem;
-        self.l2_shadow[i2] = Some(L2Shadow {
-            history: current_history,
-            pc,
-        });
-        self.private_l2[i1].insert(h, elem);
-        let deque = &mut self.elem_history[i1];
-        deque.push_back((pc, elem));
-        while deque.len() > self.order {
-            deque.pop_front();
-        }
-        self.hist[i1] = self.hash.fold_update(h, elem, self.l2_bits);
-        self.last[i1] = actual;
+        *stored = elem;
+        recorded[..len].copy_from_slice(current);
+        *written = len as u64 + 1;
+        *writer = pc;
+        sources.copy_within(1.., 0);
+        sources[order - 1] = pc;
+        elements.copy_within(1.., 0);
+        elements[order - 1] = elem;
+        *length = (len + 1).min(order) as u64;
+        *hist = self.hash.fold_update(h, elem, self.l2_bits);
+        *last = actual;
 
         (class, correct)
-    }
-
-    fn classify(&self, pc: u64, i1: usize, h: u64, i2: usize, stored: u64) -> AliasClass {
-        // Rule 1 — l1: any history element produced by another instruction.
-        if self.elem_history[i1].iter().any(|&(src, _)| src != pc) {
-            return AliasClass::L1;
-        }
-        let shadow = self.l2_shadow[i2].as_ref();
-        // Rule 2 — hash: recorded complete history differs from the actual
-        // one.
-        if let Some(shadow) = shadow {
-            let current: Vec<u64> = self.elem_history[i1].iter().map(|&(_, e)| e).collect();
-            if shadow.history != current {
-                return AliasClass::Hash;
-            }
-        }
-        // Rule 3 — l2_priv: a private level-2 table would predict
-        // differently.
-        if let Some(&private) = self.private_l2[i1].get(&h) {
-            if private != stored {
-                return AliasClass::L2Priv;
-            }
-        }
-        // Rule 4 — l2_pc: the entry was last written by another
-        // instruction.
-        if let Some(shadow) = shadow {
-            if shadow.pc != pc {
-                return AliasClass::L2Pc;
-            }
-        }
-        AliasClass::NoAlias
     }
 
     /// Level-1 table size exponent.

@@ -1,8 +1,9 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::alias::AnalyzedKind;
-use crate::predictor::ValuePredictor;
+use crate::predictor::{AccessOutcome, ValuePredictor};
 use crate::storage::StorageCost;
+use crate::word_hash::WordHashBuilder;
 
 /// An idealized context predictor: per-instruction, unbounded, exact
 /// (collision-free) context tables.
@@ -46,16 +47,52 @@ use crate::storage::StorageCost;
 pub struct IdealContextPredictor {
     kind: AnalyzedKind,
     order: usize,
-    /// Per-PC recent history (values or diffs) and last value.
-    streams: HashMap<u64, StreamState>,
-    /// Exact context table: (pc, context) → next element.
-    table: HashMap<(u64, Vec<u64>), u64>,
+    /// Per-PC recent history and last value.
+    streams: HashMap<u64, Stream, WordHashBuilder>,
+    /// Exact context table: `[pc, context…]` (context oldest first) → next
+    /// element.
+    table: HashMap<Box<[u64]>, u64, WordHashBuilder>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct StreamState {
-    history: VecDeque<u64>,
+/// One instruction's stream: its table key as it stands, `[pc, context…]`
+/// with the last `order` (or, while warming up, fewer) values or
+/// differences, and its last value.
+#[derive(Debug, Clone)]
+struct Stream {
+    key: [u64; MAX_ORDER + 1],
+    len: usize,
     last: u64,
+}
+
+/// The longest history an oracle keeps.
+const MAX_ORDER: usize = 16;
+
+impl Stream {
+    fn new(pc: u64) -> Stream {
+        let mut key = [0; MAX_ORDER + 1];
+        key[0] = pc;
+        Stream {
+            key,
+            len: 0,
+            last: 0,
+        }
+    }
+
+    /// The table key of the current context.
+    fn key(&self) -> &[u64] {
+        &self.key[..=self.len]
+    }
+
+    /// Appends `element` to the context, dropping the oldest one past
+    /// `order`.
+    fn push(&mut self, element: u64, order: usize) {
+        if self.len == order {
+            self.key.copy_within(2..=order, 1);
+        } else {
+            self.len += 1;
+        }
+        self.key[self.len] = element;
+    }
 }
 
 impl IdealContextPredictor {
@@ -66,14 +103,14 @@ impl IdealContextPredictor {
     /// Panics if `order` is 0 or greater than 16.
     pub fn new(kind: AnalyzedKind, order: usize) -> Self {
         assert!(
-            (1..=16).contains(&order),
-            "order must be in 1..=16, got {order}"
+            (1..=MAX_ORDER).contains(&order),
+            "order must be in 1..={MAX_ORDER}, got {order}"
         );
         IdealContextPredictor {
             kind,
             order,
-            streams: HashMap::new(),
-            table: HashMap::new(),
+            streams: HashMap::with_hasher(WordHashBuilder::new()),
+            table: HashMap::with_hasher(WordHashBuilder::new()),
         }
     }
 
@@ -93,37 +130,50 @@ impl IdealContextPredictor {
         self.table.len()
     }
 
-    fn context_of(&self, pc: u64) -> (Vec<u64>, u64) {
-        match self.streams.get(&pc) {
-            Some(s) => (s.history.iter().copied().collect(), s.last),
-            None => (Vec::new(), 0),
+    fn prediction(&self, last: u64, element: u64) -> u64 {
+        match self.kind {
+            AnalyzedKind::Fcm => element,
+            AnalyzedKind::Dfcm => last.wrapping_add(element),
         }
     }
 }
 
 impl ValuePredictor for IdealContextPredictor {
     fn predict(&mut self, pc: u64) -> u64 {
-        let (context, last) = self.context_of(pc);
-        let element = self.table.get(&(pc, context)).copied().unwrap_or(0);
-        match self.kind {
-            AnalyzedKind::Fcm => element,
-            AnalyzedKind::Dfcm => last.wrapping_add(element),
-        }
+        // An instruction not seen yet has no entry: 0, as a cold table.
+        self.streams.get(&pc).map_or(0, |stream| {
+            let element = self.table.get(stream.key()).copied().unwrap_or(0);
+            self.prediction(stream.last, element)
+        })
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let (context, last) = self.context_of(pc);
+        self.access(pc, actual);
+    }
+
+    // One stream lookup and one table lookup per record; a context seen
+    // for the first time costs a second probe to insert its key.
+    fn access(&mut self, pc: u64, actual: u64) -> AccessOutcome {
+        let stream = self.streams.entry(pc).or_insert_with(|| Stream::new(pc));
         let element = match self.kind {
             AnalyzedKind::Fcm => actual,
-            AnalyzedKind::Dfcm => actual.wrapping_sub(last),
+            AnalyzedKind::Dfcm => actual.wrapping_sub(stream.last),
         };
-        self.table.insert((pc, context), element);
-        let state = self.streams.entry(pc).or_default();
-        state.history.push_back(element);
-        while state.history.len() > self.order {
-            state.history.pop_front();
+        let stored = match self.table.get_mut(stream.key()) {
+            Some(slot) => std::mem::replace(slot, element),
+            None => {
+                self.table.insert(stream.key().into(), element);
+                0
+            }
+        };
+        let last = stream.last;
+        stream.push(element, self.order);
+        stream.last = actual;
+        let predicted = self.prediction(last, stored);
+        AccessOutcome {
+            predicted,
+            correct: predicted == actual,
         }
-        state.last = actual;
     }
 
     fn storage(&self) -> StorageCost {
@@ -145,6 +195,111 @@ mod tests {
     use super::*;
     use crate::dfcm::DfcmPredictor;
     use crate::fcm::FcmPredictor;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The straightforward form [`IdealContextPredictor`] must match: a
+    /// SipHash table keyed by `(pc, context)` with the context collected
+    /// into a fresh `Vec` on every predict and every update, and per PC a
+    /// `VecDeque` history that drops its oldest element from the front.
+    #[derive(Debug, Clone)]
+    struct NaiveIdeal {
+        kind: AnalyzedKind,
+        order: usize,
+        streams: HashMap<u64, NaiveStream>,
+        table: HashMap<(u64, Vec<u64>), u64>,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct NaiveStream {
+        history: VecDeque<u64>,
+        last: u64,
+    }
+
+    impl NaiveIdeal {
+        fn new(kind: AnalyzedKind, order: usize) -> Self {
+            NaiveIdeal {
+                kind,
+                order,
+                streams: HashMap::new(),
+                table: HashMap::new(),
+            }
+        }
+
+        fn entries_used(&self) -> usize {
+            self.table.len()
+        }
+
+        fn context_of(&self, pc: u64) -> (Vec<u64>, u64) {
+            match self.streams.get(&pc) {
+                Some(s) => (s.history.iter().copied().collect(), s.last),
+                None => (Vec::new(), 0),
+            }
+        }
+    }
+
+    impl ValuePredictor for NaiveIdeal {
+        fn predict(&mut self, pc: u64) -> u64 {
+            let (context, last) = self.context_of(pc);
+            let element = self.table.get(&(pc, context)).copied().unwrap_or(0);
+            match self.kind {
+                AnalyzedKind::Fcm => element,
+                AnalyzedKind::Dfcm => last.wrapping_add(element),
+            }
+        }
+
+        fn update(&mut self, pc: u64, actual: u64) {
+            let (context, last) = self.context_of(pc);
+            let element = match self.kind {
+                AnalyzedKind::Fcm => actual,
+                AnalyzedKind::Dfcm => actual.wrapping_sub(last),
+            };
+            self.table.insert((pc, context), element);
+            let state = self.streams.entry(pc).or_default();
+            state.history.push_back(element);
+            while state.history.len() > self.order {
+                state.history.pop_front();
+            }
+            state.last = actual;
+        }
+
+        fn storage(&self) -> StorageCost {
+            StorageCost::new()
+        }
+
+        fn name(&self) -> String {
+            "naive-ideal".into()
+        }
+    }
+
+    proptest! {
+        /// The one-lookup oracle against the naive form, record by record:
+        /// every `access` outcome, a bare `predict` (of a PC that may not
+        /// have run yet) and `entries_used`. Few PCs over small alphabets
+        /// make contexts repeat, with a rare 64-bit value among them, and
+        /// every PC warms up through keys shorter than `order`.
+        #[test]
+        fn access_predict_and_entries_agree_with_naive_reference(
+            fcm in any::<bool>(),
+            order in 1usize..=16,
+            pcs in 1u64..6,
+            alphabet in 1u64..6,
+            records in prop::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 0..600),
+        ) {
+            let kind = if fcm { AnalyzedKind::Fcm } else { AnalyzedKind::Dfcm };
+            let mut oracle = IdealContextPredictor::new(kind, order);
+            let mut naive = NaiveIdeal::new(kind, order);
+            for (i, &(pc_draw, value_draw, peek)) in records.iter().enumerate() {
+                let pc = 0x40 + 4 * (pc_draw % pcs);
+                let value = if value_draw % 32 == 0 { value_draw } else { value_draw % alphabet };
+                if peek {
+                    prop_assert_eq!(oracle.predict(pc), naive.predict(pc), "predict, record {}", i);
+                }
+                prop_assert_eq!(oracle.access(pc, value), naive.access(pc, value), "record {}", i);
+                prop_assert_eq!(oracle.entries_used(), naive.entries_used(), "record {}", i);
+            }
+        }
+    }
 
     #[test]
     fn learns_any_periodic_pattern_with_sufficient_order() {

@@ -131,6 +131,7 @@ mod storage;
 mod stride;
 mod table_stats;
 mod tagged;
+mod word_hash;
 
 pub use crate::alias::{AliasAnalyzer, AliasBreakdown, AliasClass, AnalyzedKind};
 pub use crate::classified::{

@@ -9,6 +9,9 @@
 //! engine_equiv`); it is the contract that lets every figure use the
 //! engine while EXPERIMENTS.md stays comparable across machines.
 
+// The taxonomy model is checked in the root `oracle` test; here only the
+// predictor models run.
+#[allow(dead_code)]
 #[path = "../../../tests/support/oracle.rs"]
 mod oracle;
 

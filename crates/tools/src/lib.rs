@@ -44,11 +44,11 @@ use std::time::Duration;
 use dfcm::ValuePredictor;
 use dfcm_sim::engine::{run_tasks_ft, TaskError, TaskOutput};
 use dfcm_sim::{stream_trace_file, EngineConfig, EngineReport, StreamPredictor};
-use dfcm_trace::stats::TraceStats;
+use dfcm_trace::stats::TraceStatsFold;
 use dfcm_trace::suite::standard_suite;
 use dfcm_trace::{
-    atomic_write_with, inspect_trace, salvage_trace, ChunkReader, Trace, TraceChunk, TraceFile,
-    TraceFormat, TraceSource, V3StreamWriter,
+    atomic_write_with, inspect_trace, salvage_trace, Trace, TraceFile, TraceFormat, TraceSource,
+    V3StreamWriter,
 };
 use dfcm_vm::{assemble, classify_pair, disassemble, programs, Tier, Vm, VmLimits};
 
@@ -183,14 +183,22 @@ pub fn trace_for(workload: &str, records: usize, seed: u64) -> Result<Trace, Too
     )))
 }
 
-/// `stats <trace.trc>` — Table 1-style statistics of a saved trace.
+/// `stats <trace.trc>` — Table 1-style statistics of a saved trace, read
+/// one chunk at a time.
 ///
 /// # Errors
 ///
 /// Returns [`ToolError`] for unreadable or malformed files.
 pub fn stats(path: &Path) -> Result<String, ToolError> {
-    let trace = Trace::load(path).map_err(|e| err(format!("{}: {e}", path.display())))?;
-    let s = TraceStats::measure(&trace);
+    let in_err = |e| input_error_of(path, e);
+    let mut file = TraceFile::open(path).map_err(in_err)?;
+    let mut fold = TraceStatsFold::default();
+    let mut chunk = Vec::new();
+    while file.read_chunk(&mut chunk).map_err(in_err)? > 0 {
+        fold.add(&chunk);
+        chunk.clear();
+    }
+    let s = fold.finish();
     let mut out = String::new();
     let _ = writeln!(out, "{}:", path.display());
     let _ = writeln!(out, "  records              {}", s.records);
@@ -496,31 +504,32 @@ pub fn trace_salvage(path: &Path, output: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Decodes the chunks of `path` one at a time into a fresh v3 file at
-/// `output` — the flat-memory half of [`trace_compress`]. Returns the
+/// Reads the chunks of `path`, in any format, one at a time into a fresh
+/// v3 file at `output` — the flat-memory half of [`trace_compress`]. Returns the
 /// records written. A read or decode error is the input's, even though
 /// it stops the output's write.
-fn write_v3_streaming<C, R>(
+fn write_v3_streaming<R: std::io::Read>(
     path: &Path,
     output: &Path,
-    chunks: ChunkReader<C, R>,
-) -> Result<u64, ToolError>
-where
-    C: TraceChunk,
-    R: std::io::Read,
-{
-    let records = chunks.declared_records();
-    let seed = chunks.seed();
+    mut file: TraceFile<R>,
+    seed: u64,
+) -> Result<u64, ToolError> {
+    let records = file.declared_records();
     let mut input_error = None;
     let written = atomic_write_with(output, |w| {
         let mut writer = V3StreamWriter::new(&mut *w, records, seed)?;
-        for chunk in chunks {
-            let decoded = chunk.and_then(|chunk| chunk.decode()).map_err(|e| {
-                let abort = std::io::Error::other(e.to_string());
-                input_error = Some(e);
-                abort
-            })?;
-            for record in decoded {
+        let mut chunk = Vec::new();
+        loop {
+            match file.read_chunk(&mut chunk) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    let abort = std::io::Error::other(e.to_string());
+                    input_error = Some(e);
+                    return Err(abort);
+                }
+            }
+            for record in chunk.drain(..) {
                 writer.push(record)?;
             }
         }
@@ -547,12 +556,12 @@ fn output_error_of(output: &Path, e: std::io::Error) -> ToolError {
 /// `trace compress <file> --output <out> [--format v1|v2|v3]` — rewrites
 /// a saved trace in another format (default v3, the compressed tier).
 ///
-/// Chunked inputs (v2, v3) converted to v3 are streamed chunk by chunk —
-/// decode one, re-encode it, drop it — so the conversion runs in flat
-/// memory at any trace size. The generator seed from a v2/v3 header is
-/// carried over; v1 inputs (which have no seed) stamp 0. A damaged input
-/// is reported against the input path, and only write failures against
-/// `--output`.
+/// Conversions to v3 stream the input chunk by chunk — read one, encode
+/// it, drop it — so they run in flat memory at any trace size, while v1
+/// and v2 outputs are written from the whole trace. The generator seed
+/// from a v2/v3 header is carried over; v1 inputs (which have no seed)
+/// stamp 0. A damaged input is reported against the input path, and only
+/// write failures against `--output`.
 ///
 /// # Errors
 ///
@@ -567,14 +576,9 @@ pub fn trace_compress(
     let out_err = |e| output_error_of(output, e);
     let file = TraceFile::open(path).map_err(in_err)?;
     let target = parse_trace_format(format.unwrap_or("v3"), file.seed().unwrap_or(0))?;
-    let records = match (file, target) {
-        (TraceFile::V2(chunks), TraceFormat::V3 { .. }) => {
-            write_v3_streaming(path, output, chunks)?
-        }
-        (TraceFile::V3(chunks), TraceFormat::V3 { .. }) => {
-            write_v3_streaming(path, output, chunks)?
-        }
-        (file, target) => {
+    let records = match target {
+        TraceFormat::V3 { seed } => write_v3_streaming(path, output, file, seed)?,
+        target => {
             let trace = file.into_trace().map_err(in_err)?;
             trace.save_with(output, target).map_err(out_err)?;
             trace.len() as u64

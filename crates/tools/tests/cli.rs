@@ -227,6 +227,38 @@ fn gen_v3_streams_and_matches_materialized_encoding() {
 }
 
 #[test]
+fn trace_compress_streams_v1_into_the_bytes_of_the_whole_trace() {
+    // A v1 file three 64 Ki-record reads long converts read by read, and
+    // the output is the whole trace's own v3 encoding (seed 0: v1 stamps
+    // none). Cut mid-record, the same file fails as the input's fault and
+    // leaves no output.
+    let v1 = temp("compress_v1_in.trc");
+    let v3 = temp("compress_v1_out.trc");
+    let whole = temp("compress_v1_whole.trc");
+    let trace = dfcm_tools::trace_for("li", 150_000, 3).unwrap();
+    trace.save_with(&v1, dfcm_trace::TraceFormat::V1).unwrap();
+    let msg = dfcm_tools::trace_compress(&v1, &v3, None).unwrap();
+    assert!(msg.contains("150000 records"), "{msg}");
+    trace
+        .save_with(&whole, dfcm_trace::TraceFormat::V3 { seed: 0 })
+        .unwrap();
+    assert!(std::fs::read(&v3).unwrap() == std::fs::read(&whole).unwrap());
+
+    let bytes = std::fs::read(&v1).unwrap();
+    std::fs::write(&v1, &bytes[..bytes.len() - 1]).unwrap();
+    let _ = std::fs::remove_file(&v3);
+    let e = dfcm_tools::trace_compress(&v1, &v3, None)
+        .unwrap_err()
+        .to_string();
+    assert!(e.starts_with(&format!("{}: ", v1.display())), "{e}");
+    assert!(!e.contains("writing"), "{e}");
+    assert!(!v3.exists());
+    for p in [&v1, &v3, &whole] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn trace_compress_v2_to_v3_round_trips() {
     let v2 = temp("compress_in.trc");
     let v3 = temp("compress_out.trc");

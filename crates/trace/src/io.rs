@@ -644,24 +644,60 @@ impl<R: Read> TraceFile<R> {
         }
     }
 
+    /// Record count the header declares.
+    pub fn declared_records(&self) -> u64 {
+        match self {
+            TraceFile::V1(v1) => v1.declared_records(),
+            TraceFile::V2(chunks) => chunks.declared_records(),
+            TraceFile::V3(chunks) => chunks.declared_records(),
+        }
+    }
+
+    /// Appends the next records to `out` and returns how many; 0 once
+    /// every record is read. A v2/v3 file yields one checked, decoded
+    /// chunk per call, a v1 file up to [`V2_CHUNK_RECORDS`] records, as
+    /// [`V1Reader::read_chunk`] does. Stop reading at the first error.
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::read_from`], for the first damaged chunk (or, in v1,
+    /// record).
+    pub fn read_chunk(&mut self, out: &mut Vec<TraceRecord>) -> io::Result<usize> {
+        match self {
+            TraceFile::V1(v1) => v1.read_chunk(out),
+            TraceFile::V2(chunks) => read_decoded(chunks, out),
+            TraceFile::V3(chunks) => read_decoded(chunks, out),
+        }
+    }
+
     /// Reads every record, failing on the first damaged chunk (or, in
     /// v1, record).
     ///
     /// # Errors
     ///
     /// As [`Trace::read_from`].
-    pub fn into_trace(self) -> io::Result<Trace> {
-        match self {
-            TraceFile::V1(mut v1) => {
-                let capacity = v1.declared_records().min(MAX_PREALLOC) as usize;
-                let mut records = Vec::with_capacity(capacity);
-                while v1.read_chunk(&mut records)? > 0 {}
-                Ok(records.into_iter().collect())
-            }
-            TraceFile::V2(chunks) => read_chunks(chunks),
-            TraceFile::V3(chunks) => read_chunks(chunks),
+    pub fn into_trace(mut self) -> io::Result<Trace> {
+        let capacity = self.declared_records().min(MAX_PREALLOC) as usize;
+        let mut records = Vec::with_capacity(capacity);
+        while self.read_chunk(&mut records)? > 0 {}
+        Ok(records.into_iter().collect())
+    }
+}
+
+/// Appends the records of the next chunk that holds any to `out`; 0 at
+/// the end.
+fn read_decoded<C: TraceChunk, R: Read>(
+    chunks: &mut ChunkReader<C, R>,
+    out: &mut Vec<TraceRecord>,
+) -> io::Result<usize> {
+    for chunk in chunks {
+        let records = chunk?.decode()?;
+        if !records.is_empty() {
+            out.extend_from_slice(&records);
+            return Ok(records.len());
         }
     }
+    Ok(0)
 }
 
 impl TraceFile<BufReader<File>> {
@@ -1075,15 +1111,6 @@ impl<C: TraceChunk, R: Read> Iterator for ChunkReader<C, R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_frame().map(|frame| frame.map(C::from_frame))
     }
-}
-
-/// Decodes every chunk into one trace, failing on the first bad one.
-fn read_chunks<C: TraceChunk, R: Read>(chunks: ChunkReader<C, R>) -> io::Result<Trace> {
-    let mut trace = Trace::with_capacity(chunks.declared_records().min(MAX_PREALLOC) as usize);
-    for chunk in chunks {
-        trace.extend(chunk?.decode()?);
-    }
-    Ok(trace)
 }
 
 /// A chunk (or tail) that [`salvage_trace`] could not recover.

@@ -4,7 +4,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-use crate::record::Trace;
+use crate::record::{Trace, TraceRecord};
 
 /// Summary statistics of one trace, as reported in the repository's
 /// Table 1 analogue: size, static footprint, and the fractions of the
@@ -31,25 +31,46 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics over `trace`.
+    /// Computes statistics over `trace`: a [`TraceStatsFold`] over its
+    /// records as one slice.
     pub fn measure(trace: &Trace) -> TraceStats {
-        struct PcState {
-            last: u64,
-            stride: u64,
-            /// Values this PC has produced so far.
-            count: usize,
-            /// This PC's last `REUSE_WINDOW` values as a ring: each value
-            /// overwrites the oldest one. The reuse test asks only whether
-            /// a value is among them, so their order does not matter.
-            recent: [u64; REUSE_WINDOW],
-        }
-        let mut per_pc: HashMap<u64, PcState, PcHashBuilder> =
-            HashMap::with_hasher(PcHashBuilder::new());
-        let mut lv_hits = 0usize;
-        let mut stride_hits = 0usize;
-        let mut reuse_hits = 0usize;
-        for r in trace {
-            let state = per_pc.entry(r.pc).or_insert_with(|| PcState {
+        let mut fold = TraceStatsFold::default();
+        fold.add(trace.records());
+        fold.finish()
+    }
+}
+
+/// [`TraceStats`] folded over a trace's records in consecutive slices,
+/// such as the chunks of a file, so that no more than a slice is held at
+/// a time. Every split of one trace gives the same statistics: the state
+/// is per PC.
+#[derive(Debug, Default)]
+pub struct TraceStatsFold {
+    per_pc: HashMap<u64, PcState, PcHashBuilder>,
+    records: usize,
+    lv_hits: usize,
+    stride_hits: usize,
+    reuse_hits: usize,
+}
+
+#[derive(Debug)]
+struct PcState {
+    last: u64,
+    stride: u64,
+    /// Values this PC has produced so far.
+    count: usize,
+    /// This PC's last `REUSE_WINDOW` values as a ring: each value
+    /// overwrites the oldest one. The reuse test asks only whether a
+    /// value is among them, so their order does not matter.
+    recent: [u64; REUSE_WINDOW],
+}
+
+impl TraceStatsFold {
+    /// Folds the next records of the trace in.
+    pub fn add(&mut self, records: &[TraceRecord]) {
+        let (mut lv_hits, mut stride_hits, mut reuse_hits) = (0, 0, 0);
+        for r in records {
+            let state = self.per_pc.entry(r.pc).or_insert_with(|| PcState {
                 last: 0,
                 stride: 0,
                 count: 0,
@@ -69,13 +90,21 @@ impl TraceStats {
             state.recent[state.count % REUSE_WINDOW] = r.value;
             state.count += 1;
         }
-        let n = trace.len().max(1);
+        self.records += records.len();
+        self.lv_hits += lv_hits;
+        self.stride_hits += stride_hits;
+        self.reuse_hits += reuse_hits;
+    }
+
+    /// The statistics of the records folded in so far.
+    pub fn finish(&self) -> TraceStats {
+        let n = self.records.max(1) as f64;
         TraceStats {
-            records: trace.len(),
-            static_instructions: per_pc.len(),
-            last_value_fraction: lv_hits as f64 / n as f64,
-            stride_fraction: stride_hits as f64 / n as f64,
-            reuse_fraction: reuse_hits as f64 / n as f64,
+            records: self.records,
+            static_instructions: self.per_pc.len(),
+            last_value_fraction: self.lv_hits as f64 / n,
+            stride_fraction: self.stride_hits as f64 / n,
+            reuse_fraction: self.reuse_hits as f64 / n,
         }
     }
 }
@@ -86,10 +115,11 @@ const REUSE_WINDOW: usize = 64;
 /// Builds [`PcHasher`]s that share one key, drawn from the standard
 /// library's per-process random hash keys so that a crafted trace file
 /// cannot aim its PCs at one bucket.
+#[derive(Debug)]
 struct PcHashBuilder(u64);
 
-impl PcHashBuilder {
-    fn new() -> PcHashBuilder {
+impl Default for PcHashBuilder {
+    fn default() -> PcHashBuilder {
         PcHashBuilder(RandomState::new().hash_one(0u64))
     }
 }
@@ -131,7 +161,6 @@ impl Hasher for PcHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
     use proptest::prelude::*;
 
     /// The straightforward form [`TraceStats::measure`] must match: a
@@ -185,13 +214,15 @@ mod tests {
     proptest! {
         /// The ring window and PC hasher against the naive form, on
         /// traces where many PCs each produce well over 64 values drawn
-        /// from a small alphabet, so values leave the window and return.
+        /// from a small alphabet, so values leave the window and return;
+        /// folded in slices cut at random, the trace measures the same.
         #[test]
         fn measure_agrees_with_naive_reference(
             pcs in 1u64..300,
             records in 0usize..40_000,
             alphabet in 1u64..160,
             seed in any::<u64>(),
+            cuts in prop::collection::vec(0usize..40_000, 0..6),
         ) {
             let mut rng = crate::rng::SplitMix64::new(seed);
             let trace: Trace = (0..records)
@@ -205,7 +236,17 @@ mod tests {
                     TraceRecord::new(pc, value)
                 })
                 .collect();
-            prop_assert_eq!(TraceStats::measure(&trace), measure_naive(&trace));
+            let naive = measure_naive(&trace);
+            prop_assert_eq!(TraceStats::measure(&trace), naive);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(records)).collect();
+            cuts.push(0);
+            cuts.push(records);
+            cuts.sort_unstable();
+            let mut fold = TraceStatsFold::default();
+            for slice in cuts.windows(2) {
+                fold.add(&trace.records()[slice[0]..slice[1]]);
+            }
+            prop_assert_eq!(fold.finish(), naive);
         }
     }
 

@@ -2,7 +2,9 @@
 //! definitions (`support/oracle.rs`): every record's prediction must
 //! match, for each of the five predictors, on random aliasing-heavy
 //! traces and on the standard suite, and after a lane's `state_words`
-//! are restored into a fresh lane mid-trace.
+//! are restored into a fresh lane mid-trace. `AliasAnalyzer` must put
+//! every record in the class, and judge it right or wrong, as the
+//! model's §4.2 taxonomy does.
 //!
 //! Raise `PROPTEST_CASES` for a heavier run (CI runs this file in release
 //! with more cases).
@@ -11,10 +13,10 @@
 mod oracle;
 
 use dfcm_suite::predictors;
-use dfcm_suite::predictors::ValuePredictor;
+use dfcm_suite::predictors::{AnalyzedKind, ValuePredictor};
 use dfcm_suite::sim::StreamPredictor;
 use dfcm_suite::trace::suite::standard_traces;
-use oracle::{Model, Oracle};
+use oracle::{Model, Oracle, Taxonomy};
 use proptest::prelude::*;
 
 /// Tiny tables, so level-1 and level-2 entries alias constantly; every
@@ -141,6 +143,28 @@ const LANES: [(&str, Model); 7] = [
     ),
 ];
 
+/// Runs the taxonomy of `kind` at `l1`/`l2` under FS R-`k` and the
+/// production analyzer side by side over `records` and fails at the
+/// first record whose class or correctness differs.
+fn assert_classifies(
+    kind: AnalyzedKind,
+    (l1, l2, k): (u32, u32, u32),
+    records: impl IntoIterator<Item = (u64, u64)>,
+    what: &str,
+) {
+    let mut naive = Taxonomy::new(kind, l1, l2, k);
+    let mut production = naive.production();
+    for (i, (pc, value)) in records.into_iter().enumerate() {
+        assert_eq!(
+            production.access(pc, value),
+            naive.access(pc, value),
+            "{kind:?} {l1}/{l2} FS R-{k} on {what}, record {i} (pc {pc:#x}, value {value:#x})"
+        );
+    }
+}
+
+const KINDS: [AnalyzedKind; 2] = [AnalyzedKind::Fcm, AnalyzedKind::Dfcm];
+
 proptest! {
     #[test]
     fn every_model_agrees_with_production_on_random_traces(records in arb_records()) {
@@ -174,6 +198,39 @@ proptest! {
                     restored.access(pc, value).predicted,
                     want,
                     "{spec} restored after record {split}, record {i} (pc {pc:#x}, value {value:#x})"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Tiny tables, so every class occurs: one to 16 level-1 entries for
+    /// 24 PCs, and histories of order 1, 2 and 3.
+    #[test]
+    fn taxonomy_agrees_with_the_analyzer_on_random_traces(records in arb_records()) {
+        for kind in KINDS {
+            for l1 in [0, 3, 4] {
+                for l2 in [4, 6, 11] {
+                    assert_classifies(kind, (l1, l2, 5), records.iter().copied(), "a random trace");
+                }
+            }
+        }
+    }
+}
+
+/// The figures' geometry (2^12/2^12, order 3), a larger one (order 4)
+/// and FS R-1 at 2^20, whose order of 20 is past any fixed small bound.
+#[test]
+fn taxonomy_agrees_with_the_analyzer_on_the_standard_suite() {
+    for bench in standard_traces(0x0AC1E, 0.01) {
+        for kind in KINDS {
+            for geometry in [(12, 12, 5), (16, 16, 5), (10, 20, 1)] {
+                assert_classifies(
+                    kind,
+                    geometry,
+                    bench.trace.iter().map(|r| (r.pc, r.value)),
+                    bench.name,
                 );
             }
         }

@@ -1,21 +1,22 @@
 //! A deliberately naive model of the paper's five predictors, written
 //! from their definitions (§2–§3) as the reference the production tables
-//! and the engine are checked against.
+//! and the engine are checked against, and of §4.2's aliasing taxonomy
+//! ([`Taxonomy`]), the reference for `AliasAnalyzer`.
 //!
 //! It shares no code with the production predictors. Every level-1 entry
 //! keeps its history as an explicit queue of the last `order` values
-//! (FCM) or differences (DFCM), and every access recomputes the FS R-5
+//! (FCM) or differences (DFCM), and every access recomputes the FS R-k
 //! level-2 index from that whole queue: no incremental hash, no fused
 //! access, no packed tables and no statistics.
 //!
 //! A test crate includes this file with `#[path]` and names the
 //! production crate `predictors` at its root, for [`Model::production`].
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use crate::predictors::{
-    DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor, StrideWidth,
-    TwoDeltaStridePredictor, ValuePredictor,
+    AliasAnalyzer, AliasClass, AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction,
+    LastValuePredictor, StridePredictor, StrideWidth, TwoDeltaStridePredictor, ValuePredictor,
 };
 
 /// A predictor and its geometry; table sizes are log2 entry counts.
@@ -141,14 +142,14 @@ impl Oracle {
                 predicted
             }
             Model::Fcm { l2, .. } => {
-                let slot = fs_r5(&entry.history, l2);
+                let slot = fs_rk(entry.history.iter().copied(), l2, 5);
                 let predicted = self.level2[slot];
                 self.level2[slot] = actual;
                 remember(&mut entry.history, actual, l2);
                 predicted
             }
             Model::Dfcm { l2, width, .. } => {
-                let slot = fs_r5(&entry.history, l2);
+                let slot = fs_rk(entry.history.iter().copied(), l2, 5);
                 let predicted = entry.last.wrapping_add(widen(self.level2[slot], width));
                 let difference = actual.wrapping_sub(entry.last);
                 self.level2[slot] = narrow(difference, width);
@@ -160,14 +161,15 @@ impl Oracle {
     }
 }
 
-/// Sazeides' FS R-5 hash of a history into a `bits`-bit level-2 index:
-/// every value is XOR-folded to `bits` bits and shifted left by five
-/// positions per step of age (the newest by none), and the shifted
-/// values are XORed together.
-fn fs_r5(history: &VecDeque<u64>, bits: u32) -> usize {
+/// Sazeides' FS R-k hash of a history, newest value first, into a
+/// `bits`-bit level-2 index: every value is XOR-folded to `bits` bits and
+/// shifted left by `k` positions per step of age (the newest by none),
+/// and the shifted values are XORed together. The paper's FS R-5 is
+/// `k = 5`.
+fn fs_rk(newest_first: impl IntoIterator<Item = u64>, bits: u32, k: u32) -> usize {
     let mut index = 0;
-    for (age, &value) in history.iter().enumerate() {
-        index ^= fold(value, bits) << (5 * age);
+    for (age, value) in (0..).zip(newest_first) {
+        index ^= fold(value, bits) << (k * age);
     }
     (index % (1 << bits)) as usize
 }
@@ -203,5 +205,131 @@ fn widen(stored: u64, width: Option<u32>) -> u64 {
     match width {
         Some(n) if n < 64 && stored >= 1 << (n - 1) => stored.wrapping_sub(1 << n),
         _ => stored,
+    }
+}
+
+/// §4.2's aliasing taxonomy of an FCM or DFCM whose level-2 index is the
+/// FS R-k hash of the last ⌈`l2`/k⌉ history elements, kept as the section
+/// describes it. Each level-1 entry keeps the (pc, element) pairs of its
+/// history, each level-2 entry the complete history and the PC of its
+/// last write, and each level-1 entry a private level-2 table of its own.
+/// A prediction falls in the first class whose rule holds:
+///
+/// 1. `l1`: an element of the history came from another instruction;
+/// 2. `hash`: the level-2 entry was written under a different complete
+///    history;
+/// 3. `l2_priv`: the level-1 entry's private table holds a different
+///    element for this index than the shared table;
+/// 4. `l2_pc`: another instruction wrote the level-2 entry last;
+/// 5. `none` otherwise.
+///
+/// Rules 2–4 need something recorded: a level-2 entry never written, or
+/// a private table that has not seen the index, fails none of them.
+#[derive(Debug, Clone)]
+pub struct Taxonomy {
+    kind: AnalyzedKind,
+    l1: u32,
+    l2: u32,
+    k: u32,
+    order: usize,
+    level1: Vec<Source>,
+    level2: Vec<Shared>,
+    private: Vec<HashMap<usize, u64>>,
+}
+
+/// A level-1 entry: the last value and, newest first, the last `order`
+/// history elements with the instruction that produced each.
+#[derive(Debug, Clone, Default)]
+struct Source {
+    last: u64,
+    history: VecDeque<(u64, u64)>,
+}
+
+/// A level-2 entry: its element, and the complete history (newest first)
+/// and PC of its last write.
+#[derive(Debug, Clone, Default)]
+struct Shared {
+    element: u64,
+    writer: Option<(Vec<u64>, u64)>,
+}
+
+impl Taxonomy {
+    /// Cold tables of `2^l1` and `2^l2` entries, hashed by FS R-`k`.
+    pub fn new(kind: AnalyzedKind, l1: u32, l2: u32, k: u32) -> Taxonomy {
+        Taxonomy {
+            kind,
+            l1,
+            l2,
+            k,
+            order: l2.div_ceil(k) as usize,
+            level1: vec![Source::default(); 1 << l1],
+            level2: vec![Shared::default(); 1 << l2],
+            private: vec![HashMap::new(); 1 << l1],
+        }
+    }
+
+    /// The production analyzer of this geometry.
+    pub fn production(&self) -> AliasAnalyzer {
+        let hash = match self.k {
+            5 => HashFunction::FsR5,
+            k => HashFunction::FsShift { shift: k as u8 },
+        };
+        AliasAnalyzer::with_hash(self.kind, self.l1, self.l2, hash).expect("valid geometry")
+    }
+
+    /// Predicts the value of the instruction at `pc`, classifies the
+    /// prediction, then learns that it was `actual`. Returns the class
+    /// and whether the prediction was right.
+    pub fn access(&mut self, pc: u64, actual: u64) -> (AliasClass, bool) {
+        let entry = (pc / 4) % self.level1.len() as u64;
+        let source = &mut self.level1[entry as usize];
+        let private = &mut self.private[entry as usize];
+        let history: Vec<u64> = source.history.iter().map(|&(_, element)| element).collect();
+        let index = fs_rk(history.iter().copied(), self.l2, self.k);
+        let shared = &mut self.level2[index];
+        let differences = self.kind == AnalyzedKind::Dfcm;
+        let predicted = if differences {
+            source.last.wrapping_add(shared.element)
+        } else {
+            shared.element
+        };
+
+        let class = if source.history.iter().any(|&(producer, _)| producer != pc) {
+            AliasClass::L1
+        } else if shared
+            .writer
+            .as_ref()
+            .is_some_and(|(written_under, _)| *written_under != history)
+        {
+            AliasClass::Hash
+        } else if private
+            .get(&index)
+            .is_some_and(|&own| own != shared.element)
+        {
+            AliasClass::L2Priv
+        } else if shared
+            .writer
+            .as_ref()
+            .is_some_and(|&(_, writer)| writer != pc)
+        {
+            AliasClass::L2Pc
+        } else {
+            AliasClass::NoAlias
+        };
+
+        let element = if differences {
+            actual.wrapping_sub(source.last)
+        } else {
+            actual
+        };
+        *shared = Shared {
+            element,
+            writer: Some((history, pc)),
+        };
+        private.insert(index, element);
+        source.history.push_front((pc, element));
+        source.history.truncate(self.order);
+        source.last = actual;
+        (class, predicted == actual)
     }
 }
