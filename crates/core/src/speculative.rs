@@ -53,7 +53,14 @@ pub struct SpeculativeDfcm {
     arch_last: Vec<u64>,
     arch_hist: Vec<u64>,
     l2: Vec<u64>,
+    /// Predictions not yet resolved, oldest first. The front one is the
+    /// `resolved`-th prediction made, counting from 0.
     in_flight: VecDeque<InFlight>,
+    resolved: u64,
+    /// Per level-1 entry, 1 + the number of the youngest prediction that
+    /// read it, or 0 if none did. It is in flight while that number is at
+    /// least `resolved`.
+    youngest: Vec<u64>,
     l1_mask: usize,
     l1_bits: u32,
     l2_bits: u32,
@@ -67,6 +74,9 @@ struct InFlight {
     i1: usize,
     predicted: u64,
     actual: u64,
+    /// 1 + the number of the next younger prediction of the same level-1
+    /// entry, or 0 until one is made.
+    next: u64,
 }
 
 /// Builder for [`SpeculativeDfcm`].
@@ -132,6 +142,8 @@ impl SpeculativeDfcmBuilder {
             arch_hist: vec![0; l1],
             l2: vec![0; 1 << self.l2_bits],
             in_flight: VecDeque::with_capacity(self.delay + 1),
+            resolved: 0,
+            youngest: vec![0; l1],
             l1_mask: l1 - 1,
             l1_bits: self.l1_bits,
             l2_bits: self.l2_bits,
@@ -161,6 +173,7 @@ impl SpeculativeDfcm {
         let Some(f) = self.in_flight.pop_front() else {
             return;
         };
+        self.resolved += 1;
         // Train along the architectural (resolved) stream — the entry the
         // prediction read equals arch_hist whenever speculation was right.
         let i1 = f.i1;
@@ -175,15 +188,17 @@ impl SpeculativeDfcm {
             // level-1 state from the architectural copy, then re-predict
             // through the still-in-flight younger occurrences of the same
             // entry — the analogue of re-fetching and re-predicting the
-            // squashed instructions with repaired tables.
+            // squashed instructions with repaired tables. Those are the
+            // chain of `next` links from `f`, oldest first, so the repair
+            // takes one step per same-entry prediction in flight.
             let mut hist = self.arch_hist[i1];
             let mut last = self.arch_last[i1];
-            for younger in &self.in_flight {
-                if younger.i1 == i1 {
-                    let diff = self.l2[hist as usize];
-                    hist = self.hash.fold_update(hist, diff, self.l2_bits);
-                    last = last.wrapping_add(diff);
-                }
+            let mut next = f.next;
+            while next != 0 {
+                let diff = self.l2[hist as usize];
+                hist = self.hash.fold_update(hist, diff, self.l2_bits);
+                last = last.wrapping_add(diff);
+                next = self.in_flight[(next - 1 - self.resolved) as usize].next;
             }
             self.hist[i1] = hist;
             self.last[i1] = last;
@@ -214,10 +229,19 @@ impl ValuePredictor for SpeculativeDfcm {
             .hash
             .fold_update(hist_before, predicted_diff, self.l2_bits);
         self.last[i1] = predicted;
+        // Link the entry's youngest prediction in flight, if any, to this
+        // one.
+        let number = self.resolved + self.in_flight.len() as u64;
+        let youngest = self.youngest[i1];
+        if youngest > self.resolved {
+            self.in_flight[(youngest - 1 - self.resolved) as usize].next = number + 1;
+        }
+        self.youngest[i1] = number + 1;
         self.in_flight.push_back(InFlight {
             i1,
             predicted,
             actual,
+            next: 0,
         });
         if self.in_flight.len() > self.delay {
             self.resolve_oldest();
@@ -256,6 +280,123 @@ mod tests {
     use super::*;
     use crate::delayed::DelayedUpdate;
     use crate::dfcm::DfcmPredictor;
+    use proptest::prelude::*;
+
+    /// The repair [`SpeculativeDfcm`] must match: on a misprediction it
+    /// scans the whole in-flight queue for younger predictions of the
+    /// same level-1 entry.
+    #[derive(Debug, Clone)]
+    struct NaiveSpeculativeDfcm {
+        last: Vec<u64>,
+        hist: Vec<u64>,
+        arch_last: Vec<u64>,
+        arch_hist: Vec<u64>,
+        l2: Vec<u64>,
+        /// `(level-1 index, predicted, actual)`, oldest first.
+        in_flight: VecDeque<(usize, u64, u64)>,
+        l1_mask: usize,
+        l2_bits: u32,
+        delay: usize,
+    }
+
+    impl NaiveSpeculativeDfcm {
+        fn new(l1_bits: u32, l2_bits: u32, delay: usize) -> Self {
+            let l1 = 1usize << l1_bits;
+            NaiveSpeculativeDfcm {
+                last: vec![0; l1],
+                hist: vec![0; l1],
+                arch_last: vec![0; l1],
+                arch_hist: vec![0; l1],
+                l2: vec![0; 1 << l2_bits],
+                in_flight: VecDeque::new(),
+                l1_mask: l1 - 1,
+                l2_bits,
+                delay,
+            }
+        }
+
+        fn fold(&self, hist: u64, diff: u64) -> u64 {
+            HashFunction::FsR5.fold_update(hist, diff, self.l2_bits)
+        }
+
+        fn resolve_oldest(&mut self) {
+            let Some((i1, predicted, actual)) = self.in_flight.pop_front() else {
+                return;
+            };
+            let actual_diff = actual.wrapping_sub(self.arch_last[i1]);
+            self.l2[self.arch_hist[i1] as usize] = actual_diff;
+            self.arch_hist[i1] = self.fold(self.arch_hist[i1], actual_diff);
+            self.arch_last[i1] = actual;
+            if predicted != actual {
+                let mut hist = self.arch_hist[i1];
+                let mut last = self.arch_last[i1];
+                for &(younger, _, _) in &self.in_flight {
+                    if younger == i1 {
+                        let diff = self.l2[hist as usize];
+                        hist = self.fold(hist, diff);
+                        last = last.wrapping_add(diff);
+                    }
+                }
+                self.hist[i1] = hist;
+                self.last[i1] = last;
+            }
+        }
+
+        fn access(&mut self, pc: u64, actual: u64) -> u64 {
+            let i1 = crate::predictor::pc_index(pc, self.l1_mask);
+            let diff = self.l2[self.hist[i1] as usize];
+            let predicted = self.last[i1].wrapping_add(diff);
+            self.hist[i1] = self.fold(self.hist[i1], diff);
+            self.last[i1] = predicted;
+            self.in_flight.push_back((i1, predicted, actual));
+            if self.in_flight.len() > self.delay {
+                self.resolve_oldest();
+            }
+            predicted
+        }
+
+        fn drain(&mut self) {
+            while !self.in_flight.is_empty() {
+                self.resolve_oldest();
+            }
+        }
+    }
+
+    proptest! {
+        /// The chained repair against the naive scan, record by record:
+        /// every `access` outcome, then every table after `drain`. Tiny
+        /// level-1 tables make entries collide, and a small alphabet
+        /// mixes steady strides with mispredictions.
+        #[test]
+        fn chained_repair_matches_the_naive_scan(
+            delay in 0usize..5,
+            l1_bits in 0u32..3,
+            l2_bits in 1u32..8,
+            records in prop::collection::vec((0u64..8, any::<u64>(), any::<bool>()), 0..1500),
+        ) {
+            let delay = [0, 1, 2, 16, 512][delay];
+            let l1_bits = 2 * l1_bits;
+            let mut chained = SpeculativeDfcm::builder()
+                .l1_bits(l1_bits)
+                .l2_bits(l2_bits)
+                .delay(delay)
+                .build()
+                .unwrap();
+            let mut naive = NaiveSpeculativeDfcm::new(l1_bits, l2_bits, delay);
+            for (i, &(pc, draw, stride)) in records.iter().enumerate() {
+                let value = if stride { 3 * i as u64 + pc } else { draw % 5 };
+                let outcome = chained.access(4 * pc, value);
+                prop_assert_eq!(outcome.predicted, naive.access(4 * pc, value), "record {}", i);
+            }
+            chained.drain();
+            naive.drain();
+            prop_assert_eq!(&chained.last, &naive.last);
+            prop_assert_eq!(&chained.hist, &naive.hist);
+            prop_assert_eq!(&chained.arch_last, &naive.arch_last);
+            prop_assert_eq!(&chained.arch_hist, &naive.arch_hist);
+            prop_assert_eq!(&chained.l2, &naive.l2);
+        }
+    }
 
     fn spec(delay: usize) -> SpeculativeDfcm {
         SpeculativeDfcm::builder()

@@ -455,6 +455,14 @@ impl LaneSeries {
         &self.spec
     }
 
+    /// A copy of the lane under the spec label `spec`.
+    pub fn relabeled(&self, spec: &str) -> LaneSeries {
+        LaneSeries {
+            spec: spec.to_owned(),
+            ..self.clone()
+        }
+    }
+
     /// The windowed series.
     pub fn series(&self) -> &WindowSeries {
         &self.series

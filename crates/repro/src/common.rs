@@ -1,15 +1,20 @@
 //! Shared options and helpers for the reproduction experiments.
 
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use dfcm::ValuePredictor;
+use dfcm::{AliasBreakdown, AnalyzedKind, ValuePredictor};
+use dfcm_obs::timeseries::LaneSeries;
 use dfcm_sim::checkpoint::{decode_rows, encode_rows};
 use dfcm_sim::engine::{TaskError, TaskOutput};
-use dfcm_sim::{run_tasks_resumable, sweep_engine_ft, EngineConfig, EngineReport, SweepPoint};
+use dfcm_sim::{
+    run_tasks_resumable, sweep_engine_ft, BenchmarkResult, EngineConfig, EngineReport, RunStats,
+    StreamPredictor, SuiteResult, SweepPoint,
+};
 use dfcm_trace::suite::{standard_suite, standard_traces};
 use dfcm_trace::{salvage_trace, BenchmarkTrace, Trace};
 
@@ -45,17 +50,41 @@ pub struct Options {
     /// Directory the observability exports are written to at the end of
     /// the run (`--obs DIR`).
     pub obs_dir: Option<PathBuf>,
-    /// The suite [`Options::traces`] last produced. Not a setting: it is
-    /// public only so that `..Options::default()` literals compile.
+    /// The suite [`Options::traces`] last produced and what the run
+    /// evaluated on it. Not a setting: it is public only so that
+    /// `..Options::default()` literals compile.
     pub suite: SuiteMemo,
 }
 
-/// The memo behind [`Options::traces`]: the suite it last generated or
-/// loaded, and the options that produced it.
+/// The memo behind [`Options::traces`] and [`Experiment::lanes`]: the
+/// suite it last generated or loaded, the options that produced it, and
+/// what the run evaluated on that suite — the [`RunStats`] of each
+/// (canonical spec, benchmark) pair and one §4.2 alias pass per analyzed
+/// kind. All of it is dropped together when `seed`, `scale`,
+/// `trace_dir` or `strict` change, so no result crosses suites.
 ///
-/// A clone starts out holding the same suite.
+/// A clone starts out holding the same suite and results.
 #[derive(Default)]
-pub struct SuiteMemo(Mutex<Option<(SuiteKey, Arc<[BenchmarkTrace]>)>>);
+pub struct SuiteMemo(Mutex<Option<Suite>>);
+
+/// One suite and what the run evaluated on it.
+#[derive(Clone)]
+struct Suite {
+    key: SuiteKey,
+    traces: Arc<[BenchmarkTrace]>,
+    /// Each canonical spec's stats, one slot per benchmark in suite
+    /// order; `None` where its task failed.
+    stats: HashMap<String, Vec<Option<RunStats>>>,
+    alias: HashMap<AnalyzedKind, Arc<AliasPass>>,
+}
+
+/// One §4.2 alias pass over the suite (Figures 12–14): each benchmark's
+/// breakdown in suite order and, if the pass ran under `--obs`, its
+/// phase series.
+pub(crate) struct AliasPass {
+    pub(crate) per_bench: Vec<(&'static str, AliasBreakdown)>,
+    pub(crate) series: Option<LaneSeries>,
+}
 
 /// The options a suite depends on.
 #[derive(Clone, PartialEq)]
@@ -67,29 +96,45 @@ struct SuiteKey {
 }
 
 impl SuiteMemo {
+    fn lock(&self) -> MutexGuard<'_, Option<Suite>> {
+        self.0.lock().expect("a suite load panicked")
+    }
+
     /// The memoized suite if it was made under `key`, else the result of
-    /// `load`, which then replaces the memo.
+    /// `load`, which then replaces the memo and every result in it.
     fn get_or_load(
         &self,
         key: SuiteKey,
         load: impl FnOnce() -> Result<Vec<BenchmarkTrace>, String>,
     ) -> Result<Arc<[BenchmarkTrace]>, String> {
-        let mut slot = self.0.lock().expect("a suite load panicked");
-        if let Some((made_under, suite)) = &*slot {
-            if *made_under == key {
-                return Ok(Arc::clone(suite));
+        let mut slot = self.lock();
+        if let Some(suite) = &*slot {
+            if suite.key == key {
+                return Ok(Arc::clone(&suite.traces));
             }
         }
-        let suite: Arc<[BenchmarkTrace]> = load()?.into();
-        *slot = Some((key, Arc::clone(&suite)));
-        Ok(suite)
+        let traces: Arc<[BenchmarkTrace]> = load()?.into();
+        *slot = Some(Suite {
+            key,
+            traces: Arc::clone(&traces),
+            stats: HashMap::new(),
+            alias: HashMap::new(),
+        });
+        Ok(traces)
+    }
+
+    /// `f` of the memoized suite, if it was made under `key`.
+    fn with<R>(&self, key: &SuiteKey, f: impl FnOnce(&mut Suite) -> R) -> Option<R> {
+        self.lock()
+            .as_mut()
+            .filter(|suite| suite.key == *key)
+            .map(f)
     }
 }
 
 impl Clone for SuiteMemo {
     fn clone(&self) -> Self {
-        let slot = self.0.lock().expect("a suite load panicked");
-        SuiteMemo(Mutex::new(slot.clone()))
+        SuiteMemo(Mutex::new(self.lock().clone()))
     }
 }
 
@@ -135,15 +180,44 @@ impl Options {
     /// the repro binaries treat unusable input as fatal rather than
     /// silently publishing tables from truncated traces.
     pub fn traces(&self) -> Arc<[BenchmarkTrace]> {
-        let key = SuiteKey {
+        self.suite
+            .get_or_load(self.memo_key(), || self.load_traces())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn memo_key(&self) -> SuiteKey {
+        SuiteKey {
             seed: self.seed,
             scale: self.scale,
             trace_dir: self.trace_dir.clone(),
             strict: self.strict,
-        };
-        self.suite
-            .get_or_load(key, || self.load_traces())
-            .unwrap_or_else(|e| panic!("{e}"))
+        }
+    }
+
+    /// The run's §4.2 alias pass of `kind` over the suite: what `analyze`
+    /// returns on the first call for this suite, memoized for later
+    /// calls. Under `--obs`, a memoized pass that kept no series runs
+    /// again.
+    pub(crate) fn alias_pass(
+        &self,
+        kind: AnalyzedKind,
+        analyze: impl FnOnce(&[BenchmarkTrace]) -> AliasPass,
+    ) -> Arc<AliasPass> {
+        let traces = self.traces();
+        let key = self.memo_key();
+        let memoized = self
+            .suite
+            .with(&key, |suite| suite.alias.get(&kind).cloned());
+        if let Some(pass) = memoized.flatten() {
+            if pass.series.is_some() || !self.obs.is_enabled() {
+                return pass;
+            }
+        }
+        let pass = Arc::new(analyze(&traces));
+        self.suite.with(&key, |suite| {
+            suite.alias.insert(kind, Arc::clone(&pass));
+        });
+        pass
     }
 
     /// Fallible, uncached form of [`Options::traces`]: every call
@@ -295,6 +369,18 @@ pub struct Experiment<'a> {
     report: EngineReport,
 }
 
+/// A canonical spec as an engine configuration. Its `Debug` form, which
+/// labels its tasks in checkpoints and metrics (`fcm:16:12/cc1`), is the
+/// spec itself.
+#[derive(Clone)]
+struct Canonical(String);
+
+impl Debug for Canonical {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 impl Experiment<'_> {
     /// Evaluates `configs` over `traces`, a fresh predictor per
     /// (configuration, benchmark) pair.
@@ -325,6 +411,111 @@ impl Experiment<'_> {
         .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.name));
         self.record(report);
         points
+    }
+
+    /// Evaluates, over the run's suite, the lane that each
+    /// configuration's `spec` parses to ([`StreamPredictor::parse_spec`]),
+    /// keyed by the lane's canonical [`spec`](StreamPredictor::spec).
+    ///
+    /// Each (canonical spec, benchmark) pair runs once per suite: the
+    /// pairs the run's memo holds, from this experiment or an earlier
+    /// one, are not run again, and two spellings of one spec share one
+    /// evaluation. A spec the memo lacks on any benchmark runs as one
+    /// engine task per benchmark, a fresh lane each, checkpointed as
+    /// batch `batch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec does not parse or the checkpoint cannot be
+    /// opened.
+    pub fn lanes<C: Clone>(
+        &mut self,
+        batch: &str,
+        configs: &[C],
+        spec: impl Fn(&C) -> String,
+    ) -> Vec<SweepPoint<C>> {
+        let opts = self.opts;
+        let traces = opts.traces();
+        let key = opts.memo_key();
+        // Each configuration's canonical spec, and its result without
+        // benchmarks yet.
+        let lanes: Vec<(String, SuiteResult)> = configs
+            .iter()
+            .map(|c| {
+                let lane = StreamPredictor::parse_spec(&spec(c))
+                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let result = SuiteResult {
+                    predictor: lane.name(),
+                    kbits: lane.storage().kbits(),
+                    benchmarks: Vec::new(),
+                };
+                (lane.spec(), result)
+            })
+            .collect();
+        let mut known: HashMap<String, Vec<Option<RunStats>>> = opts
+            .suite
+            .with(&key, |suite| {
+                lanes
+                    .iter()
+                    .filter_map(|(s, _)| Some((s.clone(), suite.stats.get(s)?.clone())))
+                    .collect()
+            })
+            .unwrap_or_default();
+        let mut missing: Vec<Canonical> = Vec::new();
+        for (s, _) in &lanes {
+            let complete = known
+                .get(s)
+                .is_some_and(|slots| slots.iter().all(Option::is_some));
+            if !complete && !missing.iter().any(|m| m.0 == *s) {
+                missing.push(Canonical(s.clone()));
+            }
+        }
+        if !missing.is_empty() {
+            let checkpoint = self.checkpoint(batch);
+            let (points, report) = sweep_engine_ft(
+                &missing,
+                |c| StreamPredictor::parse_spec(&c.0).expect("a canonical spec parses"),
+                &traces,
+                &self.engine,
+                checkpoint.as_deref(),
+            )
+            .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.name));
+            self.record(report);
+            for point in points {
+                let slots = known
+                    .entry(point.config.0)
+                    .or_insert_with(|| vec![None; traces.len()]);
+                for b in point.result.benchmarks {
+                    let at = traces.iter().position(|t| t.name == b.name);
+                    slots[at.expect("a suite benchmark")] = Some(b.stats);
+                }
+            }
+            opts.suite.with(&key, |suite| {
+                for m in &missing {
+                    suite.stats.insert(m.0.clone(), known[&m.0].clone());
+                }
+            });
+        }
+        configs
+            .iter()
+            .zip(lanes)
+            .map(|(config, (spec, mut result))| {
+                result.benchmarks = traces
+                    .iter()
+                    .zip(&known[&spec])
+                    .filter_map(|(t, stats)| {
+                        Some(BenchmarkResult {
+                            name: t.name,
+                            stats: (*stats)?,
+                        })
+                    })
+                    .collect();
+                SweepPoint {
+                    config: config.clone(),
+                    result,
+                }
+            })
+            .collect()
     }
 
     /// Computes one table row per label, `row_for(index)` each, in label

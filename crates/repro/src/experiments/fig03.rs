@@ -8,7 +8,6 @@
 //! budgets, but needs huge level-2 tables; accuracy still improves from
 //! 2^18 to 2^20 entries.
 
-use dfcm::{FcmPredictor, LastValuePredictor, StridePredictor};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
 
 use crate::common::{banner, Options};
@@ -19,17 +18,12 @@ pub fn run(opts: &Options) {
         "Figure 3: LVP / stride / FCM accuracy vs size",
         "Each FCM curve fixes the level-1 size and sweeps the level-2 size.",
     );
-    let traces = opts.traces();
     let mut run = opts.experiment("fig03");
     let mut table = TextTable::new(vec!["predictor", "l1", "l2", "kbit", "accuracy"]);
 
     let entry_sweep: Vec<u32> = (6..=16).step_by(2).collect();
-    let lvp = run.sweep("lvp", &traces, &entry_sweep, |&bits| {
-        LastValuePredictor::new(bits)
-    });
-    let stride = run.sweep("stride", &traces, &entry_sweep, |&bits| {
-        StridePredictor::new(bits)
-    });
+    let lvp = run.lanes("lvp", &entry_sweep, |bits| format!("lvp:{bits}"));
+    let stride = run.lanes("stride", &entry_sweep, |bits| format!("stride:{bits}"));
     for (name, points) in [("lvp", lvp), ("stride", stride)] {
         for point in points {
             table.row(vec![
@@ -48,13 +42,7 @@ pub fn run(opts: &Options) {
         .iter()
         .flat_map(|&l1| l2_sweep.iter().map(move |&l2| (l1, l2)))
         .collect();
-    let points = run.sweep("fcm", &traces, &grid, |&(l1, l2)| {
-        FcmPredictor::builder()
-            .l1_bits(l1)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
+    let points = run.lanes("fcm", &grid, |(l1, l2)| format!("fcm:{l1}:{l2}"));
     for point in points {
         let (l1, l2) = point.config;
         table.row(vec![

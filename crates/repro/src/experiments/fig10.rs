@@ -6,7 +6,6 @@
 //! (b) Per-benchmark accuracies at a 2^12-entry level-2 table (paper:
 //! +19% average, minimum +8% on m88ksim, maximum +46% on ijpeg).
 
-use dfcm::{DfcmPredictor, FcmPredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 
@@ -18,26 +17,13 @@ pub fn run_a(opts: &Options) {
         "Figure 10(a): FCM vs DFCM accuracy, L1 = 2^16",
         "Weighted suite accuracy per level-2 size.",
     );
-    let traces = opts.traces();
     let mut table = TextTable::new(vec!["l2", "FCM", "DFCM", "gain"]);
     let mut fcm_curve = Vec::new();
     let mut dfcm_curve = Vec::new();
     let l2s = opts.l2_sweep();
     let mut run = opts.experiment("fig10a");
-    let fcm_points = run.sweep("fcm", &traces, &l2s, |&l2| {
-        FcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
-    let dfcm_points = run.sweep("dfcm", &traces, &l2s, |&l2| {
-        DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
+    let fcm_points = run.lanes("fcm", &l2s, |l2| format!("fcm:16:{l2}"));
+    let dfcm_points = run.lanes("dfcm", &l2s, |l2| format!("dfcm:16:{l2}"));
     run.finish();
     for (f, d) in fcm_points.iter().zip(&dfcm_points) {
         let l2 = f.config;
@@ -75,22 +61,9 @@ pub fn run_b(opts: &Options) {
         "Figure 10(b): per-benchmark accuracy, L1 = 2^16, L2 = 2^12",
         "",
     );
-    let traces = opts.traces();
     let mut run = opts.experiment("fig10b");
-    let fcm = run.sweep("fcm", &traces, &[12u32], |&l2| {
-        FcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
-    let dfcm = run.sweep("dfcm", &traces, &[12u32], |&l2| {
-        DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
+    let fcm = run.lanes("fcm", &[12u32], |l2| format!("fcm:16:{l2}"));
+    let dfcm = run.lanes("dfcm", &[12u32], |l2| format!("dfcm:16:{l2}"));
     run.finish();
     let (fcm, dfcm) = (&fcm[0].result, &dfcm[0].result);
     let mut table = TextTable::new(vec!["benchmark", "FCM", "DFCM", "gain"]);

@@ -8,11 +8,9 @@
 //! front sits .06–.09 above the FCM front except at the smallest sizes
 //! (paper: .66 vs .57 at ~200 Kbit, +15%).
 
-use dfcm::{DfcmPredictor, FcmPredictor, ValuePredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
 use dfcm_sim::{pareto_front, ParetoPoint};
-use dfcm_trace::BenchmarkTrace;
 
 use crate::common::{banner, Experiment, Options};
 
@@ -22,20 +20,13 @@ pub fn run_a(opts: &Options) {
         "Figure 11(a): DFCM accuracy vs size, per level-1 size",
         "Each curve fixes the level-1 size and sweeps the level-2 size.",
     );
-    let traces = opts.traces();
     let mut table = TextTable::new(vec!["l1", "l2", "kbit", "accuracy"]);
     let grid: Vec<(u32, u32)> = [10u32, 12, 14, 16]
         .iter()
         .flat_map(|&l1| opts.l2_sweep().into_iter().map(move |l2| (l1, l2)))
         .collect();
     let mut run = opts.experiment("fig11a");
-    let points = run.sweep("dfcm", &traces, &grid, |&(l1, l2)| {
-        DfcmPredictor::builder()
-            .l1_bits(l1)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
+    let points = run.lanes("dfcm", &grid, |(l1, l2)| format!("dfcm:{l1}:{l2}"));
     run.finish();
     for point in points {
         let (l1, l2) = point.config;
@@ -50,25 +41,14 @@ pub fn run_a(opts: &Options) {
     opts.emit(&table, "fig11a");
 }
 
-/// The Pareto candidates of one predictor family: every (l1, l2) pair
-/// of the grid, swept as batch `batch`.
-fn grid_points<P, F>(
-    run: &mut Experiment<'_>,
-    batch: &str,
-    traces: &[BenchmarkTrace],
-    l1s: &[u32],
-    l2s: &[u32],
-    factory: F,
-) -> Vec<ParetoPoint>
-where
-    P: ValuePredictor,
-    F: Fn(u32, u32) -> P + Sync,
-{
+/// The Pareto candidates of one predictor family `kind` (`fcm` or
+/// `dfcm`): every (l1, l2) pair of the grid, evaluated as batch `kind`.
+fn grid_points(run: &mut Experiment<'_>, kind: &str, l1s: &[u32], l2s: &[u32]) -> Vec<ParetoPoint> {
     let grid: Vec<(u32, u32)> = l1s
         .iter()
         .flat_map(|&l1| l2s.iter().map(move |&l2| (l1, l2)))
         .collect();
-    run.sweep(batch, traces, &grid, |&(l1, l2)| factory(l1, l2))
+    run.lanes(kind, &grid, |(l1, l2)| format!("{kind}:{l1}:{l2}"))
         .into_iter()
         .map(|p| ParetoPoint {
             label: format!("l1=2^{},l2=2^{}", p.config.0, p.config.1),
@@ -84,37 +64,10 @@ pub fn run_b(opts: &Options) {
         "Figure 11(b): Pareto fronts, FCM vs DFCM",
         "Configurations with higher accuracy than all same-or-smaller configurations.",
     );
-    let traces = opts.traces();
     let l2s = opts.l2_sweep();
     let mut run = opts.experiment("fig11b");
-    let fcm_points = grid_points(
-        &mut run,
-        "fcm",
-        &traces,
-        &[0, 4, 6, 8, 10, 12, 14, 16],
-        &l2s,
-        |l1, l2| {
-            FcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-    );
-    let dfcm_points = grid_points(
-        &mut run,
-        "dfcm",
-        &traces,
-        &[8, 10, 12, 14, 16],
-        &l2s,
-        |l1, l2| {
-            DfcmPredictor::builder()
-                .l1_bits(l1)
-                .l2_bits(l2)
-                .build()
-                .expect("valid")
-        },
-    );
+    let fcm_points = grid_points(&mut run, "fcm", &[0, 4, 6, 8, 10, 12, 14, 16], &l2s);
+    let dfcm_points = grid_points(&mut run, "dfcm", &[8, 10, 12, 14, 16], &l2s);
     run.finish();
 
     let mut table = TextTable::new(vec!["front", "config", "kbit", "accuracy"]);

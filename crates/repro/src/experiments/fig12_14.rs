@@ -1,7 +1,8 @@
 //! Figures 12–14: the aliasing analysis.
 //!
 //! Every prediction of a 2^12/2^12 FCM and DFCM is classified into the
-//! paper's five aliasing categories (l1, hash, l2_priv, l2_pc, none; §4.2).
+//! paper's five aliasing categories (l1, hash, l2_priv, l2_pc, none; §4.2),
+//! in one pass per predictor per run that all three figures read.
 //!
 //! * Figure 12 — prediction accuracy per category (FCM): `l1` and `hash`
 //!   aliasing are destructive, `l2_pc` and `none` are benign.
@@ -17,29 +18,37 @@ use dfcm_sim::report::{fmt_accuracy, TextTable};
 use dfcm_sim::SERIES_CLASS_LABELS;
 use dfcm_trace::BenchmarkTrace;
 
-use crate::common::{banner, Options};
+use crate::common::{banner, AliasPass, Options};
 
 const L1_BITS: u32 = 12;
 const L2_BITS: u32 = 12;
 
+/// The run's §4.2 pass of `kind` over the suite, made once per run
+/// ([`Options::alias_pass`]), with a copy of its series and its alias
+/// counters recorded under the figure's label `spec` (rendered by
+/// `dfcm-tools obs report` from the `--obs` export). Returns each
+/// benchmark's breakdown, in suite order.
+fn analyze(opts: &Options, spec: &str, kind: AnalyzedKind) -> Vec<(&'static str, AliasBreakdown)> {
+    let pass = opts.alias_pass(kind, |traces| classify(opts, kind, traces));
+    if let Some(series) = &pass.series {
+        opts.obs.record_series(series.relabeled(spec));
+    }
+    record_obs(opts, spec, &merged(&pass.per_bench));
+    pass.per_bench.clone()
+}
+
 /// Classifies every access of every suite benchmark. With obs enabled,
-/// additionally folds each prediction into a windowed phase series for
-/// `spec` — one continuous prediction index across the benchmarks in
-/// suite order, so the series' phase boundaries are the benchmark
-/// boundaries — and records it on the handle (rendered by
-/// `dfcm-tools obs report` from the `--obs` export).
-fn analyze(
-    opts: &Options,
-    spec: &str,
-    kind: AnalyzedKind,
-    traces: &[BenchmarkTrace],
-) -> Vec<(&'static str, AliasBreakdown)> {
+/// additionally folds each prediction into a windowed phase series — one
+/// continuous prediction index across the benchmarks in suite order, so
+/// the series' phase boundaries are the benchmark boundaries. The series
+/// is recorded only as each figure's copy, under the figure's label.
+fn classify(opts: &Options, kind: AnalyzedKind, traces: &[BenchmarkTrace]) -> AliasPass {
     let mut series = opts
         .obs
         .is_enabled()
-        .then(|| LaneSeries::with_defaults(spec, SERIES_CLASS_LABELS));
+        .then(|| LaneSeries::with_defaults(&format!("{kind:?}"), SERIES_CLASS_LABELS));
     let mut index = 0u64;
-    let out = traces
+    let per_bench = traces
         .iter()
         .map(|b| {
             let mut az = AliasAnalyzer::new(kind, L1_BITS, L2_BITS).expect("valid");
@@ -57,10 +66,7 @@ fn analyze(
             (b.name, az.breakdown())
         })
         .collect();
-    if let Some(series) = series {
-        opts.obs.record_series(series);
-    }
-    out
+    AliasPass { per_bench, series }
 }
 
 fn merged(per_bench: &[(&'static str, AliasBreakdown)]) -> AliasBreakdown {
@@ -124,10 +130,8 @@ pub fn run_fig12(opts: &Options) {
         "Figure 12: prediction accuracy per aliasing class (FCM, 2^12/2^12)",
         "",
     );
-    let traces = opts.traces();
-    let fcm = analyze(opts, "fig12/fcm", AnalyzedKind::Fcm, &traces);
+    let fcm = analyze(opts, "fig12/fcm", AnalyzedKind::Fcm);
     let total = merged(&fcm);
-    record_obs(opts, "fig12/fcm", &total);
     let mut table = TextTable::new(vec!["class", "fraction", "accuracy"]);
     for &class in &AliasClass::ALL {
         table.row(vec![
@@ -151,11 +155,8 @@ pub fn run_fig13(opts: &Options) {
         "Figure 13: aliasing-class fractions over all predictions (2^12/2^12)",
         "",
     );
-    let traces = opts.traces();
-    let fcm = analyze(opts, "fig13/fcm", AnalyzedKind::Fcm, &traces);
-    let dfcm = analyze(opts, "fig13/dfcm", AnalyzedKind::Dfcm, &traces);
-    record_obs(opts, "fig13/fcm", &merged(&fcm));
-    record_obs(opts, "fig13/dfcm", &merged(&dfcm));
+    let fcm = analyze(opts, "fig13/fcm", AnalyzedKind::Fcm);
+    let dfcm = analyze(opts, "fig13/dfcm", AnalyzedKind::Dfcm);
     let mut table = fraction_table("fcm", &fcm, |b, c| b.fraction(c));
     let dfcm_table = fraction_table("dfcm", &dfcm, |b, c| b.fraction(c));
     for row in dfcm_table.rows() {
@@ -181,11 +182,8 @@ pub fn run_fig14(opts: &Options) {
         "Figure 14: aliasing classes of mispredictions, as fraction of all predictions",
         "Bars stack to the global misprediction rate.",
     );
-    let traces = opts.traces();
-    let fcm = analyze(opts, "fig14/fcm", AnalyzedKind::Fcm, &traces);
-    let dfcm = analyze(opts, "fig14/dfcm", AnalyzedKind::Dfcm, &traces);
-    record_obs(opts, "fig14/fcm", &merged(&fcm));
-    record_obs(opts, "fig14/dfcm", &merged(&dfcm));
+    let fcm = analyze(opts, "fig14/fcm", AnalyzedKind::Fcm);
+    let dfcm = analyze(opts, "fig14/dfcm", AnalyzedKind::Dfcm);
     let mut table = fraction_table("fcm", &fcm, |b, c| b.misprediction_fraction(c));
     let dfcm_table = fraction_table("dfcm", &dfcm, |b, c| b.misprediction_fraction(c));
     for row in dfcm_table.rows() {

@@ -40,8 +40,8 @@ pub fn run(opts: &Options) {
     };
     let mut run = opts.experiment("fig16");
     let columns = [
-        run.sweep("fcm", &traces, &l2s, |&l2| fcm(l2)),
-        run.sweep("dfcm", &traces, &l2s, |&l2| dfcm(l2)),
+        run.lanes("fcm", &l2s, |l2| format!("fcm:16:{l2}")),
+        run.lanes("dfcm", &l2s, |l2| format!("dfcm:16:{l2}")),
         run.sweep("stride-fcm", &traces, &l2s, |&l2| {
             HybridPredictor::new(StridePredictor::new(16), fcm(l2), PerfectMeta)
         }),

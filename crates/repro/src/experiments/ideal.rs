@@ -11,7 +11,7 @@
 //! loss to level-1 aliasing + hashing + capacity (minus any constructive
 //! cross-instruction sharing the oracle forgoes).
 
-use dfcm::{AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction, IdealContextPredictor};
+use dfcm::{AnalyzedKind, HashFunction, IdealContextPredictor};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 
 use crate::common::{banner, Options};
@@ -25,20 +25,8 @@ pub fn run(opts: &Options) {
     let traces = opts.traces();
     let l2s = [12u32, 16];
     let mut run = opts.experiment("ideal");
-    let fcm = run.sweep("fcm", &traces, &l2s, |&l2| {
-        FcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
-    let dfcm = run.sweep("dfcm", &traces, &l2s, |&l2| {
-        DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(l2)
-            .build()
-            .expect("valid")
-    });
+    let fcm = run.lanes("fcm", &l2s, |l2| format!("fcm:16:{l2}"));
+    let dfcm = run.lanes("dfcm", &l2s, |l2| format!("dfcm:16:{l2}"));
     let oracles: Vec<(AnalyzedKind, u32)> = [AnalyzedKind::Fcm, AnalyzedKind::Dfcm]
         .into_iter()
         .flat_map(|kind| l2s.map(|l2| (kind, l2)))

@@ -13,9 +13,7 @@
 //!
 //! Both are compared against a DFCM of *equal or smaller* storage.
 
-use dfcm::{
-    ClassifiedPredictor, DfcmPredictor, LastNValuePredictor, LastValuePredictor, ValuePredictor,
-};
+use dfcm::{ClassifiedPredictor, LastNValuePredictor, ValuePredictor};
 use dfcm_sim::report::{fmt_accuracy, fmt_kbits, TextTable};
 use dfcm_sim::SweepPoint;
 
@@ -75,18 +73,16 @@ pub fn run(opts: &Options) {
         &mut table,
         &run.sweep("last-n", &traces, &[1, 2, 4], last_n),
     );
-    let lvp = |&bits: &u32| LastValuePredictor::new(bits);
-    rows(&mut table, &run.sweep("lvp", &traces, &[12], lvp));
+    rows(
+        &mut table,
+        &run.lanes("lvp", &[12], |bits| format!("lvp:{bits}")),
+    );
 
     // The DFCM at comparable (and at half) storage.
-    let dfcm = |&bits: &u32| {
-        DfcmPredictor::builder()
-            .l1_bits(bits)
-            .l2_bits(bits)
-            .build()
-            .expect("valid")
-    };
-    rows(&mut table, &run.sweep("dfcm", &traces, &[12, 11], dfcm));
+    rows(
+        &mut table,
+        &run.lanes("dfcm", &[12, 11], |bits| format!("dfcm:{bits}:{bits}")),
+    );
     run.finish();
 
     print!("{}", table.render());

@@ -24,13 +24,18 @@ pub fn run(opts: &Options) {
         ("16b", StrideWidth::Bits(16)),
         ("8b", StrideWidth::Bits(8)),
     ];
-    let grid: Vec<(u32, u32, StrideWidth)> = [12u32, 16]
+    let geometries: Vec<(u32, u32)> = [12u32, 16]
         .into_iter()
         .flat_map(|l1| [10u32, 12, 14, 16].map(|l2| (l1, l2)))
-        .flat_map(|(l1, l2)| widths.map(|(_, width)| (l1, l2, width)))
+        .collect();
+    // Each geometry's partial widths are adjacent.
+    let partial_grid: Vec<(u32, u32, StrideWidth)> = geometries
+        .iter()
+        .flat_map(|&(l1, l2)| widths[1..].iter().map(move |&(_, width)| (l1, l2, width)))
         .collect();
     let mut run = opts.experiment("sec4_4");
-    let points = run.sweep("dfcm", &traces, &grid, |&(l1, l2, width)| {
+    let full = run.lanes("dfcm", &geometries, |(l1, l2)| format!("dfcm:{l1}:{l2}"));
+    let partial = run.sweep("partial", &traces, &partial_grid, |&(l1, l2, width)| {
         DfcmPredictor::builder()
             .l1_bits(l1)
             .l2_bits(l2)
@@ -42,12 +47,12 @@ pub fn run(opts: &Options) {
     let mut table = TextTable::new(vec!["l1", "l2", "width", "kbit", "accuracy", "drop"]);
     let mut drops_16 = Vec::new();
     let mut drops_8 = Vec::new();
-    // Each geometry's widths are adjacent, full width first.
-    for geometry in points.chunks(widths.len()) {
-        let base = geometry[0].accuracy();
-        for (point, (label, _)) in geometry.iter().zip(widths) {
-            let (l1, l2, width) = point.config;
-            let acc = point.accuracy();
+    for (full, partial) in full.iter().zip(partial.chunks(widths.len() - 1)) {
+        let (l1, l2) = full.config;
+        let base = full.accuracy();
+        let points = std::iter::once((full.kbits(), base))
+            .chain(partial.iter().map(|p| (p.kbits(), p.accuracy())));
+        for ((kbits, acc), (label, width)) in points.zip(widths) {
             let drop = base - acc;
             match width {
                 StrideWidth::Bits(16) => drops_16.push(drop),
@@ -58,7 +63,7 @@ pub fn run(opts: &Options) {
                 format!("2^{l1}"),
                 format!("2^{l2}"),
                 label.into(),
-                fmt_kbits(point.kbits()),
+                fmt_kbits(kbits),
                 fmt_accuracy(acc),
                 format!("{drop:.3}"),
             ]);

@@ -8,7 +8,7 @@
 //! regimes — showing both why the DFCM's accuracy advantage matters and
 //! why confidence estimation becomes essential as squash costs grow.
 
-use dfcm::{DfcmPredictor, FcmPredictor, TaggedDfcmPredictor};
+use dfcm::TaggedDfcmPredictor;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 use dfcm_sim::speculation::SpeculationModel;
 use dfcm_sim::{simulate_confidence, ConfidenceStats, SweepPoint};
@@ -41,20 +41,8 @@ pub fn run(opts: &Options) {
     );
     let traces = opts.traces();
     let mut run = opts.experiment("speedup");
-    let fcm = run.sweep("fcm", &traces, &[()], |()| {
-        FcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(12)
-            .build()
-            .expect("valid")
-    });
-    let dfcm = run.sweep("dfcm", &traces, &[()], |()| {
-        DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(12)
-            .build()
-            .expect("valid")
-    });
+    let fcm = run.lanes("fcm", &[()], |()| "fcm:16:12".to_owned());
+    let dfcm = run.lanes("dfcm", &[()], |()| "dfcm:16:12".to_owned());
     run.finish();
     // The confidence-gated policy reads each prediction's confidence, so
     // it keeps its own per-record loop.

@@ -57,7 +57,10 @@
 //! engine: it honours --threads, --progress and --resume, and writes run
 //! metrics as JSON lines under `<out>/metrics/<experiment>.jsonl`. The
 //! per-record analyses (fig4_8, fig6_9, fig12-14, tags, phases) run
-//! serially and write no metrics file.
+//! serially and write no metrics file. One run evaluates each (spec,
+//! benchmark) pair and each fig12-14 alias pass once, so an experiment's
+//! metrics list only the tasks that no earlier experiment of the run
+//! already ran.
 //! ```
 
 use std::process::ExitCode;
