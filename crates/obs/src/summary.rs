@@ -624,66 +624,6 @@ pub fn summarize(data: &ObsData) -> String {
         out.push('\n');
     }
 
-    // -- VM execution tiers ------------------------------------------
-    let mut vm_keys: Vec<(String, String)> = data
-        .metrics
-        .iter()
-        .filter(|m| m.name == "vm_instructions_total")
-        .map(|m| (label(&m.labels, "kernel"), label(&m.labels, "tier")))
-        .collect();
-    vm_keys.sort();
-    vm_keys.dedup();
-    if !vm_keys.is_empty() {
-        let _ = writeln!(out, "VM execution tiers");
-        let mut t = Table::new(&[
-            "kernel",
-            "tier",
-            "instructions",
-            "fused",
-            "recordings",
-            "traces",
-            "rec-aborts",
-            "replay-iters",
-            "replay%",
-            "guard-fails",
-            "replay-aborts",
-        ]);
-        for (kernel, tier) in &vm_keys {
-            let find = |name: &str| -> f64 {
-                data.metrics
-                    .iter()
-                    .find(|m| {
-                        m.name == name
-                            && label(&m.labels, "kernel") == *kernel
-                            && label(&m.labels, "tier") == *tier
-                    })
-                    .map(|m| m.value)
-                    .unwrap_or(0.0)
-            };
-            let instructions = find("vm_instructions_total");
-            let replayed = find("vm_replay_instructions_total");
-            t.row(vec![
-                kernel.clone(),
-                tier.clone(),
-                format!("{instructions:.0}"),
-                format!("{:.0}", find("vm_fused_executed_total")),
-                format!("{:.0}", find("vm_trace_recordings_started_total")),
-                format!("{:.0}", find("vm_traces_recorded_total")),
-                format!("{:.0}", find("vm_record_aborts_total")),
-                format!("{:.0}", find("vm_replay_iterations_total")),
-                if instructions > 0.0 {
-                    format!("{:.1}", 100.0 * replayed / instructions)
-                } else {
-                    "-".to_owned()
-                },
-                format!("{:.0}", find("vm_guard_failures_total")),
-                format!("{:.0}", find("vm_replay_aborts_total")),
-            ]);
-        }
-        t.render(&mut out);
-        out.push('\n');
-    }
-
     // -- Engine ------------------------------------------------------
     let engine: Vec<&LoadedMetric> = data
         .metrics
@@ -836,46 +776,6 @@ mod tests {
         let problems = check(&dir).unwrap_err();
         assert!(problems.iter().any(|p| p.contains("alias counts")));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn summarize_renders_vm_tier_section() {
-        let r = MetricsRegistry::new();
-        let labels = &[("kernel", "sieve"), ("tier", "fast")];
-        r.add("vm_instructions_total", labels, 10_000);
-        r.add("vm_fused_executed_total", labels, 1_200);
-        r.add("vm_trace_recordings_started_total", labels, 3);
-        r.add("vm_traces_recorded_total", labels, 2);
-        r.add("vm_record_aborts_total", labels, 1);
-        r.add("vm_replay_iterations_total", labels, 400);
-        r.add("vm_replay_instructions_total", labels, 7_500);
-        r.add("vm_guard_failures_total", labels, 2);
-        r.add("vm_replay_aborts_total", labels, 1);
-        let snapshot = r.snapshot();
-        let data = ObsData {
-            span_count: 0,
-            samples: Vec::new(),
-            metrics: snapshot
-                .metrics
-                .iter()
-                .map(|(k, v)| LoadedMetric {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
-                    kind: v.kind().to_owned(),
-                    value: match v {
-                        crate::metrics::MetricValue::Counter(n) => *n as f64,
-                        crate::metrics::MetricValue::Gauge(g) => *g,
-                        crate::metrics::MetricValue::Histogram(h) => h.sum,
-                    },
-                    count: 0,
-                })
-                .collect(),
-        };
-        let report = summarize(&data);
-        assert!(report.contains("VM execution tiers"), "{report}");
-        assert!(report.contains("sieve"), "{report}");
-        // replay% = 7500 / 10000.
-        assert!(report.contains("75.0"), "{report}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dfcm_sim::engine::{TaskError, TaskOutput};
 use dfcm_sim::report::TextTable;
 use dfcm_trace::stats::{TraceStats, TraceStatsFold};
 use dfcm_trace::suite::standard_suite;
-use dfcm_vm::{assemble, programs, Tier, Vm, VmLimits};
+use dfcm_vm::{assemble, programs, Vm, VmLimits};
 
 use crate::common::{banner, Options};
 
@@ -24,8 +24,8 @@ const PULL_RECORDS: usize = 1 << 16;
 /// Runs the Table 1 reproduction.
 ///
 /// The suite half measures the run's memoized suite and the VM half runs
-/// each kernel on the VM's fast tier; statistics are independent per trace, so
-/// both halves run as engine task batches whose metrics land in
+/// each kernel on the VM's interpreter; statistics are independent per
+/// trace, so both halves run as engine task batches whose metrics land in
 /// `metrics/table1.jsonl`.
 ///
 /// The VM half describes each kernel, so it runs each one to completion
@@ -92,7 +92,7 @@ pub fn run(opts: &Options) {
             ..VmLimits::default()
         };
         let program = assemble(src).expect("bundled kernel assembles");
-        let mut vm = Vm::with_tier(program, limits, Tier::Fast)?;
+        let mut vm = Vm::with_limits(program, limits)?;
         let mut fold = TraceStatsFold::default();
         let mut left = KERNEL_RECORDS;
         while left > 0 && !vm.halted() {

@@ -21,8 +21,8 @@ pub fn run(opts: &Options) {
         "Genuine program traces from the VM, uncalibrated.",
     );
     let max_records = ((opts.scale * 10_000_000.0) as usize).clamp(20_000, 2_000_000);
-    // With `--obs` the fast tier's fusion/replay mechanics land in the
-    // export as `vm_*` metrics.
+    // With `--obs` each kernel's VM run lands in the export as a
+    // `vm.kernel` span.
     let traces = kernel_traces_observed(max_records, &opts.obs);
 
     let mut run = opts.experiment("vmbench");

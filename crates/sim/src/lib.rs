@@ -30,8 +30,8 @@
 //!   predictors (the §4.2 extension).
 //! * [`speculation`] — a first-order cycles-saved model for issued
 //!   predictions.
-//! * [`kernel_traces_observed`] — instrumented VM trace generation:
-//!   per-kernel spans plus the fast tier's `vm_*` fusion/replay metrics.
+//! * [`kernel_traces_observed`] — VM trace generation with one
+//!   `vm.kernel` span per kernel.
 //! * [`report`] — ASCII tables and CSV output for the repro binaries.
 //! * [`chart`] — terminal scatter and bar charts for figure rendering.
 //!
@@ -80,4 +80,4 @@ pub use crate::stream::{
     SpecError, StreamFileReport, StreamPredictor, SERIES_CLASS_LABELS, STREAM_CHUNK_RECORDS,
 };
 pub use crate::suite::{BenchmarkResult, SuiteResult, SweepPoint};
-pub use crate::vm_tasks::{kernel_traces_observed, record_tier_stats};
+pub use crate::vm_tasks::kernel_traces_observed;

@@ -50,7 +50,7 @@ use dfcm_trace::{
     atomic_write_with, inspect_trace, salvage_trace, Trace, TraceFile, TraceFormat, TraceSource,
     V3StreamWriter,
 };
-use dfcm_vm::{assemble, classify_pair, disassemble, programs, Tier, Vm, VmLimits};
+use dfcm_vm::{assemble, disassemble, programs, Vm, VmLimits};
 
 /// Errors surfaced to the command line.
 #[derive(Debug)]
@@ -148,8 +148,7 @@ pub fn generate_formatted(
 }
 
 /// Builds a trace for a named workload (shared by `gen` and tests).
-/// Kernels run on the VM's fast tier, which is bit-identical to the
-/// interpreter.
+/// Kernels run on the VM's interpreter under an instruction budget.
 ///
 /// # Errors
 ///
@@ -172,8 +171,8 @@ pub fn trace_for(workload: &str, records: usize, seed: u64) -> Result<Trace, Too
             ),
             ..VmLimits::default()
         };
-        let mut vm = Vm::with_tier(program, limits, Tier::Fast)
-            .map_err(|e| err(format!("{workload}: {e}")))?;
+        let mut vm =
+            Vm::with_limits(program, limits).map_err(|e| err(format!("{workload}: {e}")))?;
         return vm
             .try_take_trace(records)
             .map_err(|e| err(format!("{workload} faulted: {e}")));
@@ -1078,61 +1077,6 @@ pub fn profile(kernel: &str, max_steps: u64) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// `vm profile <kernel> [max_steps]` — the fast-tier planning view of a
-/// kernel: the per-opcode execution histogram and the hot adjacent-pair
-/// histogram from the profiling pass, with each pair classified against
-/// the superinstruction patterns ([`classify_pair`]). This is the data
-/// the fast tier's fusion selection runs on — the report shows *why* the
-/// fusion set is what it is.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown kernels or faulting runs.
-pub fn vm_profile(kernel: &str, max_steps: u64) -> Result<String, ToolError> {
-    let src = programs::by_name(kernel).ok_or_else(|| err(format!("unknown kernel `{kernel}`")))?;
-    let mut vm = Vm::new(assemble(src).map_err(|e| err(format!("{kernel}: {e}")))?);
-    let profile = dfcm_vm::profile::run_profiled(&mut vm, max_steps)
-        .map_err(|e| err(format!("{kernel}: {e}")))?;
-
-    let mut out = format!("{kernel}: {} instruction(s) profiled\n", profile.total);
-    let _ = writeln!(out, "\n  per-opcode histogram:");
-    for (mnemonic, count) in profile.mnemonic_counts() {
-        let _ = writeln!(
-            out,
-            "    {mnemonic:<6} {count:>10}x  {:5.1}%",
-            100.0 * count as f64 / profile.total.max(1) as f64
-        );
-    }
-
-    let _ = writeln!(out, "\n  hot adjacent pairs (fusion candidates marked):");
-    let mut fusible_dynamic = 0u64;
-    for ((a, b), count) in profile.hot_pairs(10) {
-        let (Some(fst), Some(snd)) = (vm.inst_at(a), vm.inst_at(b)) else {
-            continue;
-        };
-        let kind = classify_pair(fst, snd);
-        if kind.is_some() {
-            fusible_dynamic += count;
-        }
-        let _ = writeln!(
-            out,
-            "    {:#08x}  {count:>10}x  {} ; {}{}",
-            dfcm_vm::profile::pc_of_index(a),
-            dfcm_vm::render_inst(&fst),
-            dfcm_vm::render_inst(&snd),
-            kind.map(|k| format!("  [{}]", k.label()))
-                .unwrap_or_default()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\n  {:.1}% of profiled instructions sit in a top-10 pair matching a \
-         superinstruction pattern",
-        100.0 * (2 * fusible_dynamic) as f64 / profile.total.max(1) as f64
-    );
-    Ok(out)
-}
-
 /// `kernels` — the bundled kernel names.
 pub fn kernels() -> String {
     programs::all()
@@ -1279,19 +1223,6 @@ mod tests {
             assert!(report.tasks.iter().all(|t| t.attempts == 1), "{out}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn vm_profile_reports_opcode_and_pair_histograms() {
-        let out = vm_profile("sieve", 200_000).unwrap();
-        assert!(out.contains("instruction(s) profiled"), "{out}");
-        // Loop-dominated kernels must surface at least one fusible pair.
-        assert!(
-            out.contains("compare+branch") || out.contains("load+"),
-            "{out}"
-        );
-        assert!(out.contains("superinstruction pattern"), "{out}");
-        assert!(vm_profile("nope", 1_000).is_err());
     }
 
     #[test]

@@ -69,11 +69,6 @@ usage:
               read-only, safe under load)
   dfcm-tools disasm <kernel>
   dfcm-tools profile <kernel> [max_steps]
-  dfcm-tools vm profile <kernel> [max_steps]
-             (fast-tier planning view: per-opcode histogram plus the hot
-              adjacent-pair histogram with superinstruction-fusion
-              classification — the data the fast tier's fusion selection
-              runs on)
   dfcm-tools kernels
   dfcm-tools benchmarks";
 
@@ -343,17 +338,6 @@ fn run() -> Result<String, String> {
                 _ => return Err(USAGE.to_owned()),
             };
             dfcm_tools::profile(kernel, max_steps).map_err(|e| e.to_string())
-        }
-        "vm" => {
-            let (kernel, max_steps) = match rest {
-                [sub, kernel] if sub == "profile" => (kernel, 1_000_000),
-                [sub, kernel, steps] if sub == "profile" => (
-                    kernel,
-                    steps.parse().map_err(|_| "bad step count".to_owned())?,
-                ),
-                _ => return Err(USAGE.to_owned()),
-            };
-            dfcm_tools::vm_profile(kernel, max_steps).map_err(|e| e.to_string())
         }
         "kernels" => Ok(dfcm_tools::kernels()),
         "benchmarks" => Ok(dfcm_tools::benchmarks()),

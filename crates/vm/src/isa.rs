@@ -112,41 +112,6 @@ impl Inst {
         }
     }
 
-    /// The assembly mnemonic, for per-opcode histograms and reports.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Inst::Add(..) => "add",
-            Inst::Sub(..) => "sub",
-            Inst::Mul(..) => "mul",
-            Inst::Div(..) => "div",
-            Inst::Rem(..) => "rem",
-            Inst::Addi(..) => "addi",
-            Inst::And(..) => "and",
-            Inst::Or(..) => "or",
-            Inst::Xor(..) => "xor",
-            Inst::Andi(..) => "andi",
-            Inst::Ori(..) => "ori",
-            Inst::Xori(..) => "xori",
-            Inst::Sll(..) => "sll",
-            Inst::Srl(..) => "srl",
-            Inst::Sra(..) => "sra",
-            Inst::Slt(..) => "slt",
-            Inst::Slti(..) => "slti",
-            Inst::Li(..) => "li",
-            Inst::Lw(..) => "lw",
-            Inst::Sw(..) => "sw",
-            Inst::Beq(..) => "beq",
-            Inst::Bne(..) => "bne",
-            Inst::Blt(..) => "blt",
-            Inst::Bge(..) => "bge",
-            Inst::J(..) => "j",
-            Inst::Jal(..) => "jal",
-            Inst::Jr(..) => "jr",
-            Inst::Nop => "nop",
-            Inst::Halt => "halt",
-        }
-    }
-
     /// True if this instruction is a branch or jump (excluded from value
     /// prediction per the paper's methodology).
     pub fn is_control(&self) -> bool {

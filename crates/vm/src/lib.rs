@@ -35,7 +35,6 @@
 
 mod asm;
 pub mod disasm;
-mod fast;
 mod isa;
 pub mod profile;
 pub mod programs;
@@ -44,8 +43,8 @@ mod vm;
 
 pub use crate::asm::{assemble, AsmError, Program, DATA_BASE, MAX_DATA_WORDS};
 pub use crate::disasm::{disassemble, render_inst};
-pub use crate::fast::{classify_pair, FusedKind, Tier, TierConfig, TierStats};
 pub use crate::isa::{Inst, Reg, NUM_REGS};
+pub use crate::suite::Tier;
 pub use crate::vm::{
     RunResult, StopReason, Vm, VmError, VmLimits, DEFAULT_MEMORY_WORDS, TEXT_BASE,
 };

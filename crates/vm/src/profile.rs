@@ -78,13 +78,6 @@ pub struct ExecutionProfile {
     pub per_pc: HashMap<usize, u64>,
     /// Executed-instruction count per class.
     pub per_class: HashMap<InstClass, u64>,
-    /// Executed-instruction count per mnemonic (per-opcode histogram).
-    pub per_mnemonic: HashMap<&'static str, u64>,
-    /// Dynamic count of adjacent static pairs: `(i, i + 1)` is counted
-    /// each time instruction `i + 1` executes immediately after
-    /// instruction `i` fell through to it. This is the input to the fast
-    /// tier's superinstruction-fusion selection.
-    pub pairs: HashMap<(usize, usize), u64>,
     /// Total instructions executed.
     pub total: u64,
     /// Trace records emitted (value-producing executions).
@@ -107,25 +100,6 @@ impl ExecutionProfile {
         let mut entries: Vec<(usize, u64)> = self.per_pc.iter().map(|(&i, &c)| (i, c)).collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         entries.truncate(n);
-        entries
-    }
-
-    /// The `n` most-executed adjacent static pairs, as
-    /// `((first index, second index), count)` sorted by descending count.
-    /// These are the fusion candidates of the fast tier.
-    pub fn hot_pairs(&self, n: usize) -> Vec<((usize, usize), u64)> {
-        let mut entries: Vec<((usize, usize), u64)> =
-            self.pairs.iter().map(|(&p, &c)| (p, c)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries.truncate(n);
-        entries
-    }
-
-    /// Per-opcode execution counts sorted by descending count.
-    pub fn mnemonic_counts(&self) -> Vec<(&'static str, u64)> {
-        let mut entries: Vec<(&'static str, u64)> =
-            self.per_mnemonic.iter().map(|(&m, &c)| (m, c)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         entries
     }
 
@@ -167,24 +141,19 @@ impl fmt::Display for ExecutionProfile {
 ///
 /// # Errors
 ///
-/// Propagates [`VmError`] from the underlying execution.
+/// Propagates [`VmError`] from the underlying execution, a run off the
+/// end of the program included.
 pub fn run_profiled(vm: &mut Vm, max_steps: u64) -> Result<ExecutionProfile, VmError> {
     let mut profile = ExecutionProfile::default();
     let start = vm.steps();
-    let mut prev: Option<usize> = None;
     while !vm.halted() && vm.steps() - start < max_steps {
         let pc_index = vm.pc_index();
-        let Some(inst) = vm.inst_at(pc_index) else {
-            break;
-        };
+        // `step` faults on a pc outside the program, so a step that
+        // returns has executed the instruction at `pc_index`.
         let emitted = vm.step()?.is_some();
+        let inst = vm.inst_at(pc_index).expect("executed instruction exists");
         *profile.per_pc.entry(pc_index).or_default() += 1;
         *profile.per_class.entry(InstClass::of(&inst)).or_default() += 1;
-        *profile.per_mnemonic.entry(inst.mnemonic()).or_default() += 1;
-        if pc_index > 0 && prev == Some(pc_index - 1) {
-            *profile.pairs.entry((pc_index - 1, pc_index)).or_default() += 1;
-        }
-        prev = Some(pc_index);
         profile.total += 1;
         profile.emitted += u64::from(emitted);
     }

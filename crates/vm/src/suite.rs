@@ -2,64 +2,75 @@
 //! harness.
 //!
 //! Where `dfcm_trace::suite` provides statistically-calibrated synthetic
-//! stand-ins, this module provides the *Tier A* workloads of DESIGN.md:
-//! real programs executing on the interpreter. Both produce
+//! stand-ins, this module provides the real-program workloads of
+//! DESIGN.md §2: programs executing on the interpreter. Both produce
 //! [`BenchmarkTrace`]s, so every harness function (suite runs, sweeps,
-//! aliasing analysis) works unchanged on either tier.
+//! aliasing analysis) works unchanged on either workload set.
 
 use dfcm_trace::BenchmarkTrace;
 
 use crate::asm::assemble;
-use crate::fast::Tier;
 use crate::programs;
-use crate::vm::{Vm, VmLimits};
+use crate::vm::Vm;
+
+/// The engine names [`kernel_traces_with`] accepts. The VM has one
+/// engine, the interpreter, and both variants run it; the type remains
+/// because `perfbench` names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Runs the interpreter.
+    Interp,
+    /// Runs the interpreter, exactly like [`Tier::Interp`].
+    Fast,
+}
+
+/// Runs one kernel on the interpreter until it halts or has emitted
+/// `max_records` records.
+///
+/// # Panics
+///
+/// Panics if the kernel fails to assemble or faults — for a bundled
+/// kernel both indicate a broken build, not a caller error.
+pub fn run_kernel(name: &'static str, src: &str, max_records: usize) -> BenchmarkTrace {
+    let program = assemble(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let trace = Vm::new(program)
+        .try_take_trace(max_records)
+        .unwrap_or_else(|e| panic!("{name} faulted: {e}"));
+    BenchmarkTrace { name, trace }
+}
 
 /// Generates traces for every bundled kernel, each capped at
 /// `max_records` records (kernels that halt earlier contribute their full
-/// run). Runs on [`Tier::Fast`]; the tiers are differentially verified to
-/// be bit-identical, so callers see the exact interpreter trace, faster.
+/// run).
 ///
 /// # Panics
 ///
 /// Panics if a bundled kernel fails to assemble or faults — both indicate
 /// a broken build, not a caller error.
 pub fn kernel_traces(max_records: usize) -> Vec<BenchmarkTrace> {
-    kernel_traces_with(max_records, Tier::Fast)
+    programs::all()
+        .into_iter()
+        .map(|(name, src)| run_kernel(name, src, max_records))
+        .collect()
 }
 
-/// As [`kernel_traces`] with an explicit execution tier.
+/// As [`kernel_traces`]: both [`Tier`] variants run the interpreter.
 ///
 /// # Panics
 ///
 /// Panics if a bundled kernel fails to assemble or faults.
-pub fn kernel_traces_with(max_records: usize, tier: Tier) -> Vec<BenchmarkTrace> {
-    programs::all()
-        .into_iter()
-        .map(|(name, src)| {
-            let program = assemble(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut vm = Vm::with_tier(program, VmLimits::default(), tier)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let trace = vm
-                .try_take_trace(max_records)
-                .unwrap_or_else(|e| panic!("{name} faulted: {e}"));
-            BenchmarkTrace { name, trace }
-        })
-        .collect()
+pub fn kernel_traces_with(max_records: usize, _tier: Tier) -> Vec<BenchmarkTrace> {
+    kernel_traces(max_records)
 }
 
-/// Generates a trace for one bundled kernel by name (on [`Tier::Fast`]).
+/// Generates a trace for one bundled kernel by name.
+///
+/// # Panics
+///
+/// Panics if the kernel fails to assemble or faults.
 pub fn kernel_trace(name: &str, max_records: usize) -> Option<BenchmarkTrace> {
-    let src = programs::by_name(name)?;
-    let program = assemble(src).expect("bundled kernel assembles");
-    let mut vm = Vm::with_tier(program, VmLimits::default(), Tier::Fast)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let registered = programs::all().iter().find(|&&(n, _)| n == name)?.0;
-    Some(BenchmarkTrace {
-        name: registered,
-        trace: vm
-            .try_take_trace(max_records)
-            .unwrap_or_else(|e| panic!("{name} faulted: {e}")),
-    })
+    let (name, src) = programs::all().into_iter().find(|&(n, _)| n == name)?;
+    Some(run_kernel(name, src, max_records))
 }
 
 #[cfg(test)]
@@ -90,11 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_tier_matches_interpreter_on_suite() {
-        assert_eq!(
-            kernel_traces_with(2_000, Tier::Fast),
-            kernel_traces_with(2_000, Tier::Interp)
-        );
+    fn both_tier_names_run_the_interpreter() {
+        let plain = kernel_traces(2_000);
+        assert_eq!(kernel_traces_with(2_000, Tier::Fast), plain);
+        assert_eq!(kernel_traces_with(2_000, Tier::Interp), plain);
     }
 
     #[test]

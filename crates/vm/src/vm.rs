@@ -14,7 +14,6 @@ use std::time::Duration;
 use dfcm_trace::{Deadline, Trace, TraceRecord, TraceSource};
 
 use crate::asm::{Program, DATA_BASE};
-use crate::fast::{self, FastState, Tier, TierConfig, TierStats};
 use crate::isa::{Inst, NUM_REGS};
 
 /// Address of instruction index 0 in emitted trace records; instructions
@@ -25,9 +24,8 @@ pub const TEXT_BASE: u64 = 0x0040_0000;
 pub const DEFAULT_MEMORY_WORDS: usize = 1 << 20;
 
 /// How often (in steps) the wall-clock deadline is polled; checking the
-/// clock every instruction would dominate the interpreter loop. Shared
-/// with the fast tier, which must poll at exactly the same step counts.
-pub(crate) const DEADLINE_POLL_MASK: u64 = 0xFFF;
+/// clock every instruction would dominate the interpreter loop.
+const DEADLINE_POLL_MASK: u64 = 0xFFF;
 
 /// Resource budgets for a [`Vm`], for running untrusted or
 /// fuzzer-generated kernels: a pathological program degrades to a typed
@@ -214,22 +212,20 @@ impl RunResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Vm {
-    pub(crate) insts: Vec<Inst>,
-    pub(crate) regs: [i64; NUM_REGS],
-    pub(crate) mem: Vec<i64>,
-    pub(crate) pc: usize,
-    pub(crate) halted: bool,
-    pub(crate) steps: u64,
-    pub(crate) error: Option<VmError>,
-    pub(crate) limits: VmLimits,
+    insts: Vec<Inst>,
+    regs: [i64; NUM_REGS],
+    mem: Vec<i64>,
+    pc: usize,
+    halted: bool,
+    steps: u64,
+    error: Option<VmError>,
+    limits: VmLimits,
     /// The wall-clock guard, armed (once) when the first instruction
     /// executes. Shared [`Deadline`] helper: the anchor instant is
     /// captured exactly once and every poll measures against it — the
     /// clock is never re-derived mid-run.
-    pub(crate) deadline: Option<Deadline>,
-    pub(crate) limit_stop: Option<StopReason>,
-    /// Fast-tier state ([`Tier::Fast`]); `None` runs the interpreter.
-    pub(crate) fast: Option<Box<FastState>>,
+    deadline: Option<Deadline>,
+    limit_stop: Option<StopReason>,
 }
 
 impl Vm {
@@ -294,63 +290,7 @@ impl Vm {
             limits,
             deadline: None,
             limit_stop: None,
-            fast: None,
         })
-    }
-
-    /// As [`with_limits`](Vm::with_limits) with an explicit execution
-    /// [`Tier`] and the default [`TierConfig`]. Both tiers are
-    /// architecturally identical (bit-identical traces, identical faults
-    /// and limit accounting); [`Tier::Fast`] is simply faster on
-    /// loop-dominated programs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::DataImageTooLarge`] if the program's data
-    /// image does not fit in `limits.memory_words`.
-    pub fn with_tier(program: Program, limits: VmLimits, tier: Tier) -> Result<Self, VmError> {
-        Self::with_tier_config(program, limits, tier, TierConfig::default())
-    }
-
-    /// As [`with_tier`](Vm::with_tier) with explicit fast-tier tuning.
-    /// For [`Tier::Fast`] this runs the construction-time fusion
-    /// selection (a bounded interpreter profiling pass over a private
-    /// copy of the program) and pre-decodes the instruction stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::DataImageTooLarge`] if the program's data
-    /// image does not fit in `limits.memory_words`.
-    pub fn with_tier_config(
-        program: Program,
-        limits: VmLimits,
-        tier: Tier,
-        config: TierConfig,
-    ) -> Result<Self, VmError> {
-        match tier {
-            Tier::Interp => Self::with_limits(program, limits),
-            Tier::Fast => {
-                let fuse = fast::select_fusions(&program, &limits, &config);
-                let state = FastState::new(&program.insts, &fuse, config);
-                let mut vm = Self::with_limits(program, limits)?;
-                vm.fast = Some(Box::new(state));
-                Ok(vm)
-            }
-        }
-    }
-
-    /// The execution tier this machine runs on.
-    pub fn tier(&self) -> Tier {
-        if self.fast.is_some() {
-            Tier::Fast
-        } else {
-            Tier::Interp
-        }
-    }
-
-    /// Fast-tier execution counters, if this machine runs [`Tier::Fast`].
-    pub fn tier_stats(&self) -> Option<&TierStats> {
-        self.fast.as_deref().map(|f| &f.stats)
     }
 
     /// Current value of register `r` (0..=31).
@@ -427,7 +367,7 @@ impl Vm {
     /// Stops the machine on a tripped [`VmLimits`] guard: latches the
     /// error and the matching [`StopReason`], and halts further
     /// execution.
-    pub(crate) fn trip_limit(&mut self, stop: StopReason, error: VmError) -> VmError {
+    fn trip_limit(&mut self, stop: StopReason, error: VmError) -> VmError {
         self.limit_stop = Some(stop);
         self.error = Some(error.clone());
         self.halted = true;
@@ -445,13 +385,6 @@ impl Vm {
     pub fn step(&mut self) -> Result<Option<TraceRecord>, VmError> {
         if self.halted {
             return Ok(None);
-        }
-        // Manual stepping always uses the interpreter. It interleaves
-        // soundly with fast-tier runs (shared architectural state), but
-        // breaks the execution contiguity an in-progress loop recording
-        // depends on, so any such recording is abandoned.
-        if let Some(fast) = &mut self.fast {
-            fast.note_interpreter_step();
         }
         if let Some(budget) = self.limits.max_instructions {
             if self.steps >= budget {
@@ -607,15 +540,9 @@ impl Vm {
     pub fn run(&mut self, max_steps: u64) -> Result<RunResult, VmError> {
         let start = self.steps;
         let mut trace = Trace::new();
-        if let Some(mut fast) = self.fast.take() {
-            let result = self.run_fast(&mut fast, &mut trace, max_steps, usize::MAX);
-            self.fast = Some(fast);
-            result?;
-        } else {
-            while !self.halted && self.steps - start < max_steps {
-                if let Some(record) = self.step()? {
-                    trace.push(record);
-                }
+        while !self.halted && self.steps - start < max_steps {
+            if let Some(record) = self.step()? {
+                trace.push(record);
             }
         }
         Ok(RunResult {
@@ -641,15 +568,9 @@ impl Vm {
     /// `n` records (the same error is also latched in [`Vm::error`]).
     pub fn try_take_trace(&mut self, n: usize) -> Result<Trace, VmError> {
         let mut trace = Trace::with_capacity(n);
-        if let Some(mut fast) = self.fast.take() {
-            let result = self.run_fast(&mut fast, &mut trace, u64::MAX, n);
-            self.fast = Some(fast);
-            result?;
-        } else {
-            while trace.len() < n && !self.halted {
-                if let Some(record) = self.step()? {
-                    trace.push(record);
-                }
+        while trace.len() < n && !self.halted {
+            if let Some(record) = self.step()? {
+                trace.push(record);
             }
         }
         Ok(trace)
@@ -664,16 +585,6 @@ impl TraceSource for Vm {
     /// clean halt should use [`Vm::try_take_trace`] or check
     /// [`Vm::error`] after the source is exhausted.
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if let Some(mut fast) = self.fast.take() {
-            let mut trace = Trace::with_capacity(1);
-            // An error is latched on the machine and surfaces as `None`
-            // on the next call — exactly like the interpreter path when a
-            // record is produced right before a fault (e.g. by the first
-            // component of a fused pair).
-            let _ = self.run_fast(&mut fast, &mut trace, u64::MAX, 1);
-            self.fast = Some(fast);
-            return trace.iter().next().copied();
-        }
         while !self.halted {
             match self.step() {
                 Ok(Some(record)) => return Some(record),
@@ -914,6 +825,7 @@ mod tests {
             Some(StopReason::DeadlineExceeded { .. })
         ));
         assert!(vm.halted());
+        assert_eq!(vm.steps(), 0);
     }
 
     #[test]

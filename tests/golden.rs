@@ -10,7 +10,6 @@
 use dfcm_suite::predictors::{DfcmPredictor, FcmPredictor, StridePredictor, ValuePredictor};
 use dfcm_suite::sim::simulate_trace;
 use dfcm_suite::trace::suite::{standard_suite, standard_traces};
-use dfcm_suite::trace::TraceSource;
 use dfcm_suite::vm::{assemble, programs, Vm};
 
 const SEED: u64 = 0xD15EA5E;
@@ -63,14 +62,31 @@ fn golden_stride_suite_accuracy() {
 
 #[test]
 fn golden_vm_kernel_trace() {
-    // The norm kernel's trace is a pure function of the program.
-    let mut vm = Vm::new(assemble(programs::NORM).unwrap());
-    let trace = vm.take_trace(50_000);
-    assert_eq!(trace.len(), 50_000);
-    let checksum: u64 = trace.iter().fold(0u64, |acc, r| {
-        acc.wrapping_mul(1099511628211).wrapping_add(r.pc ^ r.value)
-    });
-    assert_eq!(checksum, 4356654817494445748, "VM trace checksum drifted");
+    // Each kernel's trace is a pure function of its program: the first
+    // 200,000 records, or the whole run where `halt` comes first.
+    let golden: [(&str, usize, u64); 10] = [
+        ("norm", 200_000, 8229268450666171212),
+        ("queens", 200_000, 13560105003285176757),
+        ("lzw", 200_000, 7487529846486637590),
+        ("matmul", 200_000, 9628434535135658503),
+        ("hashstr", 200_000, 6337607752106892291),
+        ("treeins", 200_000, 2576298745308805246),
+        ("sieve", 200_000, 16346103368239759631),
+        ("bubble", 200_000, 6617401208198937546),
+        ("fib", 164_179, 12363686736776066848),
+        ("strsearch", 167_694, 5339343666567379813),
+    ];
+    let names: Vec<&str> = programs::all().iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, golden.map(|(n, _, _)| n), "kernel registry changed");
+    for (name, len, checksum) in golden {
+        let mut vm = Vm::new(assemble(programs::by_name(name).unwrap()).unwrap());
+        let trace = vm.try_take_trace(200_000).expect("kernels do not fault");
+        let actual = trace.iter().fold(0u64, |acc, r| {
+            acc.wrapping_mul(1099511628211).wrapping_add(r.pc ^ r.value)
+        });
+        assert_eq!(trace.len(), len, "{name}: VM trace length drifted");
+        assert_eq!(actual, checksum, "{name}: VM trace checksum drifted");
+    }
 }
 
 #[test]
