@@ -1,12 +1,30 @@
 use std::collections::HashMap;
 
-use crate::error::{check_table_bits, ConfigError};
-use crate::hash::HashFunction;
 use crate::word_hash::WordHashBuilder;
-use crate::DEFAULT_VALUE_BITS;
 
 /// The paper's five aliasing categories (§4.2), in precedence order: every
 /// prediction is put in the *first* category whose detection rule applies.
+///
+/// An FCM or DFCM with [table stats](crate::ValuePredictor::enable_table_stats)
+/// on classifies each of its own predictions: it reports the class of the
+/// last one and counts them all per class.
+///
+/// ```
+/// use dfcm::{AliasClass, FcmPredictor, ValuePredictor};
+///
+/// # fn main() -> Result<(), dfcm::ConfigError> {
+/// let mut fcm = FcmPredictor::builder().l1_bits(10).l2_bits(10).build()?;
+/// fcm.enable_table_stats();
+/// for i in 0..1000u64 {
+///     fcm.access(0x400, i % 7);
+/// }
+/// assert_eq!(fcm.last_alias_class(), Some(AliasClass::NoAlias));
+/// let b = fcm.table_stats().and_then(|s| s.alias).expect("an FCM classifies");
+/// // A single in-pattern instruction suffers no L1 aliasing.
+/// assert_eq!(b.class_total(AliasClass::L1), 0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AliasClass {
     /// Level-1 aliasing: some value in the history used to index the
@@ -50,7 +68,8 @@ impl AliasClass {
         }
     }
 
-    fn index(self) -> usize {
+    /// This class's position in [`AliasClass::ALL`].
+    pub fn index(self) -> usize {
         match self {
             AliasClass::L1 => 0,
             AliasClass::Hash => 1,
@@ -61,18 +80,19 @@ impl AliasClass {
     }
 }
 
-/// Which predictor an [`AliasAnalyzer`] replicates.
+/// The two kinds of context predictor the §4.2 analyses are made of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalyzedKind {
-    /// Analyze a [`FcmPredictor`](crate::FcmPredictor): history elements
-    /// are values.
+    /// An [`FcmPredictor`](crate::FcmPredictor): history elements are
+    /// values.
     Fcm,
-    /// Analyze a [`DfcmPredictor`](crate::DfcmPredictor): history elements
-    /// are differences between successive values.
+    /// A [`DfcmPredictor`](crate::DfcmPredictor): history elements are
+    /// differences between successive values.
     Dfcm,
 }
 
-/// Per-class prediction counts collected by an [`AliasAnalyzer`].
+/// Per-class prediction counts of a classifying FCM or DFCM
+/// ([`TableStats::alias`](crate::TableStats::alias)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AliasBreakdown {
     /// `counts[class][0]` = wrong predictions, `counts[class][1]` = correct.
@@ -150,159 +170,95 @@ impl AliasBreakdown {
     }
 }
 
-/// An instrumented FCM/DFCM simulator that classifies every prediction into
-/// the paper's aliasing taxonomy (§4.2).
+/// The §4.2 shadow of one FCM or DFCM: what the taxonomy records beside
+/// the predictor's own tables, and nothing the predictor already holds.
+/// The predictor's instrumented step feeds it the values that step used
+/// (the level-1 entry, the pre-update hashed history that indexed the
+/// level-2 table, the element read there and the element written) and
+/// the step's own outcome, so the shadow classifies the predictions the
+/// predictor made, from whatever state it was in when the shadow began.
 ///
-/// The analyzer replicates the predictor's two-level state and additionally
-/// maintains the paper's shadow structures: per-level-1-entry source-PC
-/// histories (for `l1`), complete unhashed histories and PC tags on every
-/// level-2 entry (for `hash` and `l2_pc`), and a private level-2 table per
-/// level-1 entry (for `l2_priv`). Only the first rule that applies is
-/// counted.
+/// It keeps the paper's shadow structures: per-level-1-entry source-PC
+/// histories (for `l1`), the complete unhashed history and the writer's
+/// PC on every level-2 entry (for `hash` and `l2_pc`), and a private
+/// level-2 table per level-1 entry (for `l2_priv`). Only the first rule
+/// that applies is counted.
 ///
-/// The state is flat: one row per level-1 and per level-2 entry, each
-/// holding the replicated fields beside `order` history slots, and one
+/// The state is flat: one row per level-1 and per level-2 entry, and one
 /// map for every private table, keyed by level-1 entry and hashed
-/// history. So an access reads two rows and one map slot, hashes one
-/// word, and allocates nothing but for the map's growth.
+/// history. So a step reads two rows and one map slot, hashes one word,
+/// and allocates nothing but for the map's growth.
 ///
-/// Predictions through a level-2 entry that has never been written cannot
-/// be checked by the `hash`/`l2_priv`/`l2_pc` rules (there is nothing
-/// recorded to compare against) and fall through to `none`; cold-start
-/// predictions are almost always wrong but are a vanishing fraction of any
-/// realistic trace.
-///
-/// ```
-/// use dfcm::{AliasAnalyzer, AliasClass, AnalyzedKind};
-///
-/// # fn main() -> Result<(), dfcm::ConfigError> {
-/// let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 10, 10)?;
-/// for i in 0..1000u64 {
-///     az.access(0x400, i % 7);
-/// }
-/// let b = az.breakdown();
-/// // A single in-pattern instruction suffers no L1 aliasing.
-/// assert_eq!(b.class_total(AliasClass::L1), 0);
-/// # Ok(())
-/// # }
-/// ```
+/// Predictions through a level-2 entry that the shadow has not seen
+/// written cannot be checked by the `hash`/`l2_priv`/`l2_pc` rules (there
+/// is nothing recorded to compare against) and fall through to `none`.
 #[derive(Debug, Clone)]
-pub struct AliasAnalyzer {
-    kind: AnalyzedKind,
-    hash: HashFunction,
+pub(crate) struct AliasShadow {
     order: usize,
-    l1_bits: u32,
-    l2_bits: u32,
-    l1_mask: usize,
-    /// One row of `3 + 2·order` words per level-1 entry: the replicated
-    /// hashed history and last value, the length of the entry's element
-    /// history, then `order` slots of source PCs and `order` slots of
-    /// elements, oldest first. The history is the newest `length` slots.
+    /// One row of `1 + 2·order` words per level-1 entry: the length of
+    /// the entry's element history, then `order` slots of source PCs and
+    /// `order` slots of elements, oldest first. The history is the newest
+    /// `length` slots.
     l1_rows: Vec<u64>,
-    /// One row of `3 + order` words per level-2 entry: the replicated
-    /// stored element, the PC of its last writer, 0 if it was never
-    /// written and else 1 + the length of the history its last write
-    /// recorded, then that history in the first of `order` slots.
+    /// One row of `2 + order` words per level-2 entry: the PC of its last
+    /// writer, 0 if it was never written and else 1 + the length of the
+    /// history its last write recorded, then that history in the first
+    /// of `order` slots.
     l2_rows: Vec<u64>,
     /// Every level-1 entry's private level-2 table, keyed by
     /// `i1 << 32 | hashed history` (both are under 2^30).
     private_l2: HashMap<u64, u64, WordHashBuilder>,
     breakdown: AliasBreakdown,
-    last_predicted: u64,
 }
 
-impl AliasAnalyzer {
-    /// Creates an analyzer for a predictor with `2^l1_bits` level-1 and
-    /// `2^l2_bits` level-2 entries, using the paper's FS R-5 hash.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for table exponents above 30 or below 1 for
-    /// the level-2 table.
-    pub fn new(kind: AnalyzedKind, l1_bits: u32, l2_bits: u32) -> Result<Self, ConfigError> {
-        Self::with_hash(kind, l1_bits, l2_bits, HashFunction::FsR5)
-    }
-
-    /// As [`new`](AliasAnalyzer::new) with an explicit hash function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] as for [`new`](AliasAnalyzer::new), or if
-    /// the hash cannot produce `l2_bits`-bit indices.
-    pub fn with_hash(
-        kind: AnalyzedKind,
-        l1_bits: u32,
-        l2_bits: u32,
-        hash: HashFunction,
-    ) -> Result<Self, ConfigError> {
-        check_table_bits("l1_bits", l1_bits)?;
-        check_table_bits("l2_bits", l2_bits)?;
-        hash.validate(l2_bits)?;
-        let order = hash.order(l2_bits) as usize;
-        let (l1_entries, l2_entries) = (1usize << l1_bits, 1usize << l2_bits);
-        Ok(AliasAnalyzer {
-            kind,
-            hash,
+impl AliasShadow {
+    /// An empty shadow of `l1_entries` level-1 and `l2_entries` level-2
+    /// entries, whose hash folds histories of `order` elements.
+    pub(crate) fn new(order: usize, l1_entries: usize, l2_entries: usize) -> Self {
+        AliasShadow {
             order,
-            l1_bits,
-            l2_bits,
-            l1_mask: l1_entries - 1,
-            l1_rows: vec![0; l1_entries * (3 + 2 * order)],
-            l2_rows: vec![0; l2_entries * (3 + order)],
+            l1_rows: vec![0; l1_entries * (1 + 2 * order)],
+            l2_rows: vec![0; l2_entries * (2 + order)],
             private_l2: HashMap::with_hasher(WordHashBuilder::new()),
             breakdown: AliasBreakdown::default(),
-            last_predicted: 0,
-        })
-    }
-
-    /// The analyzed predictor kind.
-    pub fn kind(&self) -> AnalyzedKind {
-        self.kind
+        }
     }
 
     /// The classification counts accumulated so far.
-    pub fn breakdown(&self) -> AliasBreakdown {
+    pub(crate) fn breakdown(&self) -> AliasBreakdown {
         self.breakdown
     }
 
-    /// The value predicted by the most recent
-    /// [`access`](AliasAnalyzer::access) (0 before the first access).
-    /// Lets callers feed the replicated prediction into magnitude-aware
-    /// consumers (e.g. the phase-series miss histogram) without
-    /// re-simulating the predictor.
-    pub fn last_predicted(&self) -> u64 {
-        self.last_predicted
-    }
-
-    /// Performs one predict/classify/update step and returns the class and
-    /// correctness of the prediction.
-    pub fn access(&mut self, pc: u64, actual: u64) -> (AliasClass, bool) {
+    /// Classifies one step of the predictor and counts it: `pc`'s
+    /// prediction through level-1 entry `i1` read `stored` from level-2
+    /// entry `h` (the pre-update hashed history) and was `correct`. Then
+    /// records that the step wrote `element` (a value or a difference)
+    /// there.
+    pub(crate) fn observe(
+        &mut self,
+        pc: u64,
+        i1: usize,
+        h: u64,
+        stored: u64,
+        element: u64,
+        correct: bool,
+    ) -> AliasClass {
         let order = self.order;
-        let i1 = crate::predictor::pc_index(pc, self.l1_mask);
-        let l1_row = &mut self.l1_rows[i1 * (3 + 2 * order)..][..3 + 2 * order];
-        let ([hist, last, length], history) = l1_row
+        let l1_row = &mut self.l1_rows[i1 * (1 + 2 * order)..][..1 + 2 * order];
+        let ([length], history) = l1_row
             .split_first_chunk_mut()
-            .expect("rows open with 3 words");
+            .expect("rows open with a length");
         let (sources, elements) = history.split_at_mut(order);
-        let h = *hist;
-        let l2_row = &mut self.l2_rows[h as usize * (3 + order)..][..3 + order];
-        let ([stored, writer, written], recorded) = l2_row
+        let l2_row = &mut self.l2_rows[h as usize * (2 + order)..][..2 + order];
+        let ([writer, written], recorded) = l2_row
             .split_first_chunk_mut()
-            .expect("rows open with 3 words");
-
-        // Replicated prediction.
-        let (predicted, elem) = match self.kind {
-            AnalyzedKind::Fcm => (*stored, actual),
-            AnalyzedKind::Dfcm => (last.wrapping_add(*stored), actual.wrapping_sub(*last)),
-        };
-        let correct = predicted == actual;
-        self.last_predicted = predicted;
+            .expect("rows open with 2 words");
 
         // Classification (first rule that applies). The private table's
         // entry is read and written in one lookup.
         let len = *length as usize;
         let current = &elements[order - len..];
-        let private = self.private_l2.insert(((i1 as u64) << 32) | h, elem);
+        let private = self.private_l2.insert(((i1 as u64) << 32) | h, element);
         let class = if sources[order - len..].iter().any(|&src| src != pc) {
             // Rule 1 — l1: a history element came from another instruction.
             AliasClass::L1
@@ -310,7 +266,7 @@ impl AliasAnalyzer {
             // Rule 2 — hash: the recorded complete history differs from
             // the current one.
             AliasClass::Hash
-        } else if private.is_some_and(|private| private != *stored) {
+        } else if private.is_some_and(|private| private != stored) {
             // Rule 3 — l2_priv: a private level-2 table would predict
             // differently.
             AliasClass::L2Priv
@@ -323,37 +279,16 @@ impl AliasAnalyzer {
         };
         self.breakdown.record(class, correct);
 
-        // Replicated update plus shadow maintenance.
-        *stored = elem;
+        // Shadow maintenance.
         recorded[..len].copy_from_slice(current);
         *written = len as u64 + 1;
         *writer = pc;
         sources.copy_within(1.., 0);
         sources[order - 1] = pc;
         elements.copy_within(1.., 0);
-        elements[order - 1] = elem;
+        elements[order - 1] = element;
         *length = (len + 1).min(order) as u64;
-        *hist = self.hash.fold_update(h, elem, self.l2_bits);
-        *last = actual;
-
-        (class, correct)
-    }
-
-    /// Level-1 table size exponent.
-    pub fn l1_bits(&self) -> u32 {
-        self.l1_bits
-    }
-
-    /// Level-2 table size exponent.
-    pub fn l2_bits(&self) -> u32 {
-        self.l2_bits
-    }
-
-    /// Cost-model note: the analyzer replicates a predictor with the given
-    /// geometry; its shadow structures are measurement-only and have no
-    /// hardware cost. Provided for report symmetry.
-    pub fn value_bits(&self) -> u32 {
-        DEFAULT_VALUE_BITS
+        class
     }
 }
 
@@ -364,57 +299,55 @@ mod tests {
     use crate::fcm::FcmPredictor;
     use crate::predictor::ValuePredictor;
 
-    /// The analyzer must agree exactly with the real predictor on every
-    /// prediction — this guards the replicated predictor logic against
-    /// drift.
-    #[test]
-    fn analyzer_accuracy_matches_fcm() {
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 6, 10).unwrap();
-        let mut p = FcmPredictor::builder()
-            .l1_bits(6)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        for i in 0..5000u64 {
-            let pc = (i * 7) % 100;
-            let v = (i % 13).wrapping_mul(pc);
-            let (_, az_correct) = az.access(pc, v);
-            assert_eq!(az_correct, p.access(pc, v).correct, "i={i}");
-        }
+    /// A cold FCM or DFCM of `2^l1`/`2^l2` entries that classifies its
+    /// predictions.
+    fn classifying(kind: AnalyzedKind, l1: u32, l2: u32) -> Box<dyn ValuePredictor> {
+        let mut p: Box<dyn ValuePredictor> = match kind {
+            AnalyzedKind::Fcm => Box::new(
+                FcmPredictor::builder()
+                    .l1_bits(l1)
+                    .l2_bits(l2)
+                    .build()
+                    .unwrap(),
+            ),
+            AnalyzedKind::Dfcm => Box::new(
+                DfcmPredictor::builder()
+                    .l1_bits(l1)
+                    .l2_bits(l2)
+                    .build()
+                    .unwrap(),
+            ),
+        };
+        p.enable_table_stats();
+        p
     }
 
-    #[test]
-    fn analyzer_accuracy_matches_dfcm() {
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Dfcm, 6, 10).unwrap();
-        let mut p = DfcmPredictor::builder()
-            .l1_bits(6)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        for i in 0..5000u64 {
-            let pc = (i * 3) % 50;
-            let v = 17 * i + pc;
-            let (_, az_correct) = az.access(pc, v);
-            assert_eq!(az_correct, p.access(pc, v).correct, "i={i}");
-        }
+    /// The class of `p`'s prediction of `value` at `pc`.
+    fn class_of(p: &mut dyn ValuePredictor, pc: u64, value: u64) -> AliasClass {
+        p.access(pc, value);
+        p.last_alias_class().expect("a classifying predictor")
+    }
+
+    fn breakdown(p: &dyn ValuePredictor) -> AliasBreakdown {
+        p.table_stats()
+            .and_then(|s| s.alias)
+            .expect("a classifying predictor")
     }
 
     #[test]
     fn l1_aliasing_detected_when_pcs_collide() {
         // Two PCs sharing one L1 entry (l1_bits = 0 → single entry).
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 0, 10).unwrap();
-        az.access(0x10, 1);
-        az.access(0x20, 2);
-        let (class, _) = az.access(0x10, 3);
-        assert_eq!(class, AliasClass::L1);
+        let mut p = classifying(AnalyzedKind::Fcm, 0, 10);
+        p.access(0x10, 1);
+        p.access(0x20, 2);
+        assert_eq!(class_of(&mut *p, 0x10, 3), AliasClass::L1);
     }
 
     #[test]
     fn no_l1_aliasing_for_isolated_pcs() {
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 8, 12).unwrap();
+        let mut p = classifying(AnalyzedKind::Fcm, 8, 12);
         for i in 0..100u64 {
-            let (class, _) = az.access(5, i % 4);
-            assert_ne!(class, AliasClass::L1, "i={i}");
+            assert_ne!(class_of(&mut *p, 5, i % 4), AliasClass::L1, "i={i}");
         }
     }
 
@@ -423,15 +356,15 @@ mod tests {
         // Two instructions in disjoint L1 entries producing the *same*
         // repeating pattern share level-2 entries; the PC tag flips between
         // them. The paper calls this benign aliasing — accuracy stays high.
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 8, 12).unwrap();
+        let mut p = classifying(AnalyzedKind::Fcm, 8, 12);
         let pattern = [3u64, 9, 27, 81];
         for _ in 0..30 {
             for &v in &pattern {
-                az.access(0x11, v);
-                az.access(0x22, v);
+                p.access(0x11, v);
+                p.access(0x22, v);
             }
         }
-        let b = az.breakdown();
+        let b = breakdown(&*p);
         assert!(
             b.class_total(AliasClass::L2Pc) > 100,
             "expected heavy l2_pc traffic, got {}",
@@ -442,14 +375,14 @@ mod tests {
 
     #[test]
     fn none_class_for_single_steady_pattern() {
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 8, 12).unwrap();
+        let mut p = classifying(AnalyzedKind::Fcm, 8, 12);
         let pattern = [5u64, 1, 4, 1];
         for _ in 0..50 {
             for &v in &pattern {
-                az.access(0x7, v);
+                p.access(0x7, v);
             }
         }
-        let b = az.breakdown();
+        let b = breakdown(&*p);
         // Steady state: no aliasing, high accuracy.
         assert!(b.fraction(AliasClass::NoAlias) > 0.8);
         assert!(b.accuracy(AliasClass::NoAlias) > 0.9);
@@ -459,24 +392,23 @@ mod tests {
     fn hash_aliasing_detected_in_tiny_l2() {
         // A tiny level-2 table with many distinct contexts forces hash
         // collisions: different complete histories map to the same entry.
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Fcm, 8, 4).unwrap();
+        let mut p = classifying(AnalyzedKind::Fcm, 8, 4);
         let mut hits = 0u64;
         for i in 0..2000u64 {
             let pc = (i % 8) * 4; // 8 distinct word-aligned instructions
             let v = i.wrapping_mul(2654435761) % 97;
-            let (class, _) = az.access(pc, v);
-            hits += u64::from(class == AliasClass::Hash);
+            hits += u64::from(class_of(&mut *p, pc, v) == AliasClass::Hash);
         }
         assert!(hits > 200, "expected many hash aliases, got {hits}");
     }
 
     #[test]
     fn breakdown_fractions_sum_to_one() {
-        let mut az = AliasAnalyzer::new(AnalyzedKind::Dfcm, 6, 8).unwrap();
+        let mut p = classifying(AnalyzedKind::Dfcm, 6, 8);
         for i in 0..3000u64 {
-            az.access(i % 40, (i * i) % 1000);
+            p.access(i % 40, (i * i) % 1000);
         }
-        let b = az.breakdown();
+        let b = breakdown(&*p);
         let sum: f64 = AliasClass::ALL.iter().map(|&c| b.fraction(c)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert_eq!(b.total(), 3000);

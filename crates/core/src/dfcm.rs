@@ -1,10 +1,10 @@
-use crate::alias::{AliasAnalyzer, AnalyzedKind};
+use crate::alias::AliasClass;
 use crate::error::{check_table_bits, ConfigError};
 use crate::fcm::TwoLevelInstrumentation;
 use crate::hash::HashFunction;
 use crate::predictor::{AccessOutcome, L2Indexed, ValuePredictor};
 use crate::storage::StorageCost;
-use crate::table_stats::{TableStats, TableTracker};
+use crate::table_stats::TableStats;
 use crate::DEFAULT_VALUE_BITS;
 
 /// Width of the differences stored in the DFCM level-2 table (§4.4).
@@ -327,12 +327,7 @@ impl DfcmPredictor {
             self.l2[history as usize] = self.stride_width.store(diff);
             self.hist[i1] = self.hash.fold_update(history, diff, self.l2_bits);
             if let Some(stats) = &mut self.stats {
-                stats.l1.record(i1);
-                stats.l2.record(history as usize);
-                if let Some(analyzer) = &mut stats.analyzer {
-                    let (class, _) = analyzer.access(pc, actual);
-                    stats.last_class = Some(class);
-                }
+                stats.record(pc, i1, history, stored, diff, predicted == actual);
             }
         }
         self.last[i1] = actual;
@@ -470,31 +465,24 @@ impl ValuePredictor for DfcmPredictor {
 
     fn enable_table_stats(&mut self) {
         if self.stats.is_none() {
-            // The analyzer replicates a full-width DFCM; with truncated
-            // differences its predictions would drift from ours, so only
-            // table usage is tracked in that configuration.
-            let analyzer = (self.stride_width == StrideWidth::Full).then(|| {
-                AliasAnalyzer::with_hash(AnalyzedKind::Dfcm, self.l1_bits, self.l2_bits, self.hash)
-                    .expect("predictor config was already validated")
-            });
-            self.stats = Some(TwoLevelInstrumentation {
-                l1: TableTracker::new("l1", self.last.len()),
-                l2: TableTracker::new("l2", self.l2.len()),
-                analyzer,
-                last_class: None,
-            });
+            // §4.2 classifies full differences; a truncated stored
+            // difference is not the element its history recorded, so
+            // only table usage is tracked in that configuration.
+            let order = (self.stride_width == StrideWidth::Full).then(|| self.order());
+            self.stats = Some(TwoLevelInstrumentation::new(
+                self.last.len(),
+                self.l2.len(),
+                order,
+            ));
         }
     }
 
     fn table_stats(&self) -> Option<TableStats> {
-        self.stats.as_ref().map(|s| TableStats {
-            tables: vec![s.l1.usage(), s.l2.usage()],
-            alias: s.analyzer.as_ref().map(AliasAnalyzer::breakdown),
-        })
+        self.stats.as_ref().map(TwoLevelInstrumentation::stats)
     }
 
-    fn last_alias_class(&self) -> Option<crate::AliasClass> {
-        self.stats.as_ref().and_then(|s| s.last_class)
+    fn last_alias_class(&self) -> Option<AliasClass> {
+        self.stats.as_ref()?.last_class()
     }
 }
 

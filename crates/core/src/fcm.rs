@@ -1,4 +1,4 @@
-use crate::alias::{AliasAnalyzer, AnalyzedKind};
+use crate::alias::{AliasClass, AliasShadow};
 use crate::error::{check_table_bits, ConfigError};
 use crate::hash::HashFunction;
 use crate::predictor::{AccessOutcome, L2Indexed, ValuePredictor};
@@ -7,16 +7,59 @@ use crate::table_stats::{TableStats, TableTracker};
 use crate::DEFAULT_VALUE_BITS;
 
 /// Opt-in instrumentation for a two-level predictor: usage trackers for
-/// both tables plus a replicated [`AliasAnalyzer`] classifying every
-/// update into the paper's §4.2 taxonomy. The class of the most recent
-/// update is kept so per-access observers can read it back without a
-/// second analyzer pass.
+/// both tables plus, where the predictor is classified, the §4.2
+/// [`AliasShadow`] its instrumented step feeds. The class of the most
+/// recent step is kept so per-access observers can read it back.
 #[derive(Debug, Clone)]
 pub(crate) struct TwoLevelInstrumentation {
-    pub(crate) l1: TableTracker,
-    pub(crate) l2: TableTracker,
-    pub(crate) analyzer: Option<AliasAnalyzer>,
-    pub(crate) last_class: Option<crate::AliasClass>,
+    l1: TableTracker,
+    l2: TableTracker,
+    shadow: Option<AliasShadow>,
+    last_class: Option<AliasClass>,
+}
+
+impl TwoLevelInstrumentation {
+    /// Trackers for `l1_entries` and `l2_entries` entries, and a shadow
+    /// of histories of `order` elements unless `order` is `None`.
+    pub(crate) fn new(l1_entries: usize, l2_entries: usize, order: Option<u32>) -> Self {
+        TwoLevelInstrumentation {
+            l1: TableTracker::new("l1", l1_entries),
+            l2: TableTracker::new("l2", l2_entries),
+            shadow: order.map(|order| AliasShadow::new(order as usize, l1_entries, l2_entries)),
+            last_class: None,
+        }
+    }
+
+    /// Records one step: `pc`'s prediction through level-1 entry `i1`
+    /// read `stored` from level-2 entry `history` and was `correct`, and
+    /// the step wrote `element` there (see [`AliasShadow::observe`]).
+    #[inline]
+    pub(crate) fn record(
+        &mut self,
+        pc: u64,
+        i1: usize,
+        history: u64,
+        stored: u64,
+        element: u64,
+        correct: bool,
+    ) {
+        self.l1.record(i1);
+        self.l2.record(history as usize);
+        if let Some(shadow) = &mut self.shadow {
+            self.last_class = Some(shadow.observe(pc, i1, history, stored, element, correct));
+        }
+    }
+
+    pub(crate) fn stats(&self) -> TableStats {
+        TableStats {
+            tables: vec![self.l1.usage(), self.l2.usage()],
+            alias: self.shadow.as_ref().map(AliasShadow::breakdown),
+        }
+    }
+
+    pub(crate) fn last_class(&self) -> Option<AliasClass> {
+        self.last_class
+    }
 }
 
 /// The two-level finite context method predictor (Sazeides & Smith; §2.3).
@@ -241,12 +284,7 @@ impl FcmPredictor {
         } else {
             self.l1[i1] = self.hash.fold_update(history, actual, self.l2_bits);
             if let Some(stats) = &mut self.stats {
-                stats.l1.record(i1);
-                stats.l2.record(history as usize);
-                if let Some(analyzer) = &mut stats.analyzer {
-                    let (class, _) = analyzer.access(pc, actual);
-                    stats.last_class = Some(class);
-                }
+                stats.record(pc, i1, history, predicted, actual, predicted == actual);
             }
         }
         AccessOutcome {
@@ -300,32 +338,20 @@ impl ValuePredictor for FcmPredictor {
 
     fn enable_table_stats(&mut self) {
         if self.stats.is_none() {
-            self.stats = Some(TwoLevelInstrumentation {
-                l1: TableTracker::new("l1", self.l1.len()),
-                l2: TableTracker::new("l2", self.l2.len()),
-                analyzer: Some(
-                    AliasAnalyzer::with_hash(
-                        AnalyzedKind::Fcm,
-                        self.l1_bits,
-                        self.l2_bits,
-                        self.hash,
-                    )
-                    .expect("predictor config was already validated"),
-                ),
-                last_class: None,
-            });
+            self.stats = Some(TwoLevelInstrumentation::new(
+                self.l1.len(),
+                self.l2.len(),
+                Some(self.order()),
+            ));
         }
     }
 
     fn table_stats(&self) -> Option<TableStats> {
-        self.stats.as_ref().map(|s| TableStats {
-            tables: vec![s.l1.usage(), s.l2.usage()],
-            alias: s.analyzer.as_ref().map(AliasAnalyzer::breakdown),
-        })
+        self.stats.as_ref().map(TwoLevelInstrumentation::stats)
     }
 
-    fn last_alias_class(&self) -> Option<crate::AliasClass> {
-        self.stats.as_ref().and_then(|s| s.last_class)
+    fn last_alias_class(&self) -> Option<AliasClass> {
+        self.stats.as_ref()?.last_class()
     }
 }
 

@@ -20,8 +20,9 @@
 //!   [`MetaPredictor`], including the paper's perfect oracle (§4.3).
 //! * [`DelayedUpdate`] — models a prediction-to-update delay of *d*
 //!   intervening predictions (§4.5).
-//! * [`AliasAnalyzer`] — classifies every prediction into the paper's five
-//!   aliasing categories (§4.2, Figures 12–14).
+//! * [`AliasClass`] — the paper's five aliasing categories (§4.2, Figures
+//!   12–14), into which an FCM or DFCM with table stats on classifies
+//!   each of its own predictions ([`AliasBreakdown`] counts them).
 //! * [`StrideOccupancyProfiler`] — counts, per level-2 entry, accesses that
 //!   are part of a stride pattern (Figures 6 and 9).
 //! * [`TaggedDfcmPredictor`] — the confidence estimator the paper suggests
@@ -133,7 +134,7 @@ mod table_stats;
 mod tagged;
 mod word_hash;
 
-pub use crate::alias::{AliasAnalyzer, AliasBreakdown, AliasClass, AnalyzedKind};
+pub use crate::alias::{AliasBreakdown, AliasClass, AnalyzedKind};
 pub use crate::classified::{
     ClassCensus, ClassifiedBuilder, ClassifiedPredictor, InstructionClass,
 };

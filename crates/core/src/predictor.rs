@@ -84,7 +84,7 @@ pub trait ValuePredictor {
     ///
     /// Phase-resolved observability reads this after each access to
     /// attribute per-window and per-PC mispredictions to the paper's
-    /// aliasing classes without a second analyzer pass.
+    /// aliasing classes without a second pass.
     fn last_alias_class(&self) -> Option<crate::AliasClass> {
         None
     }
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn last_alias_class_reconciles_with_breakdown() {
         // Per-access classes summed over the run must equal the
-        // analyzer's aggregate breakdown — the invariant phase-resolved
+        // aggregate breakdown — the invariant phase-resolved
         // attribution depends on. Also checks Box forwarding.
         let make: Vec<fn() -> Box<dyn ValuePredictor>> = vec![
             || {
@@ -262,7 +262,7 @@ mod tests {
                 );
             }
         }
-        // Predictors without an analyzer always report None.
+        // Predictors that do not classify always report None.
         let mut lvp = LastValuePredictor::new(4);
         lvp.enable_table_stats();
         lvp.access(0x40, 1);

@@ -5,7 +5,7 @@
 //! room for context patterns. [`TableStats`] makes that observable on
 //! the real predictor objects — per-table occupancy and write/overwrite
 //! counts, plus (for the two-level predictors) the paper's §4.2
-//! aliasing classification via an embedded [`AliasAnalyzer`].
+//! classification of each of their own predictions ([`AliasBreakdown`]).
 //!
 //! Instrumentation is strictly opt-in through
 //! [`ValuePredictor::enable_table_stats`](crate::ValuePredictor::enable_table_stats):

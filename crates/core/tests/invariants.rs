@@ -1,8 +1,8 @@
 //! Property-based tests of the predictors' structural invariants.
 
 use dfcm::{
-    AliasAnalyzer, AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction, HybridPredictor,
-    PerfectMeta, StrideOccupancyProfiler, StridePredictor, TaggedDfcmPredictor, ValuePredictor,
+    DfcmPredictor, FcmPredictor, HashFunction, HybridPredictor, PerfectMeta,
+    StrideOccupancyProfiler, StridePredictor, TaggedDfcmPredictor, ValuePredictor,
 };
 use proptest::prelude::*;
 
@@ -47,23 +47,6 @@ proptest! {
         for &(pc, value) in &stream {
             prop_assert_eq!(plain.access(pc, value).predicted, tagged.access(pc, value).predicted);
         }
-    }
-
-    /// The alias analyzer replicates its predictor exactly, for both
-    /// analyzed kinds, on arbitrary streams.
-    #[test]
-    fn alias_analyzer_replicates_predictors(stream in arb_stream()) {
-        let mut az_f = AliasAnalyzer::new(AnalyzedKind::Fcm, 7, 9).unwrap();
-        let mut az_d = AliasAnalyzer::new(AnalyzedKind::Dfcm, 7, 9).unwrap();
-        let mut fcm = FcmPredictor::builder().l1_bits(7).l2_bits(9).build().unwrap();
-        let mut dfcm = DfcmPredictor::builder().l1_bits(7).l2_bits(9).build().unwrap();
-        for &(pc, value) in &stream {
-            prop_assert_eq!(az_f.access(pc, value).1, fcm.access(pc, value).correct);
-            prop_assert_eq!(az_d.access(pc, value).1, dfcm.access(pc, value).correct);
-        }
-        let total: u64 = stream.len() as u64;
-        prop_assert_eq!(az_f.breakdown().total(), total);
-        prop_assert_eq!(az_d.breakdown().total(), total);
     }
 
     /// A perfect-meta hybrid is correct exactly when either component

@@ -1,6 +1,6 @@
 //! Table-usage instrumentation: opt-in semantics, occupancy/write
-//! accounting, and agreement between the embedded alias analyzer and
-//! the predictor's own accuracy.
+//! accounting, and agreement between the §4.2 classification and the
+//! predictor's own accuracy.
 
 use dfcm::{
     AliasClass, DfcmPredictor, FcmPredictor, LastValuePredictor, StridePredictor, StrideWidth,
@@ -86,9 +86,9 @@ fn two_level_predictors_report_both_tables() {
 
 #[test]
 fn alias_breakdown_reconciles_with_accuracy() {
-    // The embedded analyzer replicates the predictor from the same cold
-    // state, so its per-class counts must sum to the access count and
-    // its correct-count must equal the predictor's own hits.
+    // The predictor classifies its own predictions, so the per-class
+    // counts must sum to the access count and their correct-count must
+    // equal the predictor's own hits.
     for spec in ["fcm", "dfcm"] {
         let mut p: Box<dyn ValuePredictor> = match spec {
             "fcm" => Box::new(
@@ -122,6 +122,54 @@ fn alias_breakdown_reconciles_with_accuracy() {
             .map(|&c| alias.class_correct(c))
             .sum();
         assert_eq!(correct, hits, "{spec}: correct counts must reconcile");
+    }
+}
+
+#[test]
+fn a_warm_predictor_classifies_its_own_predictions() {
+    // Stats switched on mid-run count the predictions the warm tables
+    // make from then on, not those of a cold copy.
+    let warm = |mut p: Box<dyn ValuePredictor>| {
+        for i in 0..3000u64 {
+            p.access(4 * (i % 23), (i % 11).wrapping_mul(i % 5));
+        }
+        p.enable_table_stats();
+        p
+    };
+    let predictors: [Box<dyn ValuePredictor>; 2] = [
+        warm(Box::new(
+            FcmPredictor::builder()
+                .l1_bits(5)
+                .l2_bits(9)
+                .build()
+                .unwrap(),
+        )),
+        warm(Box::new(
+            DfcmPredictor::builder()
+                .l1_bits(5)
+                .l2_bits(9)
+                .build()
+                .unwrap(),
+        )),
+    ];
+    for mut p in predictors {
+        let mut hits = 0u64;
+        for i in 0..1000u64 {
+            hits += u64::from(p.access(4 * (i % 23), (i % 11).wrapping_mul(i % 5)).correct);
+        }
+        assert!(hits > 500, "{}: the tables are warm, {hits} hits", p.name());
+        let alias = p.table_stats().unwrap().alias.unwrap();
+        assert_eq!(alias.total(), 1000, "{}", p.name());
+        let correct: u64 = AliasClass::ALL
+            .iter()
+            .map(|&c| alias.class_correct(c))
+            .sum();
+        assert_eq!(
+            correct,
+            hits,
+            "{}: correct counts must be its own",
+            p.name()
+        );
     }
 }
 

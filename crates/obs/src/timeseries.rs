@@ -25,7 +25,7 @@
 //! The obs crate knows nothing about predictors: aliasing classes are
 //! plain `usize` slots with caller-provided labels, so `dfcm-sim` can map
 //! the paper's five-class taxonomy (plus an "unclassified" slot for
-//! lanes without an analyzer) without a dependency cycle.
+//! lanes that do not classify) without a dependency cycle.
 
 use std::path::Path;
 

@@ -7,7 +7,7 @@ use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dfcm::{AliasBreakdown, AnalyzedKind, ValuePredictor};
+use dfcm::{AliasBreakdown, AnalyzedKind, DelayedUpdate, ValuePredictor};
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_sim::checkpoint::{decode_rows, encode_rows};
 use dfcm_sim::engine::{TaskError, TaskOutput};
@@ -56,12 +56,13 @@ pub struct Options {
     pub suite: SuiteMemo,
 }
 
-/// The memo behind [`Options::traces`] and [`Experiment::lanes`]: the
-/// suite it last generated or loaded, the options that produced it, and
-/// what the run evaluated on that suite — the [`RunStats`] of each
-/// (canonical spec, benchmark) pair and one §4.2 alias pass per analyzed
-/// kind. All of it is dropped together when `seed`, `scale`,
-/// `trace_dir` or `strict` change, so no result crosses suites.
+/// The memo behind [`Options::traces`], [`Experiment::lanes`] and
+/// [`Experiment::delayed`]: the suite it last generated or loaded, the
+/// options that produced it, and what the run evaluated on that suite —
+/// the [`RunStats`] of each (canonical spec, benchmark) pair, plain or
+/// under an update delay, and one §4.2 alias pass per analyzed kind. All
+/// of it is dropped together when `seed`, `scale`, `trace_dir` or
+/// `strict` change, so no result crosses suites.
 ///
 /// A clone starts out holding the same suite and results.
 #[derive(Default)]
@@ -72,9 +73,9 @@ pub struct SuiteMemo(Mutex<Option<Suite>>);
 struct Suite {
     key: SuiteKey,
     traces: Arc<[BenchmarkTrace]>,
-    /// Each canonical spec's stats, one slot per benchmark in suite
-    /// order; `None` where its task failed.
-    stats: HashMap<String, Vec<Option<RunStats>>>,
+    /// Each evaluation's stats, one slot per benchmark in suite order;
+    /// `None` where its task failed.
+    stats: HashMap<Evaluation, Vec<Option<RunStats>>>,
     alias: HashMap<AnalyzedKind, Arc<AliasPass>>,
 }
 
@@ -369,15 +370,30 @@ pub struct Experiment<'a> {
     report: EngineReport,
 }
 
-/// A canonical spec as an engine configuration. Its `Debug` form, which
-/// labels its tasks in checkpoints and metrics (`fcm:16:12/cc1`), is the
-/// spec itself.
-#[derive(Clone)]
-struct Canonical(String);
+/// What [`Experiment::lanes`] and [`Experiment::delayed`] evaluate: the
+/// lane of a canonical spec, with its updates applied at once or `delay`
+/// predictions late ([`DelayedUpdate`]).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Evaluation {
+    spec: String,
+    delay: Option<usize>,
+}
 
-impl Debug for Canonical {
+impl Evaluation {
+    fn lane(&self) -> StreamPredictor {
+        StreamPredictor::parse_spec(&self.spec).expect("a canonical spec parses")
+    }
+}
+
+/// An evaluation as an engine configuration: its `Debug` form labels its
+/// tasks in checkpoints and metrics as the spec (`fcm:16:12/cc1`), or, in
+/// a batch of one spec's delays, as the delay (`16/cc1`).
+impl Debug for Evaluation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        match self.delay {
+            None => f.write_str(&self.spec),
+            Some(delay) => write!(f, "{delay}"),
+        }
     }
 }
 
@@ -434,47 +450,82 @@ impl Experiment<'_> {
         configs: &[C],
         spec: impl Fn(&C) -> String,
     ) -> Vec<SweepPoint<C>> {
+        self.memoized(batch, configs, |c| (spec(c), None), Evaluation::lane)
+    }
+
+    /// Evaluates `spec`'s lane under each update delay of `delays`
+    /// ([`DelayedUpdate`]), memoized per (delay, canonical spec) as
+    /// [`Experiment::lanes`] memoizes plain lanes.
+    ///
+    /// # Panics
+    ///
+    /// As [`Experiment::lanes`].
+    pub fn delayed(&mut self, batch: &str, spec: &str, delays: &[usize]) -> Vec<SweepPoint<usize>> {
+        self.memoized(
+            batch,
+            delays,
+            |&delay| (spec.to_owned(), Some(delay)),
+            |e| DelayedUpdate::new(e.lane(), e.delay.expect("a delayed evaluation")),
+        )
+    }
+
+    /// [`Experiment::lanes`] for the evaluation each configuration names
+    /// (a spec, and a delay or none), each run on the predictor `build`
+    /// makes of it.
+    fn memoized<C: Clone, P: ValuePredictor>(
+        &mut self,
+        batch: &str,
+        configs: &[C],
+        evaluation: impl Fn(&C) -> (String, Option<usize>),
+        build: impl Fn(&Evaluation) -> P + Sync,
+    ) -> Vec<SweepPoint<C>> {
         let opts = self.opts;
         let traces = opts.traces();
         let key = opts.memo_key();
-        // Each configuration's canonical spec, and its result without
-        // benchmarks yet.
-        let lanes: Vec<(String, SuiteResult)> = configs
+        // Each configuration's evaluation, under its canonical spec, and
+        // its result without benchmarks yet.
+        let evaluations: Vec<(Evaluation, SuiteResult)> = configs
             .iter()
             .map(|c| {
-                let lane = StreamPredictor::parse_spec(&spec(c))
+                let (spec, delay) = evaluation(c);
+                let lane = StreamPredictor::parse_spec(&spec)
                     .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let evaluation = Evaluation {
+                    spec: lane.spec(),
+                    delay,
+                };
+                let predictor = build(&evaluation);
                 let result = SuiteResult {
-                    predictor: lane.name(),
-                    kbits: lane.storage().kbits(),
+                    predictor: predictor.name(),
+                    kbits: predictor.storage().kbits(),
                     benchmarks: Vec::new(),
                 };
-                (lane.spec(), result)
+                (evaluation, result)
             })
             .collect();
-        let mut known: HashMap<String, Vec<Option<RunStats>>> = opts
+        let mut known: HashMap<Evaluation, Vec<Option<RunStats>>> = opts
             .suite
             .with(&key, |suite| {
-                lanes
+                evaluations
                     .iter()
-                    .filter_map(|(s, _)| Some((s.clone(), suite.stats.get(s)?.clone())))
+                    .filter_map(|(e, _)| Some((e.clone(), suite.stats.get(e)?.clone())))
                     .collect()
             })
             .unwrap_or_default();
-        let mut missing: Vec<Canonical> = Vec::new();
-        for (s, _) in &lanes {
+        let mut missing: Vec<Evaluation> = Vec::new();
+        for (e, _) in &evaluations {
             let complete = known
-                .get(s)
+                .get(e)
                 .is_some_and(|slots| slots.iter().all(Option::is_some));
-            if !complete && !missing.iter().any(|m| m.0 == *s) {
-                missing.push(Canonical(s.clone()));
+            if !complete && !missing.contains(e) {
+                missing.push(e.clone());
             }
         }
         if !missing.is_empty() {
             let checkpoint = self.checkpoint(batch);
             let (points, report) = sweep_engine_ft(
                 &missing,
-                |c| StreamPredictor::parse_spec(&c.0).expect("a canonical spec parses"),
+                &build,
                 &traces,
                 &self.engine,
                 checkpoint.as_deref(),
@@ -483,7 +534,7 @@ impl Experiment<'_> {
             self.record(report);
             for point in points {
                 let slots = known
-                    .entry(point.config.0)
+                    .entry(point.config)
                     .or_insert_with(|| vec![None; traces.len()]);
                 for b in point.result.benchmarks {
                     let at = traces.iter().position(|t| t.name == b.name);
@@ -492,17 +543,17 @@ impl Experiment<'_> {
             }
             opts.suite.with(&key, |suite| {
                 for m in &missing {
-                    suite.stats.insert(m.0.clone(), known[&m.0].clone());
+                    suite.stats.insert(m.clone(), known[m].clone());
                 }
             });
         }
         configs
             .iter()
-            .zip(lanes)
-            .map(|(config, (spec, mut result))| {
+            .zip(evaluations)
+            .map(|(config, (evaluation, mut result))| {
                 result.benchmarks = traces
                     .iter()
-                    .zip(&known[&spec])
+                    .zip(&known[&evaluation])
                     .filter_map(|(t, stats)| {
                         Some(BenchmarkResult {
                             name: t.name,

@@ -12,16 +12,14 @@
 //! * Figure 14 — the same fractions among mispredictions: `hash` dominates
 //!   the remaining mispredictions for both predictors.
 
-use dfcm::{AliasAnalyzer, AliasBreakdown, AliasClass, AnalyzedKind};
+use dfcm::{AliasBreakdown, AliasClass, AnalyzedKind, ValuePredictor};
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::SERIES_CLASS_LABELS;
+use dfcm_sim::stream::{class_slot, record_accuracy};
+use dfcm_sim::{StreamPredictor, SERIES_CLASS_LABELS};
 use dfcm_trace::BenchmarkTrace;
 
 use crate::common::{banner, AliasPass, Options};
-
-const L1_BITS: u32 = 12;
-const L2_BITS: u32 = 12;
 
 /// The run's §4.2 pass of `kind` over the suite, made once per run
 /// ([`Options::alias_pass`]), with a copy of its series and its alias
@@ -33,16 +31,23 @@ fn analyze(opts: &Options, spec: &str, kind: AnalyzedKind) -> Vec<(&'static str,
     if let Some(series) = &pass.series {
         opts.obs.record_series(series.relabeled(spec));
     }
-    record_obs(opts, spec, &merged(&pass.per_bench));
+    let total = merged(&pass.per_bench);
+    record_accuracy(&opts.obs, spec, Some(total), total.overall_accuracy());
     pass.per_bench.clone()
 }
 
-/// Classifies every access of every suite benchmark. With obs enabled,
-/// additionally folds each prediction into a windowed phase series — one
-/// continuous prediction index across the benchmarks in suite order, so
-/// the series' phase boundaries are the benchmark boundaries. The series
-/// is recorded only as each figure's copy, under the figure's label.
+/// Runs a 2^12/2^12 predictor of `kind`, fresh per benchmark and with
+/// table stats on, over every suite benchmark, so that it classifies
+/// each of its own predictions. With obs enabled, additionally folds
+/// each prediction into a windowed phase series — one continuous
+/// prediction index across the benchmarks in suite order, so the
+/// series' phase boundaries are the benchmark boundaries. The series is
+/// recorded only as each figure's copy, under the figure's label.
 fn classify(opts: &Options, kind: AnalyzedKind, traces: &[BenchmarkTrace]) -> AliasPass {
+    let spec = match kind {
+        AnalyzedKind::Fcm => "fcm:12:12",
+        AnalyzedKind::Dfcm => "dfcm:12:12",
+    };
     let mut series = opts
         .obs
         .is_enabled()
@@ -51,19 +56,18 @@ fn classify(opts: &Options, kind: AnalyzedKind, traces: &[BenchmarkTrace]) -> Al
     let per_bench = traces
         .iter()
         .map(|b| {
-            let mut az = AliasAnalyzer::new(kind, L1_BITS, L2_BITS).expect("valid");
+            let mut p = StreamPredictor::parse_spec(spec).expect("a valid spec");
+            p.enable_table_stats();
             for r in &b.trace {
-                let (class, _) = az.access(r.pc, r.value);
+                let predicted = p.access(r.pc, r.value).predicted;
                 if let Some(series) = &mut series {
-                    let slot = AliasClass::ALL
-                        .iter()
-                        .position(|c| *c == class)
-                        .expect("every access is classified");
-                    series.record(index, r.pc, slot, az.last_predicted(), r.value);
+                    let slot = class_slot(p.last_alias_class());
+                    series.record(index, r.pc, slot, predicted, r.value);
                 }
                 index += 1;
             }
-            (b.name, az.breakdown())
+            let alias = p.table_stats().and_then(|s| s.alias);
+            (b.name, alias.expect("an fcm or dfcm lane classifies"))
         })
         .collect();
     AliasPass { per_bench, series }
@@ -75,29 +79,6 @@ fn merged(per_bench: &[(&'static str, AliasBreakdown)]) -> AliasBreakdown {
         total.merge(b);
     }
     total
-}
-
-/// Folds a merged aliasing breakdown into the run's observability
-/// metrics, using the paper's class taxonomy: the per-class
-/// `predictor_alias_total` / `predictor_alias_correct_total` counters
-/// and the matching `eval_accuracy` gauge (so `obs summarize --check`
-/// can reconcile the counts). `spec` carries the figure name so that
-/// figures analyzing the same predictor don't double-count.
-fn record_obs(opts: &Options, spec: &str, total: &AliasBreakdown) {
-    let obs = &opts.obs;
-    if !obs.is_enabled() {
-        return;
-    }
-    for class in AliasClass::ALL {
-        let labels = [("spec", spec), ("class", class.label())];
-        obs.add("predictor_alias_total", &labels, total.class_total(class));
-        obs.add(
-            "predictor_alias_correct_total",
-            &labels,
-            total.class_correct(class),
-        );
-    }
-    obs.gauge("eval_accuracy", &[("spec", spec)], total.overall_accuracy());
 }
 
 fn fraction_table(

@@ -5,7 +5,6 @@
 //! entries. The paper: both suffer significantly, the DFCM slightly more,
 //! but the overall behaviour — and the DFCM's advantage — is preserved.
 
-use dfcm::{DelayedUpdate, DfcmPredictor, FcmPredictor};
 use dfcm_sim::chart::{ScatterChart, Series};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 
@@ -20,24 +19,9 @@ pub fn run(opts: &Options) {
         "Figure 17: accuracy under delayed update (2^16 / 2^12)",
         "The update for a prediction lands only after d further predictions.",
     );
-    let traces = opts.traces();
     let mut run = opts.experiment("fig17");
-    let fcm = run.sweep("fcm", &traces, &DELAYS, |&d| {
-        let fcm = FcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(12)
-            .build()
-            .expect("valid");
-        DelayedUpdate::new(fcm, d)
-    });
-    let dfcm = run.sweep("dfcm", &traces, &DELAYS, |&d| {
-        let dfcm = DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(12)
-            .build()
-            .expect("valid");
-        DelayedUpdate::new(dfcm, d)
-    });
+    let fcm = run.delayed("fcm", "fcm:16:12", &DELAYS);
+    let dfcm = run.delayed("dfcm", "dfcm:16:12", &DELAYS);
     run.finish();
     let mut table = TextTable::new(vec!["delay", "FCM", "DFCM"]);
     let mut rows = Vec::new();

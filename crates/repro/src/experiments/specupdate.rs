@@ -8,7 +8,7 @@
 //! with [`SpeculativeDfcm`] added, showing how much
 //! of the loss speculative histories recover.
 
-use dfcm::{DelayedUpdate, DfcmPredictor, SpeculativeDfcm};
+use dfcm::SpeculativeDfcm;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 
 use crate::common::{banner, Options};
@@ -24,14 +24,8 @@ pub fn run(opts: &Options) {
     );
     let traces = opts.traces();
     let mut run = opts.experiment("specupdate");
-    let stale = run.sweep("stale", &traces, &DELAYS, |&d| {
-        let dfcm = DfcmPredictor::builder()
-            .l1_bits(16)
-            .l2_bits(12)
-            .build()
-            .expect("valid");
-        DelayedUpdate::new(dfcm, d)
-    });
+    // Figure 17's DFCM column: under `all`, read from the run's memo.
+    let stale = run.delayed("stale", "dfcm:16:12", &DELAYS);
     let speculative = run.sweep("speculative", &traces, &DELAYS, |&d| {
         SpeculativeDfcm::builder()
             .l1_bits(16)

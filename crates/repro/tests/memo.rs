@@ -70,6 +70,20 @@ fn one_run_writes_each_table_as_it_does_alone_and_runs_only_new_pairs() {
 }
 
 #[test]
+fn specupdate_reads_figure_17s_dfcm_column_from_the_run() {
+    let shared = options("delayed", 7, 0.004);
+    experiments::fig17::run(&shared);
+    experiments::specupdate::run(&shared);
+    let alone = options("delayed-alone", 7, 0.004);
+    experiments::specupdate::run(&alone);
+    assert_eq!(csv(&shared, "specupdate"), csv(&alone, "specupdate"));
+    // Its stale column is Fig 17's DFCM column; only the speculative one
+    // runs: seven delays on eight benchmarks.
+    assert_eq!(tasks(&alone, "specupdate"), 2 * 7 * 8);
+    assert_eq!(tasks(&shared, "specupdate"), 7 * 8);
+}
+
+#[test]
 fn a_clone_at_another_seed_or_scale_writes_the_fresh_csv() {
     let first = options("first", 7, 0.004);
     experiments::fig10::run_b(&first);

@@ -50,8 +50,9 @@ use std::path::Path;
 use std::sync::mpsc;
 
 use dfcm::{
-    AccessOutcome, AliasClass, DfcmBlock, DfcmPredictor, FcmPredictor, LastValuePredictor,
-    StorageCost, StridePredictor, TableStats, TwoDeltaStridePredictor, ValuePredictor, BLOCK_LANES,
+    AccessOutcome, AliasBreakdown, AliasClass, DfcmBlock, DfcmPredictor, FcmPredictor,
+    LastValuePredictor, StorageCost, StridePredictor, TableStats, TwoDeltaStridePredictor,
+    ValuePredictor, BLOCK_LANES,
 };
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_obs::Obs;
@@ -405,12 +406,12 @@ pub fn stream_v3_file<P: AsRef<Path>>(
 ///
 /// With `obs` enabled the pass runs the `--obs` observer: every lane's
 /// table instrumentation is turned on (occupancy and, on fcm/dfcm, the
-/// §4.2 alias analyzer), and each lane's phase series (`series.jsonl`),
-/// chunk-end occupancy samples and table/alias/accuracy metrics are
-/// recorded under its canonical spec. A lane's series and metrics do not
-/// depend on which other lanes share its pass, and the series is
-/// bit-identical at any `decode_threads`. With `obs` disabled no lane is
-/// instrumented and the pass is the plain lane walk.
+/// §4.2 class of each prediction), and each lane's phase series
+/// (`series.jsonl`), chunk-end occupancy samples and table/alias/accuracy
+/// metrics are recorded under its canonical spec. A lane's series and
+/// metrics do not depend on which other lanes share its pass, and the
+/// series is bit-identical at any `decode_threads`. With `obs` disabled
+/// no lane is instrumented and the pass is the plain lane walk.
 ///
 /// # Errors
 ///
@@ -458,16 +459,28 @@ fn stream_file<R: Read + Send, O: Observer>(
 
 /// Class-slot labels of the phase-resolved time series: the paper's five
 /// aliasing classes in [`AliasClass::ALL`] order, plus an `unclassified`
-/// slot for lanes without an alias analyzer (lvp and the stride
-/// predictors).
+/// slot for lanes that do not classify (lvp and the stride predictors).
 pub const SERIES_CLASS_LABELS: &[&str] =
     &["l1", "hash", "l2_priv", "l2_pc", "none", "unclassified"];
 
 /// Maps a predictor's per-access alias class onto its series slot.
-fn class_slot(class: Option<AliasClass>) -> usize {
-    class
-        .and_then(|c| AliasClass::ALL.iter().position(|x| *x == c))
-        .unwrap_or(SERIES_CLASS_LABELS.len() - 1)
+pub fn class_slot(class: Option<AliasClass>) -> usize {
+    class.map_or(SERIES_CLASS_LABELS.len() - 1, AliasClass::index)
+}
+
+/// Records `spec`'s `predictor_alias_total` and `_correct_total` per class
+/// of `alias`, if it classifies, then its `eval_accuracy` gauge, which
+/// `obs summarize --check` reconciles with them.
+pub fn record_accuracy(obs: &Obs, spec: &str, alias: Option<AliasBreakdown>, accuracy: f64) {
+    if let Some(alias) = alias {
+        for class in AliasClass::ALL {
+            let labels = [("spec", spec), ("class", class.label())];
+            obs.add("predictor_alias_total", &labels, alias.class_total(class));
+            let correct = alias.class_correct(class);
+            obs.add("predictor_alias_correct_total", &labels, correct);
+        }
+    }
+    obs.gauge("eval_accuracy", &[("spec", spec)], accuracy);
 }
 
 /// What a [`Pass`] does besides predicting. It is a type parameter, so
@@ -531,7 +544,7 @@ struct LaneObserver<'o> {
 
 impl<'o> LaneObserver<'o> {
     /// Turns on every lane's table instrumentation (occupancy tracking
-    /// and, on fcm/dfcm, the §4.2 alias analyzer behind the series'
+    /// and, on fcm/dfcm, the §4.2 classification behind the series'
     /// per-class breakdown) and labels each lane with its spec.
     fn new(obs: &'o Obs, lanes: &mut [StreamPredictor]) -> Self {
         let series = lanes
@@ -566,14 +579,13 @@ impl Observer for LaneObserver<'_> {
 
     fn chunk_end(&mut self, lanes: &KindGroups<'_>) {
         for (li, series) in self.series.iter().enumerate() {
-            if let Some(ts) = lanes.lane(li).0.table_stats() {
-                for t in &ts.tables {
-                    self.obs.sample(
-                        "table_occupancy_percent",
-                        &[("spec", series.spec()), ("table", t.name)],
-                        t.occupancy_percent(),
-                    );
-                }
+            let ts = lanes.lane(li).0.table_stats();
+            for t in ts.iter().flat_map(|ts| &ts.tables) {
+                self.obs.sample(
+                    "table_occupancy_percent",
+                    &[("spec", series.spec()), ("table", t.name)],
+                    t.occupancy_percent(),
+                );
             }
         }
     }
@@ -582,27 +594,15 @@ impl Observer for LaneObserver<'_> {
         let obs = self.obs;
         for (li, (series, stats)) in self.series.into_iter().zip(stats).enumerate() {
             let spec = series.spec();
-            if let Some(ts) = lanes.lane(li).0.table_stats() {
-                for t in &ts.tables {
-                    let labels = [("spec", spec), ("table", t.name)];
-                    obs.gauge("predictor_table_entries", &labels, t.entries as f64);
-                    obs.gauge("predictor_table_occupied", &labels, t.occupied as f64);
-                    obs.add("predictor_table_writes_total", &labels, t.writes);
-                    obs.add("predictor_table_overwrites_total", &labels, t.overwrites);
-                }
-                if let Some(alias) = &ts.alias {
-                    for class in AliasClass::ALL {
-                        let labels = [("spec", spec), ("class", class.label())];
-                        obs.add("predictor_alias_total", &labels, alias.class_total(class));
-                        obs.add(
-                            "predictor_alias_correct_total",
-                            &labels,
-                            alias.class_correct(class),
-                        );
-                    }
-                }
+            let ts = lanes.lane(li).0.table_stats();
+            for t in ts.iter().flat_map(|ts| &ts.tables) {
+                let labels = [("spec", spec), ("table", t.name)];
+                obs.gauge("predictor_table_entries", &labels, t.entries as f64);
+                obs.gauge("predictor_table_occupied", &labels, t.occupied as f64);
+                obs.add("predictor_table_writes_total", &labels, t.writes);
+                obs.add("predictor_table_overwrites_total", &labels, t.overwrites);
             }
-            obs.gauge("eval_accuracy", &[("spec", spec)], stats.accuracy());
+            record_accuracy(obs, spec, ts.and_then(|ts| ts.alias), stats.accuracy());
             obs.record_series(series);
         }
     }
@@ -1434,7 +1434,7 @@ mod tests {
                 lane.spec()
             );
             // Where the lane classifies accesses, the per-class series
-            // totals equal the analyzer's aggregate breakdown.
+            // totals equal the lane's aggregate breakdown.
             if let Some(alias) = lane.table_stats().and_then(|ts| ts.alias) {
                 for (slot, class) in AliasClass::ALL.iter().enumerate() {
                     assert_eq!(

@@ -46,5 +46,6 @@ pub use crate::disasm::{disassemble, render_inst};
 pub use crate::isa::{Inst, Reg, NUM_REGS};
 pub use crate::suite::Tier;
 pub use crate::vm::{
-    RunResult, StopReason, Vm, VmError, VmLimits, DEFAULT_MEMORY_WORDS, TEXT_BASE,
+    RunResult, StopReason, Vm, VmError, VmLimits, DEFAULT_MEMORY_WORDS, MAX_RESERVED_RECORDS,
+    TEXT_BASE,
 };

@@ -27,6 +27,10 @@ pub const DEFAULT_MEMORY_WORDS: usize = 1 << 20;
 /// clock every instruction would dominate the interpreter loop.
 const DEADLINE_POLL_MASK: u64 = 0xFFF;
 
+/// The most records [`Vm::try_take_trace`] reserves before the program
+/// has produced them (16 MiB of records); a larger pull grows from there.
+pub const MAX_RESERVED_RECORDS: usize = 1 << 20;
+
 /// Resource budgets for a [`Vm`], for running untrusted or
 /// fuzzer-generated kernels: a pathological program degrades to a typed
 /// error instead of hanging a worker or exhausting its host.
@@ -567,7 +571,9 @@ impl Vm {
     /// Returns the [`VmError`] if the program faults before producing
     /// `n` records (the same error is also latched in [`Vm::error`]).
     pub fn try_take_trace(&mut self, n: usize) -> Result<Trace, VmError> {
-        let mut trace = Trace::with_capacity(n);
+        // A cap bounds the pull, not the program: reserve for at most
+        // `MAX_RESERVED_RECORDS` and grow only for records that exist.
+        let mut trace = Trace::with_capacity(n.min(MAX_RESERVED_RECORDS));
         while trace.len() < n && !self.halted {
             if let Some(record) = self.step()? {
                 trace.push(record);

@@ -1,54 +1,28 @@
 //! Integration tests for the aliasing taxonomy (§4.2, Figures 12–14) on
 //! suite-scale workloads.
 
-use dfcm_suite::predictors::{
-    AliasAnalyzer, AliasBreakdown, AliasClass, AnalyzedKind, DfcmPredictor, FcmPredictor,
-    ValuePredictor,
-};
+use dfcm_suite::predictors::{AliasBreakdown, AliasClass, AnalyzedKind, ValuePredictor};
+use dfcm_suite::sim::StreamPredictor;
 use dfcm_suite::trace::suite::standard_traces;
 use dfcm_suite::trace::BenchmarkTrace;
 
+/// The merged §4.2 breakdown of a 2^12/2^12 predictor of `kind`, fresh
+/// per benchmark, classifying its own predictions.
 fn analyze(kind: AnalyzedKind, traces: &[BenchmarkTrace]) -> AliasBreakdown {
+    let spec = match kind {
+        AnalyzedKind::Fcm => "fcm:12:12",
+        AnalyzedKind::Dfcm => "dfcm:12:12",
+    };
     let mut total = AliasBreakdown::default();
     for bench in traces {
-        let mut az = AliasAnalyzer::new(kind, 12, 12).unwrap();
+        let mut p = StreamPredictor::parse_spec(spec).unwrap();
+        p.enable_table_stats();
         for r in &bench.trace {
-            az.access(r.pc, r.value);
+            p.access(r.pc, r.value);
         }
-        total.merge(&az.breakdown());
+        total.merge(&p.table_stats().and_then(|s| s.alias).unwrap());
     }
     total
-}
-
-/// The analyzer's replicated predictor must agree exactly with the real
-/// predictors on full suite traces (guards against divergence).
-#[test]
-fn analyzer_matches_real_predictors_on_suite() {
-    let traces = standard_traces(7, 0.02);
-    for bench in &traces {
-        let mut az_f = AliasAnalyzer::new(AnalyzedKind::Fcm, 12, 12).unwrap();
-        let mut az_d = AliasAnalyzer::new(AnalyzedKind::Dfcm, 12, 12).unwrap();
-        let mut fcm = FcmPredictor::builder()
-            .l1_bits(12)
-            .l2_bits(12)
-            .build()
-            .unwrap();
-        let mut dfcm = DfcmPredictor::builder()
-            .l1_bits(12)
-            .l2_bits(12)
-            .build()
-            .unwrap();
-        for r in &bench.trace {
-            assert_eq!(
-                az_f.access(r.pc, r.value).1,
-                fcm.access(r.pc, r.value).correct
-            );
-            assert_eq!(
-                az_d.access(r.pc, r.value).1,
-                dfcm.access(r.pc, r.value).correct
-            );
-        }
-    }
 }
 
 /// Figure 12: destructive classes (l1, hash) have low accuracy; benign

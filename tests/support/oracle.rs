@@ -1,7 +1,8 @@
 //! A deliberately naive model of the paper's five predictors, written
 //! from their definitions (§2–§3) as the reference the production tables
 //! and the engine are checked against, and of §4.2's aliasing taxonomy
-//! ([`Taxonomy`]), the reference for `AliasAnalyzer`.
+//! ([`Taxonomy`]), the reference for the classes the instrumented FCM and
+//! DFCM give their own predictions.
 //!
 //! It shares no code with the production predictors. Every level-1 entry
 //! keeps its history as an explicit queue of the last `order` values
@@ -15,8 +16,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::predictors::{
-    AliasAnalyzer, AliasClass, AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction,
-    LastValuePredictor, StridePredictor, StrideWidth, TwoDeltaStridePredictor, ValuePredictor,
+    AliasClass, AnalyzedKind, DfcmPredictor, FcmPredictor, HashFunction, LastValuePredictor,
+    StridePredictor, StrideWidth, TwoDeltaStridePredictor, ValuePredictor,
 };
 
 /// A predictor and its geometry; table sizes are log2 entry counts.
@@ -268,13 +269,33 @@ impl Taxonomy {
         }
     }
 
-    /// The production analyzer of this geometry.
-    pub fn production(&self) -> AliasAnalyzer {
+    /// The production predictor of this geometry, with table stats on,
+    /// so that it classifies its own predictions.
+    pub fn production(&self) -> Box<dyn ValuePredictor> {
         let hash = match self.k {
             5 => HashFunction::FsR5,
             k => HashFunction::FsShift { shift: k as u8 },
         };
-        AliasAnalyzer::with_hash(self.kind, self.l1, self.l2, hash).expect("valid geometry")
+        let mut production: Box<dyn ValuePredictor> = match self.kind {
+            AnalyzedKind::Fcm => Box::new(
+                FcmPredictor::builder()
+                    .l1_bits(self.l1)
+                    .l2_bits(self.l2)
+                    .hash(hash)
+                    .build()
+                    .expect("valid geometry"),
+            ),
+            AnalyzedKind::Dfcm => Box::new(
+                DfcmPredictor::builder()
+                    .l1_bits(self.l1)
+                    .l2_bits(self.l2)
+                    .hash(hash)
+                    .build()
+                    .expect("valid geometry"),
+            ),
+        };
+        production.enable_table_stats();
+        production
     }
 
     /// Predicts the value of the instruction at `pc`, classifies the
