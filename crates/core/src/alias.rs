@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 
+use crate::tagged::ConfidenceBreakdown;
 use crate::word_hash::WordHashBuilder;
 
 /// The paper's five aliasing categories (§4.2), in precedence order: every
@@ -170,13 +171,16 @@ impl AliasBreakdown {
     }
 }
 
-/// The §4.2 shadow of one FCM or DFCM: what the taxonomy records beside
-/// the predictor's own tables, and nothing the predictor already holds.
+/// The §4.2 shadow of one FCM or DFCM: what the taxonomy and the tagged
+/// confidence estimator ([`ConfidenceBreakdown`]) record beside the
+/// predictor's own tables, and nothing the predictor already holds.
 /// The predictor's instrumented step feeds it the values that step used
 /// (the level-1 entry, the pre-update hashed history that indexed the
 /// level-2 table, the element read there and the element written) and
-/// the step's own outcome, so the shadow classifies the predictions the
-/// predictor made, from whatever state it was in when the shadow began.
+/// the step's own outcome, so the shadow classifies and estimates the
+/// predictions the predictor made, from whatever state it was in when
+/// the shadow began. The shadow itself, tags and counters included,
+/// starts cold.
 ///
 /// It keeps the paper's shadow structures: per-level-1-entry source-PC
 /// histories (for `l1`), the complete unhashed history and the writer's
@@ -195,20 +199,22 @@ impl AliasBreakdown {
 #[derive(Debug, Clone)]
 pub(crate) struct AliasShadow {
     order: usize,
-    /// One row of `1 + 2·order` words per level-1 entry: the length of
-    /// the entry's element history, then `order` slots of source PCs and
-    /// `order` slots of elements, oldest first. The history is the newest
-    /// `length` slots.
+    /// One row of `2 + 2·order` words per level-1 entry: the length of
+    /// the entry's element history, the estimator's orthogonal tag
+    /// history, then `order` slots of source PCs and `order` slots of
+    /// elements, oldest first. The history is the newest `length` slots.
     l1_rows: Vec<u64>,
-    /// One row of `2 + order` words per level-2 entry: the PC of its last
+    /// One row of `3 + order` words per level-2 entry: the PC of its last
     /// writer, 0 if it was never written and else 1 + the length of the
-    /// history its last write recorded, then that history in the first
-    /// of `order` slots.
+    /// history its last write recorded, the tag that write saw with the
+    /// estimator's counter, then that history in the first of `order`
+    /// slots.
     l2_rows: Vec<u64>,
     /// Every level-1 entry's private level-2 table, keyed by
     /// `i1 << 32 | hashed history` (both are under 2^30).
     private_l2: HashMap<u64, u64, WordHashBuilder>,
     breakdown: AliasBreakdown,
+    confidence: ConfidenceBreakdown,
 }
 
 impl AliasShadow {
@@ -217,10 +223,11 @@ impl AliasShadow {
     pub(crate) fn new(order: usize, l1_entries: usize, l2_entries: usize) -> Self {
         AliasShadow {
             order,
-            l1_rows: vec![0; l1_entries * (1 + 2 * order)],
-            l2_rows: vec![0; l2_entries * (2 + order)],
+            l1_rows: vec![0; l1_entries * (2 + 2 * order)],
+            l2_rows: vec![0; l2_entries * (3 + order)],
             private_l2: HashMap::with_hasher(WordHashBuilder::new()),
             breakdown: AliasBreakdown::default(),
+            confidence: ConfidenceBreakdown::default(),
         }
     }
 
@@ -229,11 +236,16 @@ impl AliasShadow {
         self.breakdown
     }
 
-    /// Classifies one step of the predictor and counts it: `pc`'s
-    /// prediction through level-1 entry `i1` read `stored` from level-2
-    /// entry `h` (the pre-update hashed history) and was `correct`. Then
-    /// records that the step wrote `element` (a value or a difference)
-    /// there.
+    /// The estimator's counts accumulated so far.
+    pub(crate) fn confidence(&self) -> ConfidenceBreakdown {
+        self.confidence
+    }
+
+    /// Classifies one step of the predictor and counts it, by class and
+    /// by the estimator's verdict: `pc`'s prediction through level-1
+    /// entry `i1` read `stored` from level-2 entry `h` (the pre-update
+    /// hashed history) and was `correct`. Then records that the step
+    /// wrote `element` (a value or a difference) there.
     pub(crate) fn observe(
         &mut self,
         pc: u64,
@@ -244,15 +256,15 @@ impl AliasShadow {
         correct: bool,
     ) -> AliasClass {
         let order = self.order;
-        let l1_row = &mut self.l1_rows[i1 * (1 + 2 * order)..][..1 + 2 * order];
-        let ([length], history) = l1_row
-            .split_first_chunk_mut()
-            .expect("rows open with a length");
-        let (sources, elements) = history.split_at_mut(order);
-        let l2_row = &mut self.l2_rows[h as usize * (2 + order)..][..2 + order];
-        let ([writer, written], recorded) = l2_row
+        let l1_row = &mut self.l1_rows[i1 * (2 + 2 * order)..][..2 + 2 * order];
+        let ([length, tag_history], history) = l1_row
             .split_first_chunk_mut()
             .expect("rows open with 2 words");
+        let (sources, elements) = history.split_at_mut(order);
+        let l2_row = &mut self.l2_rows[h as usize * (3 + order)..][..3 + order];
+        let ([writer, written, tag], recorded) = l2_row
+            .split_first_chunk_mut()
+            .expect("rows open with 3 words");
 
         // Classification (first rule that applies). The private table's
         // entry is read and written in one lookup.
@@ -278,6 +290,7 @@ impl AliasShadow {
             AliasClass::NoAlias
         };
         self.breakdown.record(class, correct);
+        self.confidence.observe(tag_history, tag, element, correct);
 
         // Shadow maintenance.
         recorded[..len].copy_from_slice(current);

@@ -8,7 +8,8 @@ use crate::DEFAULT_VALUE_BITS;
 
 /// Opt-in instrumentation for a two-level predictor: usage trackers for
 /// both tables plus, where the predictor is classified, the §4.2
-/// [`AliasShadow`] its instrumented step feeds. The class of the most
+/// [`AliasShadow`] (taxonomy and tagged confidence estimator) its
+/// instrumented step feeds. The class of the most
 /// recent step is kept so per-access observers can read it back.
 #[derive(Debug, Clone)]
 pub(crate) struct TwoLevelInstrumentation {
@@ -54,6 +55,7 @@ impl TwoLevelInstrumentation {
         TableStats {
             tables: vec![self.l1.usage(), self.l2.usage()],
             alias: self.shadow.as_ref().map(AliasShadow::breakdown),
+            confidence: self.shadow.as_ref().map(AliasShadow::confidence),
         }
     }
 

@@ -23,11 +23,13 @@
 //! * [`AliasClass`] — the paper's five aliasing categories (§4.2, Figures
 //!   12–14), into which an FCM or DFCM with table stats on classifies
 //!   each of its own predictions ([`AliasBreakdown`] counts them).
+//! * [`ConfidenceBreakdown`] — the confidence estimator the paper suggests
+//!   at the end of §4.2 (level-2 tags from an orthogonal second hash, and
+//!   a counter), implemented as an extension: the same FCM or DFCM counts
+//!   its predictions by the estimator's verdict at every tag width and
+//!   threshold.
 //! * [`StrideOccupancyProfiler`] — counts, per level-2 entry, accesses that
 //!   are part of a stride pattern (Figures 6 and 9).
-//! * [`TaggedDfcmPredictor`] — the confidence estimator the paper suggests
-//!   at the end of §4.2 (level-2 tags from an orthogonal second hash),
-//!   implemented as an extension.
 //!
 //! Related-work predictors from the paper's §5, for comparison studies:
 //! [`LastNValuePredictor`] (Burtscher & Zorn \[2\]) and
@@ -154,9 +156,7 @@ pub use crate::speculative::{SpeculativeDfcm, SpeculativeDfcmBuilder};
 pub use crate::storage::StorageCost;
 pub use crate::stride::{StridePredictor, TwoDeltaStridePredictor};
 pub use crate::table_stats::{TableStats, TableUsage};
-pub use crate::tagged::{
-    ConfidencePredictor, ConfidentPrediction, TaggedDfcmBuilder, TaggedDfcmPredictor,
-};
+pub use crate::tagged::ConfidenceBreakdown;
 
 /// Architectural value width, in bits, assumed by the default storage cost
 /// model (the paper simulates the 32-bit MIPS-like SimpleScalar ISA).

@@ -149,6 +149,7 @@ impl ValuePredictor for LastValuePredictor {
         self.stats.as_ref().map(|s| TableStats {
             tables: vec![s.usage()],
             alias: None,
+            confidence: None,
         })
     }
 }

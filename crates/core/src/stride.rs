@@ -201,6 +201,7 @@ impl ValuePredictor for StridePredictor {
         self.stats.as_ref().map(|s| TableStats {
             tables: vec![s.usage()],
             alias: None,
+            confidence: None,
         })
     }
 }
@@ -375,6 +376,7 @@ impl ValuePredictor for TwoDeltaStridePredictor {
         self.stats.as_ref().map(|s| TableStats {
             tables: vec![s.usage()],
             alias: None,
+            confidence: None,
         })
     }
 }

@@ -5,7 +5,9 @@
 //! room for context patterns. [`TableStats`] makes that observable on
 //! the real predictor objects — per-table occupancy and write/overwrite
 //! counts, plus (for the two-level predictors) the paper's §4.2
-//! classification of each of their own predictions ([`AliasBreakdown`]).
+//! classification of each of their own predictions ([`AliasBreakdown`])
+//! and the verdicts of §4.2's suggested confidence estimator on them
+//! ([`ConfidenceBreakdown`]).
 //!
 //! Instrumentation is strictly opt-in through
 //! [`ValuePredictor::enable_table_stats`](crate::ValuePredictor::enable_table_stats):
@@ -13,6 +15,7 @@
 //! pays a single branch per update.
 
 use crate::alias::AliasBreakdown;
+use crate::tagged::ConfidenceBreakdown;
 
 /// Usage counters for one hardware table of a predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +51,9 @@ pub struct TableStats {
     /// The §4.2 aliasing classification, for predictors that support it
     /// (FCM and DFCM).
     pub alias: Option<AliasBreakdown>,
+    /// The tagged confidence estimator's counts, present exactly where
+    /// `alias` is.
+    pub confidence: Option<ConfidenceBreakdown>,
 }
 
 /// Per-table write tracking used by instrumented predictors.

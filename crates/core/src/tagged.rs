@@ -1,297 +1,101 @@
-use crate::error::{check_table_bits, ConfigError};
-use crate::hash::HashFunction;
-use crate::predictor::{L2Indexed, ValuePredictor};
-use crate::storage::StorageCost;
-use crate::DEFAULT_VALUE_BITS;
-
-/// A DFCM prediction qualified by the confidence estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfidentPrediction {
-    /// The predicted value (always produced).
-    pub value: u64,
-    /// Whether the estimator would issue this prediction to the pipeline.
-    pub confident: bool,
-}
-
-/// A predictor that can qualify its predictions with a confidence verdict.
-///
-/// The evaluation harness uses this to measure the coverage/accuracy
-/// trade-off of confidence estimation: `predict_confident` must return the
-/// same value `predict` would, plus the issue decision.
-pub trait ConfidencePredictor: ValuePredictor {
-    /// Predicts and reports whether the prediction would be issued.
-    fn predict_confident(&self, pc: u64) -> ConfidentPrediction;
-}
-
-/// The DFCM with the hash-alias-tracking confidence estimator the paper
-/// *suggests* at the end of §4.2 but does not evaluate:
+/// The confidence estimator the paper *suggests* at the end of §4.2 but
+/// does not evaluate, as counts over the predictions of an FCM or DFCM
+/// with [table stats](crate::ValuePredictor::enable_table_stats) on
+/// ([`TableStats::confidence`](crate::TableStats::confidence)):
 ///
 /// > "the design of a confidence estimator for a (D)FCM predictor should
 /// > include tagging the level-2 table with some information to track
 /// > hash-aliasing … Some bits of a second hashing function, orthogonal to
 /// > the main one, seems to be a good choice for the tag."
 ///
-/// Each level-1 entry maintains a *second* hashed history using a
-/// different fold shift, so it evolves orthogonally to the index hash;
-/// its low `tag_bits` bits are stored in the level-2 entry on update and
-/// compared on prediction. A tag mismatch means the entry was last written
-/// under a different context (hash aliasing — the dominant misprediction
-/// source in Figure 14) and the prediction is flagged unconfident. A small
-/// per-entry saturating counter additionally vets entries whose
-/// predictions have been failing.
+/// Each level-1 entry keeps a *second* hashed history of its elements
+/// (values for an FCM, differences for a DFCM) with a fold shift of 3
+/// instead of the index hash's 5, so it evolves orthogonally to the
+/// index; each level-2 entry keeps the tag its last write saw and a
+/// 2-bit counter, which a correct prediction raises toward 3 and a wrong
+/// one resets to 0. A prediction is issued when the entry's tag matches
+/// the current one in its low `tag_bits` bits (a mismatch means the
+/// entry was last written under another context: hash aliasing, the
+/// dominant misprediction source in Figure 14) and its counter reaches
+/// `threshold`. Tags are kept at 16 bits, so one pass answers every tag
+/// width from 0 (the counter alone) to 16 and every threshold from 0 to
+/// 3: each prediction is counted by how many low tag bits matched, the
+/// counter and whether it was right.
 ///
 /// ```
-/// use dfcm::{TaggedDfcmPredictor, ValuePredictor};
+/// use dfcm::{DfcmPredictor, ValuePredictor};
 ///
 /// # fn main() -> Result<(), dfcm::ConfigError> {
-/// let mut p = TaggedDfcmPredictor::builder().l1_bits(8).l2_bits(8).build()?;
-/// // Warm a stride; predictions become confident and correct.
+/// let mut p = DfcmPredictor::builder().l1_bits(8).l2_bits(8).build()?;
+/// p.enable_table_stats();
+/// // Warm a stride, then count one more prediction: it is confident at
+/// // four tag bits and a threshold of 2, and correct.
 /// for i in 0..50u64 {
 ///     p.access(0x40, 7 * i);
 /// }
-/// let q = p.predict_confident(0x40);
-/// assert!(q.confident);
-/// assert_eq!(q.value, 7 * 50);
+/// let before = p.table_stats().and_then(|s| s.confidence).expect("a DFCM estimates");
+/// assert!(p.access(0x40, 7 * 50).correct);
+/// let after = p.table_stats().and_then(|s| s.confidence).expect("a DFCM estimates");
+/// assert_eq!(after.issued(4, 2).0, before.issued(4, 2).0 + 1);
+/// assert_eq!(after.all().0, 51);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct TaggedDfcmPredictor {
-    last: Vec<u64>,
-    hist: Vec<u64>,
-    /// Second, orthogonal hashed history per level-1 entry.
-    tag_hist: Vec<u64>,
-    l2: Vec<TaggedEntry>,
-    l1_mask: usize,
-    l1_bits: u32,
-    l2_bits: u32,
-    hash: HashFunction,
-    tag_bits: u32,
-    conf_threshold: u8,
-    value_bits: u32,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConfidenceBreakdown {
+    /// `counts[m][c][1]` = correct predictions whose stored tag matched
+    /// the current one in exactly `m` low bits (16 for all of them) with
+    /// counter `c`; `counts[m][c][0]` = wrong ones.
+    counts: [[[u64; 2]; 4]; 17],
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct TaggedEntry {
-    diff: u64,
-    tag: u16,
-    confidence: u8,
-}
-
-/// Builder for [`TaggedDfcmPredictor`].
-#[derive(Debug, Clone)]
-pub struct TaggedDfcmBuilder {
-    l1_bits: u32,
-    l2_bits: u32,
-    hash: HashFunction,
-    tag_bits: u32,
-    conf_bits: u32,
-    conf_threshold: u8,
-    value_bits: u32,
-}
-
-impl Default for TaggedDfcmBuilder {
-    fn default() -> Self {
-        TaggedDfcmBuilder {
-            l1_bits: 12,
-            l2_bits: 12,
-            hash: HashFunction::FsR5,
-            tag_bits: 4,
-            conf_bits: 2,
-            conf_threshold: 2,
-            value_bits: DEFAULT_VALUE_BITS,
-        }
-    }
-}
-
-impl TaggedDfcmBuilder {
-    /// Sets the level-1 table to `2^bits` entries (default 12).
-    pub fn l1_bits(&mut self, bits: u32) -> &mut Self {
-        self.l1_bits = bits;
-        self
+impl ConfidenceBreakdown {
+    /// Every prediction counted: (predictions, correct).
+    pub fn all(&self) -> (u64, u64) {
+        self.issued(0, 0)
     }
 
-    /// Sets the level-2 table to `2^bits` entries (default 12).
-    pub fn l2_bits(&mut self, bits: u32) -> &mut Self {
-        self.l2_bits = bits;
-        self
-    }
-
-    /// Selects the (primary) history hash (default FS R-5).
-    pub fn hash(&mut self, hash: HashFunction) -> &mut Self {
-        self.hash = hash;
-        self
-    }
-
-    /// Width of the stored tag from the orthogonal hash, 0–16 bits
-    /// (default 4; 0 disables tagging, leaving only the counter).
-    pub fn tag_bits(&mut self, bits: u32) -> &mut Self {
-        self.tag_bits = bits;
-        self
-    }
-
-    /// Confidence-counter threshold: a prediction is confident only when
-    /// the entry's counter is ≥ this value (default 2, with a 2-bit
-    /// counter saturating at 3). 0 disables the counter test.
-    pub fn conf_threshold(&mut self, threshold: u8) -> &mut Self {
-        self.conf_threshold = threshold;
-        self
-    }
-
-    /// Builds the predictor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for invalid table exponents, a tag width
-    /// above 16, or a threshold above the counter maximum (3).
-    pub fn build(&self) -> Result<TaggedDfcmPredictor, ConfigError> {
-        check_table_bits("l1_bits", self.l1_bits)?;
-        check_table_bits("l2_bits", self.l2_bits)?;
-        if self.tag_bits > 16 {
-            return Err(ConfigError::Width {
-                parameter: "tag_bits",
-                value: self.tag_bits,
-                min: 0,
-                max: 16,
-            });
-        }
-        if self.conf_threshold > 3 {
-            return Err(ConfigError::Width {
-                parameter: "conf_threshold",
-                value: u32::from(self.conf_threshold),
-                min: 0,
-                max: 3,
-            });
-        }
-        let _ = self.conf_bits;
-        self.hash.validate(self.l2_bits)?;
-        let l1 = 1usize << self.l1_bits;
-        Ok(TaggedDfcmPredictor {
-            last: vec![0; l1],
-            hist: vec![0; l1],
-            tag_hist: vec![0; l1],
-            l2: vec![TaggedEntry::default(); 1 << self.l2_bits],
-            l1_mask: l1 - 1,
-            l1_bits: self.l1_bits,
-            l2_bits: self.l2_bits,
-            hash: self.hash,
-            tag_bits: self.tag_bits,
-            conf_threshold: self.conf_threshold,
-            value_bits: self.value_bits,
+    /// The predictions an estimator with `tag_bits` tag bits (0–16) and a
+    /// counter `threshold` (0–3) would issue: those whose tag matched in
+    /// at least `tag_bits` low bits with a counter of at least
+    /// `threshold`, as (predictions, correct). Wider tags and higher
+    /// thresholds issue nothing.
+    pub fn issued(&self, tag_bits: u32, threshold: u8) -> (u64, u64) {
+        let cells = self.counts.iter().skip(tag_bits as usize);
+        let cells = cells.flat_map(|counters| counters.iter().skip(usize::from(threshold)));
+        cells.fold((0, 0), |(n, correct), [wrong, right]| {
+            (n + wrong + right, correct + right)
         })
     }
-}
 
-impl TaggedDfcmPredictor {
-    /// Starts building a tagged DFCM.
-    pub fn builder() -> TaggedDfcmBuilder {
-        TaggedDfcmBuilder::default()
-    }
-
-    /// The configured tag width in bits.
-    pub fn tag_bits(&self) -> u32 {
-        self.tag_bits
-    }
-
-    /// The configured confidence threshold.
-    pub fn conf_threshold(&self) -> u8 {
-        self.conf_threshold
-    }
-
-    fn l1_index(&self, pc: u64) -> usize {
-        crate::predictor::pc_index(pc, self.l1_mask)
-    }
-
-    /// The orthogonal hash: same incremental fold idea as FS R-5 but with
-    /// a shift of 3 so the two histories drift apart ("orthogonal"), over
-    /// a 16-bit register from which the tag is drawn.
-    fn tag_update(old: u64, diff: u64) -> u64 {
-        ((old << 3) ^ HashFunction::fold(diff, 16)) & 0xFFFF
-    }
-
-    fn current_tag(&self, i1: usize) -> u16 {
-        if self.tag_bits == 0 {
-            0
-        } else {
-            (self.tag_hist[i1] & ((1u64 << self.tag_bits) - 1)) as u16
+    /// Merges another breakdown into this one.
+    pub fn merge(&mut self, other: &ConfidenceBreakdown) {
+        let cells = self.counts.iter_mut().flatten().flatten();
+        for (a, b) in cells.zip(other.counts.iter().flatten().flatten()) {
+            *a += b;
         }
     }
 
-    /// Predicts and reports whether the confidence estimator would issue
-    /// the prediction: the stored tag must match the current orthogonal
-    /// hash and the entry's confidence counter must reach the threshold.
-    pub fn predict_confident(&self, pc: u64) -> ConfidentPrediction {
-        let i1 = self.l1_index(pc);
-        let entry = self.l2[self.hist[i1] as usize];
-        let tag_ok = self.tag_bits == 0 || entry.tag == self.current_tag(i1);
-        let conf_ok = entry.confidence >= self.conf_threshold;
-        ConfidentPrediction {
-            value: self.last[i1].wrapping_add(entry.diff),
-            confident: tag_ok && conf_ok,
-        }
-    }
-}
-
-impl ValuePredictor for TaggedDfcmPredictor {
-    fn predict(&mut self, pc: u64) -> u64 {
-        self.predict_confident(pc).value
-    }
-
-    fn update(&mut self, pc: u64, actual: u64) {
-        let i1 = self.l1_index(pc);
-        let h = self.hist[i1];
-        let i2 = h as usize;
-        let diff = actual.wrapping_sub(self.last[i1]);
-        let tag = self.current_tag(i1);
-        let entry = &mut self.l2[i2];
-        let was_correct = entry.diff == diff;
-        // Train the counter before overwriting: correct re-confirmation
-        // strengthens, a different outcome resets confidence.
-        entry.confidence = if was_correct {
-            (entry.confidence + 1).min(3)
-        } else {
-            0
-        };
-        entry.diff = diff;
-        entry.tag = tag;
-        self.hist[i1] = self.hash.fold_update(h, diff, self.l2_bits);
-        self.tag_hist[i1] = Self::tag_update(self.tag_hist[i1], diff);
-        self.last[i1] = actual;
-    }
-
-    fn storage(&self) -> StorageCost {
-        let l1 = self.last.len() as u64;
-        let l2 = self.l2.len() as u64;
-        StorageCost::new()
-            .with("L1 last values", l1 * self.value_bits as u64)
-            .with("L1 hashed histories", l1 * self.l2_bits as u64)
-            .with("L1 tag histories", l1 * 16)
-            .with("L2 differences", l2 * self.value_bits as u64)
-            .with("L2 tags", l2 * self.tag_bits as u64)
-            .with("L2 confidence", l2 * 2)
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "dfcm+tag(l1=2^{},l2=2^{},t{},c{})",
-            self.l1_bits, self.l2_bits, self.tag_bits, self.conf_threshold
-        )
-    }
-}
-
-impl ConfidencePredictor for TaggedDfcmPredictor {
-    fn predict_confident(&self, pc: u64) -> ConfidentPrediction {
-        TaggedDfcmPredictor::predict_confident(self, pc)
-    }
-}
-
-impl L2Indexed for TaggedDfcmPredictor {
-    fn l2_index(&self, pc: u64) -> usize {
-        self.hist[self.l1_index(pc)] as usize
-    }
-
-    fn l2_entries(&self) -> usize {
-        self.l2.len()
+    /// One step of the estimator on its shadow words: `history`, the
+    /// level-1 entry's orthogonal tag history, and `entry`, the level-2
+    /// entry's stored tag with its counter above bit 16. Counts the
+    /// step's prediction (`correct` or not) by what the estimator would
+    /// have decided, then records that the step wrote `element` there.
+    #[inline(always)]
+    pub(crate) fn observe(
+        &mut self,
+        history: &mut u64,
+        entry: &mut u64,
+        element: u64,
+        correct: bool,
+    ) {
+        let matched = ((*entry ^ *history) as u16).trailing_zeros() as usize;
+        let counter = (*entry >> 16) as usize & 3;
+        self.counts[matched][counter][usize::from(correct)] += 1;
+        let counter = if correct { (counter + 1).min(3) } else { 0 };
+        *entry = *history | (counter as u64) << 16;
+        let folded = element ^ element >> 16 ^ element >> 32 ^ element >> 48;
+        *history = ((*history << 3) ^ folded) & 0xFFFF;
     }
 }
 
@@ -299,59 +103,48 @@ impl L2Indexed for TaggedDfcmPredictor {
 mod tests {
     use super::*;
     use crate::dfcm::DfcmPredictor;
+    use crate::predictor::ValuePredictor;
 
-    fn tagged(l1: u32, l2: u32) -> TaggedDfcmPredictor {
-        TaggedDfcmPredictor::builder()
+    /// A cold DFCM of `2^l1`/`2^l2` entries that counts its predictions
+    /// by the estimator's verdicts.
+    fn estimating(l1: u32, l2: u32) -> DfcmPredictor {
+        let mut p = DfcmPredictor::builder()
             .l1_bits(l1)
             .l2_bits(l2)
             .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn builder_rejects_bad_configs() {
-        assert!(TaggedDfcmPredictor::builder().tag_bits(17).build().is_err());
-        assert!(TaggedDfcmPredictor::builder()
-            .conf_threshold(4)
-            .build()
-            .is_err());
-        assert!(TaggedDfcmPredictor::builder().l1_bits(31).build().is_err());
-        assert!(TaggedDfcmPredictor::builder().build().is_ok());
-    }
-
-    #[test]
-    fn value_predictions_match_plain_dfcm() {
-        // With the same geometry and hash, the tagged variant's *values*
-        // must be identical to the plain DFCM's — tags only gate issue.
-        let mut plain = DfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
             .unwrap();
-        let mut tagged = tagged(8, 10);
-        for i in 0..5000u64 {
-            let pc = 4 * (i % 37);
-            let v = (i * i) % 1000;
-            assert_eq!(plain.predict(pc), tagged.predict(pc), "i={i}");
-            plain.update(pc, v);
-            tagged.update(pc, v);
-        }
+        p.enable_table_stats();
+        p
+    }
+
+    fn breakdown(p: &DfcmPredictor) -> ConfidenceBreakdown {
+        p.table_stats()
+            .and_then(|s| s.confidence)
+            .expect("an estimating predictor")
+    }
+
+    /// Whether `p`'s prediction of `value` at `pc` is issued at
+    /// `tag_bits` and `threshold`.
+    fn confident(p: &mut DfcmPredictor, pc: u64, value: u64, tag_bits: u32, threshold: u8) -> bool {
+        let before = breakdown(p).issued(tag_bits, threshold).0;
+        p.access(pc, value);
+        breakdown(p).issued(tag_bits, threshold).0 > before
     }
 
     #[test]
     fn steady_pattern_becomes_confident() {
-        let mut p = tagged(8, 10);
+        let mut p = estimating(8, 10);
         for i in 0..50u64 {
             p.access(0x10, 3 * i);
         }
-        assert!(p.predict_confident(0x10).confident);
+        assert!(confident(&mut p, 0x10, 150, 4, 2));
     }
 
     #[test]
     fn cold_entry_is_not_confident() {
-        let p = tagged(8, 10);
+        let mut p = estimating(8, 10);
         assert!(
-            !p.predict_confident(0x10).confident,
+            !confident(&mut p, 0x10, 0, 4, 2),
             "cold counter must gate issue"
         );
     }
@@ -362,28 +155,17 @@ mod tests {
         // level-2 table: the tags keep flipping, so at least one side is
         // flagged unconfident most of the time even though the shared
         // entry keeps serving both.
-        let mut p = TaggedDfcmPredictor::builder()
-            .l1_bits(6)
-            .l2_bits(2)
-            .conf_threshold(1)
-            .build()
-            .unwrap();
-        let mut unconfident_mispredictions = 0u32;
-        let mut confident_mispredictions = 0u32;
+        let mut p = estimating(6, 2);
         for i in 0..4000u64 {
             for (pc, v) in [(0x10u64, 17 * i), (0x20, (i * i) % 97)] {
-                let q = p.predict_confident(pc);
-                let correct = q.value == v;
-                if !correct {
-                    if q.confident {
-                        confident_mispredictions += 1;
-                    } else {
-                        unconfident_mispredictions += 1;
-                    }
-                }
-                p.update(pc, v);
+                p.access(pc, v);
             }
         }
+        let b = breakdown(&p);
+        let (all, all_correct) = b.all();
+        let (issued, issued_correct) = b.issued(4, 1);
+        let confident_mispredictions = issued - issued_correct;
+        let unconfident_mispredictions = all - all_correct - confident_mispredictions;
         assert!(
             unconfident_mispredictions > confident_mispredictions,
             "tags should catch most collision-driven mispredictions: \
@@ -395,9 +177,7 @@ mod tests {
     fn issued_predictions_are_more_accurate_than_all() {
         // The estimator's whole point: accuracy over issued predictions
         // beats accuracy over all predictions on a mixed workload.
-        let mut p = tagged(8, 8);
-        let mut all = (0u64, 0u64);
-        let mut issued = (0u64, 0u64);
+        let mut p = estimating(8, 8);
         let mut x = 7u64;
         for i in 0..20_000u64 {
             let (pc, v) = match i % 4 {
@@ -409,19 +189,14 @@ mod tests {
                     (0x40, x >> 40) // random
                 }
             };
-            let q = p.predict_confident(pc);
-            let correct = q.value == v;
-            all.0 += 1;
-            all.1 += u64::from(correct);
-            if q.confident {
-                issued.0 += 1;
-                issued.1 += u64::from(correct);
-            }
-            p.update(pc, v);
+            p.access(pc, v);
         }
-        let acc_all = all.1 as f64 / all.0 as f64;
-        let acc_issued = issued.1 as f64 / issued.0.max(1) as f64;
-        assert!(issued.0 > all.0 / 4, "estimator must not refuse everything");
+        let b = breakdown(&p);
+        let (all, all_correct) = b.all();
+        let (issued, issued_correct) = b.issued(4, 2);
+        let acc_all = all_correct as f64 / all as f64;
+        let acc_issued = issued_correct as f64 / issued.max(1) as f64;
+        assert!(issued > all / 4, "estimator must not refuse everything");
         assert!(
             acc_issued > acc_all + 0.1,
             "issued {acc_issued:.3} must clearly beat all {acc_all:.3}"
@@ -430,33 +205,12 @@ mod tests {
 
     #[test]
     fn zero_tag_bits_leaves_counter_only() {
-        let mut p = TaggedDfcmPredictor::builder()
-            .l1_bits(6)
-            .l2_bits(8)
-            .tag_bits(0)
-            .build()
-            .unwrap();
+        let mut p = estimating(6, 8);
         for i in 0..20u64 {
             p.access(0x10, i);
         }
-        assert!(p.predict_confident(0x10).confident);
-        assert_eq!(p.tag_bits(), 0);
-    }
-
-    #[test]
-    fn storage_includes_tags_and_counters() {
-        let p = tagged(10, 10);
-        let bits = p.storage().total_bits();
-        let l1 = 1u64 << 10;
-        let l2 = 1u64 << 10;
-        assert_eq!(
-            bits,
-            l1 * 32 + l1 * 10 + l1 * 16 + l2 * 32 + l2 * 4 + l2 * 2
-        );
-    }
-
-    #[test]
-    fn name_mentions_tagging() {
-        assert_eq!(tagged(12, 12).name(), "dfcm+tag(l1=2^12,l2=2^12,t4,c2)");
+        assert!(confident(&mut p, 0x10, 20, 0, 2));
+        let b = breakdown(&p);
+        assert_eq!(b.issued(0, 0), b.all(), "no tag and no threshold issue all");
     }
 }

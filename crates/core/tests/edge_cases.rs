@@ -3,8 +3,7 @@
 
 use dfcm::{
     ClassifiedPredictor, DelayedUpdate, DfcmPredictor, FcmPredictor, HashFunction,
-    InstructionClass, LastValuePredictor, SpeculativeDfcm, StridePredictor, TaggedDfcmPredictor,
-    ValuePredictor,
+    InstructionClass, LastValuePredictor, SpeculativeDfcm, StridePredictor, ValuePredictor,
 };
 
 #[test]
@@ -95,16 +94,24 @@ fn speculative_dfcm_drain_is_idempotent() {
 
 #[test]
 fn tagged_dfcm_accepts_max_tag_width() {
-    let mut p = TaggedDfcmPredictor::builder()
+    // The estimator keeps whole 16-bit tags, so a steady stride's
+    // predictions issue at every tag width up to 16, and none past it.
+    let mut p = DfcmPredictor::builder()
         .l1_bits(4)
         .l2_bits(8)
-        .tag_bits(16)
         .build()
         .unwrap();
+    p.enable_table_stats();
+    let issued = |p: &DfcmPredictor, tag_bits| {
+        let confidence = p.table_stats().and_then(|s| s.confidence).unwrap();
+        confidence.issued(tag_bits, 2).0
+    };
     for i in 0..50u64 {
         p.access(0x40, 4 * i);
     }
-    assert!(p.predict_confident(0x40).confident);
+    let before = [issued(&p, 16), issued(&p, 17)];
+    p.access(0x40, 4 * 50);
+    assert_eq!([issued(&p, 16), issued(&p, 17)], [before[0] + 1, 0]);
 }
 
 #[test]
@@ -155,7 +162,6 @@ fn name_strings_are_parseable_labels() {
         StridePredictor::new(4).name(),
         FcmPredictor::builder().build().unwrap().name(),
         DfcmPredictor::builder().build().unwrap().name(),
-        TaggedDfcmPredictor::builder().build().unwrap().name(),
         SpeculativeDfcm::builder().build().unwrap().name(),
         ClassifiedPredictor::builder().build().unwrap().name(),
     ];

@@ -2,7 +2,7 @@
 
 use dfcm::{
     DfcmPredictor, FcmPredictor, HashFunction, HybridPredictor, PerfectMeta,
-    StrideOccupancyProfiler, StridePredictor, TaggedDfcmPredictor, ValuePredictor,
+    StrideOccupancyProfiler, StridePredictor, ValuePredictor,
 };
 use proptest::prelude::*;
 
@@ -35,17 +35,6 @@ proptest! {
             dfcm.update(pc, value);
             diff_fcm.update(pc, value.wrapping_sub(prev));
             last.insert(pc, value);
-        }
-    }
-
-    /// The tagged DFCM's value stream is identical to the plain DFCM's;
-    /// tagging only gates issue.
-    #[test]
-    fn tagged_dfcm_values_match_plain(stream in arb_stream()) {
-        let mut plain = DfcmPredictor::builder().l1_bits(7).l2_bits(9).build().unwrap();
-        let mut tagged = TaggedDfcmPredictor::builder().l1_bits(7).l2_bits(9).build().unwrap();
-        for &(pc, value) in &stream {
-            prop_assert_eq!(plain.access(pc, value).predicted, tagged.access(pc, value).predicted);
         }
     }
 

@@ -7,13 +7,14 @@ use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dfcm::{AliasBreakdown, AnalyzedKind, DelayedUpdate, ValuePredictor};
+use dfcm::{DelayedUpdate, TableStats, ValuePredictor};
 use dfcm_obs::timeseries::LaneSeries;
 use dfcm_sim::checkpoint::{decode_rows, encode_rows};
 use dfcm_sim::engine::{TaskError, TaskOutput};
+use dfcm_sim::stream::class_slot;
 use dfcm_sim::{
-    run_tasks_resumable, sweep_engine_ft, BenchmarkResult, EngineConfig, EngineReport, RunStats,
-    StreamPredictor, SuiteResult, SweepPoint,
+    run_tasks_resumable, sweep_engine_ft, BenchmarkResult, ConfidenceStats, EngineConfig,
+    EngineReport, RunStats, StreamPredictor, SuiteResult, SweepPoint, SERIES_CLASS_LABELS,
 };
 use dfcm_trace::suite::{standard_suite, standard_traces};
 use dfcm_trace::{salvage_trace, BenchmarkTrace, Trace};
@@ -60,7 +61,7 @@ pub struct Options {
 /// [`Experiment::delayed`]: the suite it last generated or loaded, the
 /// options that produced it, and what the run evaluated on that suite —
 /// the [`RunStats`] of each (canonical spec, benchmark) pair, plain or
-/// under an update delay, and one §4.2 alias pass per analyzed kind. All
+/// under an update delay, and one §4.2 pass per canonical spec. All
 /// of it is dropped together when `seed`, `scale`, `trace_dir` or
 /// `strict` change, so no result crosses suites.
 ///
@@ -76,15 +77,67 @@ struct Suite {
     /// Each evaluation's stats, one slot per benchmark in suite order;
     /// `None` where its task failed.
     stats: HashMap<Evaluation, Vec<Option<RunStats>>>,
-    alias: HashMap<AnalyzedKind, Arc<AliasPass>>,
+    alias: HashMap<String, Arc<AliasPass>>,
 }
 
-/// One §4.2 alias pass over the suite (Figures 12–14): each benchmark's
-/// breakdown in suite order and, if the pass ran under `--obs`, its
-/// phase series.
+/// One §4.2 pass of an FCM or DFCM lane over the suite (Figures 12–14,
+/// `tags`, `speedup`): each benchmark's table stats in suite order, with
+/// the aliasing breakdown and the confidence estimator's counts, and, if
+/// the pass ran under `--obs`, its phase series.
 pub(crate) struct AliasPass {
-    pub(crate) per_bench: Vec<(&'static str, AliasBreakdown)>,
+    pub(crate) per_bench: Vec<(&'static str, TableStats)>,
     pub(crate) series: Option<LaneSeries>,
+}
+
+impl AliasPass {
+    /// Runs `spec`'s lane, fresh per benchmark and with table stats on,
+    /// over every suite benchmark, so that it classifies and estimates
+    /// each of its own predictions. With `observed`, additionally folds
+    /// each prediction into a windowed phase series — one continuous
+    /// prediction index across the benchmarks in suite order, so the
+    /// series' phase boundaries are the benchmark boundaries.
+    fn run(spec: &str, traces: &[BenchmarkTrace], observed: bool) -> AliasPass {
+        let mut series = observed.then(|| LaneSeries::with_defaults(spec, SERIES_CLASS_LABELS));
+        let mut index = 0u64;
+        let per_bench = traces
+            .iter()
+            .map(|b| {
+                let mut p = StreamPredictor::parse_spec(spec).expect("a canonical spec");
+                p.enable_table_stats();
+                for r in &b.trace {
+                    let predicted = p.access(r.pc, r.value).predicted;
+                    if let Some(series) = &mut series {
+                        let slot = class_slot(p.last_alias_class());
+                        series.record(index, r.pc, slot, predicted, r.value);
+                    }
+                    index += 1;
+                }
+                let stats = p.table_stats().filter(|s| s.alias.is_some());
+                (b.name, stats.expect("an fcm or dfcm lane classifies"))
+            })
+            .collect();
+        AliasPass { per_bench, series }
+    }
+
+    /// Per benchmark, in suite order: the predictions of the pass and
+    /// those a confidence estimator with `tag_bits` tag bits and a
+    /// counter `threshold` would issue.
+    pub(crate) fn gated(&self, tag_bits: u32, threshold: u8) -> Vec<ConfidenceStats> {
+        let stats = |(predictions, correct)| RunStats {
+            predictions,
+            correct,
+        };
+        self.per_bench
+            .iter()
+            .map(|(_, s)| {
+                let confidence = s.confidence.expect("an fcm or dfcm lane estimates");
+                ConfidenceStats {
+                    all: stats(confidence.all()),
+                    issued: stats(confidence.issued(tag_bits, threshold)),
+                }
+            })
+            .collect()
+    }
 }
 
 /// The options a suite depends on.
@@ -195,28 +248,32 @@ impl Options {
         }
     }
 
-    /// The run's §4.2 alias pass of `kind` over the suite: what `analyze`
-    /// returns on the first call for this suite, memoized for later
+    /// The run's §4.2 pass over the suite of the lane `spec` parses to,
+    /// an FCM or DFCM ([`StreamPredictor::parse_spec`]): made on the
+    /// first call for this suite and canonical spec, memoized for later
     /// calls. Under `--obs`, a memoized pass that kept no series runs
     /// again.
-    pub(crate) fn alias_pass(
-        &self,
-        kind: AnalyzedKind,
-        analyze: impl FnOnce(&[BenchmarkTrace]) -> AliasPass,
-    ) -> Arc<AliasPass> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` does not parse to an FCM or DFCM that classifies.
+    pub(crate) fn alias_pass(&self, spec: &str) -> Arc<AliasPass> {
         let traces = self.traces();
         let key = self.memo_key();
+        let spec = StreamPredictor::parse_spec(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .spec();
         let memoized = self
             .suite
-            .with(&key, |suite| suite.alias.get(&kind).cloned());
+            .with(&key, |suite| suite.alias.get(&spec).cloned());
         if let Some(pass) = memoized.flatten() {
             if pass.series.is_some() || !self.obs.is_enabled() {
                 return pass;
             }
         }
-        let pass = Arc::new(analyze(&traces));
+        let pass = Arc::new(AliasPass::run(&spec, &traces, self.obs.is_enabled()));
         self.suite.with(&key, |suite| {
-            suite.alias.insert(kind, Arc::clone(&pass));
+            suite.alias.insert(spec, Arc::clone(&pass));
         });
         pass
     }

@@ -12,65 +12,30 @@
 //! * Figure 14 — the same fractions among mispredictions: `hash` dominates
 //!   the remaining mispredictions for both predictors.
 
-use dfcm::{AliasBreakdown, AliasClass, AnalyzedKind, ValuePredictor};
-use dfcm_obs::timeseries::LaneSeries;
+use dfcm::{AliasBreakdown, AliasClass};
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::stream::{class_slot, record_accuracy};
-use dfcm_sim::{StreamPredictor, SERIES_CLASS_LABELS};
-use dfcm_trace::BenchmarkTrace;
+use dfcm_sim::stream::record_accuracy;
 
-use crate::common::{banner, AliasPass, Options};
+use crate::common::{banner, Options};
 
-/// The run's §4.2 pass of `kind` over the suite, made once per run
-/// ([`Options::alias_pass`]), with a copy of its series and its alias
-/// counters recorded under the figure's label `spec` (rendered by
-/// `dfcm-tools obs report` from the `--obs` export). Returns each
-/// benchmark's breakdown, in suite order.
-fn analyze(opts: &Options, spec: &str, kind: AnalyzedKind) -> Vec<(&'static str, AliasBreakdown)> {
-    let pass = opts.alias_pass(kind, |traces| classify(opts, kind, traces));
+/// The run's §4.2 pass of the lane `lane` (`fcm:12:12` or `dfcm:12:12`)
+/// over the suite, made once per run ([`Options::alias_pass`]), with a
+/// copy of its series and its alias counters recorded under the figure's
+/// label `spec` (rendered by `dfcm-tools obs report` from the `--obs`
+/// export). Returns each benchmark's breakdown, in suite order.
+fn analyze(opts: &Options, spec: &str, lane: &str) -> Vec<(&'static str, AliasBreakdown)> {
+    let pass = opts.alias_pass(lane);
     if let Some(series) = &pass.series {
         opts.obs.record_series(series.relabeled(spec));
     }
-    let total = merged(&pass.per_bench);
-    record_accuracy(&opts.obs, spec, Some(total), total.overall_accuracy());
-    pass.per_bench.clone()
-}
-
-/// Runs a 2^12/2^12 predictor of `kind`, fresh per benchmark and with
-/// table stats on, over every suite benchmark, so that it classifies
-/// each of its own predictions. With obs enabled, additionally folds
-/// each prediction into a windowed phase series — one continuous
-/// prediction index across the benchmarks in suite order, so the
-/// series' phase boundaries are the benchmark boundaries. The series is
-/// recorded only as each figure's copy, under the figure's label.
-fn classify(opts: &Options, kind: AnalyzedKind, traces: &[BenchmarkTrace]) -> AliasPass {
-    let spec = match kind {
-        AnalyzedKind::Fcm => "fcm:12:12",
-        AnalyzedKind::Dfcm => "dfcm:12:12",
-    };
-    let mut series = opts
-        .obs
-        .is_enabled()
-        .then(|| LaneSeries::with_defaults(&format!("{kind:?}"), SERIES_CLASS_LABELS));
-    let mut index = 0u64;
-    let per_bench = traces
+    let per_bench: Vec<_> = pass
+        .per_bench
         .iter()
-        .map(|b| {
-            let mut p = StreamPredictor::parse_spec(spec).expect("a valid spec");
-            p.enable_table_stats();
-            for r in &b.trace {
-                let predicted = p.access(r.pc, r.value).predicted;
-                if let Some(series) = &mut series {
-                    let slot = class_slot(p.last_alias_class());
-                    series.record(index, r.pc, slot, predicted, r.value);
-                }
-                index += 1;
-            }
-            let alias = p.table_stats().and_then(|s| s.alias);
-            (b.name, alias.expect("an fcm or dfcm lane classifies"))
-        })
+        .map(|(name, stats)| (*name, stats.alias.expect("an fcm or dfcm lane classifies")))
         .collect();
-    AliasPass { per_bench, series }
+    let total = merged(&per_bench);
+    record_accuracy(&opts.obs, spec, Some(total), total.overall_accuracy());
+    per_bench
 }
 
 fn merged(per_bench: &[(&'static str, AliasBreakdown)]) -> AliasBreakdown {
@@ -111,7 +76,7 @@ pub fn run_fig12(opts: &Options) {
         "Figure 12: prediction accuracy per aliasing class (FCM, 2^12/2^12)",
         "",
     );
-    let fcm = analyze(opts, "fig12/fcm", AnalyzedKind::Fcm);
+    let fcm = analyze(opts, "fig12/fcm", "fcm:12:12");
     let total = merged(&fcm);
     let mut table = TextTable::new(vec!["class", "fraction", "accuracy"]);
     for &class in &AliasClass::ALL {
@@ -136,8 +101,8 @@ pub fn run_fig13(opts: &Options) {
         "Figure 13: aliasing-class fractions over all predictions (2^12/2^12)",
         "",
     );
-    let fcm = analyze(opts, "fig13/fcm", AnalyzedKind::Fcm);
-    let dfcm = analyze(opts, "fig13/dfcm", AnalyzedKind::Dfcm);
+    let fcm = analyze(opts, "fig13/fcm", "fcm:12:12");
+    let dfcm = analyze(opts, "fig13/dfcm", "dfcm:12:12");
     let mut table = fraction_table("fcm", &fcm, |b, c| b.fraction(c));
     let dfcm_table = fraction_table("dfcm", &dfcm, |b, c| b.fraction(c));
     for row in dfcm_table.rows() {
@@ -163,8 +128,8 @@ pub fn run_fig14(opts: &Options) {
         "Figure 14: aliasing classes of mispredictions, as fraction of all predictions",
         "Bars stack to the global misprediction rate.",
     );
-    let fcm = analyze(opts, "fig14/fcm", AnalyzedKind::Fcm);
-    let dfcm = analyze(opts, "fig14/dfcm", AnalyzedKind::Dfcm);
+    let fcm = analyze(opts, "fig14/fcm", "fcm:12:12");
+    let dfcm = analyze(opts, "fig14/dfcm", "dfcm:12:12");
     let mut table = fraction_table("fcm", &fcm, |b, c| b.misprediction_fraction(c));
     let dfcm_table = fraction_table("dfcm", &dfcm, |b, c| b.misprediction_fraction(c));
     for row in dfcm_table.rows() {

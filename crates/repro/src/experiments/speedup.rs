@@ -8,10 +8,9 @@
 //! regimes — showing both why the DFCM's accuracy advantage matters and
 //! why confidence estimation becomes essential as squash costs grow.
 
-use dfcm::TaggedDfcmPredictor;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 use dfcm_sim::speculation::SpeculationModel;
-use dfcm_sim::{simulate_confidence, ConfidenceStats, SweepPoint};
+use dfcm_sim::{ConfidenceStats, SweepPoint};
 
 use crate::common::{banner, Options};
 
@@ -39,24 +38,14 @@ pub fn run(opts: &Options) {
         "Extension: first-order speculation benefit (2^16/2^12)",
         "Net cycles saved per 1000 predicted instructions; benefit = 1 cycle per hit.",
     );
-    let traces = opts.traces();
     let mut run = opts.experiment("speedup");
     let fcm = run.lanes("fcm", &[()], |()| "fcm:16:12".to_owned());
     let dfcm = run.lanes("dfcm", &[()], |()| "dfcm:16:12".to_owned());
     run.finish();
-    // The confidence-gated policy reads each prediction's confidence, so
-    // it keeps its own per-record loop.
-    let tagged = traces
-        .iter()
-        .map(|bench| {
-            let mut p = TaggedDfcmPredictor::builder()
-                .l1_bits(16)
-                .l2_bits(12)
-                .build()
-                .expect("valid");
-            simulate_confidence(&mut p, &bench.trace)
-        })
-        .collect();
+    // The confidence-gated policy issues what the DFCM's estimator passes
+    // at 4 tag bits and a counter threshold of 2, read off the run's §4.2
+    // pass of that DFCM.
+    let tagged = opts.alias_pass("dfcm:16:12").gated(4, 2);
     let policies: [(&str, Vec<ConfidenceStats>); 3] = [
         ("fcm, always", issue_all(&fcm)),
         ("dfcm, always", issue_all(&dfcm)),

@@ -5,13 +5,14 @@
 //! majority of DFCM mispredictions (59% in Figure 14) and suggests that a
 //! confidence estimator should tag the level-2 table with "some bits of a
 //! second hashing function, orthogonal to the main one". This experiment
-//! implements the suggestion ([`dfcm::TaggedDfcmPredictor`]) and sweeps
+//! implements the suggestion ([`dfcm::ConfidenceBreakdown`]) and sweeps
 //! the tag width and confidence threshold, reporting the coverage (issued
-//! fraction) vs. issued-accuracy trade-off on the suite.
+//! fraction) vs. issued-accuracy trade-off on the suite. Every
+//! configuration reads the run's one 2^12/2^12 DFCM pass, which Figures
+//! 13 and 14 read too ([`Options::alias_pass`]).
 
-use dfcm::TaggedDfcmPredictor;
 use dfcm_sim::report::{fmt_accuracy, TextTable};
-use dfcm_sim::{simulate_confidence, ConfidenceStats};
+use dfcm_sim::ConfidenceStats;
 
 use crate::common::{banner, Options};
 
@@ -22,7 +23,7 @@ pub fn run(opts: &Options) {
         "Tag = low bits of an orthogonal second history hash; a prediction \
          is issued only on tag match and counter >= threshold.",
     );
-    let traces = opts.traces();
+    let pass = opts.alias_pass("dfcm:12:12");
     let mut table = TextTable::new(vec![
         "tag bits",
         "conf >=",
@@ -33,15 +34,7 @@ pub fn run(opts: &Options) {
     for tag_bits in [0u32, 2, 4, 8] {
         for threshold in [0u8, 1, 2, 3] {
             let mut total = ConfidenceStats::default();
-            for bench in traces.iter() {
-                let mut p = TaggedDfcmPredictor::builder()
-                    .l1_bits(12)
-                    .l2_bits(12)
-                    .tag_bits(tag_bits)
-                    .conf_threshold(threshold)
-                    .build()
-                    .expect("valid");
-                let stats = simulate_confidence(&mut p, &bench.trace);
+            for stats in pass.gated(tag_bits, threshold) {
                 total.all.merge(stats.all);
                 total.issued.merge(stats.issued);
             }

@@ -82,8 +82,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
                 opts.scale = v.parse().map_err(|_| format!("bad scale `{v}`"))?;
-                if opts.scale <= 0.0 {
-                    return Err("scale must be positive".into());
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err(format!("scale must be finite and positive, got `{v}`"));
                 }
             }
             "--full" => opts.full = true,

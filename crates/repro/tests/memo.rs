@@ -116,6 +116,40 @@ fn a_clone_at_another_seed_or_scale_writes_the_fresh_csv() {
 }
 
 #[test]
+fn tags_and_speedup_read_the_runs_passes_and_a_clone_at_another_seed_recomputes_them() {
+    let shared = options("passes", 7, 0.004);
+    experiments::fig12_14::run_fig13(&shared);
+    let experiments: [(&str, Run); 2] = [
+        ("tags", experiments::tags::run),
+        ("speedup", experiments::speedup::run),
+    ];
+    for (name, run) in experiments {
+        run(&shared);
+        let fresh = options(&format!("passes-fresh-{name}"), 7, 0.004);
+        run(&fresh);
+        assert_eq!(csv(&shared, name), csv(&fresh, name), "{name}.csv");
+    }
+    let mut clone = shared.clone();
+    clone.seed = 8;
+    clone.out_dir = options("passes-clone", 8, 0.004).out_dir;
+    let fresh = options("passes-clone-fresh", 8, 0.004);
+    for (name, run) in experiments {
+        run(&clone);
+        run(&fresh);
+        assert_ne!(
+            csv(&shared, name),
+            csv(&fresh, name),
+            "{name}: suites must differ"
+        );
+        assert_eq!(
+            csv(&clone, name),
+            csv(&fresh, name),
+            "{name} at another seed"
+        );
+    }
+}
+
+#[test]
 fn two_spellings_of_one_spec_share_one_evaluation() {
     let opts = options("spellings", 7, 0.004);
     let mut run = opts.experiment("spellings");

@@ -1,10 +1,9 @@
-use dfcm::ConfidencePredictor;
-use dfcm_trace::Trace;
-
 use crate::run::RunStats;
 
-/// Coverage/accuracy outcome of running a confidence-estimating predictor
-/// over a trace.
+/// Coverage/accuracy outcome of an issue policy: statistics over every
+/// prediction and over the issued ones, as a confidence estimator
+/// ([`dfcm::ConfidenceBreakdown`]) or an always-issuing predictor gives
+/// them.
 ///
 /// A confidence estimator trades *coverage* (the fraction of predictions
 /// it is willing to issue) for *issued accuracy* (the accuracy of the
@@ -39,32 +38,34 @@ impl ConfidenceStats {
     }
 }
 
-/// Runs a confidence-estimating predictor over a buffered trace,
-/// collecting both the unconditional and the issued-only statistics.
-pub fn simulate_confidence<P>(predictor: &mut P, trace: &Trace) -> ConfidenceStats
-where
-    P: ConfidencePredictor + ?Sized,
-{
-    let mut stats = ConfidenceStats::default();
-    for record in trace {
-        let q = predictor.predict_confident(record.pc);
-        let correct = q.value == record.value;
-        stats.all.predictions += 1;
-        stats.all.correct += u64::from(correct);
-        if q.confident {
-            stats.issued.predictions += 1;
-            stats.issued.correct += u64::from(correct);
-        }
-        predictor.update(record.pc, record.value);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfcm::TaggedDfcmPredictor;
-    use dfcm_trace::TraceRecord;
+    use crate::simulate_trace;
+    use dfcm::{DfcmPredictor, ValuePredictor};
+    use dfcm_trace::{Trace, TraceRecord};
+
+    /// The stats of a DFCM of `2^l1`/`2^l2` entries over `trace`, issuing
+    /// what the estimator passes at 4 tag bits and a threshold of 2.
+    fn gated(l1: u32, l2: u32, trace: &Trace) -> ConfidenceStats {
+        let mut p = DfcmPredictor::builder()
+            .l1_bits(l1)
+            .l2_bits(l2)
+            .build()
+            .unwrap();
+        p.enable_table_stats();
+        let all = simulate_trace(&mut p, trace);
+        let confidence = p.table_stats().and_then(|s| s.confidence).unwrap();
+        assert_eq!(confidence.all(), (all.predictions, all.correct));
+        let (predictions, correct) = confidence.issued(4, 2);
+        ConfidenceStats {
+            all,
+            issued: RunStats {
+                predictions,
+                correct,
+            },
+        }
+    }
 
     #[test]
     fn coverage_and_accuracy_on_mixed_trace() {
@@ -76,12 +77,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(7);
             trace.push(TraceRecord::new(0x20, x >> 30));
         }
-        let mut p = TaggedDfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let stats = simulate_confidence(&mut p, &trace);
+        let stats = gated(8, 10, &trace);
         assert_eq!(stats.all.predictions, 8000);
         assert!(
             stats.coverage() > 0.3 && stats.coverage() < 0.8,
@@ -98,12 +94,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_safe() {
-        let mut p = TaggedDfcmPredictor::builder()
-            .l1_bits(4)
-            .l2_bits(6)
-            .build()
-            .unwrap();
-        let stats = simulate_confidence(&mut p, &Trace::new());
+        let stats = gated(4, 6, &Trace::new());
         assert_eq!(stats.coverage(), 0.0);
         assert_eq!(stats.issued_accuracy(), 0.0);
     }
@@ -111,12 +102,7 @@ mod tests {
     #[test]
     fn issued_subset_of_all() {
         let trace: Trace = (0..500).map(|i| TraceRecord::new(0x8, i % 9)).collect();
-        let mut p = TaggedDfcmPredictor::builder()
-            .l1_bits(4)
-            .l2_bits(8)
-            .build()
-            .unwrap();
-        let stats = simulate_confidence(&mut p, &trace);
+        let stats = gated(4, 8, &trace);
         assert!(stats.issued.predictions <= stats.all.predictions);
         assert!(stats.issued.correct <= stats.all.correct);
     }

@@ -26,8 +26,9 @@
 //! * [`fault`] — seeded, deterministic fault injection for testing the
 //!   engine's recovery paths ([`FaultPlan`]).
 //! * [`pareto_front`] — the size/accuracy Pareto points (Figure 11(b)).
-//! * [`simulate_confidence`] — coverage/accuracy of confidence-estimating
-//!   predictors (the §4.2 extension).
+//! * [`ConfidenceStats`] — coverage/accuracy of an issue policy, such as
+//!   the §4.2 extension's confidence estimator
+//!   ([`dfcm::ConfidenceBreakdown`]).
 //! * [`speculation`] — a first-order cycles-saved model for issued
 //!   predictions.
 //! * [`kernel_traces_observed`] — VM trace generation with one
@@ -67,7 +68,7 @@ pub mod stream;
 mod suite;
 mod vm_tasks;
 
-pub use crate::confidence::{simulate_confidence, ConfidenceStats};
+pub use crate::confidence::ConfidenceStats;
 pub use crate::engine::{
     run_tasks_ft, run_tasks_resumable, sweep_engine_ft, EngineConfig, EngineReport, RetryPolicy,
     TaskError, TaskMetric, TaskOutcome, TaskOutput, WorkerMetric,

@@ -14,8 +14,8 @@
 //! The penalty only enters [`SpeculationModel::net_cycles`], so one
 //! simulation serves every penalty: an always-issuing predictor scores
 //! its [`simulate_trace`](crate::simulate_trace) stats, a
-//! confidence-gated one the `issued` half of its
-//! [`simulate_confidence`](crate::simulate_confidence) stats.
+//! confidence-gated one the predictions its
+//! [`ConfidenceBreakdown`](dfcm::ConfidenceBreakdown) counts as issued.
 
 use crate::run::RunStats;
 
@@ -55,8 +55,8 @@ impl Default for SpeculationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_confidence, simulate_trace};
-    use dfcm::{DfcmPredictor, TaggedDfcmPredictor};
+    use crate::simulate_trace;
+    use dfcm::{DfcmPredictor, ValuePredictor};
     use dfcm_trace::{Trace, TraceRecord};
 
     fn mixed_trace() -> Trace {
@@ -70,21 +70,23 @@ mod tests {
         trace
     }
 
-    /// Net cycles of issuing every prediction of a plain DFCM, and of
-    /// issuing only the confident predictions of a tagged one.
+    /// Net cycles of issuing every prediction of a DFCM, and of issuing
+    /// only those its confidence estimator passes at 4 tag bits and a
+    /// threshold of 2.
     fn always_and_gated(model: SpeculationModel, trace: &Trace) -> (f64, f64) {
-        let mut plain = DfcmPredictor::builder()
+        let mut p = DfcmPredictor::builder()
             .l1_bits(8)
             .l2_bits(10)
             .build()
             .unwrap();
-        let mut tagged = TaggedDfcmPredictor::builder()
-            .l1_bits(8)
-            .l2_bits(10)
-            .build()
-            .unwrap();
-        let always = model.net_cycles(simulate_trace(&mut plain, trace));
-        let gated = model.net_cycles(simulate_confidence(&mut tagged, trace).issued);
+        p.enable_table_stats();
+        let always = model.net_cycles(simulate_trace(&mut p, trace));
+        let confidence = p.table_stats().and_then(|s| s.confidence).unwrap();
+        let (predictions, correct) = confidence.issued(4, 2);
+        let gated = model.net_cycles(RunStats {
+            predictions,
+            correct,
+        });
         (always, gated)
     }
 

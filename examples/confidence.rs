@@ -1,13 +1,15 @@
 //! Confidence-gated value speculation: the §4.2 extension end to end.
 //!
 //! Shows the coverage/accuracy dial of the tagged DFCM and what it means
-//! in cycles under the first-order speculation model.
+//! in cycles under the first-order speculation model. One DFCM per
+//! benchmark, with table stats on, counts its predictions by the
+//! estimator's verdict at every tag width and threshold.
 //!
 //! Run with: `cargo run --release --example confidence [penalty]`
 
-use dfcm_suite::predictors::{DfcmPredictor, TaggedDfcmPredictor};
+use dfcm_suite::predictors::{ConfidenceBreakdown, DfcmPredictor, ValuePredictor};
 use dfcm_suite::sim::speculation::SpeculationModel;
-use dfcm_suite::sim::{simulate_confidence, simulate_trace};
+use dfcm_suite::sim::{simulate_trace, RunStats};
 use dfcm_suite::trace::suite::standard_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,51 +34,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(60));
 
-    // Unconditional DFCM.
-    let mut all = 0.0;
-    let mut predictions = 0u64;
-    let mut coverage_stats = (0u64, 0u64);
+    // One pass per benchmark: every policy reads its counts.
+    let mut per_bench: Vec<ConfidenceBreakdown> = Vec::new();
     for bench in &traces {
         let mut p = DfcmPredictor::builder().l1_bits(14).l2_bits(12).build()?;
-        // Issuing everything: every prediction is an issued one.
-        let stats = simulate_trace(&mut p, &bench.trace);
-        all += model.net_cycles(stats);
-        predictions += stats.predictions;
-        coverage_stats.0 += stats.predictions;
-        coverage_stats.1 += stats.correct;
+        p.enable_table_stats();
+        simulate_trace(&mut p, &bench.trace);
+        per_bench.extend(p.table_stats().and_then(|s| s.confidence));
+    }
+    let stats = |(predictions, correct)| RunStats {
+        predictions,
+        correct,
+    };
+
+    // Unconditional DFCM: every prediction is an issued one.
+    let mut all = 0.0;
+    let mut total = RunStats::default();
+    for confidence in &per_bench {
+        let issued = stats(confidence.all());
+        all += model.net_cycles(issued);
+        total.merge(issued);
     }
     println!(
         "{:<26} {:>8.1}% {:>10.1}% {:>+10.1}",
         "dfcm, issue everything",
         100.0,
-        100.0 * coverage_stats.1 as f64 / coverage_stats.0 as f64,
-        1000.0 * all / predictions as f64
+        100.0 * total.accuracy(),
+        1000.0 * all / total.predictions as f64
     );
 
     // Tagged DFCM across thresholds.
     for (tag_bits, threshold) in [(0u32, 1u8), (4, 1), (4, 3), (8, 3)] {
         let mut net = 0.0;
-        let mut n = 0u64;
-        let mut issued = (0u64, 0u64);
-        for bench in &traces {
-            let mut p = TaggedDfcmPredictor::builder()
-                .l1_bits(14)
-                .l2_bits(12)
-                .tag_bits(tag_bits)
-                .conf_threshold(threshold)
-                .build()?;
-            let stats = simulate_confidence(&mut p, &bench.trace);
-            net += model.net_cycles(stats.issued);
-            n += stats.all.predictions;
-            issued.0 += stats.issued.predictions;
-            issued.1 += stats.issued.correct;
+        let mut issued = RunStats::default();
+        for confidence in &per_bench {
+            let gated = stats(confidence.issued(tag_bits, threshold));
+            net += model.net_cycles(gated);
+            issued.merge(gated);
         }
         println!(
             "{:<26} {:>8.1}% {:>10.1}% {:>+10.1}",
             format!("tagged t{tag_bits} conf>={threshold}"),
-            100.0 * issued.0 as f64 / n as f64,
-            100.0 * issued.1 as f64 / issued.0.max(1) as f64,
-            1000.0 * net / n as f64
+            100.0 * issued.predictions as f64 / total.predictions as f64,
+            100.0 * issued.accuracy(),
+            1000.0 * net / total.predictions as f64
         );
     }
 

@@ -4,7 +4,9 @@
 //! traces and on the standard suite, and after a lane's `state_words`
 //! are restored into a fresh lane mid-trace. An instrumented FCM or DFCM
 //! must put each of its own predictions in the class, and judge it right
-//! or wrong, as the model's §4.2 taxonomy does.
+//! or wrong, as the model's §4.2 taxonomy does, and count as many issued
+//! predictions, right and wrong, as the model's confidence estimator
+//! issues at each tag width and threshold.
 //!
 //! Raise `PROPTEST_CASES` for a heavier run (CI runs this file in release
 //! with more cases).
@@ -16,7 +18,7 @@ use dfcm_suite::predictors;
 use dfcm_suite::predictors::{AnalyzedKind, ValuePredictor};
 use dfcm_suite::sim::StreamPredictor;
 use dfcm_suite::trace::suite::standard_traces;
-use oracle::{Model, Oracle, Taxonomy};
+use oracle::{Estimator, Model, Oracle, Taxonomy};
 use proptest::prelude::*;
 
 /// Tiny tables, so level-1 and level-2 entries alias constantly; every
@@ -169,6 +171,40 @@ fn assert_classifies(
 
 const KINDS: [AnalyzedKind; 2] = [AnalyzedKind::Fcm, AnalyzedKind::Dfcm];
 
+/// Runs the instrumented production predictor of `kind` at `l1`/`l2`
+/// over `records`, then the model's estimator once per tag width and
+/// threshold, and fails at the first configuration whose (all, issued)
+/// counts differ from what the predictor's [`ConfidenceBreakdown`]
+/// gives.
+///
+/// [`ConfidenceBreakdown`]: predictors::ConfidenceBreakdown
+fn assert_estimates(kind: AnalyzedKind, (l1, l2): (u32, u32), records: &[(u64, u64)], what: &str) {
+    let mut production = Taxonomy::new(kind, l1, l2, 5).production();
+    for &(pc, value) in records {
+        production.access(pc, value);
+    }
+    let confidence = production
+        .table_stats()
+        .and_then(|s| s.confidence)
+        .expect("an FCM or DFCM estimates");
+    for tag_bits in [0, 2, 4, 8, 16] {
+        for threshold in 0..=3 {
+            let mut naive = Estimator::new(kind, l1, l2, tag_bits, threshold);
+            for &(pc, value) in records {
+                naive.access(pc, value);
+            }
+            assert_eq!(
+                (
+                    confidence.all(),
+                    confidence.issued(tag_bits, threshold as u8)
+                ),
+                (naive.all, naive.issued),
+                "{kind:?} {l1}/{l2}, {tag_bits} tag bits, threshold {threshold}, on {what}"
+            );
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn every_model_agrees_with_production_on_random_traces(records in arb_records()) {
@@ -219,6 +255,31 @@ proptest! {
                     assert_classifies(kind, (l1, l2, 5), records.iter().copied(), "a random trace");
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    /// A tiny level-2 table, where hash aliasing makes tags mismatch
+    /// constantly, and one of order 3 behind a single level-1 entry, so
+    /// that 24 PCs share one tag history.
+    #[test]
+    fn estimator_agrees_with_the_instrumented_predictors_on_random_traces(records in arb_records()) {
+        for kind in KINDS {
+            for geometry in [(3, 4), (0, 11)] {
+                assert_estimates(kind, geometry, &records, "a random trace");
+            }
+        }
+    }
+}
+
+/// The geometry `tags` reads (2^12/2^12).
+#[test]
+fn estimator_agrees_with_the_instrumented_predictors_on_the_standard_suite() {
+    for bench in standard_traces(0x0AC1E, 0.01) {
+        let records: Vec<(u64, u64)> = bench.trace.iter().map(|r| (r.pc, r.value)).collect();
+        for kind in KINDS {
+            assert_estimates(kind, (12, 12), &records, bench.name);
         }
     }
 }

@@ -1,8 +1,10 @@
 //! A deliberately naive model of the paper's five predictors, written
 //! from their definitions (§2–§3) as the reference the production tables
-//! and the engine are checked against, and of §4.2's aliasing taxonomy
+//! and the engine are checked against, of §4.2's aliasing taxonomy
 //! ([`Taxonomy`]), the reference for the classes the instrumented FCM and
-//! DFCM give their own predictions.
+//! DFCM give their own predictions, and of the confidence estimator §4.2
+//! suggests ([`Estimator`]), the reference for the counts those
+//! predictors' estimator keeps.
 //!
 //! It shares no code with the production predictors. Every level-1 entry
 //! keeps its history as an explicit queue of the last `order` values
@@ -352,5 +354,111 @@ impl Taxonomy {
         source.history.truncate(self.order);
         source.last = actual;
         (class, predicted == actual)
+    }
+}
+
+/// The confidence estimator §4.2 suggests, on an FCM or DFCM of `2^l1`
+/// and `2^l2` entries hashed by FS R-5, for one tag width and one
+/// threshold. Each level-2 entry holds, beside its element, a tag of
+/// `tag_bits` bits and a 2-bit counter. The tag is the low `tag_bits`
+/// bits of a second hash of the level-1 entry's history, orthogonal to
+/// the index: every element XOR-folded to 16 bits and shifted left by 3
+/// positions per step of age, over a 16-bit register, so the six newest
+/// elements reach it. A prediction is issued when the entry's tag equals
+/// the current one and its counter is at least `threshold`; a write then
+/// stores the current tag, and raises the counter by one (up to 3) if
+/// the prediction was right or resets it to 0 if it was wrong.
+#[derive(Debug, Clone)]
+pub struct Estimator {
+    kind: AnalyzedKind,
+    l2: u32,
+    tag_bits: u32,
+    threshold: u32,
+    level1: Vec<Tracked>,
+    level2: Vec<Tagged>,
+    /// Every prediction: how many, and how many were right.
+    pub all: (u64, u64),
+    /// The issued predictions: how many, and how many were right.
+    pub issued: (u64, u64),
+}
+
+/// A level-1 entry: the last value and, newest first, the history
+/// elements the index hash and the tag hash still see.
+#[derive(Debug, Clone, Default)]
+struct Tracked {
+    last: u64,
+    history: VecDeque<u64>,
+    recent: VecDeque<u64>,
+}
+
+/// A level-2 entry: its element, and the tag and counter of its last
+/// write.
+#[derive(Debug, Clone, Default)]
+struct Tagged {
+    element: u64,
+    tag: u64,
+    counter: u32,
+}
+
+impl Estimator {
+    /// Cold tables: every element, tag, counter and history is zero.
+    pub fn new(kind: AnalyzedKind, l1: u32, l2: u32, tag_bits: u32, threshold: u32) -> Estimator {
+        Estimator {
+            kind,
+            l2,
+            tag_bits,
+            threshold,
+            level1: vec![Tracked::default(); 1 << l1],
+            level2: vec![Tagged::default(); 1 << l2],
+            all: (0, 0),
+            issued: (0, 0),
+        }
+    }
+
+    /// Predicts the value of the instruction at `pc`, counts the
+    /// prediction and whether it was issued, then learns that it was
+    /// `actual`.
+    pub fn access(&mut self, pc: u64, actual: u64) {
+        let slots = self.level1.len() as u64;
+        let entry = &mut self.level1[((pc / 4) % slots) as usize];
+        let index = fs_rk(entry.history.iter().copied(), self.l2, 5);
+        let shared = &mut self.level2[index];
+        let differences = self.kind == AnalyzedKind::Dfcm;
+        let predicted = if differences {
+            entry.last.wrapping_add(shared.element)
+        } else {
+            shared.element
+        };
+        let mut tag = 0;
+        for (age, &element) in (0..).zip(&entry.recent) {
+            tag ^= fold(element, 16) << (3 * age);
+        }
+        let tag = tag % (1 << 16) % (1 << self.tag_bits);
+
+        let correct = predicted == actual;
+        let issued = shared.tag == tag && shared.counter >= self.threshold;
+        self.all.0 += 1;
+        self.all.1 += u64::from(correct);
+        if issued {
+            self.issued.0 += 1;
+            self.issued.1 += u64::from(correct);
+        }
+
+        let element = if differences {
+            actual.wrapping_sub(entry.last)
+        } else {
+            actual
+        };
+        shared.counter = if correct {
+            (shared.counter + 1).min(3)
+        } else {
+            0
+        };
+        shared.tag = tag;
+        shared.element = element;
+        remember(&mut entry.history, element, self.l2);
+        entry.recent.push_front(element);
+        entry.recent.truncate(6);
+        entry.last = actual;
     }
 }
