@@ -3,7 +3,13 @@ use crate::lvp::LastValuePredictor;
 use crate::predictor::{AccessOutcome, ValuePredictor};
 use crate::storage::StorageCost;
 use crate::stride::StridePredictor;
-use crate::ConfigError;
+
+/// The classifier table has `2^CLASS_BITS` entries.
+const CLASS_BITS: u32 = 12;
+/// Occurrences an instruction is observed before it is assigned.
+const TRIAL_LENGTH: u8 = 16;
+/// Correct trial predictions a sub-predictor needs to win the instruction.
+const ASSIGN_THRESHOLD: u8 = 8;
 
 /// The instruction class assigned by the dynamic classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,19 +43,21 @@ pub enum InstructionClass {
 /// accounting, their accesses count as incorrect in [`access`], whatever
 /// the value (they are lost coverage).
 ///
+/// The geometry is the one §5 compares against: a 2^12-entry classifier,
+/// 2^11-entry last-value and stride tables, a 2^11/2^12 FCM, and a
+/// 16-occurrence trial that assigns an instruction to the sub-predictor
+/// with the most correct trial predictions if it has at least 8.
+///
 /// [`access`]: ValuePredictor::access
 ///
 /// ```
 /// use dfcm::{ClassifiedPredictor, InstructionClass, ValuePredictor};
 ///
-/// # fn main() -> Result<(), dfcm::ConfigError> {
-/// let mut p = ClassifiedPredictor::builder().build()?;
+/// let mut p = ClassifiedPredictor::new();
 /// for i in 0..100u64 {
 ///     p.access(0x40, 3 * i); // a stride pattern
 /// }
 /// assert_eq!(p.class_of(0x40), InstructionClass::Stride);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClassifiedPredictor {
@@ -58,9 +66,6 @@ pub struct ClassifiedPredictor {
     fcm: FcmPredictor,
     states: Vec<ClassState>,
     mask: usize,
-    class_bits: u32,
-    trial_length: u8,
-    assign_threshold: u8,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,103 +75,20 @@ struct ClassState {
     correct: [u8; 3],
 }
 
-/// Builder for [`ClassifiedPredictor`].
-#[derive(Debug, Clone)]
-pub struct ClassifiedBuilder {
-    class_bits: u32,
-    lvp_bits: u32,
-    stride_bits: u32,
-    fcm_l1_bits: u32,
-    fcm_l2_bits: u32,
-    trial_length: u8,
-    assign_threshold: u8,
-}
-
-impl Default for ClassifiedBuilder {
-    fn default() -> Self {
-        ClassifiedBuilder {
-            class_bits: 12,
-            lvp_bits: 11,
-            stride_bits: 11,
-            fcm_l1_bits: 11,
-            fcm_l2_bits: 12,
-            trial_length: 16,
-            assign_threshold: 8,
-        }
-    }
-}
-
-impl ClassifiedBuilder {
-    /// Sets the classifier table to `2^bits` entries (default 12).
-    pub fn class_bits(&mut self, bits: u32) -> &mut Self {
-        self.class_bits = bits;
-        self
-    }
-
-    /// Sets the last-value sub-table size (default 2^11).
-    pub fn lvp_bits(&mut self, bits: u32) -> &mut Self {
-        self.lvp_bits = bits;
-        self
-    }
-
-    /// Sets the stride sub-table size (default 2^11).
-    pub fn stride_bits(&mut self, bits: u32) -> &mut Self {
-        self.stride_bits = bits;
-        self
-    }
-
-    /// Sets the FCM sub-predictor geometry (default 2^11 / 2^12).
-    pub fn fcm_bits(&mut self, l1: u32, l2: u32) -> &mut Self {
-        self.fcm_l1_bits = l1;
-        self.fcm_l2_bits = l2;
-        self
-    }
-
-    /// Sets the number of trial occurrences before assignment (default
-    /// 16) and the minimum correct count a sub-predictor needs to win the
-    /// instruction (default 8).
-    pub fn trial(&mut self, length: u8, threshold: u8) -> &mut Self {
-        self.trial_length = length;
-        self.assign_threshold = threshold;
-        self
-    }
-
-    /// Builds the predictor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for invalid table exponents or a threshold
-    /// above the trial length.
-    pub fn build(&self) -> Result<ClassifiedPredictor, ConfigError> {
-        crate::error::check_table_bits("class_bits", self.class_bits)?;
-        if self.assign_threshold > self.trial_length || self.trial_length == 0 {
-            return Err(ConfigError::Width {
-                parameter: "assign_threshold",
-                value: u32::from(self.assign_threshold),
-                min: 0,
-                max: u32::from(self.trial_length),
-            });
-        }
-        Ok(ClassifiedPredictor {
-            lvp: LastValuePredictor::new(self.lvp_bits),
-            stride: StridePredictor::new(self.stride_bits),
-            fcm: FcmPredictor::builder()
-                .l1_bits(self.fcm_l1_bits)
-                .l2_bits(self.fcm_l2_bits)
-                .build()?,
-            states: vec![ClassState::default(); 1 << self.class_bits],
-            mask: (1usize << self.class_bits) - 1,
-            class_bits: self.class_bits,
-            trial_length: self.trial_length,
-            assign_threshold: self.assign_threshold,
-        })
-    }
-}
-
 impl ClassifiedPredictor {
-    /// Starts building a classified predictor.
-    pub fn builder() -> ClassifiedBuilder {
-        ClassifiedBuilder::default()
+    /// Creates the predictor, with every table cold.
+    pub fn new() -> Self {
+        ClassifiedPredictor {
+            lvp: LastValuePredictor::new(11),
+            stride: StridePredictor::new(11),
+            fcm: FcmPredictor::builder()
+                .l1_bits(11)
+                .l2_bits(12)
+                .build()
+                .expect("a 2^11/2^12 FCM is valid"),
+            states: vec![ClassState::default(); 1 << CLASS_BITS],
+            mask: (1usize << CLASS_BITS) - 1,
+        }
     }
 
     /// The current class of the instruction at `pc`.
@@ -194,6 +116,12 @@ impl ClassifiedPredictor {
 
     fn index(&self, pc: u64) -> usize {
         crate::predictor::pc_index(pc, self.mask)
+    }
+}
+
+impl Default for ClassifiedPredictor {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -235,11 +163,11 @@ impl ValuePredictor for ClassifiedPredictor {
                 state.correct[1] += u8::from(s);
                 state.correct[2] += u8::from(f);
                 state.trials += 1;
-                if state.trials >= self.trial_length {
+                if state.trials >= TRIAL_LENGTH {
                     let best = (0..3)
                         .max_by_key(|&i| state.correct[i])
                         .expect("three classes");
-                    state.class = Some(if state.correct[best] < self.assign_threshold {
+                    state.class = Some(if state.correct[best] < ASSIGN_THRESHOLD {
                         InstructionClass::Unpredictable
                     } else {
                         match best {
@@ -276,11 +204,11 @@ impl ValuePredictor for ClassifiedPredictor {
             .with_cost(self.stride.storage())
             .with_cost(self.fcm.storage())
             // 3 bits class + trial bookkeeping approximated at 2x5 bits.
-            .with("classifier", (1u64 << self.class_bits) * 3)
+            .with("classifier", (1u64 << CLASS_BITS) * 3)
     }
 
     fn name(&self) -> String {
-        format!("classified(2^{},{})", self.class_bits, self.fcm.name())
+        format!("classified(2^{CLASS_BITS},{})", self.fcm.name())
     }
 }
 
@@ -289,14 +217,7 @@ mod tests {
     use super::*;
 
     fn classified() -> ClassifiedPredictor {
-        ClassifiedPredictor::builder().build().unwrap()
-    }
-
-    #[test]
-    fn builder_rejects_bad_trial() {
-        assert!(ClassifiedPredictor::builder().trial(8, 9).build().is_err());
-        assert!(ClassifiedPredictor::builder().trial(0, 0).build().is_err());
-        assert!(ClassifiedPredictor::builder().trial(8, 4).build().is_ok());
+        ClassifiedPredictor::new()
     }
 
     #[test]

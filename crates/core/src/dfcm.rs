@@ -18,7 +18,7 @@ use crate::DEFAULT_VALUE_BITS;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StrideWidth {
     /// Store the full difference (the paper's default configuration; cost
-    /// accounted at the configured value width).
+    /// accounted at [`DEFAULT_VALUE_BITS`]).
     #[default]
     Full,
     /// Store only the low `n` bits, sign-extended on read.
@@ -26,10 +26,10 @@ pub enum StrideWidth {
 }
 
 impl StrideWidth {
-    /// Storage bits per level-2 entry under a `value_bits`-wide cost model.
-    pub fn bits(self, value_bits: u32) -> u32 {
+    /// Storage bits per level-2 entry.
+    pub fn bits(self) -> u32 {
         match self {
-            StrideWidth::Full => value_bits,
+            StrideWidth::Full => DEFAULT_VALUE_BITS,
             StrideWidth::Bits(n) => n,
         }
     }
@@ -98,7 +98,6 @@ pub struct DfcmPredictor {
     l1_bits: u32,
     l2_bits: u32,
     hash: HashFunction,
-    value_bits: u32,
     stride_width: StrideWidth,
     stats: Option<TwoLevelInstrumentation>,
 }
@@ -109,7 +108,6 @@ pub struct DfcmBuilder {
     l1_bits: u32,
     l2_bits: u32,
     hash: HashFunction,
-    value_bits: u32,
     stride_width: StrideWidth,
 }
 
@@ -119,7 +117,6 @@ impl Default for DfcmBuilder {
             l1_bits: 12,
             l2_bits: 12,
             hash: HashFunction::FsR5,
-            value_bits: DEFAULT_VALUE_BITS,
             stride_width: StrideWidth::Full,
         }
     }
@@ -145,13 +142,6 @@ impl DfcmBuilder {
         self
     }
 
-    /// Sets the architectural value width used for storage accounting
-    /// (default 32).
-    pub fn value_bits(&mut self, bits: u32) -> &mut Self {
-        self.value_bits = bits;
-        self
-    }
-
     /// Restricts the width of differences stored in the level-2 table
     /// (default [`StrideWidth::Full`]; §4.4 of the paper).
     pub fn stride_width(&mut self, width: StrideWidth) -> &mut Self {
@@ -163,20 +153,12 @@ impl DfcmBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if a table exponent exceeds 30, the value
-    /// width is outside `1..=64`, the stride width is outside `1..=64`, or
-    /// the hash cannot produce `l2_bits`-bit indices.
+    /// Returns [`ConfigError`] if a table exponent exceeds 30, the stride
+    /// width is outside `1..=64`, or the hash cannot produce `l2_bits`-bit
+    /// indices.
     pub fn build(&self) -> Result<DfcmPredictor, ConfigError> {
         check_table_bits("l1_bits", self.l1_bits)?;
         check_table_bits("l2_bits", self.l2_bits)?;
-        if !(1..=64).contains(&self.value_bits) {
-            return Err(ConfigError::Width {
-                parameter: "value_bits",
-                value: self.value_bits,
-                min: 1,
-                max: 64,
-            });
-        }
         if let StrideWidth::Bits(n) = self.stride_width {
             if !(1..=64).contains(&n) {
                 return Err(ConfigError::Width {
@@ -196,7 +178,6 @@ impl DfcmBuilder {
             l1_bits: self.l1_bits,
             l2_bits: self.l2_bits,
             hash: self.hash,
-            value_bits: self.value_bits,
             stride_width: self.stride_width,
             stats: None,
         })
@@ -441,11 +422,11 @@ impl ValuePredictor for DfcmPredictor {
     fn storage(&self) -> StorageCost {
         let l1 = self.last.len() as u64;
         StorageCost::new()
-            .with("L1 last values", l1 * self.value_bits as u64)
+            .with("L1 last values", l1 * DEFAULT_VALUE_BITS as u64)
             .with("L1 hashed histories", l1 * self.l2_bits as u64)
             .with(
                 "L2 differences",
-                self.l2.len() as u64 * self.stride_width.bits(self.value_bits) as u64,
+                self.l2.len() as u64 * self.stride_width.bits() as u64,
             )
     }
 
@@ -519,7 +500,6 @@ mod tests {
             .stride_width(StrideWidth::Bits(65))
             .build()
             .is_err());
-        assert!(DfcmPredictor::builder().value_bits(65).build().is_err());
         assert!(DfcmPredictor::builder().build().is_ok());
     }
 

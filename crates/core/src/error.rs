@@ -31,9 +31,9 @@ pub enum ConfigError {
         /// Inclusive upper bound.
         max: u32,
     },
-    /// A hash function was configured inconsistently with the table size
-    /// (e.g. a concatenating hash whose order does not divide the index
-    /// width).
+    /// A hash function cannot produce indices for the table size (an index
+    /// width outside `1..=63`), or its own parameter is out of range (a
+    /// fold-shift amount outside `1..=16`).
     Hash {
         /// Human-readable description of the inconsistency.
         reason: String,
@@ -113,9 +113,9 @@ mod tests {
         };
         assert!(err.to_string().contains("stride_bits"));
         let err = ConfigError::Hash {
-            reason: "order must divide index width".into(),
+            reason: "fold-shift amount 0 must be in 1..=16".into(),
         };
-        assert!(err.to_string().contains("order"));
+        assert!(err.to_string().contains("fold-shift"));
     }
 
     #[test]

@@ -103,7 +103,6 @@ pub struct FcmPredictor {
     l1_bits: u32,
     l2_bits: u32,
     hash: HashFunction,
-    value_bits: u32,
     stats: Option<TwoLevelInstrumentation>,
 }
 
@@ -113,7 +112,6 @@ pub struct FcmBuilder {
     l1_bits: u32,
     l2_bits: u32,
     hash: HashFunction,
-    value_bits: u32,
 }
 
 impl Default for FcmBuilder {
@@ -122,7 +120,6 @@ impl Default for FcmBuilder {
             l1_bits: 12,
             l2_bits: 12,
             hash: HashFunction::FsR5,
-            value_bits: DEFAULT_VALUE_BITS,
         }
     }
 }
@@ -146,31 +143,15 @@ impl FcmBuilder {
         self
     }
 
-    /// Sets the architectural value width used for storage accounting
-    /// (default 32, matching the paper's MIPS traces).
-    pub fn value_bits(&mut self, bits: u32) -> &mut Self {
-        self.value_bits = bits;
-        self
-    }
-
     /// Builds the predictor.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if a table exponent exceeds 30, the value
-    /// width is outside `1..=64`, or the hash cannot produce `l2_bits`-bit
-    /// indices.
+    /// Returns [`ConfigError`] if a table exponent exceeds 30 or the hash
+    /// cannot produce `l2_bits`-bit indices.
     pub fn build(&self) -> Result<FcmPredictor, ConfigError> {
         check_table_bits("l1_bits", self.l1_bits)?;
         check_table_bits("l2_bits", self.l2_bits)?;
-        if !(1..=64).contains(&self.value_bits) {
-            return Err(ConfigError::Width {
-                parameter: "value_bits",
-                value: self.value_bits,
-                min: 1,
-                max: 64,
-            });
-        }
         self.hash.validate(self.l2_bits)?;
         Ok(FcmPredictor {
             l1: vec![0; 1 << self.l1_bits],
@@ -179,7 +160,6 @@ impl FcmBuilder {
             l1_bits: self.l1_bits,
             l2_bits: self.l2_bits,
             hash: self.hash,
-            value_bits: self.value_bits,
             stats: None,
         })
     }
@@ -326,7 +306,10 @@ impl ValuePredictor for FcmPredictor {
                 "L1 hashed histories",
                 self.l1.len() as u64 * self.l2_bits as u64,
             )
-            .with("L2 values", self.l2.len() as u64 * self.value_bits as u64)
+            .with(
+                "L2 values",
+                self.l2.len() as u64 * DEFAULT_VALUE_BITS as u64,
+            )
     }
 
     fn name(&self) -> String {
@@ -383,9 +366,8 @@ mod tests {
     fn builder_rejects_bad_configs() {
         assert!(FcmPredictor::builder().l1_bits(31).build().is_err());
         assert!(FcmPredictor::builder().l2_bits(31).build().is_err());
-        assert!(FcmPredictor::builder().value_bits(0).build().is_err());
         assert!(FcmPredictor::builder()
-            .hash(HashFunction::Concat { order: 5 })
+            .hash(HashFunction::FsShift { shift: 0 })
             .l2_bits(12)
             .build()
             .is_err());

@@ -45,13 +45,6 @@ pub enum HashFunction {
     /// weight, so permutations of a history collide; included as an ablation
     /// baseline.
     FoldXor,
-    /// Concatenation of the low `n/order` bits of each of the last `order`
-    /// values — the "simple" hash the paper uses in its Figure 4 worked
-    /// example. `order` must divide the index width.
-    Concat {
-        /// Number of history values concatenated into the index.
-        order: u32,
-    },
 }
 
 impl HashFunction {
@@ -97,12 +90,9 @@ impl HashFunction {
     ///
     /// # Panics
     ///
-    /// Panics if `index_bits` is 0 or greater than 63 (via the shift), or —
-    /// in debug builds only — if a [`HashFunction::Concat`] order does not
-    /// divide `index_bits`. Configurations are rejected up front by
-    /// [`HashFunction::validate`] (every predictor builder calls it), so
-    /// the per-update check is a `debug_assert!` and the release hot path
-    /// stays branch-free.
+    /// Panics if `index_bits` is 0 or greater than 63 (via the fold).
+    /// Configurations are rejected up front by [`HashFunction::validate`]
+    /// (every predictor builder calls it).
     #[inline]
     pub fn fold_update(&self, old: u64, value: u64, index_bits: u32) -> u64 {
         let mask = (1u64 << index_bits) - 1;
@@ -112,14 +102,6 @@ impl HashFunction {
                 ((old << shift) ^ Self::fold(value, index_bits)) & mask
             }
             HashFunction::FoldXor => (old ^ Self::fold(value, index_bits)) & mask,
-            HashFunction::Concat { order } => {
-                debug_assert!(
-                    order > 0 && index_bits.is_multiple_of(order),
-                    "concat order {order} must divide index width {index_bits}"
-                );
-                let chunk = index_bits / order;
-                ((old << chunk) | (value & ((1u64 << chunk) - 1))) & mask
-            }
         }
     }
 
@@ -136,7 +118,6 @@ impl HashFunction {
             // depth an FS R-5 hash of this width would have, which is what
             // the aliasing analysis compares against.
             HashFunction::FoldXor => index_bits.div_ceil(5).max(1),
-            HashFunction::Concat { order } => order,
         }
     }
 
@@ -145,19 +126,12 @@ impl HashFunction {
     /// # Errors
     ///
     /// Returns [`ConfigError::Hash`] if `index_bits` is outside `1..=63` or
-    /// the concatenation order does not divide `index_bits`.
+    /// a fold-shift amount is outside `1..=16`.
     pub fn validate(&self, index_bits: u32) -> Result<(), ConfigError> {
         if index_bits == 0 || index_bits > 63 {
             return Err(ConfigError::Hash {
                 reason: format!("index width {index_bits} must be in 1..=63"),
             });
-        }
-        if let HashFunction::Concat { order } = *self {
-            if order == 0 || !index_bits.is_multiple_of(order) {
-                return Err(ConfigError::Hash {
-                    reason: format!("concat order {order} must divide index width {index_bits}"),
-                });
-            }
         }
         if let HashFunction::FsShift { shift } = *self {
             if !(1..=16).contains(&shift) {
@@ -175,7 +149,6 @@ impl HashFunction {
             HashFunction::FsR5 => "fs-r5",
             HashFunction::FsShift { .. } => "fs-rk",
             HashFunction::FoldXor => "fold-xor",
-            HashFunction::Concat { .. } => "concat",
         }
     }
 }
@@ -256,17 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_keeps_low_bits() {
-        let h = HashFunction::Concat { order: 3 };
-        let mut hist = 0u64;
-        for v in [1u64, 2, 3] {
-            hist = h.fold_update(hist, v, 12);
-        }
-        // 4 bits per value: 0x1, 0x2, 0x3 concatenated oldest-first.
-        assert_eq!(hist, 0x123);
-    }
-
-    #[test]
     fn fold_xor_is_order_insensitive() {
         let h = HashFunction::FoldXor;
         let ab = h.fold_update(h.fold_update(0, 5, 8), 9, 8);
@@ -279,9 +241,6 @@ mod tests {
         assert!(HashFunction::FsR5.validate(0).is_err());
         assert!(HashFunction::FsR5.validate(64).is_err());
         assert!(HashFunction::FsR5.validate(12).is_ok());
-        assert!(HashFunction::Concat { order: 5 }.validate(12).is_err());
-        assert!(HashFunction::Concat { order: 0 }.validate(12).is_err());
-        assert!(HashFunction::Concat { order: 4 }.validate(12).is_ok());
     }
 
     #[test]
@@ -289,7 +248,7 @@ mod tests {
         let labels = [
             HashFunction::FsR5.label(),
             HashFunction::FoldXor.label(),
-            HashFunction::Concat { order: 2 }.label(),
+            HashFunction::FsShift { shift: 3 }.label(),
         ];
         assert_eq!(labels.len(), 3);
         assert_ne!(labels[0], labels[1]);

@@ -79,8 +79,10 @@ pub struct CounterMeta {
     counters: Vec<SaturatingCounter>,
     mask: usize,
     bits: u32,
-    counter_bits: u32,
 }
+
+/// Width of each selector counter.
+const COUNTER_BITS: u32 = 2;
 
 impl CounterMeta {
     /// Creates a selector with `2^bits` two-bit counters (counter value
@@ -90,21 +92,11 @@ impl CounterMeta {
     ///
     /// Panics if `bits` exceeds 30.
     pub fn new(bits: u32) -> Self {
-        Self::with_counter_bits(bits, 2)
-    }
-
-    /// As [`new`](CounterMeta::new) with `counter_bits`-wide counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds 30 or `counter_bits` is not in `1..=15`.
-    pub fn with_counter_bits(bits: u32, counter_bits: u32) -> Self {
         assert!(bits <= 30, "table exponent must be <= 30, got {bits}");
         CounterMeta {
-            counters: vec![SaturatingCounter::new(counter_bits, 1, 1); 1 << bits],
+            counters: vec![SaturatingCounter::new(COUNTER_BITS, 1, 1); 1 << bits],
             mask: (1usize << bits) - 1,
             bits,
-            counter_bits,
         }
     }
 }
@@ -131,7 +123,7 @@ impl MetaPredictor for CounterMeta {
     fn storage(&self) -> StorageCost {
         StorageCost::new().with(
             "meta counters",
-            self.counters.len() as u64 * self.counter_bits as u64,
+            self.counters.len() as u64 * u64::from(COUNTER_BITS),
         )
     }
 

@@ -31,7 +31,6 @@ pub struct LastNValuePredictor {
     mask: usize,
     bits: u32,
     n: usize,
-    value_bits: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -105,29 +104,13 @@ impl LastNValuePredictor {
     ///
     /// Panics if `bits` exceeds 30 or `n` is not in `1..=16`.
     pub fn new(bits: u32, n: usize) -> Self {
-        Self::with_value_bits(bits, n, DEFAULT_VALUE_BITS)
-    }
-
-    /// As [`new`](LastNValuePredictor::new) with an explicit cost-model
-    /// value width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds 30, `n` is not in `1..=16`, or
-    /// `value_bits` is not in `1..=64`.
-    pub fn with_value_bits(bits: u32, n: usize, value_bits: u32) -> Self {
         assert!(bits <= 30, "table exponent must be <= 30, got {bits}");
         assert!((1..=16).contains(&n), "n must be in 1..=16, got {n}");
-        assert!(
-            (1..=64).contains(&value_bits),
-            "value width must be in 1..=64"
-        );
         LastNValuePredictor {
             entries: vec![Entry::new(n); 1 << bits],
             mask: (1usize << bits) - 1,
             bits,
             n,
-            value_bits,
         }
     }
 
@@ -155,7 +138,7 @@ impl ValuePredictor for LastNValuePredictor {
     fn storage(&self) -> StorageCost {
         let e = self.entries.len() as u64;
         StorageCost::new()
-            .with("values", e * self.n as u64 * self.value_bits as u64)
+            .with("values", e * self.n as u64 * DEFAULT_VALUE_BITS as u64)
             .with("vote counters", e * self.n as u64 * 4)
     }
 

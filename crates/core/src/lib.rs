@@ -106,8 +106,8 @@
 //!   as it does in hardware.
 //! * Table sizes are given as power-of-two exponents (`l1_bits`, `l2_bits`),
 //!   matching the paper's 2^n-entry tables.
-//! * Storage accounting ([`StorageCost`]) follows the paper's Kbit model: a
-//!   32-bit architectural value width by default (the paper simulates 32-bit
+//! * Storage accounting ([`StorageCost`]) follows the paper's Kbit model:
+//!   values of [`DEFAULT_VALUE_BITS`] = 32 bits (the paper simulates 32-bit
 //!   MIPS), hashed histories of `l2_bits` bits, and stride-predictor
 //!   confidence counters excluded (the paper treats them as already present
 //!   for confidence estimation).
@@ -137,9 +137,7 @@ mod tagged;
 mod word_hash;
 
 pub use crate::alias::{AliasBreakdown, AliasClass, AnalyzedKind};
-pub use crate::classified::{
-    ClassCensus, ClassifiedBuilder, ClassifiedPredictor, InstructionClass,
-};
+pub use crate::classified::{ClassCensus, ClassifiedPredictor, InstructionClass};
 pub use crate::counter::SaturatingCounter;
 pub use crate::delayed::DelayedUpdate;
 pub use crate::dfcm::{DfcmBlock, DfcmBuilder, DfcmPredictor, StrideWidth, BLOCK_LANES};
@@ -158,6 +156,9 @@ pub use crate::stride::{StridePredictor, TwoDeltaStridePredictor};
 pub use crate::table_stats::{TableStats, TableUsage};
 pub use crate::tagged::ConfidenceBreakdown;
 
-/// Architectural value width, in bits, assumed by the default storage cost
-/// model (the paper simulates the 32-bit MIPS-like SimpleScalar ISA).
+/// Architectural value width, in bits, at which every predictor's storage
+/// cost counts each stored value: the one width of the paper's §2.4
+/// storage model, whose traces come from the 32-bit MIPS-like SimpleScalar
+/// ISA. Predictors always keep full 64-bit values; only the accounting
+/// uses this width.
 pub const DEFAULT_VALUE_BITS: u32 = 32;

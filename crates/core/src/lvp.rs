@@ -23,39 +23,22 @@ pub struct LastValuePredictor {
     table: Vec<u64>,
     mask: usize,
     bits: u32,
-    value_bits: u32,
     stats: Option<TableTracker>,
 }
 
 impl LastValuePredictor {
-    /// Creates a predictor with a `2^bits`-entry table and the default
-    /// 32-bit storage cost model.
+    /// Creates a predictor with a `2^bits`-entry table, its storage
+    /// counted at [`DEFAULT_VALUE_BITS`] per stored value.
     ///
     /// # Panics
     ///
     /// Panics if `bits` exceeds 30.
     pub fn new(bits: u32) -> Self {
-        Self::with_value_bits(bits, DEFAULT_VALUE_BITS)
-    }
-
-    /// Creates a predictor whose storage cost is accounted at `value_bits`
-    /// bits per stored value (prediction behaviour is unaffected; full
-    /// values are always kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds 30 or `value_bits` is not in `1..=64`.
-    pub fn with_value_bits(bits: u32, value_bits: u32) -> Self {
         assert!(bits <= 30, "table exponent must be <= 30, got {bits}");
-        assert!(
-            (1..=64).contains(&value_bits),
-            "value width must be in 1..=64"
-        );
         LastValuePredictor {
             table: vec![0; 1 << bits],
             mask: (1usize << bits) - 1,
             bits,
-            value_bits,
             stats: None,
         }
     }
@@ -131,7 +114,7 @@ impl ValuePredictor for LastValuePredictor {
     fn storage(&self) -> StorageCost {
         StorageCost::new().with(
             "last values",
-            self.table.len() as u64 * self.value_bits as u64,
+            self.table.len() as u64 * DEFAULT_VALUE_BITS as u64,
         )
     }
 
@@ -205,8 +188,6 @@ mod tests {
     fn storage_matches_paper_model() {
         let lvp = LastValuePredictor::new(10);
         assert_eq!(lvp.storage().total_bits(), 1024 * 32);
-        let narrow = LastValuePredictor::with_value_bits(10, 64);
-        assert_eq!(narrow.storage().total_bits(), 1024 * 64);
     }
 
     #[test]

@@ -6,6 +6,9 @@ use crate::predictor::ValuePredictor;
 use crate::storage::StorageCost;
 use crate::DEFAULT_VALUE_BITS;
 
+/// The history hash: the paper's FS R-5.
+const HASH: HashFunction = HashFunction::FsR5;
+
 /// A DFCM with *speculative history update* under delayed resolution —
 /// the standard remedy for the degradation the paper measures in §4.5.
 ///
@@ -64,9 +67,7 @@ pub struct SpeculativeDfcm {
     l1_mask: usize,
     l1_bits: u32,
     l2_bits: u32,
-    hash: HashFunction,
     delay: usize,
-    value_bits: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +85,6 @@ struct InFlight {
 pub struct SpeculativeDfcmBuilder {
     l1_bits: u32,
     l2_bits: u32,
-    hash: HashFunction,
     delay: usize,
 }
 
@@ -93,7 +93,6 @@ impl Default for SpeculativeDfcmBuilder {
         SpeculativeDfcmBuilder {
             l1_bits: 12,
             l2_bits: 12,
-            hash: HashFunction::FsR5,
             delay: 0,
         }
     }
@@ -112,12 +111,6 @@ impl SpeculativeDfcmBuilder {
         self
     }
 
-    /// Selects the history hash (default FS R-5).
-    pub fn hash(&mut self, hash: HashFunction) -> &mut Self {
-        self.hash = hash;
-        self
-    }
-
     /// Sets the resolution delay in predictions (default 0 = immediate).
     pub fn delay(&mut self, delay: usize) -> &mut Self {
         self.delay = delay;
@@ -128,12 +121,12 @@ impl SpeculativeDfcmBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for invalid table exponents or a hash that
-    /// cannot produce `l2_bits`-bit indices.
+    /// Returns [`ConfigError`] for invalid table exponents or a level-2
+    /// size FS R-5 cannot index.
     pub fn build(&self) -> Result<SpeculativeDfcm, ConfigError> {
         check_table_bits("l1_bits", self.l1_bits)?;
         check_table_bits("l2_bits", self.l2_bits)?;
-        self.hash.validate(self.l2_bits)?;
+        HASH.validate(self.l2_bits)?;
         let l1 = 1usize << self.l1_bits;
         Ok(SpeculativeDfcm {
             last: vec![0; l1],
@@ -147,9 +140,7 @@ impl SpeculativeDfcmBuilder {
             l1_mask: l1 - 1,
             l1_bits: self.l1_bits,
             l2_bits: self.l2_bits,
-            hash: self.hash,
             delay: self.delay,
-            value_bits: DEFAULT_VALUE_BITS,
         })
     }
 }
@@ -179,9 +170,7 @@ impl SpeculativeDfcm {
         let i1 = f.i1;
         let actual_diff = f.actual.wrapping_sub(self.arch_last[i1]);
         self.l2[self.arch_hist[i1] as usize] = actual_diff;
-        self.arch_hist[i1] = self
-            .hash
-            .fold_update(self.arch_hist[i1], actual_diff, self.l2_bits);
+        self.arch_hist[i1] = HASH.fold_update(self.arch_hist[i1], actual_diff, self.l2_bits);
         self.arch_last[i1] = f.actual;
         if f.predicted != f.actual {
             // Squash and re-lock: restore this instruction's speculative
@@ -196,7 +185,7 @@ impl SpeculativeDfcm {
             let mut next = f.next;
             while next != 0 {
                 let diff = self.l2[hist as usize];
-                hist = self.hash.fold_update(hist, diff, self.l2_bits);
+                hist = HASH.fold_update(hist, diff, self.l2_bits);
                 last = last.wrapping_add(diff);
                 next = self.in_flight[(next - 1 - self.resolved) as usize].next;
             }
@@ -225,9 +214,7 @@ impl ValuePredictor for SpeculativeDfcm {
         let predicted_diff = self.l2[hist_before as usize];
         let predicted = self.last[i1].wrapping_add(predicted_diff);
         // Speculatively advance the level-1 state with the prediction.
-        self.hist[i1] = self
-            .hash
-            .fold_update(hist_before, predicted_diff, self.l2_bits);
+        self.hist[i1] = HASH.fold_update(hist_before, predicted_diff, self.l2_bits);
         self.last[i1] = predicted;
         // Link the entry's youngest prediction in flight, if any, to this
         // one.
@@ -253,14 +240,17 @@ impl ValuePredictor for SpeculativeDfcm {
         // (retirement-side) level-1 copies are real hardware state.
         let l1 = self.last.len() as u64;
         StorageCost::new()
-            .with("L1 last values (2 copies)", 2 * l1 * self.value_bits as u64)
+            .with(
+                "L1 last values (2 copies)",
+                2 * l1 * DEFAULT_VALUE_BITS as u64,
+            )
             .with(
                 "L1 hashed histories (2 copies)",
                 2 * l1 * self.l2_bits as u64,
             )
             .with(
                 "L2 differences",
-                self.l2.len() as u64 * self.value_bits as u64,
+                self.l2.len() as u64 * DEFAULT_VALUE_BITS as u64,
             )
     }
 
@@ -269,7 +259,7 @@ impl ValuePredictor for SpeculativeDfcm {
             "dfcm-spec(l1=2^{},l2=2^{},{})@d{}",
             self.l1_bits,
             self.l2_bits,
-            self.hash.label(),
+            HASH.label(),
             self.delay
         )
     }

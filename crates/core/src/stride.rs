@@ -41,7 +41,6 @@ pub struct StridePredictor {
     confidence: Vec<SaturatingCounter>,
     mask: usize,
     bits: u32,
-    value_bits: u32,
     stats: Option<TableTracker>,
 }
 
@@ -52,28 +51,13 @@ impl StridePredictor {
     ///
     /// Panics if `bits` exceeds 30.
     pub fn new(bits: u32) -> Self {
-        Self::with_value_bits(bits, DEFAULT_VALUE_BITS)
-    }
-
-    /// As [`new`](StridePredictor::new) with an explicit cost-model value
-    /// width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds 30 or `value_bits` is not in `1..=64`.
-    pub fn with_value_bits(bits: u32, value_bits: u32) -> Self {
         assert!(bits <= 30, "table exponent must be <= 30, got {bits}");
-        assert!(
-            (1..=64).contains(&value_bits),
-            "value width must be in 1..=64"
-        );
         StridePredictor {
             last: vec![0; 1 << bits],
             stride: vec![0; 1 << bits],
             confidence: vec![SaturatingCounter::default(); 1 << bits],
             mask: (1usize << bits) - 1,
             bits,
-            value_bits,
             stats: None,
         }
     }
@@ -183,8 +167,8 @@ impl ValuePredictor for StridePredictor {
     fn storage(&self) -> StorageCost {
         let n = self.last.len() as u64;
         StorageCost::new()
-            .with("last values", n * self.value_bits as u64)
-            .with("strides", n * self.value_bits as u64)
+            .with("last values", n * DEFAULT_VALUE_BITS as u64)
+            .with("strides", n * DEFAULT_VALUE_BITS as u64)
     }
 
     fn name(&self) -> String {
@@ -236,7 +220,6 @@ pub struct TwoDeltaStridePredictor {
     s2: Vec<u64>,
     mask: usize,
     bits: u32,
-    value_bits: u32,
     stats: Option<TableTracker>,
 }
 
@@ -247,28 +230,13 @@ impl TwoDeltaStridePredictor {
     ///
     /// Panics if `bits` exceeds 30.
     pub fn new(bits: u32) -> Self {
-        Self::with_value_bits(bits, DEFAULT_VALUE_BITS)
-    }
-
-    /// As [`new`](TwoDeltaStridePredictor::new) with an explicit cost-model
-    /// value width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds 30 or `value_bits` is not in `1..=64`.
-    pub fn with_value_bits(bits: u32, value_bits: u32) -> Self {
         assert!(bits <= 30, "table exponent must be <= 30, got {bits}");
-        assert!(
-            (1..=64).contains(&value_bits),
-            "value width must be in 1..=64"
-        );
         TwoDeltaStridePredictor {
             last: vec![0; 1 << bits],
             s1: vec![0; 1 << bits],
             s2: vec![0; 1 << bits],
             mask: (1usize << bits) - 1,
             bits,
-            value_bits,
             stats: None,
         }
     }
@@ -357,9 +325,9 @@ impl ValuePredictor for TwoDeltaStridePredictor {
     fn storage(&self) -> StorageCost {
         let n = self.last.len() as u64;
         StorageCost::new()
-            .with("last values", n * self.value_bits as u64)
-            .with("strides s1", n * self.value_bits as u64)
-            .with("strides s2", n * self.value_bits as u64)
+            .with("last values", n * DEFAULT_VALUE_BITS as u64)
+            .with("strides s1", n * DEFAULT_VALUE_BITS as u64)
+            .with("strides s2", n * DEFAULT_VALUE_BITS as u64)
     }
 
     fn name(&self) -> String {

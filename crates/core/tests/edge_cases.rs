@@ -2,8 +2,8 @@
 //! values, and wrapper corner cases.
 
 use dfcm::{
-    ClassifiedPredictor, DelayedUpdate, DfcmPredictor, FcmPredictor, HashFunction,
-    InstructionClass, LastValuePredictor, SpeculativeDfcm, StridePredictor, ValuePredictor,
+    ClassifiedPredictor, DelayedUpdate, DfcmPredictor, FcmPredictor, InstructionClass,
+    LastValuePredictor, SpeculativeDfcm, StridePredictor, ValuePredictor,
 };
 
 #[test]
@@ -119,7 +119,7 @@ fn classified_predictor_tie_breaks_deterministically() {
     // A constant stream: LVP, stride and FCM all end up perfect during the
     // trial; the assignment must be deterministic (first maximum wins).
     let run = || {
-        let mut p = ClassifiedPredictor::builder().build().unwrap();
+        let mut p = ClassifiedPredictor::new();
         for _ in 0..40 {
             p.access(0x40, 9);
         }
@@ -127,13 +127,6 @@ fn classified_predictor_tie_breaks_deterministically() {
     };
     assert_eq!(run(), run());
     assert_eq!(run(), InstructionClass::LastValue);
-}
-
-#[test]
-fn concat_hash_order_one_degenerates_to_value_index() {
-    // order 1: the index is just the low bits of the newest value.
-    let h = HashFunction::Concat { order: 1 };
-    assert_eq!(h.fold_update(0x3FF, 0xAB, 8), 0xAB);
 }
 
 #[test]
@@ -163,7 +156,7 @@ fn name_strings_are_parseable_labels() {
         FcmPredictor::builder().build().unwrap().name(),
         DfcmPredictor::builder().build().unwrap().name(),
         SpeculativeDfcm::builder().build().unwrap().name(),
-        ClassifiedPredictor::builder().build().unwrap().name(),
+        ClassifiedPredictor::new().name(),
     ];
     for name in names {
         assert!(!name.contains('\n'), "{name}");

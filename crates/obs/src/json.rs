@@ -373,6 +373,11 @@ mod tests {
     }
 
     #[test]
+    fn json_string_escapes_quote_backslash_and_newline() {
+        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+    }
+
+    #[test]
     fn parses_nested_structures() {
         let v = parse(r#"{"a":[1,2,{"b":null}],"c":true,"d":-1.5e2}"#).unwrap();
         assert_eq!(v.get("d").unwrap().as_f64(), Some(-150.0));

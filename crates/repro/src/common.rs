@@ -30,8 +30,6 @@ pub struct Options {
     pub full: bool,
     /// Directory for CSV output.
     pub out_dir: PathBuf,
-    /// Also write a JSON copy of every table.
-    pub json: bool,
     /// Engine worker threads; `0` picks one per hardware thread.
     pub threads: usize,
     /// Print engine progress counts on stderr.
@@ -83,7 +81,8 @@ struct Suite {
 /// One §4.2 pass of an FCM or DFCM lane over the suite (Figures 12–14,
 /// `tags`, `speedup`): each benchmark's table stats in suite order, with
 /// the aliasing breakdown and the confidence estimator's counts, and, if
-/// the pass ran under `--obs`, its phase series.
+/// the pass ran under `--obs` for a caller that records it, its phase
+/// series.
 pub(crate) struct AliasPass {
     pub(crate) per_bench: Vec<(&'static str, TableStats)>,
     pub(crate) series: Option<LaneSeries>,
@@ -205,7 +204,6 @@ impl Default for Options {
             scale: 0.1,
             full: false,
             out_dir: PathBuf::from("results"),
-            json: false,
             threads: 0,
             progress: false,
             resume: false,
@@ -251,27 +249,29 @@ impl Options {
     /// The run's §4.2 pass over the suite of the lane `spec` parses to,
     /// an FCM or DFCM ([`StreamPredictor::parse_spec`]): made on the
     /// first call for this suite and canonical spec, memoized for later
-    /// calls. Under `--obs`, a memoized pass that kept no series runs
-    /// again.
+    /// calls. A caller that `records` the pass's phase series gets one
+    /// under `--obs`, so for it a memoized pass that kept no series runs
+    /// again; other callers' passes keep none.
     ///
     /// # Panics
     ///
     /// Panics if `spec` does not parse to an FCM or DFCM that classifies.
-    pub(crate) fn alias_pass(&self, spec: &str) -> Arc<AliasPass> {
+    pub(crate) fn alias_pass(&self, spec: &str, records: bool) -> Arc<AliasPass> {
         let traces = self.traces();
         let key = self.memo_key();
         let spec = StreamPredictor::parse_spec(spec)
             .unwrap_or_else(|e| panic!("{e}"))
             .spec();
+        let observed = records && self.obs.is_enabled();
         let memoized = self
             .suite
             .with(&key, |suite| suite.alias.get(&spec).cloned());
         if let Some(pass) = memoized.flatten() {
-            if pass.series.is_some() || !self.obs.is_enabled() {
+            if pass.series.is_some() || !observed {
                 return pass;
             }
         }
-        let pass = Arc::new(AliasPass::run(&spec, &traces, self.obs.is_enabled()));
+        let pass = Arc::new(AliasPass::run(&spec, &traces, observed));
         self.suite.with(&key, |suite| {
             suite.alias.insert(spec, Arc::clone(&pass));
         });
@@ -340,7 +340,7 @@ impl Options {
         self.out_dir.join(format!("{name}.csv"))
     }
 
-    /// Writes an experiment table as CSV (and JSON when `--json` is set).
+    /// Writes an experiment table as CSV.
     ///
     /// # Panics
     ///
@@ -350,11 +350,6 @@ impl Options {
         table
             .write_csv(self.csv_path(name))
             .unwrap_or_else(|e| panic!("writing {name}.csv: {e}"));
-        if self.json {
-            table
-                .write_json(self.out_dir.join(format!("{name}.json")))
-                .unwrap_or_else(|e| panic!("writing {name}.json: {e}"));
-        }
     }
 
     /// The handle an experiment runs its suite work through (see
@@ -697,4 +692,55 @@ pub fn banner(title: &str, note: &str) {
         println!("{note}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::{fig12_14, speedup, tags};
+
+    fn observed(dir: &str) -> Options {
+        let out_dir = std::env::temp_dir().join("dfcm_repro_common").join(dir);
+        let _ = std::fs::remove_dir_all(&out_dir);
+        Options {
+            seed: 7,
+            scale: 0.004,
+            threads: 1,
+            out_dir,
+            obs: dfcm_obs::Obs::enabled(),
+            ..Options::default()
+        }
+    }
+
+    /// Whether the run's memoized pass of `spec` holds a phase series.
+    fn has_series(opts: &Options, spec: &str) -> Option<bool> {
+        let spec = StreamPredictor::parse_spec(spec).unwrap().spec();
+        opts.suite
+            .with(&opts.memo_key(), |suite| {
+                suite.alias.get(&spec).map(|p| p.series.is_some())
+            })
+            .flatten()
+    }
+
+    #[test]
+    fn speedups_pass_folds_no_phase_series() {
+        let opts = observed("speedup");
+        speedup::run(&opts);
+        assert_eq!(has_series(&opts, "dfcm:16:12"), Some(false));
+        assert!(opts.obs.series_snapshot().is_empty());
+    }
+
+    #[test]
+    fn fig13_after_tags_records_the_series_of_a_fresh_fig13() {
+        let shared = observed("tags-fig13");
+        tags::run(&shared);
+        assert_eq!(has_series(&shared, "dfcm:12:12"), Some(false));
+        fig12_14::run_fig13(&shared);
+        assert_eq!(has_series(&shared, "dfcm:12:12"), Some(true));
+        let alone = observed("fig13");
+        fig12_14::run_fig13(&alone);
+        let series = alone.obs.series_snapshot();
+        assert_eq!(series.len(), 2, "fig13 records an fcm and a dfcm series");
+        assert_eq!(shared.obs.series_snapshot(), series);
+    }
 }

@@ -24,7 +24,7 @@ use crate::common::{banner, Options};
 /// label `spec` (rendered by `dfcm-tools obs report` from the `--obs`
 /// export). Returns each benchmark's breakdown, in suite order.
 fn analyze(opts: &Options, spec: &str, lane: &str) -> Vec<(&'static str, AliasBreakdown)> {
-    let pass = opts.alias_pass(lane);
+    let pass = opts.alias_pass(lane, true);
     if let Some(series) = &pass.series {
         opts.obs.record_series(series.relabeled(spec));
     }

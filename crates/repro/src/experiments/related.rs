@@ -42,15 +42,7 @@ pub fn run(opts: &Options) {
 
     // Dynamic classification: LVP + stride + FCM sub-tables plus a
     // classifier, sized to ~match the DFCM below.
-    let classified = |_: &()| {
-        ClassifiedPredictor::builder()
-            .class_bits(12)
-            .lvp_bits(11)
-            .stride_bits(11)
-            .fcm_bits(11, 12)
-            .build()
-            .expect("valid")
-    };
+    let classified = |_: &()| ClassifiedPredictor::new();
     rows(
         &mut table,
         &run.sweep("classified", &traces, &[()], classified),

@@ -45,7 +45,7 @@ pub fn run(opts: &Options) {
     // The confidence-gated policy issues what the DFCM's estimator passes
     // at 4 tag bits and a counter threshold of 2, read off the run's §4.2
     // pass of that DFCM.
-    let tagged = opts.alias_pass("dfcm:16:12").gated(4, 2);
+    let tagged = opts.alias_pass("dfcm:16:12", false).gated(4, 2);
     let policies: [(&str, Vec<ConfidenceStats>); 3] = [
         ("fcm, always", issue_all(&fcm)),
         ("dfcm, always", issue_all(&dfcm)),

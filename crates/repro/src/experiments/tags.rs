@@ -9,7 +9,7 @@
 //! the tag width and confidence threshold, reporting the coverage (issued
 //! fraction) vs. issued-accuracy trade-off on the suite. Every
 //! configuration reads the run's one 2^12/2^12 DFCM pass, which Figures
-//! 13 and 14 read too ([`Options::alias_pass`]).
+//! 13 and 14 read too (`Options::alias_pass`).
 
 use dfcm_sim::report::{fmt_accuracy, TextTable};
 use dfcm_sim::ConfidenceStats;
@@ -23,7 +23,7 @@ pub fn run(opts: &Options) {
         "Tag = low bits of an orthogonal second history hash; a prediction \
          is issued only on tag match and counter >= threshold.",
     );
-    let pass = opts.alias_pass("dfcm:12:12");
+    let pass = opts.alias_pass("dfcm:12:12", false);
     let mut table = TextTable::new(vec![
         "tag bits",
         "conf >=",

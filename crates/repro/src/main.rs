@@ -2,9 +2,9 @@
 //! evaluation.
 //!
 //! ```text
-//! dfcm-repro <experiment> [--seed N] [--scale F] [--full] [--json] [--out DIR]
-//!                         [--threads N] [--progress] [--traces DIR] [--strict]
-//!                         [--obs DIR]
+//! dfcm-repro <experiment> [--seed N] [--scale F] [--full] [--out DIR]
+//!                         [--threads N] [--progress] [--resume] [--traces DIR]
+//!                         [--strict] [--obs DIR]
 //!
 //! experiments:
 //!   table1   benchmark descriptions and trace statistics
@@ -35,7 +35,6 @@
 //!   --seed N    workload seed (default 12345)
 //!   --scale F   trace length scale; 1.0 = paper counts / 100 (default 0.1)
 //!   --full      extend table sweeps to the paper's 2^18 and 2^20
-//!   --json      also write a JSON copy of every table
 //!   --out DIR   CSV output directory (default results/)
 //!   --threads N engine worker threads; 0 = one per hardware thread (default 0)
 //!   --progress  print engine task progress on stderr
@@ -66,9 +65,17 @@
 use std::process::ExitCode;
 
 use dfcm_repro::common::Options;
-use dfcm_repro::experiments;
+use dfcm_repro::experiments::EXPERIMENTS;
 
-const USAGE: &str = "usage: dfcm-repro <table1|fig3|fig4_8|fig6_9|fig10a|fig10b|fig11a|fig11b|fig12|fig13|fig14|fig16|fig17|sec4_4|tags|related|ideal|speedup|vmbench|phases|specupdate|order|all> [--seed N] [--scale F] [--full] [--json] [--out DIR] [--threads N] [--progress] [--resume] [--traces DIR] [--strict] [--obs DIR]";
+/// The usage line, naming every experiment of [`EXPERIMENTS`] and `all`.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
+    format!(
+        "usage: dfcm-repro <{}|all> [--seed N] [--scale F] [--full] [--out DIR] [--threads N] \
+         [--progress] [--resume] [--traces DIR] [--strict] [--obs DIR]",
+        names.join("|")
+    )
+}
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -87,7 +94,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--full" => opts.full = true,
-            "--json" => opts.json = true,
             "--out" => {
                 let v = it.next().ok_or("--out needs a value")?;
                 opts.out_dir = v.into();
@@ -114,73 +120,31 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Runs the experiment `name`, or every one `all` runs, in table order;
+/// false if there is none of that name.
 fn dispatch(name: &str, opts: &Options) -> bool {
-    match name {
-        "table1" => experiments::table1::run(opts),
-        "fig3" => experiments::fig03::run(opts),
-        "fig4_8" => experiments::fig04_08::run(opts),
-        "fig6_9" => experiments::fig06_09::run(opts),
-        "fig10a" => experiments::fig10::run_a(opts),
-        "fig10b" => experiments::fig10::run_b(opts),
-        "fig11a" => experiments::fig11::run_a(opts),
-        "fig11b" => experiments::fig11::run_b(opts),
-        "fig12" => experiments::fig12_14::run_fig12(opts),
-        "fig13" => experiments::fig12_14::run_fig13(opts),
-        "fig14" => experiments::fig12_14::run_fig14(opts),
-        "fig16" => experiments::fig16::run(opts),
-        "fig17" => experiments::fig17::run(opts),
-        "sec4_4" => experiments::sec4_4::run(opts),
-        "tags" => experiments::tags::run(opts),
-        "related" => experiments::related::run(opts),
-        "ideal" => experiments::ideal::run(opts),
-        "speedup" => experiments::speedup::run(opts),
-        "vmbench" => experiments::vmbench::run(opts),
-        "phases" => experiments::phases::run(opts),
-        "specupdate" => experiments::specupdate::run(opts),
-        "order" => experiments::order::run(opts),
-        "all" => {
-            for exp in [
-                "table1",
-                "fig3",
-                "fig4_8",
-                "fig6_9",
-                "fig10a",
-                "fig10b",
-                "fig11a",
-                "fig11b",
-                "fig12",
-                "fig13",
-                "fig14",
-                "fig16",
-                "fig17",
-                "sec4_4",
-                "tags",
-                "related",
-                "ideal",
-                "speedup",
-                "vmbench",
-                "phases",
-                "specupdate",
-            ] {
-                dispatch(exp, opts);
-            }
+    let mut ran = false;
+    for (exp, run, in_all) in EXPERIMENTS {
+        let selected = if name == "all" { in_all } else { exp == name };
+        if selected {
+            run(opts);
+            ran = true;
         }
-        _ => return false,
     }
-    true
+    ran
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let opts = match parse_options(rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -196,7 +160,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!("error: unknown experiment `{name}`");
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         ExitCode::FAILURE
     }
 }

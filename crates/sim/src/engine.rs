@@ -152,12 +152,6 @@ pub enum TaskOutcome {
         /// The final error, rendered as text.
         error: String,
     },
-    /// The task finished but overran the configured deadline; its value
-    /// was discarded.
-    TimedOut {
-        /// The deadline it overran.
-        deadline: Duration,
-    },
 }
 
 impl TaskOutcome {
@@ -167,13 +161,12 @@ impl TaskOutcome {
     }
 
     /// A stable lowercase tag for serialization (`ok`, `panicked`,
-    /// `failed`, `timed_out`).
+    /// `failed`).
     pub fn kind(&self) -> &'static str {
         match self {
             TaskOutcome::Ok => "ok",
             TaskOutcome::Panicked { .. } => "panicked",
             TaskOutcome::Failed { .. } => "failed",
-            TaskOutcome::TimedOut { .. } => "timed_out",
         }
     }
 }
@@ -184,9 +177,6 @@ impl fmt::Display for TaskOutcome {
             TaskOutcome::Ok => write!(f, "ok"),
             TaskOutcome::Panicked { message } => write!(f, "panicked: {message}"),
             TaskOutcome::Failed { error } => write!(f, "failed: {error}"),
-            TaskOutcome::TimedOut { deadline } => {
-                write!(f, "timed out (deadline {:?})", deadline)
-            }
         }
     }
 }
@@ -201,10 +191,6 @@ pub struct EngineConfig {
     pub progress: bool,
     /// Retry budget and backoff for transient task failures.
     pub retry: RetryPolicy,
-    /// Per-task soft deadline: a task whose attempt overruns it is
-    /// recorded as [`TaskOutcome::TimedOut`] and its value discarded.
-    /// Detection is post-hoc (tasks are not preempted).
-    pub deadline: Option<Duration>,
     /// Deterministic fault injection, for testing recovery paths.
     pub faults: Option<FaultPlan>,
     /// Observability handle: when enabled, the engine records a span per
@@ -400,9 +386,6 @@ impl EngineReport {
                 TaskOutcome::Ok => String::new(),
                 TaskOutcome::Panicked { message } => format!(",\"error\":{}", json_string(message)),
                 TaskOutcome::Failed { error } => format!(",\"error\":{}", json_string(error)),
-                TaskOutcome::TimedOut { deadline } => {
-                    format!(",\"deadline_s\":{:.6}", deadline.as_secs_f64())
-                }
             };
             let _ = writeln!(
                 out,
@@ -520,7 +503,6 @@ where
                 None => {}
             }
         }
-        let started = Instant::now();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| match injected {
             Some(InjectedFault::Panic) => {
                 panic!("injected fault: panic (task {index}, attempt {attempt})")
@@ -537,17 +519,6 @@ where
         attempt += 1;
         match caught {
             Ok(Ok(output)) => {
-                if let Some(deadline) = config.deadline {
-                    if started.elapsed() > deadline {
-                        span.arg("outcome", "timed_out");
-                        return (
-                            None,
-                            TaskOutcome::TimedOut { deadline },
-                            output.records,
-                            attempt,
-                        );
-                    }
-                }
                 span.arg("outcome", "ok");
                 return (Some(output.value), TaskOutcome::Ok, output.records, attempt);
             }
@@ -1215,12 +1186,5 @@ mod tests {
             "panicked"
         );
         assert_eq!(TaskOutcome::Failed { error: "e".into() }.kind(), "failed");
-        assert_eq!(
-            TaskOutcome::TimedOut {
-                deadline: Duration::from_millis(1)
-            }
-            .kind(),
-            "timed_out"
-        );
     }
 }

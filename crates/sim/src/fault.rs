@@ -16,8 +16,8 @@
 //! * **Transient I/O errors** — the task fails with a retryable error
 //!   before it runs (consumed by the engine's bounded-retry loop; the
 //!   hash includes the attempt number, so a retry re-rolls the dice).
-//! * **Delays** — the task is slowed down before running (exercises the
-//!   deadline/timeout classification).
+//! * **Delays** — the task is slowed down before running (exercises
+//!   scheduling around slow tasks).
 //!
 //! Rates are expressed in permille (0..=1000) rather than floats so the
 //! plan stays `Eq` and hashable-by-value alongside `EngineConfig`.

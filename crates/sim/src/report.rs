@@ -110,47 +110,6 @@ impl TextTable {
     pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         atomic_write(path.as_ref(), self.to_csv().as_bytes())
     }
-
-    /// The table as a JSON array of objects keyed by the header row.
-    ///
-    /// Values are emitted as JSON numbers when they parse as such, else as
-    /// strings. Hand-rolled (no serializer dependency); covers the ASCII
-    /// content these tables hold.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (j, (key, value)) in self.header.iter().zip(row).enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:", json_string(key));
-                if let Ok(n) = value.parse::<f64>() {
-                    if n.is_finite() {
-                        let _ = write!(out, "{n}");
-                        continue;
-                    }
-                }
-                let _ = write!(out, "{}", json_string(value));
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
-
-    /// Writes the JSON form to `path` atomically (staged sibling file
-    /// then rename), creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the write.
-    pub fn write_json<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        atomic_write(path.as_ref(), self.to_json().as_bytes())
-    }
 }
 
 pub(crate) use dfcm_obs::json::json_string;
@@ -222,52 +181,5 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_accuracy(0.7351), "0.735");
         assert_eq!(fmt_kbits(204.84), "204.8");
-    }
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::*;
-
-    #[test]
-    fn json_objects_keyed_by_header() {
-        let mut t = TextTable::new(vec!["name", "accuracy"]);
-        t.row(vec!["dfcm".into(), "0.73".into()]);
-        t.row(vec!["fcm".into(), "0.62".into()]);
-        assert_eq!(
-            t.to_json(),
-            r#"[{"name":"dfcm","accuracy":0.73},{"name":"fcm","accuracy":0.62}]"#
-        );
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        let mut t = TextTable::new(vec!["x"]);
-        t.row(vec!["a\"b\\c\nd".into()]);
-        assert_eq!(t.to_json(), r#"[{"x":"a\"b\\c\nd"}]"#);
-    }
-
-    #[test]
-    fn json_keeps_non_numeric_strings() {
-        let mut t = TextTable::new(vec!["v"]);
-        t.row(vec!["2^12".into()]);
-        t.row(vec!["nan".into()]); // parses as f64 NAN -> not finite -> string
-        assert_eq!(t.to_json(), r#"[{"v":"2^12"},{"v":"nan"}]"#);
-    }
-
-    #[test]
-    fn json_empty_table() {
-        let t = TextTable::new(vec!["a"]);
-        assert_eq!(t.to_json(), "[]");
-    }
-
-    #[test]
-    fn write_json_roundtrips_to_disk() {
-        let path = std::env::temp_dir().join("dfcm_report_json_test.json");
-        let mut t = TextTable::new(vec!["k"]);
-        t.row(vec!["1".into()]);
-        t.write_json(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), r#"[{"k":1}]"#);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1269,6 +1269,8 @@ mod tests {
             "lvp:99",
             "stride:12:9",
             "dfcm:12:10:8",
+            "dfcm:99:12",
+            "dfcm:a:12",
             "",
         ] {
             assert!(StreamPredictor::parse_spec(spec).is_err(), "{spec:?}");

@@ -229,34 +229,6 @@ fn permanent_failures_fail_fast_without_retry() {
 }
 
 #[test]
-fn overrunning_deadline_is_classified_timed_out() {
-    let config = EngineConfig {
-        deadline: Some(Duration::from_millis(1)),
-        ..EngineConfig::default()
-    };
-    let (values, report) = run_tasks_ft(
-        vec!["slow".to_owned(), "fast".to_owned()],
-        |i| {
-            if i == 0 {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Ok(TaskOutput {
-                value: i,
-                records: 1,
-            })
-        },
-        &config,
-    );
-    assert_eq!(values[0], None, "timed-out value is discarded");
-    assert_eq!(values[1], Some(1));
-    assert!(matches!(
-        report.tasks[0].outcome,
-        TaskOutcome::TimedOut { .. }
-    ));
-    assert!(report.tasks[1].outcome.is_ok());
-}
-
-#[test]
 fn resumed_sweep_is_byte_identical_to_uninterrupted_run() {
     let traces = suite(3, 300);
     let config = EngineConfig::threads(2);

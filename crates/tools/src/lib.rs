@@ -208,18 +208,6 @@ pub fn stats(path: &Path) -> Result<String, ToolError> {
     Ok(out)
 }
 
-/// Builds a streaming lane from a spec string like `dfcm:16:12`,
-/// `fcm:12:12`, `stride:14`, `2delta:14` or `lvp:12`: one of the five
-/// concrete predictor kinds of [`StreamPredictor`], which is exactly what
-/// the spec grammar covers.
-///
-/// # Errors
-///
-/// Returns [`ToolError`] for unknown predictor names or malformed specs.
-pub fn stream_predictor_for(spec: &str) -> Result<StreamPredictor, ToolError> {
-    StreamPredictor::parse_spec(spec).map_err(|e| err(e.to_string()))
-}
-
 /// `eval <trace.trc> <predictor-spec>...` — runs predictors over a saved
 /// trace and reports accuracies, one line per spec in spec order.
 ///
@@ -257,7 +245,7 @@ pub fn eval(
 ) -> Result<(String, EngineReport), ToolError> {
     let lanes = specs
         .iter()
-        .map(|s| stream_predictor_for(s))
+        .map(|s| StreamPredictor::parse_spec(s).map_err(|e| err(e.to_string())))
         .collect::<Result<Vec<StreamPredictor>, ToolError>>()?;
     if lanes.is_empty() {
         return Err(err("eval needs at least one predictor spec"));
@@ -1101,15 +1089,15 @@ mod tests {
 
     #[test]
     fn predictor_specs_parse() {
-        assert!(stream_predictor_for("lvp:10").is_ok());
-        assert!(stream_predictor_for("stride:10").is_ok());
-        assert!(stream_predictor_for("2delta:10").is_ok());
-        assert!(stream_predictor_for("fcm:12:12").is_ok());
-        assert!(stream_predictor_for("dfcm:16:12").is_ok());
-        assert!(stream_predictor_for("magic:3").is_err());
-        assert!(stream_predictor_for("fcm:12").is_err());
-        assert!(stream_predictor_for("dfcm:99:12").is_err());
-        assert!(stream_predictor_for("dfcm:a:12").is_err());
+        assert!(StreamPredictor::parse_spec("lvp:10").is_ok());
+        assert!(StreamPredictor::parse_spec("stride:10").is_ok());
+        assert!(StreamPredictor::parse_spec("2delta:10").is_ok());
+        assert!(StreamPredictor::parse_spec("fcm:12:12").is_ok());
+        assert!(StreamPredictor::parse_spec("dfcm:16:12").is_ok());
+        assert!(StreamPredictor::parse_spec("magic:3").is_err());
+        assert!(StreamPredictor::parse_spec("fcm:12").is_err());
+        assert!(StreamPredictor::parse_spec("dfcm:99:12").is_err());
+        assert!(StreamPredictor::parse_spec("dfcm:a:12").is_err());
     }
 
     #[test]
@@ -1121,11 +1109,11 @@ mod tests {
             "fcm:12:12",
             "dfcm:16:12",
         ] {
-            let lane = stream_predictor_for(spec).unwrap();
+            let lane = StreamPredictor::parse_spec(spec).unwrap();
             assert_eq!(lane.spec(), spec);
         }
-        assert!(stream_predictor_for("magic:3").is_err());
-        assert!(stream_predictor_for("fcm:12").is_err());
+        assert!(StreamPredictor::parse_spec("magic:3").is_err());
+        assert!(StreamPredictor::parse_spec("fcm:12").is_err());
     }
 
     #[test]
@@ -1152,7 +1140,7 @@ mod tests {
         .collect();
         let mut expected = Vec::new();
         for spec in &specs {
-            let mut lane = stream_predictor_for(spec).unwrap();
+            let mut lane = StreamPredictor::parse_spec(spec).unwrap();
             let stats = dfcm_sim::simulate_trace(&mut lane, &trace);
             expected.push(format!(
                 "  {:<32} accuracy {:.3}  ({:.1} Kbit)",

@@ -42,7 +42,7 @@
 //! stream is never longer than `out + out/31 + C` — the bound
 //! [`max_token_len`] that caps the decoder's scratch allocation.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use crate::io::{read_varint, write_varint};
 
@@ -655,32 +655,6 @@ pub fn decompress(input: &[u8], declared_len: usize) -> io::Result<Vec<u8>> {
         }
         other => Err(invalid(format!("unknown compression method {other}"))),
     }
-}
-
-/// [`compress`] through a [`Write`], returning the compressed size.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn compress_to<W: Write>(w: &mut W, input: &[u8]) -> io::Result<usize> {
-    let out = compress(input);
-    w.write_all(&out)?;
-    Ok(out.len())
-}
-
-/// Reads `compressed_len` bytes from `r` and decompresses them.
-///
-/// # Errors
-///
-/// As [`decompress`], plus read errors.
-pub fn decompress_from<R: Read>(
-    r: &mut R,
-    compressed_len: usize,
-    declared_len: usize,
-) -> io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; compressed_len];
-    r.read_exact(&mut buf)?;
-    decompress(&buf, declared_len)
 }
 
 #[cfg(test)]
